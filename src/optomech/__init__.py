@@ -8,7 +8,7 @@ from .params import (Drive, ModelSpec, InitialState, FabryPerot, Levitated,
 from .mechanics import (SubsystemSolution, JSet, solve_subsystem,
                         j_coefficients, j_coefficients_ode, compose_bogoliubov,
                         mathieu_perturbative, map_constant_squeezing)
-from .coefficients import (FSet, DerivedScalars, f_quadrature, f_integrated,
+from .coefficients import (FSet, DerivedScalars, f_integrated, f_dense,
                            f_closed_form, derived_scalars, CatalogMiss)
 from .moments import (MomentSet, CovarianceMatrix, evolve_moments, covariance,
                       covariance_from_moments, symplectic_eigenvalues,

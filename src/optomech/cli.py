@@ -12,19 +12,16 @@ differ; their goldens are compared at the accuracy each method promises.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
 from . import mechanics as mech_mod
-from .coefficients import (CatalogMiss, derived_scalars, f_closed_form,
-                           f_path)
+from .coefficients import derived_scalars, f_dense
 from .mechanics import j_coefficients, solve_subsystem
 from .metrology import (D2_VALIDITY, cfi_homodyne, gravimetry,
                         qfi_coefficients, qfi_thermal)
@@ -176,11 +173,7 @@ def _coeff_rows(cfg, taus):
     spec = model_from_config(cfg)
     tau_max = float(max(taus)) + 1e-12
     sol = solve_subsystem(spec, tau_max)
-    try:
-        f_at = lambda t: f_closed_form(spec, t)
-        f_at(taus[-1])
-    except CatalogMiss:
-        f_at = f_path(spec, sol, tau_max)
+    f_at = f_dense(spec, tau_max, sol)
     rows = []
     for t in taus:
         f = f_at(t)
@@ -198,31 +191,15 @@ def cmd_coeffs(args):
     taus = _tau_grid(args)
     meta = {"cmd": "coeffs", "config": cfg, "tau_max": args.tau_max,
             "steps": args.steps}
-    cache_dir = os.environ.get("OPTOMECH_CACHE_DIR")
-    rows = None
-    cache_file = None
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        cache_file = os.path.join(cache_dir, f"coeffs-{fingerprint(meta)}.json")
-        if os.path.exists(cache_file):
-            with open(cache_file, "r", encoding="utf-8") as fh:
-                rows = [tuple(r) for r in json.load(fh)]
-    if rows is None:
-        rows = _coeff_rows(cfg, taus)
-        if cache_file:
-            with open(cache_file, "w", encoding="utf-8") as fh:
-                json.dump([list(r) for r in rows], fh)
     write_records(args.out, args.format, meta,
                   ("tau", "F_Na", "F_Na2", "F_B+", "F_B-", "F_NaB+", "F_NaB-",
-                   "J_b", "J_+", "J_-", "theta", "re_K_Na", "im_K_Na"), rows)
+                   "J_b", "J_+", "J_-", "theta", "re_K_Na", "im_K_Na"),
+                  _coeff_rows(cfg, taus))
     return 0
 
 
-def _moments_at(spec, state, sol, t):
-    try:
-        f = f_closed_form(spec, t)
-    except CatalogMiss:
-        f = f_path(spec, sol, float(t) + 1e-12)(t)
+def _moments_at(state, sol, f_at, t):
+    f = f_at(t)
     alpha, beta = sol.bogoliubov(t)
     d = derived_scalars(f, alpha, beta, state.mu_m)
     m = evolve_moments(f, alpha, beta, state.mu_c, state.mu_m, derived=d)
@@ -235,10 +212,12 @@ def cmd_moments(args):
     if state.optical != "coherent" or state.mechanical != "coherent":
         raise ConfigError("moments require coherent x coherent input")
     taus = _tau_grid(args)
-    sol = solve_subsystem(spec, args.tau_max + 1e-12)
+    tau_max = args.tau_max + 1e-12
+    sol = solve_subsystem(spec, tau_max)
+    f_at = f_dense(spec, tau_max, sol)
     rows = []
     for t in taus:
-        *_, m = _moments_at(spec, state, sol, t)
+        *_, m = _moments_at(state, sol, f_at, t)
         if args.quadratures:
             rows.append((t, *quadratures(m)))
         else:
@@ -266,10 +245,12 @@ def cmd_nongauss(args):
         raise ConfigError("the non-Gaussianity measure requires pure "
                           "coherent x coherent input")
     taus = _tau_grid(args)
-    sol = solve_subsystem(spec, args.tau_max + 1e-12)
+    tau_max = args.tau_max + 1e-12
+    sol = solve_subsystem(spec, tau_max)
+    f_at = f_dense(spec, tau_max, sol)
     rows = []
     for t in taus:
-        rep = nongauss_report(spec, state.mu_c, state.mu_m, t, sol=sol)
+        rep = nongauss_report(spec, state.mu_c, state.mu_m, t, sol=sol, f_at=f_at)
         rows.append((t, rep.delta, rep.delta_min, rep.delta_max,
                      rep.nu_op, rep.nu_me))
     write_records(args.out, args.format, {"cmd": "nongauss", "config": cfg,
@@ -312,8 +293,7 @@ def cmd_qfi(args):
             else:
                 local[name] = v
             return _qfi_value(local, args.param, tau, args.mode)
-        results = _pool_map(one, values, args.threads)
-        rows = list(zip(values, results))
+        rows = [(v, one(v)) for v in values]
         write_records(args.out, args.format, meta, (name, "qfi"), rows)
     else:
         value = _qfi_value(cfg, args.param, args.tau, args.mode)
@@ -385,7 +365,8 @@ def cmd_oracle_check(args):
     dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else \
         recommended_dims(spec, state, tau)
     sol = solve_subsystem(spec, tau + 1e-12)
-    f, alpha, beta, d, m = _moments_at(spec, state, sol, tau)
+    f_at = f_dense(spec, tau + 1e-12, sol)
+    f, alpha, beta, d, m = _moments_at(state, sol, f_at, tau)
     st = propagate(spec, state, tau, dims)
     mo = oracle_moments(st)
     names = ("a", "b", "a2", "b2", "adag_a", "bdag_b", "ab", "abdag")
@@ -471,18 +452,10 @@ def cmd_sweep(args):
                               complex(local["mu_m_re"], local["mu_m_im"]), tau)
         return rep.delta
 
-    results = _pool_map(one, values, args.threads)
     write_records(data["output"], data.get("format", "csv"),
                   {"cmd": "sweep", "sweep_config": data},
-                  (swept["name"], command), list(zip(values, results)))
+                  (swept["name"], command), [(v, one(v)) for v in values])
     return 0
-
-
-def _pool_map(fn, values, threads: int):
-    if threads <= 1:
-        return [fn(v) for v in values]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, values))
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=1)
         if grid:
             p.add_argument("--tau-max", type=float, default=2.0 * math.pi)
             p.add_argument("--steps", type=int, default=101)
@@ -547,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--validate-only", action="store_true")
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -8,12 +8,14 @@ The coefficients are the single and nested integrals
     F_NaB+  = -int G Re(xi),        F_NaB-  =  int G Im(xi),
 
 with all outer integrals over [0, tau] and primed integrals over [0, tau'].
-``f_integrated`` evaluates them by co-integrating the inner cumulative
+``f_path`` evaluates them by co-integrating the inner cumulative
 integrals as auxiliary ODE states (exactly equivalent to the nested
-quadrature, with one adaptive pass); ``f_closed_form`` dispatches to the
-catalog of analytic solutions for constant and sinusoidally modulated
-drives. The two paths must agree to fine tolerance and are tested
-against each other.
+quadrature, with one adaptive pass and dense output); ``f_closed_form``
+dispatches to the catalog of analytic solutions for constant and
+sinusoidally modulated drives. The two paths must agree to fine tolerance
+and are tested against each other. ``f_dense`` is the one route from a
+model to F(tau) on a whole range: the catalog when it covers the model,
+otherwise a single ``f_path`` pass.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .mechanics import RTOL, ATOL, IntegrationError, SubsystemSolution, solve_subsystem
+from . import mechanics
+from .mechanics import IntegrationError, SubsystemSolution, solve_subsystem
 from .params import ModelSpec, evaluate_drive
 
 
@@ -96,7 +99,7 @@ def f_path(spec: ModelSpec, sol: SubsystemSolution, tau_max: float):
         ]
 
     ivp = solve_ivp(rhs, (0.0, tau_max), np.zeros(8), method="DOP853",
-                    rtol=RTOL, atol=ATOL, dense_output=True)
+                    rtol=mechanics.RTOL, atol=mechanics.ATOL, dense_output=True)
     if not ivp.success:
         raise IntegrationError(
             f"coefficient integration failed near tau={ivp.t[-1]:.6g}: {ivp.message}")
@@ -112,11 +115,6 @@ def f_path(spec: ModelSpec, sol: SubsystemSolution, tau_max: float):
 def f_integrated(spec: ModelSpec, sol: SubsystemSolution, tau: float) -> FSet:
     """Evaluate the defining F-integrals numerically at a single time."""
     return f_path(spec, sol, float(tau))(tau)
-
-
-def f_quadrature(spec: ModelSpec, sol: SubsystemSolution, tau: float) -> FSet:
-    """Alias for :func:`f_integrated`, the generic (non-catalog) route."""
-    return f_integrated(spec, sol, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +252,25 @@ def f_closed_form(spec: ModelSpec, tau: float) -> FSet:
     return _f_modulated_d1(g.amplitude, d1.amplitude, d1.frequency, tau)
 
 
+def f_dense(spec: ModelSpec, tau_max: float,
+            sol: SubsystemSolution | None = None):
+    """Dense tau -> FSet on [0, tau_max] from the cheapest exact route.
+
+    Catalog coverage depends on the drives only, so one probe decides: a
+    hit returns the closed form, a miss integrates once with
+    :func:`f_path`, solving the subsystem first unless ``sol`` is given.
+    ``f_dense(spec, tau, sol)(tau)`` equals ``f_integrated(spec, sol, tau)``
+    on a miss.
+    """
+    try:
+        f_closed_form(spec, tau_max)
+    except CatalogMiss:
+        if sol is None:
+            sol = solve_subsystem(spec, max(float(tau_max), 1e-9))
+        return f_path(spec, sol, float(tau_max))
+    return lambda tau: f_closed_form(spec, tau)
+
+
 def f_small_d2_constant(g0: float, d2: float, tau: float) -> FSet:
     """Leading-order coefficients for weak constant squeezing (d2 << 1).
 
@@ -319,19 +336,3 @@ def derived_scalars(f: FSet, alpha: complex, beta: complex,
     ))
     return DerivedScalars(theta=theta, varphi=varphi, k_na=k_na,
                           gamma=gamma, delta=delta, e_bpbm=complex(e_bpbm))
-
-
-def coefficients_at(spec: ModelSpec, tau: float, mu_m: complex = 0j,
-                    sol: SubsystemSolution | None = None):
-    """Convenience: (FSet, alpha, beta, DerivedScalars) at time tau.
-
-    Prefers the closed-form catalog and falls back to integration.
-    """
-    if sol is None:
-        sol = solve_subsystem(spec, max(float(tau), 1e-9))
-    try:
-        f = f_closed_form(spec, tau)
-    except CatalogMiss:
-        f = f_integrated(spec, sol, tau)
-    alpha, beta = sol.bogoliubov(tau)
-    return f, alpha, beta, derived_scalars(f, alpha, beta, mu_m)

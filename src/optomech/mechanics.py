@@ -54,19 +54,16 @@ class SubsystemSolution:
     p22: np.ndarray  # = d(I_P22)/dtau
     _dense: object  # callable tau -> (p11, dp11, i_p22, p22)
 
-    def _eval(self, tau):
-        return self._dense(tau)
-
     def state_at(self, tau):
         """(P11, P11', I_P22, P22) at any tau inside the solved range."""
         return self._dense(tau)
 
     def xi(self, tau) -> complex:
-        p11, _, i22, _ = self._eval(tau)
+        p11, _, i22, _ = self.state_at(tau)
         return p11 - 1j * i22
 
     def dxi(self, tau) -> complex:
-        _, dp11, _, p22 = self._eval(tau)
+        _, dp11, _, p22 = self.state_at(tau)
         return dp11 - 1j * p22
 
     def bogoliubov(self, tau):

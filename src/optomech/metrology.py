@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR
-from .coefficients import (CatalogMiss, FSet, f_closed_form, f_integrated,
-                           f_small_d2_constant, f_small_d2_resonant)
-from .mechanics import JSet, j_coefficients_ode, solve_subsystem
+from .coefficients import (FSet, f_closed_form, f_dense, f_small_d2_constant,
+                           f_small_d2_resonant)
+from .mechanics import JSet, j_coefficients_ode
 from .oracle import coherent_amplitudes
 from .params import (Drive, ModelSpec, PhysicalSetup, coupling_constant,
                      oscillator_mass)
@@ -122,11 +122,7 @@ def _f_and_j(spec: ModelSpec, tau: float):
         j = JSet(j_b=tau, j_plus=0.0, j_minus=0.0)
     else:
         j = j_coefficients_ode(spec, tau)
-    try:
-        f = f_closed_form(spec, tau)
-    except CatalogMiss:
-        f = f_integrated(spec, solve_subsystem(spec, max(tau, 1e-9)), tau)
-    return f, j
+    return f_dense(spec, tau)(tau), j
 
 
 def _analytic_derivatives(spec: ModelSpec, name: str, tau: float):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .coefficients import CatalogMiss, derived_scalars, f_closed_form, f_integrated
+from .coefficients import derived_scalars, f_dense
 from .mechanics import solve_subsystem
 from .moments import (CovarianceMatrix, covariance, evolve_moments,
                       subsystem_eigenvalues, symplectic_eigenvalues)
@@ -88,14 +88,18 @@ class NonGaussReport:
 
 
 def report(spec: ModelSpec, mu_c: complex, mu_m: complex, tau: float,
-           sol=None) -> NonGaussReport:
-    """Evaluate the measure and its bounds for coherent x coherent input."""
+           sol=None, f_at=None) -> NonGaussReport:
+    """Evaluate the measure and its bounds for coherent x coherent input.
+
+    ``sol`` and ``f_at`` (a dense tau -> FSet from ``f_dense``) may be
+    prebuilt on a range containing ``tau`` so that a grid of reports
+    integrates once.
+    """
     if sol is None:
         sol = solve_subsystem(spec, max(float(tau), 1e-9))
-    try:
-        f = f_closed_form(spec, tau)
-    except CatalogMiss:
-        f = f_integrated(spec, sol, tau)
+    if f_at is None:
+        f_at = f_dense(spec, tau, sol)
+    f = f_at(tau)
     alpha, beta = sol.bogoliubov(tau)
     d = derived_scalars(f, alpha, beta, mu_m)
     m = evolve_moments(f, alpha, beta, mu_c, mu_m, derived=d)

@@ -4,9 +4,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from optomech.cli import ConfigError, main, resolve_config, validate_sweep_config
+from optomech import coefficients, mechanics
+from optomech.cli import (ConfigError, main, model_from_config, resolve_config,
+                          validate_sweep_config)
+from optomech.coefficients import (CatalogMiss, derived_scalars, f_closed_form,
+                                   f_integrated)
+from optomech.mechanics import solve_subsystem
+from optomech.moments import evolve_moments
+from optomech.nongaussianity import report
 
 GOLDEN = Path(__file__).parent / "golden"
 CONFIG = str(GOLDEN / "config.json")
@@ -177,7 +185,7 @@ def test_golden_sweep(tmp_path):
     config["output"] = str(tmp_path / "sweep_qfi.csv")
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(config, indent=1, sort_keys=True))
-    result = run_cli("sweep", "--config", str(cfg_path), "--threads", "2")
+    result = run_cli("sweep", "--config", str(cfg_path))
     assert result.returncode == 0, result.stderr
     got = (tmp_path / "sweep_qfi.csv").read_text().splitlines()
     want = (GOLDEN / "sweep_qfi.csv").read_text().splitlines()
@@ -234,23 +242,35 @@ def test_validate_only_flag(tmp_path):
     assert "ok" in result.stdout
 
 
-def test_cache_dir_round_trip(tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("OPTOMECH_CACHE_DIR", str(cache))
-    out1, out2 = tmp_path / "c1.csv", tmp_path / "c2.csv"
-    assert main(["coeffs", "--config", CONFIG, "--steps", "4",
-                 "--out", str(out1)]) == 0
-    assert any(cache.iterdir())
-    assert main(["coeffs", "--config", CONFIG, "--steps", "4",
-                 "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+# modulated coupling, cosine displacement and squeezing modulated at
+# Omega = 2: no closed-form F catalog entry covers it
+MISS_CONFIG = {"g0": 0.3, "epsilon": 0.4, "omega_g": 0.7,
+               "d1": 0.2, "omega_d1": 0.6, "d2": 0.05, "omega_d2": 2.0,
+               "mu_c_re": 1.0, "mu_m_re": 0.5}
 
 
-def test_fast_tolerance_profile(tmp_path):
+def test_fast_tolerance_profile(tmp_path, monkeypatch):
     result = run_cli("--tolerance-profile", "fast", "nongauss",
                      "--config", CONFIG, "--steps", "3",
                      "--out", str(tmp_path / "x.csv"))
     assert result.returncode == 0
+    # the profile must reach the F integration on a catalog miss
+    cfg = tmp_path / "miss.json"
+    cfg.write_text(json.dumps(MISS_CONFIG))
+    tolerances = []
+    solve_ivp = coefficients.solve_ivp
+
+    def recording(*args, **kwargs):
+        tolerances.append((kwargs["rtol"], kwargs["atol"]))
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(coefficients, "solve_ivp", recording)
+    # restored at teardown, so later tests run at the strict profile
+    monkeypatch.setattr(mechanics, "RTOL", mechanics.RTOL)
+    monkeypatch.setattr(mechanics, "ATOL", mechanics.ATOL)
+    assert main(["--tolerance-profile", "fast", "coeffs", "--config", str(cfg),
+                 "--steps", "3", "--out", str(tmp_path / "c.csv")]) == 0
+    assert tolerances == [(1e-8, 1e-10)]
 
 
 def _read_rows(path):
@@ -285,8 +305,54 @@ def test_qfi_frequency_sweep_peaks_at_resonance(tmp_path):
             "output": str(tmp_path / "qfi.csv"), "format": "csv"}
     cfg = tmp_path / "qfi.json"
     cfg.write_text(json.dumps(data))
-    result = run_cli("sweep", "--config", str(cfg), "--threads", "2")
+    result = run_cli("sweep", "--config", str(cfg))
     assert result.returncode == 0, result.stderr
     rows = _read_rows(tmp_path / "qfi.csv")
     best = max(rows, key=lambda r: r[1])
     assert abs(best[0] - 1.0) <= 0.1
+
+
+def test_grid_commands_integrate_once_on_catalog_miss(tmp_path, monkeypatch):
+    cfg = tmp_path / "miss.json"
+    cfg.write_text(json.dumps(MISS_CONFIG))
+    spec = model_from_config(resolve_config(MISS_CONFIG))
+    tau_max, steps = 4 * math.pi, 201
+    with pytest.raises(CatalogMiss):
+        f_closed_form(spec, tau_max)
+
+    # reference: F integrated afresh at every grid point
+    mu_c, mu_m = MISS_CONFIG["mu_c_re"], MISS_CONFIG["mu_m_re"]
+    sol = solve_subsystem(spec, tau_max + 1e-12)
+    taus = np.linspace(0.0, tau_max, steps)
+    moments_ref, nongauss_ref = [], []
+    for t in taus:
+        f = f_integrated(spec, sol, t)
+        alpha, beta = sol.bogoliubov(t)
+        d = derived_scalars(f, alpha, beta, mu_m)
+        m = evolve_moments(f, alpha, beta, mu_c, mu_m, derived=d)
+        moments_ref.append((t, m.a.real, m.a.imag, m.b.real, m.b.imag,
+                            m.a2.real, m.a2.imag, m.b2.real, m.b2.imag,
+                            m.adag_a, m.bdag_b, m.ab.real, m.ab.imag,
+                            m.abdag.real, m.abdag.imag))
+        rep = report(spec, mu_c, mu_m, t, sol=sol, f_at=lambda _: f)
+        nongauss_ref.append((t, rep.delta, rep.delta_min, rep.delta_max,
+                             rep.nu_op, rep.nu_me))
+
+    passes = []
+    f_path = coefficients.f_path
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return f_path(*args, **kwargs)
+
+    monkeypatch.setattr(coefficients, "f_path", counted)
+    for command, reference in (("moments", moments_ref),
+                               ("nongauss", nongauss_ref)):
+        passes.clear()
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(cfg), "--tau-max", repr(tau_max),
+                     "--steps", str(steps), "--out", str(out)]) == 0
+        assert len(passes) == 1, command
+        rows = np.array(_read_rows(out))
+        assert rows.shape == (steps, len(reference[0]))
+        assert np.max(np.abs(rows - np.array(reference))) <= 1e-8, command

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from optomech.coefficients import (CatalogMiss, derived_scalars, f_closed_form,
-                                   f_integrated, sinc)
+                                   f_dense, f_integrated, sinc)
 from optomech.mechanics import solve_subsystem
 from optomech.params import Drive, ModelSpec
 
@@ -70,6 +70,26 @@ def test_catalog_miss_directs_to_quadrature():
     spec = ModelSpec(squeezing=Drive.cosine(0.1, 2.0))
     with pytest.raises(CatalogMiss):
         f_closed_form(spec, 1.0)
+
+
+def test_f_dense_routes():
+    # a hit is the catalog entry; a miss at its own end point is bit-identical
+    # to the single-point integration on the same subsystem solution
+    hit = ModelSpec(coupling=Drive.offset_sinusoid(0.7, 0.3, 0.6))
+    assert f_dense(hit, 5.0)(2.0) == f_closed_form(hit, 2.0)
+    miss = ModelSpec(coupling=Drive.offset_sinusoid(0.7, 0.3, 0.6),
+                     squeezing=Drive.cosine(0.05, 2.0))
+    tau = 3.0
+    sol = solve_subsystem(miss, tau)
+    assert f_dense(miss, tau)(tau) == f_integrated(miss, sol, tau)
+    assert f_dense(miss, tau, sol)(tau) == f_integrated(miss, sol, tau)
+    # one pass serves the whole range
+    sol = solve_subsystem(miss, 2 * tau)
+    dense = f_dense(miss, 2 * tau, sol)
+    for t in (0.5, tau, 2 * tau):
+        assert np.allclose(dense(t).as_array(),
+                           f_integrated(miss, sol, t).as_array(),
+                           atol=1e-9, rtol=0.0)
 
 
 def _catalog_spec(rng):
