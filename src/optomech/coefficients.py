@@ -256,19 +256,27 @@ def f_dense(spec: ModelSpec, tau_max: float,
             sol: SubsystemSolution | None = None):
     """Dense tau -> FSet on [0, tau_max] from the cheapest exact route.
 
-    Catalog coverage depends on the drives only, so one probe decides: a
-    hit returns the closed form, a miss integrates once with
-    :func:`f_path`, solving the subsystem first unless ``sol`` is given.
-    ``f_dense(spec, tau, sol)(tau)`` equals ``f_integrated(spec, sol, tau)``
-    on a miss.
+    Each point is read from the closed-form catalog. Catalog coverage
+    depends on the drives only, so the first :class:`CatalogMiss` switches
+    the callable, once, to a single :func:`f_path` pass, solving the
+    subsystem first unless ``sol`` is given. A hit costs one catalog call
+    per point. ``f_dense(spec, tau, sol)(tau)`` equals
+    ``f_integrated(spec, sol, tau)`` on a miss.
     """
-    try:
-        f_closed_form(spec, tau_max)
-    except CatalogMiss:
-        if sol is None:
-            sol = solve_subsystem(spec, max(float(tau_max), 1e-9))
-        return f_path(spec, sol, float(tau_max))
-    return lambda tau: f_closed_form(spec, tau)
+    path = None
+
+    def at(tau) -> FSet:
+        nonlocal path
+        if path is None:
+            try:
+                return f_closed_form(spec, tau)
+            except CatalogMiss:
+                solved = sol if sol is not None else \
+                    solve_subsystem(spec, max(float(tau_max), 1e-9))
+                path = f_path(spec, solved, float(tau_max))
+        return path(tau)
+
+    return at
 
 
 def f_small_d2_constant(g0: float, d2: float, tau: float) -> FSet:

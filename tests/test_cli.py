@@ -316,7 +316,7 @@ def test_grid_commands_integrate_once_on_catalog_miss(tmp_path, monkeypatch):
     cfg = tmp_path / "miss.json"
     cfg.write_text(json.dumps(MISS_CONFIG))
     spec = model_from_config(resolve_config(MISS_CONFIG))
-    tau_max, steps = 4 * math.pi, 201
+    tau_max, steps = 4 * math.pi, 21
     with pytest.raises(CatalogMiss):
         f_closed_form(spec, tau_max)
 

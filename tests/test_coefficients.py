@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from optomech import coefficients
 from optomech.coefficients import (CatalogMiss, derived_scalars, f_closed_form,
                                    f_dense, f_integrated, sinc)
 from optomech.mechanics import solve_subsystem
@@ -91,6 +92,36 @@ def test_f_dense_routes():
                            f_integrated(miss, sol, t).as_array(),
                            atol=1e-9, rtol=0.0)
 
+
+
+def test_f_dense_calls_per_point(monkeypatch):
+    # a hit makes one catalog call per point; a miss probes the catalog once
+    # and integrates once, however many points are read
+    calls = {"f_closed_form": 0, "f_path": 0}
+
+    def counted(name):
+        original = getattr(coefficients, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(coefficients, name, wrapper)
+
+    counted("f_closed_form")
+    counted("f_path")
+    taus = np.linspace(0.0, 4.0, 9)
+    hit = ModelSpec(coupling=Drive.offset_sinusoid(0.7, 0.3, 0.6))
+    dense = f_dense(hit, 4.0)
+    for t in taus:
+        dense(t)
+    assert calls == {"f_closed_form": len(taus), "f_path": 0}
+    calls.update(f_closed_form=0)
+    miss = ModelSpec(coupling=Drive.offset_sinusoid(0.7, 0.3, 0.6),
+                     squeezing=Drive.cosine(0.05, 2.0))
+    dense = f_dense(miss, 4.0)
+    for t in taus:
+        dense(t)
+    assert calls == {"f_closed_form": 1, "f_path": 1}
 
 def _catalog_spec(rng):
     entry = rng.choice(["constant", "constant-d2", "mod-g", "res-g",
