@@ -431,6 +431,14 @@ def cmd_sweep(args):
     fixed = data.get("fixed", {})
     command = data["command"]
     tau_default = float(fixed.get("tau", 2.0 * math.pi))
+    dense = {}
+    if command == "nongauss" and swept["name"] == "tau":
+        # the model is fixed, so one subsystem solve and one F route serve
+        # every swept tau
+        spec = model_from_config(cfg)
+        tau_max = max(max(values), 1e-9)
+        sol = solve_subsystem(spec, tau_max)
+        dense = {"sol": sol, "f_at": f_dense(spec, tau_max, sol)}
 
     def one(v):
         local = dict(cfg)
@@ -449,7 +457,8 @@ def cmd_sweep(args):
                                 float(fixed.get("lambda", math.pi / 2)), tau)
         spec = model_from_config(local)
         rep = nongauss_report(spec, complex(local["mu_c_re"], local["mu_c_im"]),
-                              complex(local["mu_m_re"], local["mu_m_im"]), tau)
+                              complex(local["mu_m_re"], local["mu_m_im"]), tau,
+                              **dense)
         return rep.delta
 
     write_records(data["output"], data.get("format", "csv"),

@@ -24,10 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import mechanics
-from .mechanics import IntegrationError, SubsystemSolution, solve_subsystem
+from .mechanics import (IntegrationError, SubsystemSolution, solve_ivp,
+                        solve_subsystem)
 from .params import ModelSpec, evaluate_drive
 
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .params import Drive, ModelSpec, evaluate_drive
 
@@ -37,6 +36,17 @@ ACOSH_REJECT = 1e-9
 
 class IntegrationError(RuntimeError):
     pass
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call.
+
+    The import is most of the package's start-up time and closed-form
+    results never integrate. ``coefficients`` and ``oracle`` import this
+    name, so each module's integrations can be rebound separately.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)

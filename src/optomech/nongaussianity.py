@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .coefficients import derived_scalars, f_dense
 from .mechanics import solve_subsystem
@@ -38,7 +37,12 @@ def entropy_sv(nu) -> float:
     nu = max(nu, 1.0)
     up = 0.5 * (nu + 1.0)
     dn = 0.5 * (nu - 1.0)
-    return float(xlogy(up, up) - xlogy(dn, dn))
+    return _xlogx(up) - _xlogx(dn)
+
+
+def _xlogx(x: float) -> float:
+    """x ln x with 0 ln 0 = 0; the same libm log as ``scipy.special.xlogy``."""
+    return x * math.log(x) if x > 0.0 else 0.0
 
 
 def delta(sigma: CovarianceMatrix) -> float:

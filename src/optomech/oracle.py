@@ -28,9 +28,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import eig_banded, eigh_tridiagonal
 
+from .mechanics import solve_ivp
 from .moments import MomentSet
 from .params import InitialState, ModelSpec, evaluate_drive
 
@@ -40,6 +39,18 @@ INITIAL_TAIL_LIMIT = 1e-12
 
 class TruncationError(RuntimeError):
     pass
+
+
+# scipy.linalg is imported on the first call, as mechanics.solve_ivp does
+# for scipy.integrate, so importing the package does not load it.
+def eig_banded(*args, **kwargs):
+    from scipy.linalg import eig_banded as scipy_eig_banded
+    return scipy_eig_banded(*args, **kwargs)
+
+
+def eigh_tridiagonal(*args, **kwargs):
+    from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
+    return scipy_eigh_tridiagonal(*args, **kwargs)
 
 
 @dataclass(frozen=True)

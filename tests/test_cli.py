@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,9 +22,21 @@ CONFIG = str(GOLDEN / "config.json")
 CONFIG_DISPLACED = str(GOLDEN / "config_displaced.json")
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def child_env():
+    """This environment with the source tree first on PYTHONPATH, so a child
+    interpreter imports the package under test without an install."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def run_cli(*args):
     result = subprocess.run([sys.executable, "-m", "optomech.cli", *args],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, env=child_env())
     return result
 
 
@@ -312,6 +325,19 @@ def test_qfi_frequency_sweep_peaks_at_resonance(tmp_path):
     assert abs(best[0] - 1.0) <= 0.1
 
 
+def count_f_path(monkeypatch):
+    """Record the arguments of every coefficients.f_path pass."""
+    passes = []
+    f_path = coefficients.f_path
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return f_path(*args, **kwargs)
+
+    monkeypatch.setattr(coefficients, "f_path", counted)
+    return passes
+
+
 def test_grid_commands_integrate_once_on_catalog_miss(tmp_path, monkeypatch):
     cfg = tmp_path / "miss.json"
     cfg.write_text(json.dumps(MISS_CONFIG))
@@ -338,14 +364,7 @@ def test_grid_commands_integrate_once_on_catalog_miss(tmp_path, monkeypatch):
         nongauss_ref.append((t, rep.delta, rep.delta_min, rep.delta_max,
                              rep.nu_op, rep.nu_me))
 
-    passes = []
-    f_path = coefficients.f_path
-
-    def counted(*args, **kwargs):
-        passes.append(args)
-        return f_path(*args, **kwargs)
-
-    monkeypatch.setattr(coefficients, "f_path", counted)
+    passes = count_f_path(monkeypatch)
     for command, reference in (("moments", moments_ref),
                                ("nongauss", nongauss_ref)):
         passes.clear()
@@ -356,3 +375,58 @@ def test_grid_commands_integrate_once_on_catalog_miss(tmp_path, monkeypatch):
         rows = np.array(_read_rows(out))
         assert rows.shape == (steps, len(reference[0]))
         assert np.max(np.abs(rows - np.array(reference))) <= 1e-8, command
+
+
+def test_tau_sweep_integrates_once_on_catalog_miss(tmp_path, monkeypatch):
+    spec = model_from_config(resolve_config(MISS_CONFIG))
+    mu_c, mu_m = MISS_CONFIG["mu_c_re"], MISS_CONFIG["mu_m_re"]
+    start, stop, step = 0.0, 4 * math.pi, math.pi / 4
+    # reference: every swept tau solved and integrated afresh
+    reference = [(t, report(spec, mu_c, mu_m, t).delta)
+                 for t in (start + i * step for i in range(17))]
+
+    passes = count_f_path(monkeypatch)
+    data = {"command": "nongauss", "model": MISS_CONFIG,
+            "swept": {"name": "tau", "start": start, "stop": stop, "step": step},
+            "fixed": {}, "output": str(tmp_path / "ng.csv"), "format": "csv"}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert len(passes) == 1
+    rows = np.array(_read_rows(tmp_path / "ng.csv"))
+    assert rows.shape == (len(reference), 2)
+    assert np.max(np.abs(rows - np.array(reference))) <= 1e-8
+
+
+# Run in a fresh interpreter: prints the scipy modules loaded after importing
+# the CLI, then whether scipy.integrate is loaded after each command in argv.
+IMPORT_PROBE = """
+import json, sys
+from optomech.cli import main
+report = {"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+          "integrate": []}
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    report["integrate"].append("scipy.integrate" in sys.modules)
+print(json.dumps(report))
+"""
+
+
+def test_closed_form_commands_do_not_import_scipy_integrate(tmp_path):
+    miss = tmp_path / "miss.json"
+    miss.write_text(json.dumps(MISS_CONFIG))
+    out = ["--out", str(tmp_path / "out.csv")]
+    hits = [["coeffs", "--config", CONFIG, "--steps", "5", *out],
+            ["nongauss", "--config", CONFIG, "--steps", "5", *out],
+            ["qfi", "--config", CONFIG, "--tau", "6.283185307179586", *out],
+            ["gravimetry", "--table", *out],
+            ["cfi", "--config", CONFIG_DISPLACED, "--tau", "6.283185307179586",
+             *out]]
+    miss_coeffs = ["coeffs", "--config", str(miss), "--steps", "3", *out]
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(hits + [miss_coeffs])],
+        capture_output=True, text=True, env=child_env())
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["scipy"] == []
+    assert report["integrate"] == [False] * len(hits) + [True]

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from optomech.metrology import (QfiCoefficients, acceleration_qfi, cfi_homodyne,
+from optomech.metrology import (QfiCoefficients, _gauss_nodes,
+                                acceleration_qfi, cfi_homodyne,
                                 gravimetry, gravimetry_qfi_closed,
                                 measurement_window, qfi_closed_form,
                                 qfi_coefficients, qfi_coherent, qfi_fock,
@@ -251,6 +252,23 @@ def test_cfi_strictly_below_qfi_when_entangled():
 def test_cfi_truncation_warning():
     with pytest.warns(UserWarning, match="tail mass"):
         cfi_homodyne(1.0, 1.0, 1.5, 0.0, math.pi / 2, 2.0, n_max=6)
+
+
+@pytest.mark.parametrize("n", [5, 64, 200])
+def test_gauss_nodes_match_leggauss(n):
+    x, w = _gauss_nodes(n)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - x_ref)) <= 1e-14
+    assert np.max(np.abs(w - w_ref)) <= 1e-13
+    assert abs(np.sum(w) - 2.0) <= 1e-13
+
+
+def test_gauss_nodes_integrate_even_powers_exactly():
+    n = 1200
+    x, w = _gauss_nodes(n)
+    assert abs(np.sum(w) - 2.0) <= 1e-13
+    for k in range(0, 2 * n, 2):
+        assert abs(np.sum(w * x ** k) - 2.0 / (k + 1)) <= 1e-13, k
 
 
 # --- dimensionful layer ------------------------------------------------------

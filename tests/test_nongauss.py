@@ -17,6 +17,16 @@ def test_entropy_sv_limits():
     assert entropy_sv(3.0) == pytest.approx(2 * math.log(2.0), rel=1e-14)
 
 
+def test_entropy_sv_bits_match_xlogy():
+    xlogy = pytest.importorskip("scipy.special").xlogy
+    nus = [1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-16, 1.0, 1.0 + 1e-16, 1.0 + 1e-12,
+           1.0 + 1e-6, *np.geomspace(1.001, 1e6, 200), 1e6]
+    for nu in nus:
+        clamped = max(nu, 1.0)
+        up, dn = 0.5 * (clamped + 1.0), 0.5 * (clamped - 1.0)
+        assert entropy_sv(nu) == float(xlogy(up, up) - xlogy(dn, dn)), nu
+
+
 def test_delta_zero_without_nonlinearity(rng):
     # quadratic evolution preserves Gaussianity whatever D1, D2 do
     for _ in range(8):
