@@ -5,10 +5,10 @@ __version__ = "0.1.0"
 from .params import (Drive, ModelSpec, InitialState, FabryPerot, Levitated,
                      ColdAtoms, evaluate_drive, coupling_constant,
                      coupling_constant_hz, thermal_parameter)
-from .mechanics import (SubsystemSolution, JSet, solve_subsystem,
+from .mechanics import (SubsystemSolution, JSet, TOLERANCES, solve_subsystem,
                         j_coefficients, j_coefficients_ode, compose_bogoliubov,
                         mathieu_perturbative, map_constant_squeezing)
-from .coefficients import (FSet, DerivedScalars, f_integrated, f_dense,
+from .coefficients import (FSet, DerivedScalars, Trajectory, f_integrated,
                            f_closed_form, derived_scalars, CatalogMiss)
 from .moments import (MomentSet, CovarianceMatrix, evolve_moments, covariance,
                       covariance_from_moments, symplectic_eigenvalues,

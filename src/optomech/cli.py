@@ -20,9 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import mechanics as mech_mod
-from .coefficients import derived_scalars, f_dense
-from .mechanics import j_coefficients, solve_subsystem
+from .coefficients import Trajectory, derived_scalars
+from .mechanics import TOLERANCES, j_coefficients, solve_subsystem
 from .metrology import (D2_VALIDITY, cfi_homodyne, gravimetry,
                         qfi_coefficients, qfi_thermal)
 from .moments import covariance, covariance_from_moments, evolve_moments, quadratures
@@ -121,17 +120,18 @@ def write_records(path, fmt: str, meta: dict, columns, rows):
             fh.write(text)
 
 
+def _meta(args, **fields) -> dict:
+    """The fingerprinted description of a command's output."""
+    meta = {"cmd": args.command, **fields}
+    # strict, the default, is left out, so strict fingerprints (and with
+    # them the golden headers) do not depend on the profile being recorded
+    if args.tolerance_profile != "strict":
+        meta["tolerance_profile"] = args.tolerance_profile
+    return meta
+
+
 def _tau_grid(args) -> np.ndarray:
     return np.linspace(0.0, args.tau_max, args.steps)
-
-
-def _apply_tolerance_profile(profile: str):
-    if profile == "fast":
-        mech_mod.RTOL, mech_mod.ATOL = 1e-8, 1e-10
-    elif profile == "strict":
-        mech_mod.RTOL, mech_mod.ATOL = 1e-10, 1e-12
-    else:
-        raise ConfigError(f"unknown tolerance profile '{profile}'")
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +146,8 @@ def cmd_drive_eval(args):
     rows = [(t, evaluate_drive(spec.coupling, t),
              evaluate_drive(spec.displacement, t),
              evaluate_drive(spec.squeezing, t)) for t in taus]
-    write_records(args.out, args.format, {"cmd": "drive-eval", "config": cfg,
-                                          "tau_max": args.tau_max, "steps": args.steps},
+    write_records(args.out, args.format,
+                  _meta(args, config=cfg, tau_max=args.tau_max, steps=args.steps),
                   ("tau", "G", "D1", "D2"), rows)
     return 0
 
@@ -156,28 +156,27 @@ def cmd_mechanics(args):
     cfg = load_config(args.config)
     spec = model_from_config(cfg)
     taus = _tau_grid(args)
-    sol = solve_subsystem(spec, args.tau_max + 1e-12, grid=taus)
+    sol = solve_subsystem(spec, args.tau_max + 1e-12,
+                          tol=TOLERANCES[args.tolerance_profile])
+    p11, _, i_p22, _ = sol.state_at(taus)
     rows = []
     for i, t in enumerate(taus):
         alpha, beta = sol.bogoliubov(t)
-        rows.append((t, sol.p11[i], sol.i_p22[i],
+        rows.append((t, p11[i], i_p22[i],
                      alpha.real, alpha.imag, beta.real, beta.imag))
-    write_records(args.out, args.format, {"cmd": "mechanics", "config": cfg,
-                                          "tau_max": args.tau_max, "steps": args.steps},
+    write_records(args.out, args.format,
+                  _meta(args, config=cfg, tau_max=args.tau_max, steps=args.steps),
                   ("tau", "P11", "I_P22", "re_alpha", "im_alpha",
                    "re_beta", "im_beta"), rows)
     return 0
 
 
-def _coeff_rows(cfg, taus):
-    spec = model_from_config(cfg)
-    tau_max = float(max(taus)) + 1e-12
-    sol = solve_subsystem(spec, tau_max)
-    f_at = f_dense(spec, tau_max, sol)
+def _coeff_rows(cfg, taus, tol):
+    traj = Trajectory(model_from_config(cfg), float(max(taus)) + 1e-12, tol)
     rows = []
     for t in taus:
-        f = f_at(t)
-        alpha, beta = sol.bogoliubov(t)
+        f = traj.f(t)
+        alpha, beta = traj.bogoliubov(t)
         j = j_coefficients(alpha, beta)
         d = derived_scalars(f, alpha, beta)
         rows.append((t, f.f_na, f.f_na2, f.f_bp, f.f_bm, f.f_nabp, f.f_nabm,
@@ -189,18 +188,17 @@ def _coeff_rows(cfg, taus):
 def cmd_coeffs(args):
     cfg = load_config(args.config)
     taus = _tau_grid(args)
-    meta = {"cmd": "coeffs", "config": cfg, "tau_max": args.tau_max,
-            "steps": args.steps}
-    write_records(args.out, args.format, meta,
+    write_records(args.out, args.format,
+                  _meta(args, config=cfg, tau_max=args.tau_max, steps=args.steps),
                   ("tau", "F_Na", "F_Na2", "F_B+", "F_B-", "F_NaB+", "F_NaB-",
                    "J_b", "J_+", "J_-", "theta", "re_K_Na", "im_K_Na"),
-                  _coeff_rows(cfg, taus))
+                  _coeff_rows(cfg, taus, TOLERANCES[args.tolerance_profile]))
     return 0
 
 
-def _moments_at(state, sol, f_at, t):
-    f = f_at(t)
-    alpha, beta = sol.bogoliubov(t)
+def _moments_at(state, traj, t):
+    f = traj.f(t)
+    alpha, beta = traj.bogoliubov(t)
     d = derived_scalars(f, alpha, beta, state.mu_m)
     m = evolve_moments(f, alpha, beta, state.mu_c, state.mu_m, derived=d)
     return f, alpha, beta, d, m
@@ -212,12 +210,11 @@ def cmd_moments(args):
     if state.optical != "coherent" or state.mechanical != "coherent":
         raise ConfigError("moments require coherent x coherent input")
     taus = _tau_grid(args)
-    tau_max = args.tau_max + 1e-12
-    sol = solve_subsystem(spec, tau_max)
-    f_at = f_dense(spec, tau_max, sol)
+    traj = Trajectory(spec, args.tau_max + 1e-12,
+                      TOLERANCES[args.tolerance_profile])
     rows = []
     for t in taus:
-        *_, m = _moments_at(state, sol, f_at, t)
+        *_, m = _moments_at(state, traj, t)
         if args.quadratures:
             rows.append((t, *quadratures(m)))
         else:
@@ -231,9 +228,9 @@ def cmd_moments(args):
         cols = ("tau", "re_a", "im_a", "re_b", "im_b", "re_a2", "im_a2",
                 "re_b2", "im_b2", "adag_a", "bdag_b", "re_ab", "im_ab",
                 "re_abdag", "im_abdag")
-    write_records(args.out, args.format, {"cmd": "moments", "config": cfg,
-                                          "tau_max": args.tau_max, "steps": args.steps,
-                                          "quadratures": bool(args.quadratures)},
+    write_records(args.out, args.format,
+                  _meta(args, config=cfg, tau_max=args.tau_max, steps=args.steps,
+                        quadratures=bool(args.quadratures)),
                   cols, rows)
     return 0
 
@@ -245,16 +242,15 @@ def cmd_nongauss(args):
         raise ConfigError("the non-Gaussianity measure requires pure "
                           "coherent x coherent input")
     taus = _tau_grid(args)
-    tau_max = args.tau_max + 1e-12
-    sol = solve_subsystem(spec, tau_max)
-    f_at = f_dense(spec, tau_max, sol)
+    traj = Trajectory(spec, args.tau_max + 1e-12,
+                      TOLERANCES[args.tolerance_profile])
     rows = []
     for t in taus:
-        rep = nongauss_report(spec, state.mu_c, state.mu_m, t, sol=sol, f_at=f_at)
+        rep = nongauss_report(spec, state.mu_c, state.mu_m, t, traj=traj)
         rows.append((t, rep.delta, rep.delta_min, rep.delta_max,
                      rep.nu_op, rep.nu_me))
-    write_records(args.out, args.format, {"cmd": "nongauss", "config": cfg,
-                                          "tau_max": args.tau_max, "steps": args.steps},
+    write_records(args.out, args.format,
+                  _meta(args, config=cfg, tau_max=args.tau_max, steps=args.steps),
                   ("tau", "delta", "delta_min", "delta_max", "nu_op", "nu_me"),
                   rows)
     return 0
@@ -268,37 +264,44 @@ def _parse_sweep(text: str):
     return [start + i * step for i in range(n)]
 
 
-def _qfi_value(cfg: dict, param: str, tau: float, mode: str) -> float:
+def _qfi_value(cfg: dict, param: str, tau: float, mode: str, tol) -> float:
     spec = model_from_config(cfg)
     state = state_from_config(cfg)
-    coeffs = qfi_coefficients(spec, param, tau, mode=mode)
+    coeffs = qfi_coefficients(spec, param, tau, mode=mode, tol=tol)
     r_T = cfg["r_T"] if cfg["mechanical"] == "thermal" else 0.0
     return qfi_thermal(coeffs, state.mu_c, r_T)
 
 
+def _sweep_rows(cfg: dict, name: str, values, tau: float, value_at):
+    """Rows (v, value_at(config, tau)) over the swept values v of ``name``.
+
+    Sweeping ``tau`` replaces ``tau``; any other name overrides that field
+    of ``cfg``.
+    """
+    if name not in SWEPT_NAMES:
+        raise ConfigError(f"unknown swept name '{name}'")
+    if name == "tau":
+        return [(v, value_at(cfg, v)) for v in values]
+    return [(v, value_at({**cfg, name: v}, tau)) for v in values]
+
+
 def cmd_qfi(args):
     cfg = load_config(args.config)
-    meta = {"cmd": "qfi", "config": cfg, "param": args.param, "tau": args.tau,
-            "mode": args.mode, "sweep": args.sweep}
+    meta = _meta(args, config=cfg, param=args.param, tau=args.tau,
+                 mode=args.mode, sweep=args.sweep)
+
+    def value_at(local, tau):
+        return _qfi_value(local, args.param, tau, args.mode,
+                          TOLERANCES[args.tolerance_profile])
+
     if args.sweep:
         name, grid_text = args.sweep
-        if name not in SWEPT_NAMES:
-            raise ConfigError(f"unknown swept name '{name}'")
-        values = _parse_sweep(grid_text)
-        def one(v):
-            local = dict(cfg)
-            tau = args.tau
-            if name == "tau":
-                tau = v
-            else:
-                local[name] = v
-            return _qfi_value(local, args.param, tau, args.mode)
-        rows = [(v, one(v)) for v in values]
+        rows = _sweep_rows(cfg, name, _parse_sweep(grid_text), args.tau,
+                           value_at)
         write_records(args.out, args.format, meta, (name, "qfi"), rows)
     else:
-        value = _qfi_value(cfg, args.param, args.tau, args.mode)
         write_records(args.out, args.format, meta, ("tau", "qfi"),
-                      [(args.tau, value)])
+                      [(args.tau, value_at(cfg, args.tau))])
     return 0
 
 
@@ -309,8 +312,8 @@ def cmd_cfi(args):
                          complex(cfg["mu_m_re"], cfg["mu_m_im"]),
                          args.quadrature_angle, args.tau, n_max=args.n_max)
     write_records(args.out, args.format,
-                  {"cmd": "cfi", "config": cfg, "tau": args.tau,
-                   "lambda": args.quadrature_angle},
+                  _meta(args, config=cfg, tau=args.tau,
+                        **{"lambda": args.quadrature_angle}),
                   ("tau", "cfi"), [(args.tau, value)])
     return 0
 
@@ -343,7 +346,7 @@ def cmd_gravimetry(args):
             rows.append((name, coupling_constant(setup),
                          rep.qfi_dimensionful, rep.std_dev))
         write_records(args.out, args.format,
-                      {"cmd": "gravimetry", "table": True, "photons": args.photons},
+                      _meta(args, table=True, photons=args.photons),
                       ("platform", "g0_dimensionless", "qfi_si", "delta_g"), rows)
         return 0
     if not args.setup:
@@ -351,7 +354,7 @@ def cmd_gravimetry(args):
     setup = setup_from_json(args.setup)
     rep = gravimetry(setup, mu_c=math.sqrt(args.photons))
     write_records(args.out, args.format,
-                  {"cmd": "gravimetry", "setup": args.setup, "photons": args.photons},
+                  _meta(args, setup=args.setup, photons=args.photons),
                   ("g0_dimensionless", "qfi_dimensionless", "qfi_si", "delta_g"),
                   [(coupling_constant(setup), rep.qfi_dimensionless,
                     rep.qfi_dimensionful, rep.std_dev)])
@@ -364,9 +367,8 @@ def cmd_oracle_check(args):
     tau = args.tau
     dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else \
         recommended_dims(spec, state, tau)
-    sol = solve_subsystem(spec, tau + 1e-12)
-    f_at = f_dense(spec, tau + 1e-12, sol)
-    f, alpha, beta, d, m = _moments_at(state, sol, f_at, tau)
+    traj = Trajectory(spec, tau + 1e-12, TOLERANCES[args.tolerance_profile])
+    f, alpha, beta, d, m = _moments_at(state, traj, tau)
     st = propagate(spec, state, tau, dims)
     mo = oracle_moments(st)
     names = ("a", "b", "a2", "b2", "adag_a", "bdag_b", "ab", "abdag")
@@ -376,8 +378,7 @@ def cmd_oracle_check(args):
     rows.append(("covariance", float(cov_dev)))
     rows.append(("norm_defect", st.norm_defect))
     write_records(args.out, args.format,
-                  {"cmd": "oracle-check", "config": cfg, "tau": tau,
-                   "dims": list(dims)},
+                  _meta(args, config=cfg, tau=tau, dims=list(dims)),
                   ("quantity", "max_deviation"), rows)
     worst = max(r[1] for r in rows[:-1])
     return 0 if worst < args.tolerance else 1
@@ -426,30 +427,18 @@ def cmd_sweep(args):
         print("ok")
         return 0
     cfg = resolve_config(data["model"])
-    swept = data["swept"]
+    swept, fixed, command = data["swept"], data.get("fixed", {}), data["command"]
     values = _parse_sweep(f"{swept['start']}:{swept['stop']}:{swept['step']}")
-    fixed = data.get("fixed", {})
-    command = data["command"]
-    tau_default = float(fixed.get("tau", 2.0 * math.pi))
-    dense = {}
+    tol = TOLERANCES[args.tolerance_profile]
+    shared = None
     if command == "nongauss" and swept["name"] == "tau":
-        # the model is fixed, so one subsystem solve and one F route serve
-        # every swept tau
-        spec = model_from_config(cfg)
-        tau_max = max(max(values), 1e-9)
-        sol = solve_subsystem(spec, tau_max)
-        dense = {"sol": sol, "f_at": f_dense(spec, tau_max, sol)}
+        # the model is fixed, so one trajectory serves every swept tau
+        shared = Trajectory(model_from_config(cfg), max(max(values), 1e-9), tol)
 
-    def one(v):
-        local = dict(cfg)
-        tau = tau_default
-        if swept["name"] == "tau":
-            tau = v
-        else:
-            local[swept["name"]] = v
+    def value_at(local, tau):
         if command == "qfi":
             return _qfi_value(local, fixed.get("param", "g0"), tau,
-                              fixed.get("mode", "analytic"))
+                              fixed.get("mode", "analytic"), tol)
         if command == "cfi":
             return cfi_homodyne(local["g0"], local["d1"],
                                 complex(local["mu_c_re"], local["mu_c_im"]),
@@ -458,12 +447,13 @@ def cmd_sweep(args):
         spec = model_from_config(local)
         rep = nongauss_report(spec, complex(local["mu_c_re"], local["mu_c_im"]),
                               complex(local["mu_m_re"], local["mu_m_im"]), tau,
-                              **dense)
+                              traj=shared or Trajectory(spec, tau, tol))
         return rep.delta
 
+    rows = _sweep_rows(cfg, swept["name"], values,
+                       float(fixed.get("tau", 2.0 * math.pi)), value_at)
     write_records(data["output"], data.get("format", "csv"),
-                  {"cmd": "sweep", "sweep_config": data},
-                  (swept["name"], command), [(v, one(v)) for v in values])
+                  _meta(args, sweep_config=data), (swept["name"], command), rows)
     return 0
 
 
@@ -535,7 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_tolerance_profile(args.tolerance_profile)
     try:
         return args.func(args)
     except ConfigError as exc:

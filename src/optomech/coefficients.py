@@ -13,9 +13,10 @@ integrals as auxiliary ODE states (exactly equivalent to the nested
 quadrature, with one adaptive pass and dense output); ``f_closed_form``
 dispatches to the catalog of analytic solutions for constant and
 sinusoidally modulated drives. The two paths must agree to fine tolerance
-and are tested against each other. ``f_dense`` is the one route from a
-model to F(tau) on a whole range: the catalog when it covers the model,
-otherwise a single ``f_path`` pass.
+and are tested against each other. :class:`Trajectory` is the one route
+from a model to its decoupled solution on a whole range: the subsystem,
+F(tau) from the catalog when it covers the model or else a single
+``f_path`` pass, and J(tau).
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mechanics
-from .mechanics import (IntegrationError, SubsystemSolution, solve_ivp,
-                        solve_subsystem)
+from .mechanics import (STRICT, IntegrationError, JSet, SubsystemSolution,
+                        j_coefficients_ode, solve_ivp, solve_subsystem)
 from .params import ModelSpec, evaluate_drive
 
 
@@ -77,7 +77,8 @@ def f_path(spec: ModelSpec, sol: SubsystemSolution, tau_max: float):
 
     Returns a callable tau -> FSet. The inner cumulative integrals
     I_G = int G Re(xi) and I_D = int D1 Re(xi) ride along as ODE states,
-    so a single adaptive integration yields every coefficient.
+    so a single adaptive integration yields every coefficient. It runs at
+    the tolerances that solved ``sol``.
     """
     g, d1 = spec.coupling, spec.displacement
 
@@ -98,8 +99,9 @@ def f_path(spec: ModelSpec, sol: SubsystemSolution, tau_max: float):
             gv * im_xi,                                # F_NaB-
         ]
 
+    rtol, atol = sol.tol
     ivp = solve_ivp(rhs, (0.0, tau_max), np.zeros(8), method="DOP853",
-                    rtol=mechanics.RTOL, atol=mechanics.ATOL, dense_output=True)
+                    rtol=rtol, atol=atol, dense_output=True)
     if not ivp.success:
         raise IntegrationError(
             f"coefficient integration failed near tau={ivp.t[-1]:.6g}: {ivp.message}")
@@ -252,31 +254,45 @@ def f_closed_form(spec: ModelSpec, tau: float) -> FSet:
     return _f_modulated_d1(g.amplitude, d1.amplitude, d1.frequency, tau)
 
 
-def f_dense(spec: ModelSpec, tau_max: float,
-            sol: SubsystemSolution | None = None):
-    """Dense tau -> FSet on [0, tau_max] from the cheapest exact route.
+class Trajectory:
+    """The decoupled solution of one model on [0, tau_max] at ``tol``.
 
-    Each point is read from the closed-form catalog. Catalog coverage
-    depends on the drives only, so the first :class:`CatalogMiss` switches
-    the callable, once, to a single :func:`f_path` pass, solving the
-    subsystem first unless ``sol`` is given. A hit costs one catalog call
-    per point. ``f_dense(spec, tau, sol)(tau)`` equals
-    ``f_integrated(spec, sol, tau)`` on a miss.
+    Reads the subsystem (``bogoliubov``), the F-coefficients (``f``) and the
+    J parameters (``j``) at any tau in the range; each part is computed on
+    first use. F is read from the closed-form catalog per point. Catalog
+    coverage depends on the drives only, so the first :class:`CatalogMiss`
+    switches ``f``, once, to a single :func:`f_path` pass over the range; a
+    hit costs one catalog call per point. ``Trajectory(spec, tau).f(tau)``
+    equals ``f_integrated(spec, solve_subsystem(spec, tau), tau)`` on a miss.
     """
-    path = None
 
-    def at(tau) -> FSet:
-        nonlocal path
-        if path is None:
+    def __init__(self, spec: ModelSpec, tau_max: float, tol=STRICT):
+        self.spec, self.tau_max, self.tol = spec, float(tau_max), tol
+        self._sol = self._f_path = self._j = None
+
+    @property
+    def sol(self) -> SubsystemSolution:
+        if self._sol is None:
+            self._sol = solve_subsystem(self.spec, max(self.tau_max, 1e-9),
+                                        tol=self.tol)
+        return self._sol
+
+    def bogoliubov(self, tau):
+        return self.sol.bogoliubov(tau)
+
+    def f(self, tau) -> FSet:
+        if self._f_path is None:
             try:
-                return f_closed_form(spec, tau)
+                return f_closed_form(self.spec, tau)
             except CatalogMiss:
-                solved = sol if sol is not None else \
-                    solve_subsystem(spec, max(float(tau_max), 1e-9))
-                path = f_path(spec, solved, float(tau_max))
-        return path(tau)
+                self._f_path = f_path(self.spec, self.sol, self.tau_max)
+        return self._f_path(tau)
 
-    return at
+    def j(self, tau) -> JSet:
+        if self._j is None:
+            self._j = j_coefficients_ode(self.spec, self.tau_max, dense=True,
+                                         tol=self.tol)
+        return self._j(tau)
 
 
 def f_small_d2_constant(g0: float, d2: float, tau: float) -> FSet:

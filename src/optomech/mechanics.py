@@ -25,8 +25,9 @@ import numpy as np
 
 from .params import Drive, ModelSpec, evaluate_drive
 
-RTOL = 1e-10
-ATOL = 1e-12
+# (rtol, atol) of every adaptive integration, by profile name
+TOLERANCES = {"strict": (1e-10, 1e-12), "fast": (1e-8, 1e-10)}
+STRICT = TOLERANCES["strict"]
 
 # arcosh arguments this far below 1 are treated as rounding noise
 ACOSH_CLAMP = 1e-12
@@ -51,17 +52,13 @@ def solve_ivp(*args, **kwargs):
 
 @dataclass(frozen=True)
 class SubsystemSolution:
-    """P11/I_P22 and derivatives on a grid, with dense evaluation.
+    """Dense P11/I_P22 and derivatives, with the tolerances that solved them.
 
     Satisfies xi = P11 - i * I_P22 exactly and |alpha|^2 - |beta|^2 = 1 up
     to integration tolerance at every time.
     """
 
-    grid: np.ndarray
-    p11: np.ndarray
-    dp11: np.ndarray
-    i_p22: np.ndarray
-    p22: np.ndarray  # = d(I_P22)/dtau
+    tol: tuple  # (rtol, atol); integrations built on this solution reuse it
     _dense: object  # callable tau -> (p11, dp11, i_p22, p22)
 
     def state_at(self, tau):
@@ -114,13 +111,14 @@ def _constant_dense_factory(d2: float):
     return dense
 
 
-def _numeric_dense_factory(d2_drive: Drive, tau_max: float):
+def _numeric_dense_factory(d2_drive: Drive, tau_max: float, tol):
     def rhs(tau, y):
         w2 = 1.0 + 4.0 * evaluate_drive(d2_drive, tau)
         return [y[1], -w2 * y[0], y[3], -w2 * y[2]]
 
+    rtol, atol = tol
     sol = solve_ivp(rhs, (0.0, tau_max), [1.0, 0.0, 0.0, 1.0],
-                    method="DOP853", rtol=RTOL, atol=ATOL, dense_output=True)
+                    method="DOP853", rtol=rtol, atol=atol, dense_output=True)
     if not sol.success:
         raise IntegrationError(
             f"subsystem integration failed near tau={sol.t[-1]:.6g}: {sol.message}")
@@ -132,31 +130,23 @@ def _numeric_dense_factory(d2_drive: Drive, tau_max: float):
     return dense
 
 
-def solve_subsystem(spec: ModelSpec, tau_max: float, grid=None) -> SubsystemSolution:
-    """Solve the mechanical subsystem on [0, tau_max].
+def solve_subsystem(spec: ModelSpec, tau_max: float,
+                    tol=STRICT) -> SubsystemSolution:
+    """Solve the mechanical subsystem on [0, tau_max] at ``tol`` = (rtol, atol).
 
-    ``grid`` defaults to 201 evenly spaced points. Analytic paths are used
-    when the squeezing drive is structurally zero or constant.
+    Analytic paths are used when the squeezing drive is structurally zero
+    or constant.
     """
     if tau_max <= 0:
         raise ValueError("tau_max must be > 0")
-    if grid is None:
-        grid = np.linspace(0.0, tau_max, 201)
-    grid = np.asarray(grid, dtype=float)
-    if grid.min() < 0 or grid.max() > tau_max * (1 + 1e-12):
-        raise ValueError("grid must lie within [0, tau_max]")
-
     d2 = spec.squeezing
     if d2.is_zero:
         dense = _free_dense
     elif d2.is_constant:
         dense = _constant_dense_factory(d2.amplitude)
     else:
-        dense = _numeric_dense_factory(d2, tau_max)
-
-    p11, dp11, i22, p22 = (np.asarray(v, dtype=float) for v in dense(grid))
-    return SubsystemSolution(grid=grid, p11=p11, dp11=dp11, i_p22=i22,
-                             p22=p22, _dense=dense)
+        dense = _numeric_dense_factory(d2, tau_max, tol)
+    return SubsystemSolution(tol=tol, _dense=dense)
 
 
 def _safe_acosh(x: float, what: str) -> float:
@@ -198,15 +188,16 @@ def compose_bogoliubov(j: JSet):
     return alpha, beta
 
 
-def j_coefficients_ode(spec: ModelSpec, tau, dense: bool = False):
+def j_coefficients_ode(spec: ModelSpec, tau, dense: bool = False, tol=STRICT):
     """Integrate the first-order equations for (j_b, j_plus, j_minus).
 
         j_b'  = 1 + 2 D2 (1 - sin(2 j_b) tanh(4 j_+)),
         j_+'  = D2 cos(2 j_b),
         j_-'  = D2 sin(2 j_b) / cosh(4 j_+),
 
-    all vanishing at tau = 0. Returns a JSet at scalar ``tau`` (the
-    continuous, unwrapped j_b), or, with ``dense=True``, a callable.
+    all vanishing at tau = 0, at ``tol`` = (rtol, atol). Returns a JSet at
+    scalar ``tau`` (the continuous, unwrapped j_b), or, with
+    ``dense=True``, a callable.
     """
     d2 = spec.squeezing
 
@@ -223,8 +214,9 @@ def j_coefficients_ode(spec: ModelSpec, tau, dense: bool = False):
                 val * math.sin(2 * jb) / math.cosh(4 * jp)]
 
     t_end = float(tau)
+    rtol, atol = tol
     sol = solve_ivp(rhs, (0.0, t_end), [0.0, 0.0, 0.0], method="DOP853",
-                    rtol=RTOL, atol=ATOL, dense_output=True)
+                    rtol=rtol, atol=atol, dense_output=True)
     if not sol.success:
         raise IntegrationError(
             f"J integration failed near tau={sol.t[-1]:.6g}: {sol.message}")

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR
-from .coefficients import (FSet, f_closed_form, f_dense, f_small_d2_constant,
-                           f_small_d2_resonant)
-from .mechanics import JSet, j_coefficients_ode
+from .coefficients import (FSet, Trajectory, f_closed_form,
+                           f_small_d2_constant, f_small_d2_resonant)
+from .mechanics import STRICT, JSet
 from .oracle import coherent_amplitudes
 from .params import (Drive, ModelSpec, PhysicalSetup, coupling_constant,
                      oscillator_mass)
@@ -116,15 +116,6 @@ def _param_value(spec: ModelSpec, name: str) -> float:
     }[name]
 
 
-def _f_and_j(spec: ModelSpec, tau: float):
-    d2 = spec.squeezing
-    if d2.is_zero:
-        j = JSet(j_b=tau, j_plus=0.0, j_minus=0.0)
-    else:
-        j = j_coefficients_ode(spec, tau)
-    return f_dense(spec, tau)(tau), j
-
-
 def _analytic_derivatives(spec: ModelSpec, name: str, tau: float):
     """(F, dF/dtheta, J, dJ/dtheta) from the catalog structure.
 
@@ -206,18 +197,18 @@ def _analytic_derivatives(spec: ModelSpec, name: str, tau: float):
     raise ValueError(f"no analytic derivative route for parameter {name!r}")
 
 
-def _finite_diff_derivatives(spec: ModelSpec, name: str, tau: float):
+def _finite_diff_derivatives(spec: ModelSpec, name: str, tau: float, tol):
     """Central differences with one Richardson refinement on the F/J paths."""
     theta = _param_value(spec, name)
     h = 1e-6 * max(1.0, abs(theta))
 
-    def f_j(value: float):
-        pert = _with_param(spec, name, value)
-        return _f_and_j(pert, tau)
+    def f_j(model: ModelSpec):
+        traj = Trajectory(model, tau, tol)
+        return traj.f(tau), traj.j(tau)
 
     def diff(step: float):
-        f_hi, j_hi = f_j(theta + step)
-        f_lo, j_lo = f_j(theta - step)
+        f_hi, j_hi = f_j(_with_param(spec, name, theta + step))
+        f_lo, j_lo = f_j(_with_param(spec, name, theta - step))
         darr = (f_hi.as_array() - f_lo.as_array()) / (2.0 * step)
         djay = np.array([j_hi.j_b - j_lo.j_b, j_hi.j_plus - j_lo.j_plus,
                          j_hi.j_minus - j_lo.j_minus]) / (2.0 * step)
@@ -227,18 +218,19 @@ def _finite_diff_derivatives(spec: ModelSpec, name: str, tau: float):
     d2_, dj2 = diff(h / 2.0)
     darr = (4.0 * d2_ - d1) / 3.0
     djay = (4.0 * dj2 - dj1) / 3.0
-    f, j = _f_and_j(spec, tau)
+    f, j = f_j(spec)
     return f, FSet(*darr), j, JSet(*djay)
 
 
 def qfi_coefficients(spec: ModelSpec, theta_param: str, tau: float,
-                     mode: str = "analytic") -> QfiCoefficients:
+                     mode: str = "analytic", tol=STRICT) -> QfiCoefficients:
     """Generator coefficients for estimating ``theta_param`` at time tau.
 
     ``mode='analytic'`` differentiates the closed-form F/J ledgers
     (available for g0, epsilon, d1 and the worked small-d2 schemes);
-    ``mode='finite_diff'`` differentiates the generic paths numerically and
-    works for any parameter id, including drive frequencies.
+    ``mode='finite_diff'`` differentiates the generic paths numerically,
+    integrating at ``tol`` = (rtol, atol), and works for any parameter id,
+    including drive frequencies.
     """
     if theta_param not in _PARAM_IDS:
         raise ValueError(f"unknown parameter id {theta_param!r}; "
@@ -247,7 +239,7 @@ def qfi_coefficients(spec: ModelSpec, theta_param: str, tau: float,
     if mode == "analytic":
         f, df, j, dj = _analytic_derivatives(spec, theta_param, tau)
     elif mode == "finite_diff":
-        f, df, j, dj = _finite_diff_derivatives(spec, theta_param, tau)
+        f, df, j, dj = _finite_diff_derivatives(spec, theta_param, tau, tol)
     else:
         raise ValueError("mode must be 'analytic' or 'finite_diff'")
     return _assemble_coefficients(tau, f, df, j, dj)

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import derived_scalars, f_dense
-from .mechanics import solve_subsystem
+from .coefficients import Trajectory, derived_scalars
 from .moments import (CovarianceMatrix, covariance, evolve_moments,
                       subsystem_eigenvalues, symplectic_eigenvalues)
 from .params import ModelSpec
@@ -92,19 +91,16 @@ class NonGaussReport:
 
 
 def report(spec: ModelSpec, mu_c: complex, mu_m: complex, tau: float,
-           sol=None, f_at=None) -> NonGaussReport:
+           traj: Trajectory | None = None) -> NonGaussReport:
     """Evaluate the measure and its bounds for coherent x coherent input.
 
-    ``sol`` and ``f_at`` (a dense tau -> FSet from ``f_dense``) may be
-    prebuilt on a range containing ``tau`` so that a grid of reports
-    integrates once.
+    ``traj`` may be a :class:`Trajectory` of ``spec`` on a range containing
+    ``tau``, so that a grid of reports integrates once.
     """
-    if sol is None:
-        sol = solve_subsystem(spec, max(float(tau), 1e-9))
-    if f_at is None:
-        f_at = f_dense(spec, tau, sol)
-    f = f_at(tau)
-    alpha, beta = sol.bogoliubov(tau)
+    if traj is None:
+        traj = Trajectory(spec, tau)
+    f = traj.f(tau)
+    alpha, beta = traj.bogoliubov(tau)
     d = derived_scalars(f, alpha, beta, mu_m)
     m = evolve_moments(f, alpha, beta, mu_c, mu_m, derived=d)
     sigma = covariance(m, d, alpha, beta, mu_c)

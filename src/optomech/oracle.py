@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanics import solve_ivp
+from .mechanics import STRICT, solve_ivp
 from .moments import MomentSet
 from .params import InitialState, ModelSpec, evaluate_drive
 
@@ -200,8 +200,11 @@ def _step_branch(spec: ModelSpec, n_photon: int, branch: np.ndarray,
             out += d2 * x2
         return (-1j * out).view(float)
 
+    # always strict: the oracle is the reference that oracle-check measures
+    # the decoupled solution against
+    rtol, atol = STRICT
     sol = solve_ivp(rhs, (0.0, tau), branch.astype(complex).view(float),
-                    method="DOP853", rtol=1e-10, atol=1e-12)
+                    method="DOP853", rtol=rtol, atol=atol)
     if not sol.success:
         raise TruncationError(f"branch {n_photon} integration failed: {sol.message}")
     return sol.y[:, -1].view(complex)

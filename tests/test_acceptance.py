@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from optomech.coefficients import (CatalogMiss, derived_scalars, f_closed_form,
-                                   f_integrated)
+from optomech.coefficients import (CatalogMiss, Trajectory, derived_scalars,
+                                   f_closed_form, f_integrated)
 from optomech.mechanics import mathieu_perturbative, solve_subsystem
 from optomech.metrology import (acceleration_qfi, cfi_homodyne, gravimetry,
                                 qfi_closed_form, qfi_coefficients,
@@ -307,10 +307,10 @@ def test_nongaussianity_properties():
     checks["delta(2pi) = 0 for integer g0^2"] = \
         report(spec, 1.0, 0.0, TWO_PI).delta < 1e-8
 
-    sol = solve_subsystem(spec, math.pi)
+    traj = Trajectory(spec, math.pi)
     sandwich = True
     for tau in np.linspace(0.2, math.pi, 25):
-        rep = report(spec, 1.0, 0.0, float(tau), sol=sol)
+        rep = report(spec, 1.0, 0.0, float(tau), traj=traj)
         sandwich &= (rep.delta_min - 1e-8 <= rep.delta <= rep.delta_max + 1e-8)
     checks["delta within Araki-Lieb sandwich"] = sandwich
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ import pytest
 from optomech import coefficients, mechanics
 from optomech.cli import (ConfigError, main, model_from_config, resolve_config,
                           validate_sweep_config)
-from optomech.coefficients import (CatalogMiss, derived_scalars, f_closed_form,
-                                   f_integrated)
-from optomech.mechanics import solve_subsystem
+from optomech.coefficients import (CatalogMiss, Trajectory, derived_scalars,
+                                   f_closed_form, f_integrated)
+from optomech.mechanics import TOLERANCES, solve_subsystem
 from optomech.moments import evolve_moments
 from optomech.nongaussianity import report
 
@@ -262,6 +263,19 @@ MISS_CONFIG = {"g0": 0.3, "epsilon": 0.4, "omega_g": 0.7,
                "mu_c_re": 1.0, "mu_m_re": 0.5}
 
 
+def record_tolerances(monkeypatch, module):
+    """Record the (rtol, atol) of every ``module.solve_ivp`` call."""
+    tolerances = []
+    solve_ivp = module.solve_ivp
+
+    def recording(*args, **kwargs):
+        tolerances.append((kwargs["rtol"], kwargs["atol"]))
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(module, "solve_ivp", recording)
+    return tolerances
+
+
 def test_fast_tolerance_profile(tmp_path, monkeypatch):
     result = run_cli("--tolerance-profile", "fast", "nongauss",
                      "--config", CONFIG, "--steps", "3",
@@ -270,20 +284,41 @@ def test_fast_tolerance_profile(tmp_path, monkeypatch):
     # the profile must reach the F integration on a catalog miss
     cfg = tmp_path / "miss.json"
     cfg.write_text(json.dumps(MISS_CONFIG))
-    tolerances = []
-    solve_ivp = coefficients.solve_ivp
-
-    def recording(*args, **kwargs):
-        tolerances.append((kwargs["rtol"], kwargs["atol"]))
-        return solve_ivp(*args, **kwargs)
-
-    monkeypatch.setattr(coefficients, "solve_ivp", recording)
-    # restored at teardown, so later tests run at the strict profile
-    monkeypatch.setattr(mechanics, "RTOL", mechanics.RTOL)
-    monkeypatch.setattr(mechanics, "ATOL", mechanics.ATOL)
+    tolerances = record_tolerances(monkeypatch, coefficients)
     assert main(["--tolerance-profile", "fast", "coeffs", "--config", str(cfg),
                  "--steps", "3", "--out", str(tmp_path / "c.csv")]) == 0
     assert tolerances == [(1e-8, 1e-10)]
+    # and the J integration of a trajectory built at that profile
+    spec = model_from_config(resolve_config(MISS_CONFIG))
+    tolerances = record_tolerances(monkeypatch, mechanics)
+    Trajectory(spec, 2.0, TOLERANCES["fast"]).j(2.0)
+    assert tolerances == [(1e-8, 1e-10)]
+
+
+def test_fast_profile_ends_with_its_command(tmp_path, monkeypatch):
+    cfg = tmp_path / "miss.json"
+    cfg.write_text(json.dumps(MISS_CONFIG))
+    assert main(["--tolerance-profile", "fast", "coeffs", "--config", str(cfg),
+                 "--steps", "3", "--out", str(tmp_path / "c.csv")]) == 0
+    # a later library call integrates at the strict default
+    spec = model_from_config(resolve_config(MISS_CONFIG))
+    tolerances = record_tolerances(monkeypatch, coefficients)
+    f_integrated(spec, solve_subsystem(spec, 1.0), 1.0)
+    assert tolerances == [(1e-10, 1e-12)]
+
+
+def test_fingerprint_covers_tolerance_profile(tmp_path):
+    cfg = tmp_path / "miss.json"
+    cfg.write_text(json.dumps(MISS_CONFIG))
+    headers = {}
+    for profile in ("strict", "fast"):
+        out = tmp_path / f"{profile}.csv"
+        assert main(["--tolerance-profile", profile, "moments", "--config",
+                     str(cfg), "--steps", "3", "--out", str(out)]) == 0
+        headers[profile] = out.read_text().splitlines()[1]
+    assert headers["strict"].startswith("# fingerprint: ")
+    assert headers["fast"].startswith("# fingerprint: ")
+    assert headers["strict"] != headers["fast"]
 
 
 def _read_rows(path):
@@ -360,7 +395,9 @@ def test_grid_commands_integrate_once_on_catalog_miss(tmp_path, monkeypatch):
                             m.a2.real, m.a2.imag, m.b2.real, m.b2.imag,
                             m.adag_a, m.bdag_b, m.ab.real, m.ab.imag,
                             m.abdag.real, m.abdag.imag))
-        rep = report(spec, mu_c, mu_m, t, sol=sol, f_at=lambda _: f)
+        # a stand-in trajectory that serves this point's own F
+        point = SimpleNamespace(f=lambda _: f, bogoliubov=sol.bogoliubov)
+        rep = report(spec, mu_c, mu_m, t, traj=point)
         nongauss_ref.append((t, rep.delta, rep.delta_min, rep.delta_max,
                              rep.nu_op, rep.nu_me))
 

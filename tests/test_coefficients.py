@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from optomech import coefficients
-from optomech.coefficients import (CatalogMiss, derived_scalars, f_closed_form,
-                                   f_dense, f_integrated, sinc)
+from optomech.coefficients import (CatalogMiss, Trajectory, derived_scalars,
+                                   f_closed_form, f_integrated, sinc)
 from optomech.mechanics import solve_subsystem
 from optomech.params import Drive, ModelSpec
 
@@ -73,28 +73,28 @@ def test_catalog_miss_directs_to_quadrature():
         f_closed_form(spec, 1.0)
 
 
-def test_f_dense_routes():
+def test_trajectory_f_routes():
     # a hit is the catalog entry; a miss at its own end point is bit-identical
     # to the single-point integration on the same subsystem solution
     hit = ModelSpec(coupling=Drive.offset_sinusoid(0.7, 0.3, 0.6))
-    assert f_dense(hit, 5.0)(2.0) == f_closed_form(hit, 2.0)
+    assert Trajectory(hit, 5.0).f(2.0) == f_closed_form(hit, 2.0)
     miss = ModelSpec(coupling=Drive.offset_sinusoid(0.7, 0.3, 0.6),
                      squeezing=Drive.cosine(0.05, 2.0))
     tau = 3.0
     sol = solve_subsystem(miss, tau)
-    assert f_dense(miss, tau)(tau) == f_integrated(miss, sol, tau)
-    assert f_dense(miss, tau, sol)(tau) == f_integrated(miss, sol, tau)
+    assert Trajectory(miss, tau).f(tau) == f_integrated(miss, sol, tau)
+    traj = Trajectory(miss, tau)
+    assert traj.f(tau) == f_integrated(miss, traj.sol, tau)
     # one pass serves the whole range
-    sol = solve_subsystem(miss, 2 * tau)
-    dense = f_dense(miss, 2 * tau, sol)
+    traj = Trajectory(miss, 2 * tau)
     for t in (0.5, tau, 2 * tau):
-        assert np.allclose(dense(t).as_array(),
-                           f_integrated(miss, sol, t).as_array(),
+        assert np.allclose(traj.f(t).as_array(),
+                           f_integrated(miss, traj.sol, t).as_array(),
                            atol=1e-9, rtol=0.0)
 
 
 
-def test_f_dense_calls_per_point(monkeypatch):
+def test_trajectory_f_calls_per_point(monkeypatch):
     # a hit makes one catalog call per point; a miss probes the catalog once
     # and integrates once, however many points are read
     calls = {"f_closed_form": 0, "f_path": 0}
@@ -111,16 +111,16 @@ def test_f_dense_calls_per_point(monkeypatch):
     counted("f_path")
     taus = np.linspace(0.0, 4.0, 9)
     hit = ModelSpec(coupling=Drive.offset_sinusoid(0.7, 0.3, 0.6))
-    dense = f_dense(hit, 4.0)
+    traj = Trajectory(hit, 4.0)
     for t in taus:
-        dense(t)
+        traj.f(t)
     assert calls == {"f_closed_form": len(taus), "f_path": 0}
     calls.update(f_closed_form=0)
     miss = ModelSpec(coupling=Drive.offset_sinusoid(0.7, 0.3, 0.6),
                      squeezing=Drive.cosine(0.05, 2.0))
-    dense = f_dense(miss, 4.0)
+    traj = Trajectory(miss, 4.0)
     for t in taus:
-        dense(t)
+        traj.f(t)
     assert calls == {"f_closed_form": 1, "f_path": 1}
 
 def _catalog_spec(rng):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from optomech.coefficients import Trajectory
 from optomech.nongaussianity import (delta, delta_asymptotic, delta_bounds,
                                      entropy_sv, report)
 from optomech.params import Drive, ModelSpec
@@ -59,11 +60,9 @@ def test_delta_bounds_trivial():
 def test_bound_sandwich_scan():
     spec = ModelSpec.standard(10.0)
     taus = np.linspace(0.05, math.pi, 100)
-    from optomech.mechanics import solve_subsystem
-
-    sol = solve_subsystem(spec, math.pi)
+    traj = Trajectory(spec, math.pi)
     for tau in taus:
-        rep = report(spec, 1.0, 0.0, float(tau), sol=sol)
+        rep = report(spec, 1.0, 0.0, float(tau), traj=traj)
         assert rep.delta_min - 1e-8 <= rep.delta <= rep.delta_max + 1e-8
 
 
