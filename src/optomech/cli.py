@@ -156,7 +156,7 @@ def cmd_mechanics(args):
     cfg = load_config(args.config)
     spec = model_from_config(cfg)
     taus = _tau_grid(args)
-    sol = solve_subsystem(spec, args.tau_max + 1e-12,
+    sol = solve_subsystem(spec, args.tau_max,
                           tol=TOLERANCES[args.tolerance_profile])
     p11, _, i_p22, _ = sol.state_at(taus)
     rows = []
@@ -172,7 +172,7 @@ def cmd_mechanics(args):
 
 
 def _coeff_rows(cfg, taus, tol):
-    traj = Trajectory(model_from_config(cfg), float(max(taus)) + 1e-12, tol)
+    traj = Trajectory(model_from_config(cfg), float(max(taus)), tol)
     rows = []
     for t in taus:
         f = traj.f(t)
@@ -210,8 +210,7 @@ def cmd_moments(args):
     if state.optical != "coherent" or state.mechanical != "coherent":
         raise ConfigError("moments require coherent x coherent input")
     taus = _tau_grid(args)
-    traj = Trajectory(spec, args.tau_max + 1e-12,
-                      TOLERANCES[args.tolerance_profile])
+    traj = Trajectory(spec, args.tau_max, TOLERANCES[args.tolerance_profile])
     rows = []
     for t in taus:
         *_, m = _moments_at(state, traj, t)
@@ -242,8 +241,7 @@ def cmd_nongauss(args):
         raise ConfigError("the non-Gaussianity measure requires pure "
                           "coherent x coherent input")
     taus = _tau_grid(args)
-    traj = Trajectory(spec, args.tau_max + 1e-12,
-                      TOLERANCES[args.tolerance_profile])
+    traj = Trajectory(spec, args.tau_max, TOLERANCES[args.tolerance_profile])
     rows = []
     for t in taus:
         rep = nongauss_report(spec, state.mu_c, state.mu_m, t, traj=traj)
@@ -257,7 +255,11 @@ def cmd_nongauss(args):
 
 
 def _parse_sweep(text: str):
-    start, stop, step = (float(x) for x in text.split(":"))
+    try:
+        start, stop, step = (float(x) for x in text.split(":"))
+    except ValueError:  # not three fields, or one is not a number
+        raise ConfigError(f"sweep range '{text}' is not START:STOP:STEP "
+                          "with numeric fields") from None
     if step <= 0:
         raise ConfigError("sweep step must be > 0")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -367,7 +369,7 @@ def cmd_oracle_check(args):
     tau = args.tau
     dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else \
         recommended_dims(spec, state, tau)
-    traj = Trajectory(spec, tau + 1e-12, TOLERANCES[args.tolerance_profile])
+    traj = Trajectory(spec, tau, TOLERANCES[args.tolerance_profile])
     f, alpha, beta, d, m = _moments_at(state, traj, tau)
     st = propagate(spec, state, tau, dims)
     mo = oracle_moments(st)
@@ -433,7 +435,7 @@ def cmd_sweep(args):
     shared = None
     if command == "nongauss" and swept["name"] == "tau":
         # the model is fixed, so one trajectory serves every swept tau
-        shared = Trajectory(model_from_config(cfg), max(max(values), 1e-9), tol)
+        shared = Trajectory(model_from_config(cfg), max(values), tol)
 
     def value_at(local, tau):
         if command == "qfi":

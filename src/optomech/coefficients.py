@@ -273,8 +273,7 @@ class Trajectory:
     @property
     def sol(self) -> SubsystemSolution:
         if self._sol is None:
-            self._sol = solve_subsystem(self.spec, max(self.tau_max, 1e-9),
-                                        tol=self.tol)
+            self._sol = solve_subsystem(self.spec, self.tau_max, tol=self.tol)
         return self._sol
 
     def bogoliubov(self, tau):

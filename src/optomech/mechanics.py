@@ -11,8 +11,8 @@ parameters (J_b, J_+, J_-) of the decoupled evolution operator.
 
 Analytic fast paths cover D2 = 0 (free rotation, xi = exp(-i tau)) and
 constant D2 (xi = cos(zeta tau) - i sin(zeta tau)/zeta, zeta = sqrt(1+4 d2)).
-Everything else runs through an adaptive high-order Runge-Kutta integration
-with dense output.
+Everything else runs through the library's adaptive eighth-order
+Runge-Kutta stepper (DOP853, :mod:`optomech.dop853`) with dense output.
 """
 
 from __future__ import annotations
@@ -39,15 +39,15 @@ class IntegrationError(RuntimeError):
     pass
 
 
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first call.
+def solve_ivp(fun, t_span, y0, **options):
+    """:func:`optomech.dop853.solve_ivp`, imported on the first call.
 
-    The import is most of the package's start-up time and closed-form
-    results never integrate. ``coefficients`` and ``oracle`` import this
-    name, so each module's integrations can be rebound separately.
+    Closed-form results never integrate, so importing the package does not
+    load the stepper. ``coefficients`` imports this name, so each module's
+    integrations can be rebound separately.
     """
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
+    from .dop853 import solve_ivp as dop853_solve_ivp
+    return dop853_solve_ivp(fun, t_span, y0, **options)
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,8 @@ def solve_subsystem(spec: ModelSpec, tau_max: float,
     Analytic paths are used when the squeezing drive is structurally zero
     or constant.
     """
-    if tau_max <= 0:
-        raise ValueError("tau_max must be > 0")
+    if tau_max < 0:
+        raise ValueError("tau_max must be >= 0")
     d2 = spec.squeezing
     if d2.is_zero:
         dense = _free_dense

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanics import STRICT, solve_ivp
+from .mechanics import STRICT
 from .moments import MomentSet
 from .params import InitialState, ModelSpec, evaluate_drive
 
@@ -41,8 +41,15 @@ class TruncationError(RuntimeError):
     pass
 
 
-# scipy.linalg is imported on the first call, as mechanics.solve_ivp does
-# for scipy.integrate, so importing the package does not load it.
+# SciPy is imported on the first call, so importing the package loads
+# neither scipy.linalg nor scipy.integrate. The oracle integrates with
+# SciPy's DOP853, not the library's stepper: it is the independent
+# reference the decoupled solution is checked against.
+def solve_ivp(*args, **kwargs):
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
+
+
 def eig_banded(*args, **kwargs):
     from scipy.linalg import eig_banded as scipy_eig_banded
     return scipy_eig_banded(*args, **kwargs)
@@ -208,52 +215,6 @@ def _step_branch(spec: ModelSpec, n_photon: int, branch: np.ndarray,
     if not sol.success:
         raise TruncationError(f"branch {n_photon} integration failed: {sol.message}")
     return sol.y[:, -1].view(complex)
-
-
-def fixed_step_propagate(spec: ModelSpec, state0: InitialState, tau: float,
-                         dims, step_factor: float = 0.05) -> TruncatedState:
-    """Plain fixed-step RK4 on the full tensor with ||H|| dt <= step_factor.
-
-    Slow reference used to spot-check the branch propagator on small cases.
-    """
-    na, nb = dims
-    psi = _initial_tensor(state0, dims)
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(psi) ** 2)))
-    n_a = np.arange(na, dtype=float)[:, None]
-    n_b = np.arange(nb, dtype=float)[None, :]
-    sq = np.sqrt(np.arange(nb, dtype=float))
-
-    def x_apply(y):
-        out = np.zeros_like(y)
-        out[:, :-1] += sq[1:] * y[:, 1:]
-        out[:, 1:] += sq[1:] * y[:, :-1]
-        return out
-
-    def h_apply(t, y):
-        g = evaluate_drive(spec.coupling, t)
-        d1 = evaluate_drive(spec.displacement, t)
-        d2 = evaluate_drive(spec.squeezing, t)
-        x = x_apply(y)
-        out = n_b * y + (d1 - g * n_a) * x
-        if d2 != 0.0:
-            out += d2 * x_apply(x)
-        return out
-
-    h_norm = (nb + (_drive_bound(spec.coupling) * (na - 1)
-                    + _drive_bound(spec.displacement)) * 2.0 * math.sqrt(nb)
-              + _drive_bound(spec.squeezing) * (4.0 * nb + 2.0))
-    n_steps = max(1, math.ceil(tau * h_norm / step_factor))
-    dt = tau / n_steps
-    t = 0.0
-    for _ in range(n_steps):
-        k1 = -1j * h_apply(t, psi)
-        k2 = -1j * h_apply(t + 0.5 * dt, psi + 0.5 * dt * k1)
-        k3 = -1j * h_apply(t + 0.5 * dt, psi + 0.5 * dt * k2)
-        k4 = -1j * h_apply(t + dt, psi + dt * k3)
-        psi = psi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-    defect = abs(float(np.sum(np.abs(psi) ** 2)) - (1.0 - tail))
-    return TruncatedState(amplitudes=psi, norm_defect=defect)
 
 
 def analytic_state_coefficients(g0: float, d1: float, mu_c: complex,

@@ -436,12 +436,13 @@ def test_tau_sweep_integrates_once_on_catalog_miss(tmp_path, monkeypatch):
 
 
 # Run in a fresh interpreter: prints the scipy modules loaded after importing
-# the CLI, then whether scipy.integrate is loaded after each command in argv.
+# the CLI and whether the library's stepper is, then whether scipy.integrate
+# is loaded after each command in argv.
 IMPORT_PROBE = """
 import json, sys
 from optomech.cli import main
 report = {"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
-          "integrate": []}
+          "stepper": "optomech.dop853" in sys.modules, "integrate": []}
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
     report["integrate"].append("scipy.integrate" in sys.modules)
@@ -450,6 +451,8 @@ print(json.dumps(report))
 
 
 def test_closed_form_commands_do_not_import_scipy_integrate(tmp_path):
+    # catalog misses integrate on the library's own stepper, so only the
+    # oracle, which keeps SciPy's as an independent reference, loads it
     miss = tmp_path / "miss.json"
     miss.write_text(json.dumps(MISS_CONFIG))
     out = ["--out", str(tmp_path / "out.csv")]
@@ -459,11 +462,23 @@ def test_closed_form_commands_do_not_import_scipy_integrate(tmp_path):
             ["gravimetry", "--table", *out],
             ["cfi", "--config", CONFIG_DISPLACED, "--tau", "6.283185307179586",
              *out]]
-    miss_coeffs = ["coeffs", "--config", str(miss), "--steps", "3", *out]
+    misses = [[command, "--config", str(miss), "--steps", "3", *out]
+              for command in ("mechanics", "coeffs", "moments", "nongauss")]
+    misses.append(["qfi", "--config", str(miss), "--tau", "1.0",
+                   "--mode", "finite_diff", *out])
+    oracle = ["oracle-check", "--config", str(miss), "--tau", "1.0", *out]
     result = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(hits + [miss_coeffs])],
+        [sys.executable, "-c", IMPORT_PROBE,
+         json.dumps(hits + misses + [oracle])],
         capture_output=True, text=True, env=child_env())
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
     assert report["scipy"] == []
-    assert report["integrate"] == [False] * len(hits) + [True]
+    assert report["stepper"] is False
+    assert report["integrate"] == [False] * len(hits + misses) + [True]
+
+
+@pytest.mark.parametrize("grid", ["1:2", "a:b:c"])
+def test_malformed_sweep_range_is_a_config_error(grid, capsys):
+    assert main(["qfi", "--config", CONFIG, "--sweep", "g0", grid]) == 2
+    assert capsys.readouterr().err.startswith("error: sweep range")

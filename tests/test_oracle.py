@@ -6,12 +6,12 @@ import pytest
 from optomech.coefficients import derived_scalars, f_closed_form
 from optomech.mechanics import solve_subsystem
 from optomech.moments import evolve_moments
-from optomech.oracle import (TruncationError, analytic_state_coefficients,
+from optomech.oracle import (TruncatedState, TruncationError, _drive_bound,
+                             _initial_tensor, analytic_state_coefficients,
                              analytic_state_tensor, coherent_amplitudes,
-                             fixed_step_propagate, mechanical_fidelity_with_coherent,
-                             oracle_moments, overlap, propagate,
-                             recommended_dims)
-from optomech.params import Drive, InitialState, ModelSpec
+                             mechanical_fidelity_with_coherent, oracle_moments,
+                             overlap, propagate, recommended_dims)
+from optomech.params import Drive, InitialState, ModelSpec, evaluate_drive
 
 
 def test_coherent_amplitudes_normalised():
@@ -105,6 +105,52 @@ def test_moments_match_squeezed_case():
     ma = evolve_moments(f, alpha, beta, 1.0, 0.0, derived=d)
     for name in ("a", "b", "a2", "b2", "adag_a", "bdag_b", "ab", "abdag"):
         assert abs(getattr(ma, name) - getattr(mo, name)) < 1e-6, name
+
+
+def fixed_step_propagate(spec: ModelSpec, state0: InitialState, tau: float,
+                         dims, step_factor: float = 0.05) -> TruncatedState:
+    """Plain fixed-step RK4 on the full tensor with ||H|| dt <= step_factor.
+
+    Slow reference used to spot-check the branch propagator on small cases.
+    """
+    na, nb = dims
+    psi = _initial_tensor(state0, dims)
+    tail = max(0.0, 1.0 - float(np.sum(np.abs(psi) ** 2)))
+    n_a = np.arange(na, dtype=float)[:, None]
+    n_b = np.arange(nb, dtype=float)[None, :]
+    sq = np.sqrt(np.arange(nb, dtype=float))
+
+    def x_apply(y):
+        out = np.zeros_like(y)
+        out[:, :-1] += sq[1:] * y[:, 1:]
+        out[:, 1:] += sq[1:] * y[:, :-1]
+        return out
+
+    def h_apply(t, y):
+        g = evaluate_drive(spec.coupling, t)
+        d1 = evaluate_drive(spec.displacement, t)
+        d2 = evaluate_drive(spec.squeezing, t)
+        x = x_apply(y)
+        out = n_b * y + (d1 - g * n_a) * x
+        if d2 != 0.0:
+            out += d2 * x_apply(x)
+        return out
+
+    h_norm = (nb + (_drive_bound(spec.coupling) * (na - 1)
+                    + _drive_bound(spec.displacement)) * 2.0 * math.sqrt(nb)
+              + _drive_bound(spec.squeezing) * (4.0 * nb + 2.0))
+    n_steps = max(1, math.ceil(tau * h_norm / step_factor))
+    dt = tau / n_steps
+    t = 0.0
+    for _ in range(n_steps):
+        k1 = -1j * h_apply(t, psi)
+        k2 = -1j * h_apply(t + 0.5 * dt, psi + 0.5 * dt * k1)
+        k3 = -1j * h_apply(t + 0.5 * dt, psi + 0.5 * dt * k2)
+        k4 = -1j * h_apply(t + dt, psi + dt * k3)
+        psi = psi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += dt
+    defect = abs(float(np.sum(np.abs(psi) ** 2)) - (1.0 - tail))
+    return TruncatedState(amplitudes=psi, norm_defect=defect)
 
 
 def test_branch_propagator_matches_fixed_step_rk4():
