@@ -130,6 +130,12 @@ def _meta(args, **fields) -> dict:
     return meta
 
 
+def _check_tau(*taus):
+    """Every command reads the evolution from its start at tau = 0 on."""
+    if min(taus) < 0:
+        raise ConfigError(f"tau must be >= 0, got {min(taus)}")
+
+
 def _tau_grid(args) -> np.ndarray:
     return np.linspace(0.0, args.tau_max, args.steps)
 
@@ -406,9 +412,11 @@ def validate_sweep_config(data: dict):
         raise ConfigError(f"swept.name: unknown name '{swept['name']}'")
     if swept["step"] <= 0 or swept["stop"] < swept["start"]:
         raise ConfigError("swept: range is empty")
+    fixed = data.get("fixed", {})
+    _check_tau(swept["start"] if swept["name"] == "tau"
+               else fixed.get("tau", 0.0))
     if data["command"] not in ("qfi", "cfi", "nongauss"):
         raise ConfigError(f"command: unknown command '{data['command']}'")
-    fixed = data.get("fixed", {})
     if data["command"] == "qfi" and fixed.get("param", "g0") == "d2":
         d2 = abs(cfg["d2"])
         if swept["name"] == "d2":
@@ -528,6 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_tau(getattr(args, "tau", 0.0), getattr(args, "tau_max", 0.0))
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -100,8 +100,7 @@ def f_path(spec: ModelSpec, sol: SubsystemSolution, tau_max: float):
         ]
 
     rtol, atol = sol.tol
-    ivp = solve_ivp(rhs, (0.0, tau_max), np.zeros(8), method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True)
+    ivp = solve_ivp(rhs, (0.0, tau_max), np.zeros(8), rtol=rtol, atol=atol)
     if not ivp.success:
         raise IntegrationError(
             f"coefficient integration failed near tau={ivp.t[-1]:.6g}: {ivp.message}")

@@ -8,15 +8,15 @@ stages for a 7th-degree interpolant on every step. Step control is that of
 ``scipy.integrate``'s ``DOP853``: safety 0.9, step factors between 0.2 and
 10, error exponent -1/8 and the initial step of HNW Sec. II.4.
 
-:func:`solve_ivp` takes the part of ``scipy.integrate.solve_ivp``'s call
-that the library makes, evaluates the right-hand side the same number of
-times and returns the attributes the library reads, so either can stand at
-a call site. The package imports this module on the first integration.
+:func:`solve_ivp` stands for ``scipy.integrate.solve_ivp(..., method=
+"DOP853", dense_output=True)`` with the arguments the library passes: it
+does SciPy's arithmetic in SciPy's order, so its steps and dense values are
+SciPy's, and it returns the attributes the library reads. The package
+imports this module on the first integration.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,7 +173,7 @@ D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
 class OdeResult:
     t: np.ndarray          # t0 and the end of every accepted step
     y: np.ndarray          # (n, len(t)) states at those times
-    sol: "DenseOutput | None"
+    sol: "DenseOutput | None"  # None only if no step was accepted
     nfev: int              # right-hand-side evaluations
     success: bool
     message: str
@@ -188,23 +188,19 @@ class DenseOutput:
     """
 
     def __init__(self, ts, y_old, h, F):
-        self.ts = ts         # (steps + 1,) step boundaries
-        self._y_old = y_old  # (steps, n) state at each step start
-        self._h = h          # (steps,) step lengths
-        self._F = F          # (7, steps, n) interpolant terms
-        # lists: bisect and float arithmetic beat numpy on scalars
-        self._ts_list, self._h_list = ts.tolist(), h.tolist()
+        self._t_old = ts[:-1]  # (steps,) step starts
+        self._inner = ts[1:-1]  # step boundaries inside the range
+        self._y_old = y_old    # (steps, n) state at each step start
+        self._h = h            # (steps,) step lengths
+        self._F = F            # (7, steps, n) interpolant terms
 
     def __call__(self, t):
-        last = len(self._h) - 1
-        if np.ndim(t) == 0:
-            t = float(t)
-            seg = min(max(bisect_left(self._ts_list, t) - 1, 0), last)
-            x = (t - self._ts_list[seg]) / self._h_list[seg]
-        else:
-            t = np.asarray(t, dtype=float)
-            seg = np.clip(np.searchsorted(self.ts, t) - 1, 0, last)
-            x = ((t - self.ts[seg]) / self._h[seg])[:, None]
+        t = np.asarray(t, dtype=float)
+        # the count of inner boundaries below t is its step, in range
+        seg = np.searchsorted(self._inner, t)
+        x = (t - self._t_old[seg]) / self._h[seg]
+        if t.ndim:
+            x = x[:, None]
         # y_old + F0 x + F1 x(1-x) + F2 x^2(1-x) + ... + F6 x^4(1-x)^3
         F = self._F[:, seg]
         y = F[6] * x
@@ -250,17 +246,14 @@ def _stages(fun, t, y, h, K, first, last):
         K[s] = fun(t + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
 
 
-def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol,
-              dense_output=False) -> OdeResult:
+def solve_ivp(fun, t_span, y0, *, rtol, atol) -> OdeResult:
     """Integrate y' = fun(t, y) from t_span[0] to t_span[1] >= t_span[0].
 
     ``rtol`` and ``atol`` bound each step's error relative to
-    atol + rtol |y|. With ``dense_output`` the result's ``sol`` evaluates
-    the solution anywhere in the range. If the step falls below ten units
-    in the last place of t the integration stops with ``success`` False.
+    atol + rtol |y|. The result's ``sol`` evaluates the solution anywhere
+    in the range. If the step falls below ten units in the last place of t
+    the integration stops with ``success`` False.
     """
-    if method != "DOP853":
-        raise ValueError(f"method {method!r} is not implemented; use 'DOP853'")
     t0, t_bound = map(float, t_span)
     if t_bound < t0:
         raise ValueError("only forward integration is implemented")
@@ -296,7 +289,8 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol,
             K[0] = f
             _stages(f_of, t, y, h, K, 1, N_STAGES)
             y_new = y + h * np.dot(K[:N_STAGES].T, B)
-            f_new = K[N_STAGES] = f_of(t_new, y_new)
+            # at t + h, as SciPy does: it need not round back to t_new
+            f_new = K[N_STAGES] = f_of(t + h, y_new)
             nfev += N_STAGES
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             error_norm = _error_norm(K[:N_STAGES + 1], h, scale)
@@ -309,22 +303,21 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol,
             rejected = True
         if not success:
             break
-        if dense_output:
-            _stages(f_of, t, y, h, K, N_STAGES + 1, 16)
-            nfev += 3
-            F = np.empty((7, n))
-            delta = F[0] = y_new - y
-            F[1] = h * f - delta
-            F[2] = 2 * delta - h * (f_new + f)
-            F[3:] = h * np.dot(D, K)
-            steps.append((h, F))
+        _stages(f_of, t, y, h, K, N_STAGES + 1, 16)
+        nfev += 3
+        F = np.empty((7, n))
+        delta = F[0] = y_new - y
+        F[1] = h * f - delta
+        F[2] = 2 * delta - h * (f_new + f)
+        F[3:] = h * np.dot(D, K)
+        steps.append((h, F))
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
 
     ts = np.array(ts)
     sol = None
-    if dense_output and steps:
+    if steps:
         h, F = zip(*steps)
         sol = DenseOutput(ts, np.array(ys[:len(steps)]), np.array(h),
                           np.stack(F, axis=1))

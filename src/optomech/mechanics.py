@@ -117,8 +117,7 @@ def _numeric_dense_factory(d2_drive: Drive, tau_max: float, tol):
         return [y[1], -w2 * y[0], y[3], -w2 * y[2]]
 
     rtol, atol = tol
-    sol = solve_ivp(rhs, (0.0, tau_max), [1.0, 0.0, 0.0, 1.0],
-                    method="DOP853", rtol=rtol, atol=atol, dense_output=True)
+    sol = solve_ivp(rhs, (0.0, tau_max), [1.0, 0.0, 0.0, 1.0], rtol=rtol, atol=atol)
     if not sol.success:
         raise IntegrationError(
             f"subsystem integration failed near tau={sol.t[-1]:.6g}: {sol.message}")
@@ -215,8 +214,7 @@ def j_coefficients_ode(spec: ModelSpec, tau, dense: bool = False, tol=STRICT):
 
     t_end = float(tau)
     rtol, atol = tol
-    sol = solve_ivp(rhs, (0.0, t_end), [0.0, 0.0, 0.0], method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True)
+    sol = solve_ivp(rhs, (0.0, t_end), [0.0, 0.0, 0.0], rtol=rtol, atol=atol)
     if not sol.success:
         raise IntegrationError(
             f"J integration failed near tau={sol.t[-1]:.6g}: {sol.message}")

@@ -60,7 +60,7 @@ def test_ode_boundary_returns_what_the_shim_reads():
     # trace_shim counts result.nfev and len(result.t) - 1 of every call,
     # and the library reads result.success
     result = mechanics.solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0],
-                                 method="DOP853", rtol=1e-10, atol=1e-12)
+                                 rtol=1e-10, atol=1e-12)
     assert result.success
     assert result.nfev > 0
     assert len(result.t) >= 2

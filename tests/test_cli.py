@@ -482,3 +482,32 @@ def test_closed_form_commands_do_not_import_scipy_integrate(tmp_path):
 def test_malformed_sweep_range_is_a_config_error(grid, capsys):
     assert main(["qfi", "--config", CONFIG, "--sweep", "g0", grid]) == 2
     assert capsys.readouterr().err.startswith("error: sweep range")
+
+
+@pytest.mark.parametrize("argv", [
+    ["mechanics", "--tau-max", "-1"], ["coeffs", "--tau-max", "-1"],
+    ["moments", "--tau-max", "-1"], ["nongauss", "--tau-max", "-1"],
+    ["qfi", "--mode", "finite_diff", "--tau", "-1"],
+    ["oracle-check", "--tau", "-1"],
+])
+def test_negative_tau_is_a_config_error(argv, capsys):
+    # a catalog hit: every value has a closed form, yet the evolution
+    # starts at tau = 0 and nothing before it is read
+    assert main([*argv[:1], "--config", CONFIG, *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith("error: tau must be >= 0")
+
+
+@pytest.mark.parametrize("swept, fixed", [
+    ({"name": "tau", "start": -2.0, "stop": 1.0, "step": 1.0}, {}),
+    ({"name": "g0", "start": 0.5, "stop": 1.0, "step": 0.5}, {"tau": -1.0}),
+])
+def test_negative_tau_in_a_sweep_config_is_a_config_error(swept, fixed, tmp_path):
+    data = {"command": "nongauss", "model": {"g0": 1.0, "mu_c_re": 1.0},
+            "swept": swept, "fixed": fixed,
+            "output": str(tmp_path / "ng.csv")}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match="tau must be >= 0"):
+        validate_sweep_config(data)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert not (tmp_path / "ng.csv").exists()
