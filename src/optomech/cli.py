@@ -369,11 +369,22 @@ def cmd_gravimetry(args):
     return 0
 
 
+def _parse_dims(text: str):
+    try:
+        dims = tuple(int(x) for x in text.split(","))
+    except ValueError:  # a field is not an integer
+        dims = ()
+    if len(dims) != 2 or min(dims) < 1:
+        raise ConfigError(f"dims '{text}' is not NA,NB with two positive "
+                          "integers")
+    return dims
+
+
 def cmd_oracle_check(args):
     cfg = load_config(args.config)
     spec, state = model_from_config(cfg), state_from_config(cfg)
     tau = args.tau
-    dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else \
+    dims = _parse_dims(args.dims) if args.dims else \
         recommended_dims(spec, state, tau)
     traj = Trajectory(spec, tau, TOLERANCES[args.tolerance_profile])
     f, alpha, beta, d, m = _moments_at(state, traj, tau)

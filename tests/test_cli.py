@@ -484,6 +484,12 @@ def test_malformed_sweep_range_is_a_config_error(grid, capsys):
     assert capsys.readouterr().err.startswith("error: sweep range")
 
 
+@pytest.mark.parametrize("dims", ["5", "5,x", "0,10"])
+def test_malformed_oracle_dims_are_a_config_error(dims, capsys):
+    assert main(["oracle-check", "--config", CONFIG, "--dims", dims]) == 2
+    assert capsys.readouterr().err.startswith(f"error: dims '{dims}'")
+
+
 @pytest.mark.parametrize("argv", [
     ["mechanics", "--tau-max", "-1"], ["coeffs", "--tau-max", "-1"],
     ["moments", "--tau-max", "-1"], ["nongauss", "--tau-max", "-1"],

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from optomech import oracle
 from optomech.coefficients import derived_scalars, f_closed_form
-from optomech.mechanics import solve_subsystem
+from optomech.mechanics import STRICT, solve_subsystem
 from optomech.moments import evolve_moments
-from optomech.oracle import (TruncatedState, TruncationError, _drive_bound,
-                             _initial_tensor, analytic_state_coefficients,
+from optomech.oracle import (TruncatedState, TruncationError, _branch_box,
+                             _drive_bound, _initial_tensor,
+                             analytic_state_coefficients,
                              analytic_state_tensor, coherent_amplitudes,
                              mechanical_fidelity_with_coherent, oracle_moments,
                              overlap, propagate, recommended_dims)
@@ -163,6 +165,85 @@ def test_branch_propagator_matches_fixed_step_rk4():
     fast = propagate(spec, state, 1.5, dims)
     slow = fixed_step_propagate(spec, state, 1.5, dims)
     assert np.max(np.abs(fast.amplitudes - slow.amplitudes)) < 1e-5
+
+
+def per_branch_reference(spec: ModelSpec, state0: InitialState, tau: float,
+                         dims) -> np.ndarray:
+    """Each live photon branch in its own box, one SciPy DOP853 run per
+    branch at rtol 1e-13 / atol 1e-16."""
+    from scipy.integrate import solve_ivp
+
+    na, nb = dims
+    psi0 = _initial_tensor(state0, dims)
+    psi = np.zeros_like(psi0)
+    for n in range(na):
+        if np.linalg.norm(psi0[n]) < 1e-16:
+            psi[n] = psi0[n]
+            continue
+        size = min(nb, _branch_box(spec, state0, n, tau))
+        k = np.arange(size, dtype=float)
+        sqk = np.sqrt(k[1:])
+
+        def x_apply(y, sqk=sqk):
+            x = np.zeros_like(y)
+            x[:-1] += sqk * y[1:]
+            x[1:] += sqk * y[:-1]
+            return x
+
+        def rhs(t, y, n=n, k=k, x_apply=x_apply):
+            y = y.view(complex)
+            x = x_apply(y)
+            h_y = (k * y + (evaluate_drive(spec.displacement, t)
+                            - evaluate_drive(spec.coupling, t) * n) * x
+                   + evaluate_drive(spec.squeezing, t) * x_apply(x))
+            return (-1j * h_y).view(float)
+
+        sol = solve_ivp(rhs, (0.0, tau), psi0[n, :size].view(float),
+                        method="DOP853", rtol=1e-13, atol=1e-16)
+        psi[n, :size] = sol.y[:, -1].copy().view(complex)
+    return psi
+
+
+def test_modulated_branches_integrate_in_one_pass(monkeypatch):
+    # every drive modulated; each branch must still meet STRICT's rtol on its
+    # own, although SciPy's error norm averages over all branches at once
+    spec = ModelSpec(coupling=Drive.offset_sinusoid(0.3, 0.4, 0.7),
+                     displacement=Drive.cosine(0.2, 0.6),
+                     squeezing=Drive.cosine(0.05, 2.0))
+    state = InitialState.coherent(1.0, 0.5)
+    dims = recommended_dims(spec, state, math.pi)
+    assert dims == (17, 445)
+    calls = []
+    scipy_solve_ivp = oracle.solve_ivp
+
+    def counting_solve_ivp(*args, **kwargs):
+        calls.append(kwargs)
+        return scipy_solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "solve_ivp", counting_solve_ivp)
+    st = propagate(spec, state, math.pi, dims)
+    assert len(calls) == 1
+    # SciPy's norm is an RMS over the 17 branches; STRICT scaled by at most
+    # sqrt(1 / 17) keeps the smallest branch's own RMS within STRICT
+    scale = calls[0]["rtol"] / STRICT[0]
+    assert calls[0]["atol"] / STRICT[1] == pytest.approx(scale, rel=1e-12)
+    assert scale <= 1.0 / math.sqrt(17)
+    ref = per_branch_reference(spec, state, math.pi, dims)
+    assert np.max(np.abs(st.amplitudes - ref)) <= STRICT[0]
+
+
+def test_fock_superposition_on_modulated_drives():
+    # only branches 0 and 4 are populated: the pass must carry those two and
+    # give the second one photon number 4, not its position in the pass
+    spec = ModelSpec(coupling=Drive.offset_sinusoid(0.4, 0.5, 1.0),
+                     displacement=Drive.cosine(0.3, 1.0),
+                     squeezing=Drive.cosine(0.05, 2.0))
+    state = InitialState.fock(4, 0.2)
+    dims = (6, 40)
+    fast = propagate(spec, state, 1.5, dims)
+    slow = fixed_step_propagate(spec, state, 1.5, dims)
+    assert np.max(np.abs(fast.amplitudes - slow.amplitudes)) < 1e-5
+    assert not fast.amplitudes[[1, 2, 3, 5]].any()
 
 
 def test_recommended_dims_rejects_out_of_envelope():
