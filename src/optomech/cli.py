@@ -67,23 +67,30 @@ def resolve_config(raw: dict) -> dict:
 
 
 def model_from_config(cfg: dict) -> ModelSpec:
-    return ModelSpec(
-        omega_c_ratio=cfg["omega_c_ratio"],
-        coupling=Drive.offset_sinusoid(cfg["g0"], cfg["epsilon"], cfg["omega_g"]),
-        displacement=Drive.cosine(cfg["d1"], cfg["omega_d1"]),
-        squeezing=Drive.cosine(cfg["d2"], cfg["omega_d2"]),
-    )
+    try:
+        return ModelSpec(
+            omega_c_ratio=cfg["omega_c_ratio"],
+            coupling=Drive.offset_sinusoid(cfg["g0"], cfg["epsilon"],
+                                           cfg["omega_g"]),
+            displacement=Drive.cosine(cfg["d1"], cfg["omega_d1"]),
+            squeezing=Drive.cosine(cfg["d2"], cfg["omega_d2"]),
+        )
+    except ValueError as exc:  # a drive the library refuses
+        raise ConfigError(str(exc)) from None
 
 
 def state_from_config(cfg: dict) -> InitialState:
-    return InitialState(
-        optical=cfg["optical"],
-        mu_c=complex(cfg["mu_c_re"], cfg["mu_c_im"]),
-        fock_n=int(cfg["fock_n"]),
-        mechanical=cfg["mechanical"],
-        mu_m=complex(cfg["mu_m_re"], cfg["mu_m_im"]),
-        r_T=cfg["r_T"],
-    )
+    try:
+        return InitialState(
+            optical=cfg["optical"],
+            mu_c=complex(cfg["mu_c_re"], cfg["mu_c_im"]),
+            fock_n=int(cfg["fock_n"]),
+            mechanical=cfg["mechanical"],
+            mu_m=complex(cfg["mu_m_re"], cfg["mu_m_im"]),
+            r_T=cfg["r_T"],
+        )
+    except ValueError as exc:  # an input state the library refuses
+        raise ConfigError(str(exc)) from None
 
 
 def fingerprint(payload: dict) -> str:
@@ -134,6 +141,15 @@ def _check_tau(*taus):
     """Every command reads the evolution from its start at tau = 0 on."""
     if min(taus) < 0:
         raise ConfigError(f"tau must be >= 0, got {min(taus)}")
+
+
+def _check_counts(args):
+    """--steps counts grid points and --n-max Fock levels: one at least."""
+    for option in ("steps", "n_max"):
+        value = getattr(args, option, None)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{option.replace('_', '-')} must be >= 1, "
+                              f"got {value}")
 
 
 def _tau_grid(args) -> np.ndarray:
@@ -268,6 +284,8 @@ def _parse_sweep(text: str):
                           "with numeric fields") from None
     if step <= 0:
         raise ConfigError("sweep step must be > 0")
+    if stop < start:
+        raise ConfigError(f"sweep range '{text}' is empty")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
     return [start + i * step for i in range(n)]
 
@@ -275,9 +293,25 @@ def _parse_sweep(text: str):
 def _qfi_value(cfg: dict, param: str, tau: float, mode: str, tol) -> float:
     spec = model_from_config(cfg)
     state = state_from_config(cfg)
-    coeffs = qfi_coefficients(spec, param, tau, mode=mode, tol=tol)
+    try:
+        coeffs = qfi_coefficients(spec, param, tau, mode=mode, tol=tol)
+    except ValueError as exc:  # a parameter, mode or model it has no route for
+        raise ConfigError(str(exc)) from None
     r_T = cfg["r_T"] if cfg["mechanical"] == "thermal" else 0.0
     return qfi_thermal(coeffs, state.mu_c, r_T)
+
+
+def _cfi_value(cfg: dict, lam: float, tau: float, n_max) -> float:
+    spec = model_from_config(cfg)
+    state = state_from_config(cfg)
+    if not (spec.coupling.is_constant and spec.displacement.is_constant):
+        raise ConfigError("cfi needs a constant coupling and displacement")
+    if not spec.squeezing.is_zero:
+        raise ConfigError("cfi needs d2 = 0")
+    if state.optical != "coherent" or state.mechanical != "coherent":
+        raise ConfigError("cfi requires coherent x coherent input")
+    return cfi_homodyne(spec.coupling.amplitude, spec.displacement.amplitude,
+                        state.mu_c, state.mu_m, lam, tau, n_max=n_max)
 
 
 def _sweep_rows(cfg: dict, name: str, values, tau: float, value_at):
@@ -315,13 +349,13 @@ def cmd_qfi(args):
 
 def cmd_cfi(args):
     cfg = load_config(args.config)
-    value = cfi_homodyne(cfg["g0"], cfg["d1"],
-                         complex(cfg["mu_c_re"], cfg["mu_c_im"]),
-                         complex(cfg["mu_m_re"], cfg["mu_m_im"]),
-                         args.quadrature_angle, args.tau, n_max=args.n_max)
-    write_records(args.out, args.format,
-                  _meta(args, config=cfg, tau=args.tau,
-                        **{"lambda": args.quadrature_angle}),
+    value = _cfi_value(cfg, args.quadrature_angle, args.tau, args.n_max)
+    fields = {"config": cfg, "tau": args.tau, "lambda": args.quadrature_angle}
+    # the default cut-off is left out, so default fingerprints (and the
+    # golden header) do not depend on it being recorded
+    if args.n_max is not None:
+        fields["n_max"] = args.n_max
+    write_records(args.out, args.format, _meta(args, **fields),
                   ("tau", "cfi"), [(args.tau, value)])
     return 0
 
@@ -421,8 +455,7 @@ def validate_sweep_config(data: dict):
             raise ConfigError(f"swept: missing field '{field}'")
     if swept["name"] not in SWEPT_NAMES:
         raise ConfigError(f"swept.name: unknown name '{swept['name']}'")
-    if swept["step"] <= 0 or swept["stop"] < swept["start"]:
-        raise ConfigError("swept: range is empty")
+    _parse_sweep(f"{swept['start']}:{swept['stop']}:{swept['step']}")
     fixed = data.get("fixed", {})
     _check_tau(swept["start"] if swept["name"] == "tau"
                else fixed.get("tau", 0.0))
@@ -461,10 +494,8 @@ def cmd_sweep(args):
             return _qfi_value(local, fixed.get("param", "g0"), tau,
                               fixed.get("mode", "analytic"), tol)
         if command == "cfi":
-            return cfi_homodyne(local["g0"], local["d1"],
-                                complex(local["mu_c_re"], local["mu_c_im"]),
-                                complex(local["mu_m_re"], local["mu_m_im"]),
-                                float(fixed.get("lambda", math.pi / 2)), tau)
+            return _cfi_value(local, float(fixed.get("lambda", math.pi / 2)),
+                              tau, None)
         spec = model_from_config(local)
         rep = nongauss_report(spec, complex(local["mu_c_re"], local["mu_c_im"]),
                               complex(local["mu_m_re"], local["mu_m_im"]), tau,
@@ -548,6 +579,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_tau(getattr(args, "tau", 0.0), getattr(args, "tau_max", 0.0))
+        _check_counts(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

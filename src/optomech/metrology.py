@@ -5,14 +5,14 @@ Lie algebra as the Hamiltonian; its ten real coefficients are assembled
 from the F- and J-coefficients and their parameter derivatives. The
 quantum Fisher information then follows for coherent, thermal-mechanical
 and Fock-superposition inputs, with closed forms for the worked estimation
-schemes. A homodyne classical Fisher information (double Fock sum with a
-quadrature integral) complements the bound, and the dimensionful layer
-turns everything into gravimetric and force sensitivities.
+schemes. A homodyne classical Fisher information (the reduced cavity state
+factored by its eigenvectors, then a quadrature integral) complements the
+bound, and the dimensionful layer turns everything into gravimetric and
+force sensitivities.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ from .constants import HBAR
 from .coefficients import (FSet, Trajectory, f_closed_form,
                            f_small_d2_constant, f_small_d2_resonant)
 from .mechanics import STRICT, JSet
-from .oracle import coherent_amplitudes
+from .oracle import analytic_state_coefficients
 from .params import (Drive, ModelSpec, PhysicalSetup, coupling_constant,
                      oscillator_mass)
 
@@ -373,54 +373,51 @@ def cfi_homodyne(g0: float, d1: float, mu_c: complex, mu_m: complex,
                  lam: float, tau: float, n_max: int | None = None) -> float:
     """Classical Fisher information of a homodyne quadrature measurement.
 
-    Constant drives without squeezing; the traced-out cavity state is
+    Only for the model of ``oracle.analytic_state_coefficients``: constant
+    coupling and displacement, no squeezing, coherent optical and mechanical
+    inputs. The traced-out cavity state rho_nm = w_n w_m* <phi_m|phi_n> is
     measured in the quadrature x_lambda = (a e^{-i lam} + a^dag e^{i lam})
-    / sqrt2. Equals the coherent-input QFI at tau = 2 pi for integer g0,
-    d1 and a matched quadrature angle.
+    / sqrt2. rho is factored once as L L^H from its eigenvectors, so the
+    quadrature density s0 = sum_k |(L^T u)_k|^2 is non-negative by
+    construction and its parameter derivative is a product of the same
+    rank-sized rows. Equals the coherent-input QFI at tau = 2 pi for
+    integer g0, d1 and a matched quadrature angle.
     """
     mu_c, mu_m = complex(mu_c), complex(mu_m)
     if n_max is None:
         n_max = default_n_max(mu_c)
-    nc = abs(mu_c) ** 2
-    tail = 1.0 - sum(abs(x) ** 2 for x in coherent_amplitudes(mu_c, n_max))
+    weights, labels = analytic_state_coefficients(g0, d1, mu_c, mu_m, tau, n_max)
+    tail = 1.0 - float(np.sum(np.abs(weights) ** 2))
     if tail > 1e-10:
         warnings.warn(f"photon tail mass {tail:.2e} beyond n_max={n_max} "
                       "exceeds 1e-10; increase n_max", stacklevel=2)
 
+    # the mechanical overlaps <phi_m|phi_n> are exponentiated in one go:
+    # only the combined exponent has a non-positive real part
+    half_sq = 0.5 * np.abs(labels) ** 2
+    rho = np.outer(weights, np.conj(weights)) * np.exp(
+        np.conj(labels)[None, :] * labels[:, None]
+        - half_sq[:, None] - half_sq[None, :])
+    evals, evecs = np.linalg.eigh(rho)
+    keep = evals > 1e-15 * evals[-1]
     n = np.arange(n_max)
-    eta = 1.0 - cmath.exp(-1j * tau)
-    phi = mu_m * cmath.exp(-1j * tau) + (g0 * n - d1) * eta
-
-    # assemble per-branch log-amplitudes; the mechanical overlap
-    # exp(-|phi_n|^2/2 - |phi_n'|^2/2 + phi*_{n'} phi_n) has non-positive
-    # real part only after the exponents are combined, so everything is
-    # exponentiated in one go.
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n_max)))))
-    if mu_c == 0:
-        log_mod = np.full(n_max, -np.inf)
-        log_mod[0] = 0.0
-    else:
-        log_mod = n * math.log(abs(mu_c)) - 0.5 * log_fact - 0.5 * nc
-    phase = (n * cmath.phase(mu_c) if mu_c != 0 else 0.0) \
-        + (g0 ** 2 * n ** 2 - 2.0 * g0 * d1 * n) * (tau - math.sin(tau))
-    drift = g0 * n * (eta * mu_m - np.conj(eta) * np.conj(mu_m)) / 2.0  # imaginary
-    log_col = log_mod + 1j * phase + drift - 0.5 * np.abs(phi) ** 2
-    a_mat = np.exp(log_col[:, None] + np.conj(log_col)[None, :]
-                   + np.conj(phi)[None, :] * phi[:, None])
-    a1_mat = (n[:, None] - n[None, :]) * a_mat
+    # rho = L L^H with the quadrature phase e^{-i lam n} folded into L
+    factor = (np.exp(-1j * lam * n)[:, None] * evecs[:, keep]
+              * np.sqrt(evals[keep]))
 
     half_width = math.sqrt(2.0 * n_max) + 8.0
 
     def integral(n_nodes: int) -> float:
         x, wts = _gauss_nodes(n_nodes)
-        x = x * half_width
-        wts = wts * half_width
-        psi = _hermite_functions(n_max, x)  # (n_max, nx)
-        u = psi * np.exp(-1j * lam * n)[:, None]
-        s0 = np.einsum("nm,nx,mx->x", a_mat, u, np.conj(u)).real
-        s1 = np.einsum("nm,nx,mx->x", a1_mat, u, np.conj(u)).imag
-        s0 = np.maximum(s0, 1e-300)
-        return float(np.sum(wts * s1 ** 2 / s0))
+        psi = _hermite_functions(n_max, x * half_width)  # (n_max, nx)
+        b = factor.T @ psi
+        a = (n[:, None] * factor).T @ psi
+        s0 = np.sum(b.real ** 2 + b.imag ** 2, axis=0)
+        s1 = 2.0 * np.sum((a * np.conj(b)).imag, axis=0)
+        # Cauchy-Schwarz bounds s1^2 / s0 by 4 sum |a_k|^2, so nodes where
+        # the density vanishes carry no information
+        live = s0 > 0.0
+        return float(np.sum(wts[live] * half_width * s1[live] ** 2 / s0[live]))
 
     coarse = integral(1200)
     fine = integral(2400)

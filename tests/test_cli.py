@@ -321,6 +321,18 @@ def test_fingerprint_covers_tolerance_profile(tmp_path):
     assert headers["strict"] != headers["fast"]
 
 
+def test_fingerprint_covers_cfi_n_max(tmp_path):
+    headers = []
+    for extra in ([], ["--n-max", "40"]):
+        out = tmp_path / "cfi.csv"
+        assert main(["cfi", "--config", CONFIG_DISPLACED, "--tau",
+                     "6.283185307179586", *extra, "--out", str(out)]) == 0
+        headers.append(out.read_text().splitlines()[1])
+    # the default cut-off keeps the golden fingerprint
+    assert headers[0] == (GOLDEN / "cfi.csv").read_text().splitlines()[1]
+    assert headers[1] != headers[0]
+
+
 def _read_rows(path):
     rows = []
     for line in Path(path).read_text().splitlines():
@@ -478,7 +490,7 @@ def test_closed_form_commands_do_not_import_scipy_integrate(tmp_path):
     assert report["integrate"] == [False] * len(hits + misses) + [True]
 
 
-@pytest.mark.parametrize("grid", ["1:2", "a:b:c"])
+@pytest.mark.parametrize("grid", ["1:2", "a:b:c", "1:0:0.1"])
 def test_malformed_sweep_range_is_a_config_error(grid, capsys):
     assert main(["qfi", "--config", CONFIG, "--sweep", "g0", grid]) == 2
     assert capsys.readouterr().err.startswith("error: sweep range")
@@ -517,3 +529,42 @@ def test_negative_tau_in_a_sweep_config_is_a_config_error(swept, fixed, tmp_path
         validate_sweep_config(data)
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert not (tmp_path / "ng.csv").exists()
+
+
+CFI_MODEL = {"g0": 1.0, "d1": 1.0, "mu_c_re": 1.0}
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["cfi"], {**CFI_MODEL, "d2": 0.3, "omega_g": 0.7, "epsilon": 0.5},
+     "cfi needs a constant coupling"),
+    (["cfi"], {**CFI_MODEL, "omega_d1": 0.5}, "cfi needs a constant coupling"),
+    (["cfi"], {**CFI_MODEL, "d2": 0.1}, "cfi needs d2 = 0"),
+    (["cfi"], {**CFI_MODEL, "optical": "fock"}, "cfi requires coherent"),
+    (["cfi"], {**CFI_MODEL, "mechanical": "thermal"}, "cfi requires coherent"),
+    (["sweep"], {"command": "cfi", "model": {**CFI_MODEL, "d2": 0.1},
+                 "swept": {"name": "tau", "start": 1.0, "stop": 2.0,
+                           "step": 1.0}}, "cfi needs d2 = 0"),
+    (["cfi", "--n-max", "0"], CFI_MODEL, "--n-max must be >= 1"),
+    (["coeffs", "--steps", "0"], CFI_MODEL, "--steps must be >= 1"),
+    (["drive-eval", "--steps", "-1"], CFI_MODEL, "--steps must be >= 1"),
+    (["qfi", "--param", "bogus"], CFI_MODEL, "unknown parameter id 'bogus'"),
+    (["coeffs"], {"g0": 1.0, "omega_g": -1}, "drive frequency must be >= 0"),
+    (["moments"], {**CFI_MODEL, "optical": "fock", "fock_n": 0},
+     "Fock superposition requires n >= 1"),
+    (["sweep", "--validate-only"],
+     {"command": "qfi", "model": CFI_MODEL,
+      "swept": {"name": "g0", "start": 1.0, "stop": 0.0, "step": 0.1}},
+     "sweep range '1.0:0.0:0.1' is empty"),
+], ids=["cfi-modulated", "cfi-displacement-drive", "cfi-squeezed", "cfi-fock",
+        "cfi-thermal", "cfi-sweep-squeezed", "n-max-zero", "steps-zero",
+        "steps-negative", "qfi-unknown-param", "negative-frequency",
+        "fock-zero", "sweep-empty-range"])
+def test_rejected_input_is_a_config_error(argv, config, message, tmp_path,
+                                          capsys):
+    if argv[0] == "sweep":
+        config = {**config, "output": str(tmp_path / "out.csv")}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main([*argv[:1], "--config", str(cfg), *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "out.csv").exists()

@@ -231,9 +231,23 @@ def test_cfi_zero_coupling():
     assert cfi_homodyne(0.0, 1.0, 1.0, 0.0, math.pi / 2, 2.0) == 0.0
 
 
-def test_cfi_saturates_qfi_at_two_pi():
-    cfi = cfi_homodyne(1.0, 1.0, 1.0, 0.0, math.pi / 2, TWO_PI)
-    assert cfi == pytest.approx(64 * math.pi ** 2, rel=1e-4)
+@pytest.mark.parametrize("amplitude", [1, 3, 10])
+def test_cfi_saturates_qfi_at_two_pi(amplitude):
+    cfi = cfi_homodyne(1.0, 1.0, amplitude, 0.0, math.pi / 2, TWO_PI)
+    assert cfi == pytest.approx(64 * math.pi ** 2 * amplitude ** 2, rel=1e-4)
+
+
+@pytest.mark.parametrize("amplitude", [1, 3, 10])
+@pytest.mark.parametrize("tau", [2.0, TWO_PI])
+def test_cfi_bounded_by_qfi_over_quadratures(amplitude, tau):
+    # the Cramer-Rao ordering must hold for every quadrature, including
+    # those where most of the quadrature density is below rounding level
+    c = qfi_coefficients(ModelSpec.gravimetry(1.0, 1.0), "d1", tau)
+    qfi = qfi_coherent(c.c_b, c.c_cp, c.c_cm, amplitude)
+    for lam in (0.0, 0.4, math.pi / 2, 2.5):
+        cfi = cfi_homodyne(1.0, 1.0, amplitude, 0.3, lam, tau)
+        assert math.isfinite(cfi)
+        assert 0.0 <= cfi <= qfi * (1 + 1e-9), (lam, cfi, qfi)
 
 
 def test_cfi_phase_covariance():
