@@ -256,12 +256,23 @@ def cmd_moments(args):
     return 0
 
 
-def cmd_nongauss(args):
-    cfg = load_config(args.config)
-    spec, state = model_from_config(cfg), state_from_config(cfg)
+def _inputs(cfg: dict):
+    """(model, state) of a config."""
+    return model_from_config(cfg), state_from_config(cfg)
+
+
+def _nongauss_inputs(cfg: dict):
+    """(model, state) of a config, refused unless the input state is pure."""
+    spec, state = _inputs(cfg)
     if state.optical != "coherent" or state.mechanical != "coherent":
         raise ConfigError("the non-Gaussianity measure requires pure "
                           "coherent x coherent input")
+    return spec, state
+
+
+def cmd_nongauss(args):
+    cfg = load_config(args.config)
+    spec, state = _nongauss_inputs(cfg)
     taus = _tau_grid(args)
     traj = Trajectory(spec, args.tau_max, TOLERANCES[args.tolerance_profile])
     rows = []
@@ -291,8 +302,7 @@ def _parse_sweep(text: str):
 
 
 def _qfi_value(cfg: dict, param: str, tau: float, mode: str, tol) -> float:
-    spec = model_from_config(cfg)
-    state = state_from_config(cfg)
+    spec, state = _inputs(cfg)
     try:
         coeffs = qfi_coefficients(spec, param, tau, mode=mode, tol=tol)
     except ValueError as exc:  # a parameter, mode or model it has no route for
@@ -301,15 +311,20 @@ def _qfi_value(cfg: dict, param: str, tau: float, mode: str, tol) -> float:
     return qfi_thermal(coeffs, state.mu_c, r_T)
 
 
-def _cfi_value(cfg: dict, lam: float, tau: float, n_max) -> float:
-    spec = model_from_config(cfg)
-    state = state_from_config(cfg)
+def _cfi_inputs(cfg: dict):
+    """(model, state) of a config, refused unless the CFI kernel covers it."""
+    spec, state = _inputs(cfg)
     if not (spec.coupling.is_constant and spec.displacement.is_constant):
         raise ConfigError("cfi needs a constant coupling and displacement")
     if not spec.squeezing.is_zero:
         raise ConfigError("cfi needs d2 = 0")
     if state.optical != "coherent" or state.mechanical != "coherent":
         raise ConfigError("cfi requires coherent x coherent input")
+    return spec, state
+
+
+def _cfi_value(cfg: dict, lam: float, tau: float, n_max) -> float:
+    spec, state = _cfi_inputs(cfg)
     return cfi_homodyne(spec.coupling.amplitude, spec.displacement.amplitude,
                         state.mu_c, state.mu_m, lam, tau, n_max=n_max)
 
@@ -455,12 +470,18 @@ def validate_sweep_config(data: dict):
             raise ConfigError(f"swept: missing field '{field}'")
     if swept["name"] not in SWEPT_NAMES:
         raise ConfigError(f"swept.name: unknown name '{swept['name']}'")
-    _parse_sweep(f"{swept['start']}:{swept['stop']}:{swept['step']}")
+    values = _parse_sweep(f"{swept['start']}:{swept['stop']}:{swept['step']}")
     fixed = data.get("fixed", {})
     _check_tau(swept["start"] if swept["name"] == "tau"
                else fixed.get("tau", 0.0))
     if data["command"] not in ("qfi", "cfi", "nongauss"):
         raise ConfigError(f"command: unknown command '{data['command']}'")
+    # build, at every sweep point, the model and state the run would build,
+    # with the same refusals, and compute nothing
+    inputs = {"qfi": _inputs, "cfi": _cfi_inputs,
+              "nongauss": _nongauss_inputs}[data["command"]]
+    _sweep_rows(cfg, swept["name"], values, 0.0,
+                lambda local, tau: inputs(local))
     if data["command"] == "qfi" and fixed.get("param", "g0") == "d2":
         d2 = abs(cfg["d2"])
         if swept["name"] == "d2":
@@ -496,9 +517,8 @@ def cmd_sweep(args):
         if command == "cfi":
             return _cfi_value(local, float(fixed.get("lambda", math.pi / 2)),
                               tau, None)
-        spec = model_from_config(local)
-        rep = nongauss_report(spec, complex(local["mu_c_re"], local["mu_c_im"]),
-                              complex(local["mu_m_re"], local["mu_m_im"]), tau,
+        spec, state = _nongauss_inputs(local)
+        rep = nongauss_report(spec, state.mu_c, state.mu_m, tau,
                               traj=shared or Trajectory(spec, tau, tol))
         return rep.delta
 

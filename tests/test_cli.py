@@ -448,16 +448,23 @@ def test_tau_sweep_integrates_once_on_catalog_miss(tmp_path, monkeypatch):
 
 
 # Run in a fresh interpreter: prints the scipy modules loaded after importing
-# the CLI and whether the library's stepper is, then whether scipy.integrate
-# is loaded after each command in argv.
+# the CLI and whether the library's stepper is, then, after each command in
+# argv, the scipy modules loaded and whether scipy.integrate is one of them.
 IMPORT_PROBE = """
 import json, sys
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
 from optomech.cli import main
-report = {"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
-          "stepper": "optomech.dop853" in sys.modules, "integrate": []}
+report = {"scipy": scipy_modules(), "stepper": "optomech.dop853" in sys.modules,
+          "integrate": [], "after": []}
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-    report["integrate"].append("scipy.integrate" in sys.modules)
+    report["after"].append(scipy_modules())
+    report["integrate"].append("scipy.integrate" in report["after"][-1])
 print(json.dumps(report))
 """
 
@@ -488,6 +495,23 @@ def test_closed_form_commands_do_not_import_scipy_integrate(tmp_path):
     assert report["scipy"] == []
     assert report["stepper"] is False
     assert report["integrate"] == [False] * len(hits + misses) + [True]
+
+
+def test_constant_drive_oracle_loads_no_scipy(tmp_path):
+    # the constant-drive oracle is a numpy Chebyshev pass; only modulated
+    # drives reach SciPy's integrator
+    miss = tmp_path / "miss.json"
+    miss.write_text(json.dumps(MISS_CONFIG))
+    out = ["--out", str(tmp_path / "out.csv")]
+    commands = [["oracle-check", "--config", CONFIG, "--tau", "1.0", *out],
+                ["oracle-check", "--config", str(miss), "--tau", "1.0", *out]]
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=child_env())
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["after"][0] == []
+    assert "scipy.integrate" in report["after"][1]
 
 
 @pytest.mark.parametrize("grid", ["1:2", "a:b:c", "1:0:0.1"])
@@ -555,10 +579,29 @@ CFI_MODEL = {"g0": 1.0, "d1": 1.0, "mu_c_re": 1.0}
      {"command": "qfi", "model": CFI_MODEL,
       "swept": {"name": "g0", "start": 1.0, "stop": 0.0, "step": 0.1}},
      "sweep range '1.0:0.0:0.1' is empty"),
+    # --validate-only refuses what the run refuses
+    (["sweep", "--validate-only"],
+     {"command": "cfi", "model": {**CFI_MODEL, "d2": 0.1},
+      "swept": {"name": "tau", "start": 1.0, "stop": 2.0, "step": 1.0}},
+     "cfi needs d2 = 0"),
+    (["sweep", "--validate-only"],
+     {"command": "qfi", "model": {"g0": 1.0, "omega_g": -1},
+      "swept": {"name": "tau", "start": 1.0, "stop": 2.0, "step": 1.0}},
+     "drive frequency must be >= 0"),
+    (["sweep", "--validate-only"],
+     {"command": "qfi", "model": CFI_MODEL,
+      "swept": {"name": "omega_g", "start": -1.0, "stop": 1.0, "step": 1.0}},
+     "drive frequency must be >= 0"),
+    (["sweep"],
+     {"command": "nongauss", "model": {**CFI_MODEL, "mechanical": "thermal"},
+      "swept": {"name": "tau", "start": 1.0, "stop": 2.0, "step": 1.0}},
+     "the non-Gaussianity measure requires pure"),
 ], ids=["cfi-modulated", "cfi-displacement-drive", "cfi-squeezed", "cfi-fock",
         "cfi-thermal", "cfi-sweep-squeezed", "n-max-zero", "steps-zero",
         "steps-negative", "qfi-unknown-param", "negative-frequency",
-        "fock-zero", "sweep-empty-range"])
+        "fock-zero", "sweep-empty-range", "validate-cfi-squeezed",
+        "validate-negative-frequency", "validate-swept-negative-frequency",
+        "sweep-nongauss-thermal"])
 def test_rejected_input_is_a_config_error(argv, config, message, tmp_path,
                                           capsys):
     if argv[0] == "sweep":

@@ -7,8 +7,9 @@ from optomech import oracle
 from optomech.coefficients import derived_scalars, f_closed_form
 from optomech.mechanics import STRICT, solve_subsystem
 from optomech.moments import evolve_moments
-from optomech.oracle import (TruncatedState, TruncationError, _branch_box,
-                             _drive_bound, _initial_tensor,
+from optomech.oracle import (TruncatedState, TruncationError, _bessel_j,
+                             _branch_band, _branch_box, _drive_bound,
+                             _gershgorin, _initial_tensor,
                              analytic_state_coefficients,
                              analytic_state_tensor, coherent_amplitudes,
                              mechanical_fidelity_with_coherent, oracle_moments,
@@ -244,6 +245,83 @@ def test_fock_superposition_on_modulated_drives():
     slow = fixed_step_propagate(spec, state, 1.5, dims)
     assert np.max(np.abs(fast.amplitudes - slow.amplitudes)) < 1e-5
     assert not fast.amplitudes[[1, 2, 3, 5]].any()
+
+
+EPS = np.finfo(float).eps
+
+
+def diagonalised_reference(spec: ModelSpec, state0: InitialState, tau: float,
+                           dims):
+    """Each live branch of a constant drive propagated in its eigenbasis, in
+    the same box as propagate: oracle.eigh_tridiagonal when d2 = 0, else
+    oracle.eig_banded. Returns the amplitudes and the most Chebyshev terms
+    any live branch takes."""
+    na, nb = dims
+    g, d1, d2 = (spec.coupling.amplitude, spec.displacement.amplitude,
+                 spec.squeezing.amplitude)
+    psi0 = _initial_tensor(state0, dims)
+    psi = np.zeros_like(psi0)
+    halves = []
+    for n in range(na):
+        if np.linalg.norm(psi0[n]) < 1e-16:
+            psi[n] = psi0[n]
+            continue
+        size = min(nb, _branch_box(spec, state0, n, tau))
+        band = _branch_band(n, g, d1, d2, size)
+        if d2 == 0.0:
+            evals, evecs = oracle.eigh_tridiagonal(band[0], band[1, :-1])
+        else:
+            evals, evecs = oracle.eig_banded(band, lower=True)
+        psi[n, :size] = evecs @ (np.exp(-1j * evals * tau)
+                                 * (evecs.T @ psi0[n, :size]))
+        halves.append(_gershgorin(band)[1])
+    return psi, _bessel_j(np.array(halves) * tau)[0].shape[0]
+
+
+@pytest.mark.parametrize("d2", [0.0, 0.05])
+@pytest.mark.parametrize("tau", [math.pi / 3, math.pi, 2 * math.pi])
+def test_chebyshev_pass_matches_diagonalisation(tau, d2):
+    spec = ModelSpec(coupling=Drive.constant(1.0),
+                     displacement=Drive.constant(0.5),
+                     squeezing=Drive.constant(d2))
+    state = InitialState.coherent(0.6, 0.3)
+    dims = recommended_dims(spec, state, tau)
+    st = propagate(spec, state, tau, dims)
+    ref, k_max = diagonalised_reference(spec, state, tau, dims)
+    # the recurrence's rounding: eps * ||psi|| per step, over k_max steps
+    bound = k_max * EPS * np.linalg.norm(_initial_tensor(state, dims))
+    assert np.max(np.abs(st.amplitudes - ref)) <= bound
+
+
+@pytest.mark.parametrize("d2", [0.0, 0.05])
+def test_chebyshev_pass_at_tau_zero_returns_psi0(d2):
+    spec = ModelSpec(coupling=Drive.constant(1.0),
+                     displacement=Drive.constant(0.5),
+                     squeezing=Drive.constant(d2))
+    state = InitialState.coherent(1.0, 0.5)
+    dims = (17, 25)  # no branch box is below 25 levels, so none is trimmed
+    st = propagate(spec, state, 0.0, dims)
+    assert np.array_equal(st.amplitudes, _initial_tensor(state, dims))
+
+
+def test_bessel_helper_matches_scipy():
+    from scipy.special import jv
+
+    x = np.array([1e-6, 0.5, 40.0, 3000.0])
+    j, terms = _bessel_j(x)
+    assert j.shape == (terms.max(), x.size)
+    k = np.arange(j.shape[0])[:, None]
+    # jv (AMOS) loses about log10(x) digits to argument reduction, so the
+    # two agree to a few eps * max(1, x)
+    assert np.all(np.abs(j - jv(k, x)) <= 2.0 * EPS * np.maximum(1.0, x))
+    # J_0^2 + 2 sum J_k^2 = 1 is not the identity the helper normalises by,
+    # so it checks the values where jv is the less accurate of the two
+    neumann = j[0] ** 2 + 2.0 * np.sum(j[1:] ** 2, axis=0)
+    assert np.all(np.abs(neumann - 1.0) <= terms * EPS)
+    # terms is the shortest series whose dropped tail is below unit roundoff
+    for xb, count in zip(x, terms):
+        tail = 2.0 * np.abs(jv(np.arange(count - 1, count + 400), xb))
+        assert tail[1:].sum() <= 0.5 * EPS < tail.sum()
 
 
 def test_recommended_dims_rejects_out_of_envelope():
