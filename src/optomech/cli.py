@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .coefficients import Trajectory, derived_scalars
 from .mechanics import TOLERANCES, j_coefficients, solve_subsystem
-from .metrology import (D2_VALIDITY, cfi_homodyne, gravimetry,
-                        qfi_coefficients, qfi_thermal)
+from .metrology import (D2_VALIDITY, QFI_MODES, QFI_PARAMS, cfi_homodyne,
+                        gravimetry, qfi_coefficients, qfi_thermal)
 from .moments import covariance, covariance_from_moments, evolve_moments, quadratures
 from .nongaussianity import report as nongauss_report
 from .oracle import oracle_moments, propagate, recommended_dims
@@ -42,27 +42,63 @@ CONFIG_KEYS = {
 SWEPT_NAMES = ("tau", "g0", "epsilon", "omega_g", "d1", "omega_d1",
                "d2", "omega_d2", "mu_c_re", "mu_m_re", "r_T")
 
+FORMATS = ("csv", "json")
+
 
 class ConfigError(ValueError):
     pass
 
 
+def _read_json(path):
+    """The JSON object in the file at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, not text or not JSON
+        raise ConfigError(f"cannot read '{path}': {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"'{path}' does not hold a JSON object")
+    return data
+
+
+def _fields(obj, known, path: str = "", required=()) -> dict:
+    """``obj``, a JSON object with every ``required`` and only ``known`` key."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path or 'config'} must be a JSON object")
+    prefix = f"{path}." if path else ""
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"unknown config field '{prefix}{key}'")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"missing config field '{prefix}{key}'")
+    return obj
+
+
+def _number(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"field '{name}' must be a number, got {value!r}")
+    return float(value)
+
+
+def _one_of(name: str, value, choices):
+    if value not in choices:
+        raise ConfigError(f"field '{name}' must be one of {choices}, "
+                          f"got {value!r}")
+    return value
+
+
 def load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return resolve_config(raw)
+    return resolve_config(_read_json(path))
 
 
 def resolve_config(raw: dict) -> dict:
-    cfg = dict(CONFIG_KEYS)
-    for key, value in raw.items():
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown config field '{key}'")
-        cfg[key] = value
-    if cfg["optical"] not in ("coherent", "fock"):
-        raise ConfigError("field 'optical' must be 'coherent' or 'fock'")
-    if cfg["mechanical"] not in ("coherent", "thermal"):
-        raise ConfigError("field 'mechanical' must be 'coherent' or 'thermal'")
+    cfg = {**CONFIG_KEYS, **_fields(raw, CONFIG_KEYS)}
+    for key, default in CONFIG_KEYS.items():
+        if not isinstance(default, str):
+            _number(key, cfg[key])
+    _one_of("optical", cfg["optical"], ("coherent", "fock"))
+    _one_of("mechanical", cfg["mechanical"], ("coherent", "thermal"))
     return cfg
 
 
@@ -112,14 +148,12 @@ def write_records(path, fmt: str, meta: dict, columns, rows):
         lines = header + [",".join(columns)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
-    elif fmt == "json":
+    else:  # json; argparse and _sweep_plan admit FORMATS only
         payload = {"library": f"optomech {__version__}",
                    "fingerprint": fingerprint(meta),
                    "columns": list(columns),
                    "rows": [[_fmt(v) for v in row] for row in rows]}
         text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    else:
-        raise ConfigError(f"unknown format '{fmt}'")
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -137,22 +171,16 @@ def _meta(args, **fields) -> dict:
     return meta
 
 
-def _check_tau(*taus):
+def _check_tau(tau):
     """Every command reads the evolution from its start at tau = 0 on."""
-    if min(taus) < 0:
-        raise ConfigError(f"tau must be >= 0, got {min(taus)}")
-
-
-def _check_counts(args):
-    """--steps counts grid points and --n-max Fock levels: one at least."""
-    for option in ("steps", "n_max"):
-        value = getattr(args, option, None)
-        if value is not None and value < 1:
-            raise ConfigError(f"--{option.replace('_', '-')} must be >= 1, "
-                              f"got {value}")
+    if _number("tau", tau) < 0:
+        raise ConfigError(f"tau must be >= 0, got {tau}")
 
 
 def _tau_grid(args) -> np.ndarray:
+    _check_tau(args.tau_max)
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     return np.linspace(0.0, args.tau_max, args.steps)
 
 
@@ -256,34 +284,27 @@ def cmd_moments(args):
     return 0
 
 
-def _inputs(cfg: dict):
-    """(model, state) of a config."""
-    return model_from_config(cfg), state_from_config(cfg)
-
-
-def _nongauss_inputs(cfg: dict):
-    """(model, state) of a config, refused unless the input state is pure."""
-    spec, state = _inputs(cfg)
+def _prepare_nongauss(cfg: dict, fixed: dict, tau_max: float, tol):
+    spec, state = model_from_config(cfg), state_from_config(cfg)
     if state.optical != "coherent" or state.mechanical != "coherent":
         raise ConfigError("the non-Gaussianity measure requires pure "
                           "coherent x coherent input")
-    return spec, state
+    traj = Trajectory(spec, tau_max, tol)  # integrates on first use
+
+    def value(tau):
+        rep = nongauss_report(spec, state.mu_c, state.mu_m, tau, traj=traj)
+        return rep.delta, rep.delta_min, rep.delta_max, rep.nu_op, rep.nu_me
+    return value
 
 
 def cmd_nongauss(args):
     cfg = load_config(args.config)
-    spec, state = _nongauss_inputs(cfg)
-    taus = _tau_grid(args)
-    traj = Trajectory(spec, args.tau_max, TOLERANCES[args.tolerance_profile])
-    rows = []
-    for t in taus:
-        rep = nongauss_report(spec, state.mu_c, state.mu_m, t, traj=traj)
-        rows.append((t, rep.delta, rep.delta_min, rep.delta_max,
-                     rep.nu_op, rep.nu_me))
+    rows = _sweep_rows(_prepare_nongauss, cfg, {}, "tau", _tau_grid(args),
+                       TOLERANCES[args.tolerance_profile])
     write_records(args.out, args.format,
                   _meta(args, config=cfg, tau_max=args.tau_max, steps=args.steps),
                   ("tau", "delta", "delta_min", "delta_max", "nu_op", "nu_me"),
-                  rows)
+                  [(v, *value(t)) for v, value, t in rows])
     return 0
 
 
@@ -301,77 +322,85 @@ def _parse_sweep(text: str):
     return [start + i * step for i in range(n)]
 
 
-def _qfi_value(cfg: dict, param: str, tau: float, mode: str, tol) -> float:
-    spec, state = _inputs(cfg)
-    try:
-        coeffs = qfi_coefficients(spec, param, tau, mode=mode, tol=tol)
-    except ValueError as exc:  # a parameter, mode or model it has no route for
-        raise ConfigError(str(exc)) from None
-    r_T = cfg["r_T"] if cfg["mechanical"] == "thermal" else 0.0
-    return qfi_thermal(coeffs, state.mu_c, r_T)
+def _prepare_qfi(cfg: dict, fixed: dict, tau_max: float, tol):
+    spec, state = model_from_config(cfg), state_from_config(cfg)
+    param, mode = fixed["param"], fixed["mode"]
+    if param not in QFI_PARAMS:
+        raise ConfigError(f"unknown parameter id {param!r}; "
+                          f"expected one of {QFI_PARAMS}")
+    _one_of("mode", mode, QFI_MODES)
+    r_T = state.r_T if state.mechanical == "thermal" else 0.0
+
+    def value(tau):
+        try:
+            coeffs = qfi_coefficients(spec, param, tau, mode=mode, tol=tol)
+        except ValueError as exc:  # a model the parameter has no route for
+            raise ConfigError(str(exc)) from None
+        return (qfi_thermal(coeffs, state.mu_c, r_T),)
+    return value
 
 
-def _cfi_inputs(cfg: dict):
-    """(model, state) of a config, refused unless the CFI kernel covers it."""
-    spec, state = _inputs(cfg)
+def _prepare_cfi(cfg: dict, fixed: dict, tau_max: float, tol):
+    spec, state = model_from_config(cfg), state_from_config(cfg)
     if not (spec.coupling.is_constant and spec.displacement.is_constant):
         raise ConfigError("cfi needs a constant coupling and displacement")
     if not spec.squeezing.is_zero:
         raise ConfigError("cfi needs d2 = 0")
     if state.optical != "coherent" or state.mechanical != "coherent":
         raise ConfigError("cfi requires coherent x coherent input")
-    return spec, state
+    lam, n_max = _number("lambda", fixed["lambda"]), fixed.get("n_max")
+    if n_max is not None and n_max < 1:
+        raise ConfigError(f"--n-max must be >= 1, got {n_max}")
+    return lambda tau: (cfi_homodyne(
+        spec.coupling.amplitude, spec.displacement.amplitude, state.mu_c,
+        state.mu_m, lam, tau, n_max=n_max),)
 
 
-def _cfi_value(cfg: dict, lam: float, tau: float, n_max) -> float:
-    spec, state = _cfi_inputs(cfg)
-    return cfi_homodyne(spec.coupling.amplitude, spec.displacement.amplitude,
-                        state.mu_c, state.mu_m, lam, tau, n_max=n_max)
+def _sweep_rows(prepare, cfg: dict, fixed: dict, name: str, values, tol):
+    """Prepared rows (v, value, t) over the swept values v of ``name``;
+    value(t) computes the row's value columns. A tau sweep prepares once at
+    the largest tau, any other name overrides that field of ``cfg`` and
+    prepares each point at ``fixed["tau"]``.
 
-
-def _sweep_rows(cfg: dict, name: str, values, tau: float, value_at):
-    """Rows (v, value_at(config, tau)) over the swept values v of ``name``.
-
-    Sweeping ``tau`` replaces ``tau``; any other name overrides that field
-    of ``cfg``.
+    prepare(cfg, fixed, tau_max, tol) -> value applies every refusal of a
+    value command's run and computes nothing; ``fixed`` holds its settings.
     """
     if name not in SWEPT_NAMES:
         raise ConfigError(f"unknown swept name '{name}'")
     if name == "tau":
-        return [(v, value_at(cfg, v)) for v in values]
-    return [(v, value_at({**cfg, name: v}, tau)) for v in values]
+        _check_tau(min(values))
+        value = prepare(cfg, fixed, max(values), tol)
+        return [(v, value, v) for v in values]
+    _check_tau(fixed["tau"])
+    tau = float(fixed["tau"])
+    return [(v, prepare({**cfg, name: v}, fixed, tau, tol), tau) for v in values]
 
 
 def cmd_qfi(args):
     cfg = load_config(args.config)
-    meta = _meta(args, config=cfg, param=args.param, tau=args.tau,
-                 mode=args.mode, sweep=args.sweep)
-
-    def value_at(local, tau):
-        return _qfi_value(local, args.param, tau, args.mode,
-                          TOLERANCES[args.tolerance_profile])
-
+    name, values = "tau", [args.tau]
     if args.sweep:
-        name, grid_text = args.sweep
-        rows = _sweep_rows(cfg, name, _parse_sweep(grid_text), args.tau,
-                           value_at)
-        write_records(args.out, args.format, meta, (name, "qfi"), rows)
-    else:
-        write_records(args.out, args.format, meta, ("tau", "qfi"),
-                      [(args.tau, value_at(cfg, args.tau))])
+        name, values = args.sweep[0], _parse_sweep(args.sweep[1])
+    fixed = {"param": args.param, "mode": args.mode, "tau": args.tau}
+    rows = _sweep_rows(_prepare_qfi, cfg, fixed, name, values,
+                       TOLERANCES[args.tolerance_profile])
+    write_records(args.out, args.format,
+                  _meta(args, config=cfg, sweep=args.sweep, **fixed),
+                  (name, "qfi"), [(v, *value(t)) for v, value, t in rows])
     return 0
 
 
 def cmd_cfi(args):
     cfg = load_config(args.config)
-    value = _cfi_value(cfg, args.quadrature_angle, args.tau, args.n_max)
-    fields = {"config": cfg, "tau": args.tau, "lambda": args.quadrature_angle}
-    # the default cut-off is left out, so default fingerprints (and the
-    # golden header) do not depend on it being recorded
-    if args.n_max is not None:
-        fields["n_max"] = args.n_max
-    write_records(args.out, args.format, _meta(args, **fields),
-                  ("tau", "cfi"), [(args.tau, value)])
+    fixed = {"lambda": args.quadrature_angle, "n_max": args.n_max,
+             "tau": args.tau}
+    rows = _sweep_rows(_prepare_cfi, cfg, fixed, "tau", [args.tau],
+                       TOLERANCES[args.tolerance_profile])
+    # the default cut-off (None) is left out, so default fingerprints (and
+    # the golden header) do not depend on it being recorded
+    fields = {key: v for key, v in fixed.items() if v is not None}
+    write_records(args.out, args.format, _meta(args, config=cfg, **fields),
+                  ("tau", "cfi"), [(v, *value(t)) for v, value, t in rows])
     return 0
 
 
@@ -387,12 +416,13 @@ REFERENCE_PLATFORMS = {
 
 
 def setup_from_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    kind = data.pop("kind")
-    cls = {"fabry-perot": FabryPerot, "levitated": Levitated,
-           "cold-atoms": ColdAtoms}[kind]
-    return cls(**data)
+    """The platform in a JSON file: ``kind`` names a reference platform."""
+    data = _read_json(path)
+    kind = _one_of("kind", data.pop("kind", None), tuple(REFERENCE_PLATFORMS))
+    try:
+        return type(REFERENCE_PLATFORMS[kind])(**data)
+    except (TypeError, ValueError) as exc:  # a field it does not take or refuses
+        raise ConfigError(f"setup: {exc}") from None
 
 
 def cmd_gravimetry(args):
@@ -433,6 +463,7 @@ def cmd_oracle_check(args):
     cfg = load_config(args.config)
     spec, state = model_from_config(cfg), state_from_config(cfg)
     tau = args.tau
+    _check_tau(tau)
     dims = _parse_dims(args.dims) if args.dims else \
         recommended_dims(spec, state, tau)
     traj = Trajectory(spec, tau, TOLERANCES[args.tolerance_profile])
@@ -452,80 +483,54 @@ def cmd_oracle_check(args):
     return 0 if worst < args.tolerance else 1
 
 
-def validate_sweep_config(data: dict):
-    """Dry-run schema and validity checks; returns a list of warnings."""
-    problems, notes = [], []
-    for field in ("command", "model", "swept", "output"):
-        if field not in data:
-            problems.append(f"missing field '{field}'")
-    if problems:
-        raise ConfigError("; ".join(problems))
-    try:
-        cfg = resolve_config(data["model"])
-    except ConfigError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-    swept = data["swept"]
-    for field in ("name", "start", "stop", "step"):
-        if field not in swept:
-            raise ConfigError(f"swept: missing field '{field}'")
-    if swept["name"] not in SWEPT_NAMES:
-        raise ConfigError(f"swept.name: unknown name '{swept['name']}'")
+# the fields of a sweep document, the first four required; and each
+# command's prepare with the defaults of its fixed settings besides tau
+SWEEP_FIELDS = ("command", "model", "swept", "output", "fixed", "format")
+SWEPT_FIELDS = ("name", "start", "stop", "step")
+SWEEP_COMMANDS = {"qfi": (_prepare_qfi, {"param": "g0", "mode": "analytic"}),
+                  "cfi": (_prepare_cfi, {"lambda": math.pi / 2}),
+                  "nongauss": (_prepare_nongauss, {})}
+
+
+def _sweep_plan(data: dict, tol):
+    """(prepared rows, warnings) of a sweep document, refused as its run is."""
+    _fields(data, SWEEP_FIELDS, required=SWEEP_FIELDS[:4])
+    cfg = resolve_config(_fields(data["model"], CONFIG_KEYS, "model"))
+    swept = _fields(data["swept"], SWEPT_FIELDS, "swept", SWEPT_FIELDS)
+    _one_of("swept.name", swept["name"], SWEPT_NAMES)
     values = _parse_sweep(f"{swept['start']}:{swept['stop']}:{swept['step']}")
-    fixed = data.get("fixed", {})
-    _check_tau(swept["start"] if swept["name"] == "tau"
-               else fixed.get("tau", 0.0))
-    if data["command"] not in ("qfi", "cfi", "nongauss"):
-        raise ConfigError(f"command: unknown command '{data['command']}'")
-    # build, at every sweep point, the model and state the run would build,
-    # with the same refusals, and compute nothing
-    inputs = {"qfi": _inputs, "cfi": _cfi_inputs,
-              "nongauss": _nongauss_inputs}[data["command"]]
-    _sweep_rows(cfg, swept["name"], values, 0.0,
-                lambda local, tau: inputs(local))
-    if data["command"] == "qfi" and fixed.get("param", "g0") == "d2":
-        d2 = abs(cfg["d2"])
-        if swept["name"] == "d2":
-            d2 = max(d2, abs(swept["start"]), abs(swept["stop"]))
-        if d2 > D2_VALIDITY:
-            notes.append(f"d2 = {d2} exceeds the small-d2 validity bound "
-                         f"{D2_VALIDITY}; results are indicative only")
-    return notes
+    command = _one_of("command", data["command"], tuple(SWEEP_COMMANDS))
+    prepare, defaults = SWEEP_COMMANDS[command]
+    fixed = {"tau": 2.0 * math.pi, **defaults}
+    fixed.update(_fields(data.get("fixed", {}), fixed, "fixed"))
+    _one_of("format", data.get("format", "csv"), FORMATS)
+    rows = _sweep_rows(prepare, cfg, fixed, swept["name"], values, tol)
+    d2 = max(map(abs, values)) if swept["name"] == "d2" else abs(cfg["d2"])
+    notes = []
+    if command == "qfi" and fixed["param"] == "d2" and d2 > D2_VALIDITY:
+        notes.append(f"d2 = {d2} exceeds the small-d2 validity bound "
+                     f"{D2_VALIDITY}; results are indicative only")
+    return rows, notes
+
+
+def validate_sweep_config(data: dict):
+    """Every refusal of the sweep's run, computing nothing; returns warnings."""
+    return _sweep_plan(data, TOLERANCES["strict"])[1]
 
 
 def cmd_sweep(args):
-    with open(args.config, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    notes = validate_sweep_config(data)
+    data = _read_json(args.config)
+    rows, notes = _sweep_plan(data, TOLERANCES[args.tolerance_profile])
     for note in notes:
         print(f"# warning: {note}", file=sys.stderr)
     if args.validate_only:
         print("ok")
         return 0
-    cfg = resolve_config(data["model"])
-    swept, fixed, command = data["swept"], data.get("fixed", {}), data["command"]
-    values = _parse_sweep(f"{swept['start']}:{swept['stop']}:{swept['step']}")
-    tol = TOLERANCES[args.tolerance_profile]
-    shared = None
-    if command == "nongauss" and swept["name"] == "tau":
-        # the model is fixed, so one trajectory serves every swept tau
-        shared = Trajectory(model_from_config(cfg), max(values), tol)
-
-    def value_at(local, tau):
-        if command == "qfi":
-            return _qfi_value(local, fixed.get("param", "g0"), tau,
-                              fixed.get("mode", "analytic"), tol)
-        if command == "cfi":
-            return _cfi_value(local, float(fixed.get("lambda", math.pi / 2)),
-                              tau, None)
-        spec, state = _nongauss_inputs(local)
-        rep = nongauss_report(spec, state.mu_c, state.mu_m, tau,
-                              traj=shared or Trajectory(spec, tau, tol))
-        return rep.delta
-
-    rows = _sweep_rows(cfg, swept["name"], values,
-                       float(fixed.get("tau", 2.0 * math.pi)), value_at)
+    # a sweep records the first value column: nongauss's delta
     write_records(data["output"], data.get("format", "csv"),
-                  _meta(args, sweep_config=data), (swept["name"], command), rows)
+                  _meta(args, sweep_config=data),
+                  (data["swept"]["name"], data["command"]),
+                  [(v, value(t)[0]) for v, value, t in rows])
     return 0
 
 
@@ -540,53 +545,47 @@ def build_parser() -> argparse.ArgumentParser:
                         default="strict")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid=False):
+    def common(name, func, grid=False):
+        p = sub.add_parser(name)
+        p.set_defaults(func=func)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--format", choices=FORMATS, default="csv")
         if grid:
             p.add_argument("--tau-max", type=float, default=2.0 * math.pi)
             p.add_argument("--steps", type=int, default=101)
+        return p
 
-    p = sub.add_parser("drive-eval"); common(p, grid=True)
-    p.set_defaults(func=cmd_drive_eval)
-    p = sub.add_parser("mechanics"); common(p, grid=True)
-    p.set_defaults(func=cmd_mechanics)
-    p = sub.add_parser("coeffs"); common(p, grid=True)
-    p.set_defaults(func=cmd_coeffs)
-    p = sub.add_parser("moments"); common(p, grid=True)
+    common("drive-eval", cmd_drive_eval, grid=True)
+    common("mechanics", cmd_mechanics, grid=True)
+    common("coeffs", cmd_coeffs, grid=True)
+    p = common("moments", cmd_moments, grid=True)
     p.add_argument("--quadratures", action="store_true")
-    p.set_defaults(func=cmd_moments)
-    p = sub.add_parser("nongauss"); common(p, grid=True)
-    p.set_defaults(func=cmd_nongauss)
+    common("nongauss", cmd_nongauss, grid=True)
 
-    p = sub.add_parser("qfi"); common(p)
+    p = common("qfi", cmd_qfi)
     p.add_argument("--param", default="g0")
     p.add_argument("--tau", type=float, default=2.0 * math.pi)
-    p.add_argument("--mode", choices=("analytic", "finite_diff"),
-                   default="analytic")
+    p.add_argument("--mode", choices=QFI_MODES, default="analytic")
     p.add_argument("--sweep", nargs=2, metavar=("NAME", "START:STOP:STEP"))
-    p.set_defaults(func=cmd_qfi)
 
-    p = sub.add_parser("cfi"); common(p)
+    p = common("cfi", cmd_cfi)
     p.add_argument("--tau", type=float, default=2.0 * math.pi)
     p.add_argument("--quadrature-angle", type=float, default=math.pi / 2)
     p.add_argument("--n-max", type=int, default=None)
-    p.set_defaults(func=cmd_cfi)
 
     p = sub.add_parser("gravimetry")
     p.add_argument("--table", action="store_true")
     p.add_argument("--setup", default=None)
     p.add_argument("--photons", type=float, default=1e6)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
     p.set_defaults(func=cmd_gravimetry)
 
-    p = sub.add_parser("oracle-check"); common(p)
+    p = common("oracle-check", cmd_oracle_check)
     p.add_argument("--tau", type=float, default=math.pi)
     p.add_argument("--dims", default=None, help="NA,NB")
     p.add_argument("--tolerance", type=float, default=1e-6)
-    p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("sweep")
     p.add_argument("--config", required=True)
@@ -598,8 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_tau(getattr(args, "tau", 0.0), getattr(args, "tau_max", 0.0))
-        _check_counts(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -82,7 +82,9 @@ def _assemble_coefficients(tau: float, f: FSet, df: FSet, j: JSet,
                            c_g=c_g, c_k=c_k)
 
 
-_PARAM_IDS = ("g0", "epsilon", "d1", "d2", "omega_g", "omega_d1", "omega_d2")
+# the parameters qfi_coefficients estimates, and its two derivative modes
+QFI_PARAMS = ("g0", "epsilon", "d1", "d2", "omega_g", "omega_d1", "omega_d2")
+QFI_MODES = ("analytic", "finite_diff")
 
 
 def _with_param(spec: ModelSpec, name: str, value: float) -> ModelSpec:
@@ -102,7 +104,7 @@ def _with_param(spec: ModelSpec, name: str, value: float) -> ModelSpec:
     elif name == "omega_d2":
         d2 = Drive(d2.amplitude, d2.offset, value, d2.phase)
     else:
-        raise ValueError(f"unknown parameter id {name!r}; expected one of {_PARAM_IDS}")
+        raise ValueError(f"unknown parameter id {name!r}; expected one of {QFI_PARAMS}")
     return ModelSpec(omega_c_ratio=spec.omega_c_ratio, coupling=g,
                      displacement=d1, squeezing=d2)
 
@@ -232,16 +234,16 @@ def qfi_coefficients(spec: ModelSpec, theta_param: str, tau: float,
     integrating at ``tol`` = (rtol, atol), and works for any parameter id,
     including drive frequencies.
     """
-    if theta_param not in _PARAM_IDS:
+    if theta_param not in QFI_PARAMS:
         raise ValueError(f"unknown parameter id {theta_param!r}; "
-                         f"expected one of {_PARAM_IDS}")
+                         f"expected one of {QFI_PARAMS}")
     tau = float(tau)
     if mode == "analytic":
         f, df, j, dj = _analytic_derivatives(spec, theta_param, tau)
     elif mode == "finite_diff":
         f, df, j, dj = _finite_diff_derivatives(spec, theta_param, tau, tol)
     else:
-        raise ValueError("mode must be 'analytic' or 'finite_diff'")
+        raise ValueError(f"mode must be one of {QFI_MODES}, got {mode!r}")
     return _assemble_coefficients(tau, f, df, j, dj)
 
 

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from optomech import coefficients, mechanics
+from optomech import cli, coefficients, mechanics
 from optomech.cli import (ConfigError, main, model_from_config, resolve_config,
                           validate_sweep_config)
 from optomech.coefficients import (CatalogMiss, Trajectory, derived_scalars,
@@ -558,56 +558,179 @@ def test_negative_tau_in_a_sweep_config_is_a_config_error(swept, fixed, tmp_path
 CFI_MODEL = {"g0": 1.0, "d1": 1.0, "mu_c_re": 1.0}
 
 
-@pytest.mark.parametrize("argv, config, message", [
-    (["cfi"], {**CFI_MODEL, "d2": 0.3, "omega_g": 0.7, "epsilon": 0.5},
-     "cfi needs a constant coupling"),
-    (["cfi"], {**CFI_MODEL, "omega_d1": 0.5}, "cfi needs a constant coupling"),
-    (["cfi"], {**CFI_MODEL, "d2": 0.1}, "cfi needs d2 = 0"),
-    (["cfi"], {**CFI_MODEL, "optical": "fock"}, "cfi requires coherent"),
-    (["cfi"], {**CFI_MODEL, "mechanical": "thermal"}, "cfi requires coherent"),
-    (["sweep"], {"command": "cfi", "model": {**CFI_MODEL, "d2": 0.1},
-                 "swept": {"name": "tau", "start": 1.0, "stop": 2.0,
-                           "step": 1.0}}, "cfi needs d2 = 0"),
-    (["cfi", "--n-max", "0"], CFI_MODEL, "--n-max must be >= 1"),
-    (["coeffs", "--steps", "0"], CFI_MODEL, "--steps must be >= 1"),
-    (["drive-eval", "--steps", "-1"], CFI_MODEL, "--steps must be >= 1"),
-    (["qfi", "--param", "bogus"], CFI_MODEL, "unknown parameter id 'bogus'"),
-    (["coeffs"], {"g0": 1.0, "omega_g": -1}, "drive frequency must be >= 0"),
-    (["moments"], {**CFI_MODEL, "optical": "fock", "fock_n": 0},
-     "Fock superposition requires n >= 1"),
-    (["sweep", "--validate-only"],
-     {"command": "qfi", "model": CFI_MODEL,
-      "swept": {"name": "g0", "start": 1.0, "stop": 0.0, "step": 0.1}},
-     "sweep range '1.0:0.0:0.1' is empty"),
+TAU_SWEEP = {"name": "tau", "start": 1.0, "stop": 2.0, "step": 1.0}
+FABRY_PEROT = {"kind": "fabry-perot", "length": 1e-5, "mass": 1e-6,
+               "omega_c": 1e14, "omega_m": 1e3}
+
+# (argv, config, message): argv[0] is the command, the config file holds
+# json.dumps(config), or config itself when it is a str, and is missing when
+# config is None; a sweep config gets an "output" field. {path} in the
+# message stands for the config file's path.
+REJECTED_INPUT = [
+    pytest.param(["cfi"], {**CFI_MODEL, "d2": 0.3, "omega_g": 0.7,
+                           "epsilon": 0.5},
+                 "cfi needs a constant coupling", id="cfi-modulated"),
+    pytest.param(["cfi"], {**CFI_MODEL, "omega_d1": 0.5},
+                 "cfi needs a constant coupling", id="cfi-displacement-drive"),
+    pytest.param(["cfi"], {**CFI_MODEL, "d2": 0.1}, "cfi needs d2 = 0",
+                 id="cfi-squeezed"),
+    pytest.param(["cfi"], {**CFI_MODEL, "optical": "fock"},
+                 "cfi requires coherent", id="cfi-fock"),
+    pytest.param(["cfi"], {**CFI_MODEL, "mechanical": "thermal"},
+                 "cfi requires coherent", id="cfi-thermal"),
+    pytest.param(["sweep"], {"command": "cfi", "model": {**CFI_MODEL, "d2": 0.1},
+                             "swept": TAU_SWEEP},
+                 "cfi needs d2 = 0", id="cfi-sweep-squeezed"),
+    pytest.param(["cfi", "--n-max", "0"], CFI_MODEL, "--n-max must be >= 1",
+                 id="n-max-zero"),
+    pytest.param(["coeffs", "--steps", "0"], CFI_MODEL, "--steps must be >= 1",
+                 id="steps-zero"),
+    pytest.param(["drive-eval", "--steps", "-1"], CFI_MODEL,
+                 "--steps must be >= 1", id="steps-negative"),
+    pytest.param(["qfi", "--param", "bogus"], CFI_MODEL,
+                 "unknown parameter id 'bogus'", id="qfi-unknown-param"),
+    pytest.param(["coeffs"], {"g0": 1.0, "omega_g": -1},
+                 "drive frequency must be >= 0", id="negative-frequency"),
+    pytest.param(["moments"], {**CFI_MODEL, "optical": "fock", "fock_n": 0},
+                 "Fock superposition requires n >= 1", id="fock-zero"),
+    pytest.param(["sweep", "--validate-only"],
+                 {"command": "qfi", "model": CFI_MODEL,
+                  "swept": {"name": "g0", "start": 1.0, "stop": 0.0,
+                            "step": 0.1}},
+                 "sweep range '1.0:0.0:0.1' is empty", id="sweep-empty-range"),
     # --validate-only refuses what the run refuses
-    (["sweep", "--validate-only"],
-     {"command": "cfi", "model": {**CFI_MODEL, "d2": 0.1},
-      "swept": {"name": "tau", "start": 1.0, "stop": 2.0, "step": 1.0}},
-     "cfi needs d2 = 0"),
-    (["sweep", "--validate-only"],
-     {"command": "qfi", "model": {"g0": 1.0, "omega_g": -1},
-      "swept": {"name": "tau", "start": 1.0, "stop": 2.0, "step": 1.0}},
-     "drive frequency must be >= 0"),
-    (["sweep", "--validate-only"],
-     {"command": "qfi", "model": CFI_MODEL,
-      "swept": {"name": "omega_g", "start": -1.0, "stop": 1.0, "step": 1.0}},
-     "drive frequency must be >= 0"),
-    (["sweep"],
-     {"command": "nongauss", "model": {**CFI_MODEL, "mechanical": "thermal"},
-      "swept": {"name": "tau", "start": 1.0, "stop": 2.0, "step": 1.0}},
-     "the non-Gaussianity measure requires pure"),
-], ids=["cfi-modulated", "cfi-displacement-drive", "cfi-squeezed", "cfi-fock",
-        "cfi-thermal", "cfi-sweep-squeezed", "n-max-zero", "steps-zero",
-        "steps-negative", "qfi-unknown-param", "negative-frequency",
-        "fock-zero", "sweep-empty-range", "validate-cfi-squeezed",
-        "validate-negative-frequency", "validate-swept-negative-frequency",
-        "sweep-nongauss-thermal"])
-def test_rejected_input_is_a_config_error(argv, config, message, tmp_path,
-                                          capsys):
-    if argv[0] == "sweep":
-        config = {**config, "output": str(tmp_path / "out.csv")}
+    pytest.param(["sweep", "--validate-only"],
+                 {"command": "cfi", "model": {**CFI_MODEL, "d2": 0.1},
+                  "swept": TAU_SWEEP},
+                 "cfi needs d2 = 0", id="validate-cfi-squeezed"),
+    pytest.param(["sweep", "--validate-only"],
+                 {"command": "qfi", "model": {"g0": 1.0, "omega_g": -1},
+                  "swept": TAU_SWEEP},
+                 "drive frequency must be >= 0",
+                 id="validate-negative-frequency"),
+    pytest.param(["sweep", "--validate-only"],
+                 {"command": "qfi", "model": CFI_MODEL,
+                  "swept": {"name": "omega_g", "start": -1.0, "stop": 1.0,
+                            "step": 1.0}},
+                 "drive frequency must be >= 0",
+                 id="validate-swept-negative-frequency"),
+    pytest.param(["sweep"],
+                 {"command": "nongauss",
+                  "model": {**CFI_MODEL, "mechanical": "thermal"},
+                  "swept": TAU_SWEEP},
+                 "the non-Gaussianity measure requires pure",
+                 id="sweep-nongauss-thermal"),
+    # a sweep's fields and fixed settings are checked like config fields
+    pytest.param(["sweep"], {"command": "qfi", "model": CFI_MODEL,
+                             "swept": TAU_SWEEP, "fixed": {"parm": "d1"}},
+                 "unknown config field 'fixed.parm'", id="sweep-fixed-typo"),
+    pytest.param(["sweep"], {"command": "cfi", "model": CFI_MODEL,
+                             "swept": TAU_SWEEP, "fixed": {"param": "d1"}},
+                 "unknown config field 'fixed.param'",
+                 id="sweep-fixed-other-command"),
+    pytest.param(["sweep"], {"command": "qfi", "model": CFI_MODEL,
+                             "swept": TAU_SWEEP, "formt": "csv"},
+                 "unknown config field 'formt'", id="sweep-unknown-field"),
+    pytest.param(["sweep"], {"command": "qfi", "model": CFI_MODEL,
+                             "swept": {**TAU_SWEEP, "stpe": 1.0}},
+                 "unknown config field 'swept.stpe'",
+                 id="sweep-unknown-swept-field"),
+    pytest.param(["sweep"], {"command": "qfi", "model": CFI_MODEL,
+                             "swept": TAU_SWEEP, "fixed": {"param": "bogus"}},
+                 "unknown parameter id 'bogus'", id="sweep-fixed-param"),
+    pytest.param(["sweep"], {"command": "qfi", "model": CFI_MODEL,
+                             "swept": TAU_SWEEP, "fixed": {"mode": "nonsense"}},
+                 "field 'mode' must be one of", id="sweep-fixed-mode"),
+    pytest.param(["sweep"], {"command": "qfi", "model": CFI_MODEL,
+                             "swept": TAU_SWEEP, "format": "xml"},
+                 "field 'format' must be one of", id="sweep-format"),
+    # non-numeric values
+    pytest.param(["sweep"], {"command": "nongauss", "model": CFI_MODEL,
+                             "swept": {"name": "g0", "start": 0.5,
+                                       "stop": 1.0, "step": 0.5},
+                             "fixed": {"tau": "abc"}},
+                 "field 'tau' must be a number", id="sweep-fixed-tau-text"),
+    pytest.param(["sweep"], {"command": "cfi", "model": CFI_MODEL,
+                             "swept": TAU_SWEEP, "fixed": {"lambda": "abc"}},
+                 "field 'lambda' must be a number",
+                 id="sweep-fixed-lambda-text"),
+    pytest.param(["sweep"], {"command": "cfi", "model": CFI_MODEL,
+                             "swept": TAU_SWEEP, "fixed": {"lambda": [1]}},
+                 "field 'lambda' must be a number",
+                 id="sweep-fixed-lambda-list"),
+    pytest.param(["sweep"], {"command": "qfi", "model": {"g0": "abc"},
+                             "swept": TAU_SWEEP},
+                 "field 'g0' must be a number", id="sweep-model-text"),
+    pytest.param(["qfi"], {"g0": "abc"}, "field 'g0' must be a number",
+                 id="model-text"),
+    pytest.param(["qfi"], {"g0": True}, "field 'g0' must be a number",
+                 id="model-bool"),
+    # input files that cannot be read
+    pytest.param(["qfi"], None, "cannot read '{path}': [Errno 2]",
+                 id="config-missing"),
+    pytest.param(["qfi"], '{"g0": 1.0', "cannot read '{path}': Expecting",
+                 id="config-malformed"),
+    pytest.param(["qfi"], [1.0], "'{path}' does not hold a JSON object",
+                 id="config-not-object"),
+    pytest.param(["sweep"], ["qfi"], "'{path}' does not hold a JSON object",
+                 id="sweep-config-not-object"),
+    pytest.param(["gravimetry"], {**FABRY_PEROT, "kind": "bogus"},
+                 "field 'kind' must be one of", id="setup-unknown-kind"),
+    pytest.param(["gravimetry"], {k: v for k, v in FABRY_PEROT.items()
+                                  if k != "kind"},
+                 "field 'kind' must be one of", id="setup-missing-kind"),
+    pytest.param(["gravimetry"], {**FABRY_PEROT, "lenght": 1e-5},
+                 "setup: ", id="setup-unknown-field"),
+    pytest.param(["gravimetry"], [FABRY_PEROT],
+                 "'{path}' does not hold a JSON object", id="setup-not-object"),
+]
+
+
+def write_config(tmp_path, argv, config):
+    """The argv that runs ``argv`` on a file holding ``config`` (see
+    REJECTED_INPUT), the output path a sweep config names, and the file."""
+    out = tmp_path / "out.csv"
+    if argv[0] == "sweep" and isinstance(config, dict):
+        config = {**config, "output": str(out)}
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(config))
-    assert main([*argv[:1], "--config", str(cfg), *argv[1:]]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {message}")
-    assert not (tmp_path / "out.csv").exists()
+    if config is not None:
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+    flag = "--setup" if argv[0] == "gravimetry" else "--config"
+    return [*argv[:1], flag, str(cfg), *argv[1:]], out, cfg
+
+
+def refuse_computing(monkeypatch):
+    """Make the value kernels fail, so a refusal that comes only after
+    computing fails the test."""
+    def computed(*_args, **_kwargs):
+        raise AssertionError("computed before refusing")
+
+    for name in ("qfi_coefficients", "cfi_homodyne", "nongauss_report"):
+        monkeypatch.setattr(cli, name, computed)
+
+
+@pytest.mark.parametrize("argv, config, message", REJECTED_INPUT)
+def test_rejected_input_is_a_config_error(argv, config, message, tmp_path,
+                                          capsys, monkeypatch):
+    refuse_computing(monkeypatch)
+    argv, out, cfg = write_config(tmp_path, argv, config)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message.format(path=cfg)}")
+    assert "\n" not in err[:-1]  # a single error line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    case for case in REJECTED_INPUT if case.values[0][0] == "sweep"])
+def test_validate_only_refuses_what_the_run_refuses(argv, config, message,
+                                                    tmp_path, capsys):
+    argv, out, cfg = write_config(tmp_path, ["sweep"], config)
+    outcomes = []
+    for extra in ([], ["--validate-only"]):
+        code = main([*argv, *extra])
+        outcomes.append((code, capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 2
+    assert outcomes[0][1].startswith(f"error: {message.format(path=cfg)}")
+    assert not out.exists()
