@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -99,6 +100,12 @@ def resolve_config(raw: dict) -> dict:
             _number(key, cfg[key])
     _one_of("optical", cfg["optical"], ("coherent", "fock"))
     _one_of("mechanical", cfg["mechanical"], ("coherent", "thermal"))
+    # every result is computed in the frame rotating at the cavity frequency,
+    # where Omega_c drops out; the key stays, so fingerprints do not change
+    if cfg["omega_c_ratio"] != 0:
+        raise ConfigError(f"field 'omega_c_ratio' must be 0, got "
+                          f"{cfg['omega_c_ratio']!r}: results are computed in "
+                          "the frame rotating at the cavity frequency")
     return cfg
 
 
@@ -171,6 +178,18 @@ def _meta(args, **fields) -> dict:
     return meta
 
 
+def _check_output(path):
+    """Refuse an output file that cannot be created, before computing it;
+    None and "-" stand for stdout."""
+    if path is None or path == "-":
+        return
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"cannot write '{path}': no directory '{directory}'")
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write '{path}': it is a directory")
+
+
 def _check_tau(tau):
     """Every command reads the evolution from its start at tau = 0 on."""
     if _number("tau", tau) < 0:
@@ -191,6 +210,7 @@ def _tau_grid(args) -> np.ndarray:
 
 def cmd_drive_eval(args):
     cfg = load_config(args.config)
+    _check_output(args.out)
     spec = model_from_config(cfg)
     taus = _tau_grid(args)
     rows = [(t, evaluate_drive(spec.coupling, t),
@@ -204,6 +224,7 @@ def cmd_drive_eval(args):
 
 def cmd_mechanics(args):
     cfg = load_config(args.config)
+    _check_output(args.out)
     spec = model_from_config(cfg)
     taus = _tau_grid(args)
     sol = solve_subsystem(spec, args.tau_max,
@@ -237,6 +258,7 @@ def _coeff_rows(cfg, taus, tol):
 
 def cmd_coeffs(args):
     cfg = load_config(args.config)
+    _check_output(args.out)
     taus = _tau_grid(args)
     write_records(args.out, args.format,
                   _meta(args, config=cfg, tau_max=args.tau_max, steps=args.steps),
@@ -256,6 +278,7 @@ def _moments_at(state, traj, t):
 
 def cmd_moments(args):
     cfg = load_config(args.config)
+    _check_output(args.out)
     spec, state = model_from_config(cfg), state_from_config(cfg)
     if state.optical != "coherent" or state.mechanical != "coherent":
         raise ConfigError("moments require coherent x coherent input")
@@ -300,7 +323,7 @@ def _prepare_nongauss(cfg: dict, fixed: dict, tau_max: float, tol):
 def cmd_nongauss(args):
     cfg = load_config(args.config)
     rows = _sweep_rows(_prepare_nongauss, cfg, {}, "tau", _tau_grid(args),
-                       TOLERANCES[args.tolerance_profile])
+                       TOLERANCES[args.tolerance_profile], args.out)
     write_records(args.out, args.format,
                   _meta(args, config=cfg, tau_max=args.tau_max, steps=args.steps),
                   ("tau", "delta", "delta_min", "delta_max", "nu_op", "nu_me"),
@@ -356,15 +379,18 @@ def _prepare_cfi(cfg: dict, fixed: dict, tau_max: float, tol):
         state.mu_m, lam, tau, n_max=n_max),)
 
 
-def _sweep_rows(prepare, cfg: dict, fixed: dict, name: str, values, tol):
+def _sweep_rows(prepare, cfg: dict, fixed: dict, name: str, values, tol,
+                out):
     """Prepared rows (v, value, t) over the swept values v of ``name``;
     value(t) computes the row's value columns. A tau sweep prepares once at
     the largest tau, any other name overrides that field of ``cfg`` and
-    prepares each point at ``fixed["tau"]``.
+    prepares each point at ``fixed["tau"]``. ``out`` is the output file the
+    rows go to.
 
     prepare(cfg, fixed, tau_max, tol) -> value applies every refusal of a
     value command's run and computes nothing; ``fixed`` holds its settings.
     """
+    _check_output(out)
     if name not in SWEPT_NAMES:
         raise ConfigError(f"unknown swept name '{name}'")
     if name == "tau":
@@ -383,7 +409,7 @@ def cmd_qfi(args):
         name, values = args.sweep[0], _parse_sweep(args.sweep[1])
     fixed = {"param": args.param, "mode": args.mode, "tau": args.tau}
     rows = _sweep_rows(_prepare_qfi, cfg, fixed, name, values,
-                       TOLERANCES[args.tolerance_profile])
+                       TOLERANCES[args.tolerance_profile], args.out)
     write_records(args.out, args.format,
                   _meta(args, config=cfg, sweep=args.sweep, **fixed),
                   (name, "qfi"), [(v, *value(t)) for v, value, t in rows])
@@ -395,7 +421,7 @@ def cmd_cfi(args):
     fixed = {"lambda": args.quadrature_angle, "n_max": args.n_max,
              "tau": args.tau}
     rows = _sweep_rows(_prepare_cfi, cfg, fixed, "tau", [args.tau],
-                       TOLERANCES[args.tolerance_profile])
+                       TOLERANCES[args.tolerance_profile], args.out)
     # the default cut-off (None) is left out, so default fingerprints (and
     # the golden header) do not depend on it being recorded
     fields = {key: v for key, v in fixed.items() if v is not None}
@@ -426,6 +452,7 @@ def setup_from_json(path: str):
 
 
 def cmd_gravimetry(args):
+    _check_output(args.out)
     if args.table:
         rows = []
         for name, setup in REFERENCE_PLATFORMS.items():
@@ -461,6 +488,7 @@ def _parse_dims(text: str):
 
 def cmd_oracle_check(args):
     cfg = load_config(args.config)
+    _check_output(args.out)
     spec, state = model_from_config(cfg), state_from_config(cfg)
     tau = args.tau
     _check_tau(tau)
@@ -504,7 +532,11 @@ def _sweep_plan(data: dict, tol):
     fixed = {"tau": 2.0 * math.pi, **defaults}
     fixed.update(_fields(data.get("fixed", {}), fixed, "fixed"))
     _one_of("format", data.get("format", "csv"), FORMATS)
-    rows = _sweep_rows(prepare, cfg, fixed, swept["name"], values, tol)
+    if not isinstance(data["output"], str):
+        raise ConfigError(f"field 'output' must be a string, got "
+                          f"{data['output']!r}")
+    rows = _sweep_rows(prepare, cfg, fixed, swept["name"], values, tol,
+                       data["output"])
     d2 = max(map(abs, values)) if swept["name"] == "d2" else abs(cfg["d2"])
     notes = []
     if command == "qfi" and fixed["param"] == "d2" and d2 > D2_VALIDITY:

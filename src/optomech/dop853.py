@@ -11,7 +11,12 @@ stages for a 7th-degree interpolant on every step. Step control is that of
 :func:`solve_ivp` stands for ``scipy.integrate.solve_ivp(..., method=
 "DOP853", dense_output=True)`` with the arguments the library passes: it
 does SciPy's arithmetic in SciPy's order, so its steps and dense values are
-SciPy's, and it returns the attributes the library reads. The package
+SciPy's, and it returns the attributes the library reads. With
+``end_only=True`` it keeps only the end state, for callers that read nothing
+else (the truncated oracle): each step skips the three dense-output stages
+(3 of its 15 right-hand-side calls), no per-step state or interpolant is
+stored, and the result holds ``t = [t_end]``, ``y`` of shape (n, 1) and
+``sol = None``, the end state being the last accepted step's. The package
 imports this module on the first integration.
 """
 
@@ -173,7 +178,7 @@ D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
 class OdeResult:
     t: np.ndarray          # t0 and the end of every accepted step
     y: np.ndarray          # (n, len(t)) states at those times
-    sol: "DenseOutput | None"  # None only if no step was accepted
+    sol: "DenseOutput | None"  # None if end_only or no step was accepted
     nfev: int              # right-hand-side evaluations
     success: bool
     message: str
@@ -246,13 +251,15 @@ def _stages(fun, t, y, h, K, first, last):
         K[s] = fun(t + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
 
 
-def solve_ivp(fun, t_span, y0, *, rtol, atol) -> OdeResult:
+def solve_ivp(fun, t_span, y0, *, rtol, atol, end_only=False) -> OdeResult:
     """Integrate y' = fun(t, y) from t_span[0] to t_span[1] >= t_span[0].
 
     ``rtol`` and ``atol`` bound each step's error relative to
     atol + rtol |y|. The result's ``sol`` evaluates the solution anywhere
-    in the range. If the step falls below ten units in the last place of t
-    the integration stops with ``success`` False.
+    in the range. With ``end_only`` the result holds only the time and state
+    where the integration stopped, and ``sol`` is None; the steps are the
+    same. If the step falls below ten units in the last place of t the
+    integration stops with ``success`` False.
     """
     t0, t_bound = map(float, t_span)
     if t_bound < t0:
@@ -303,18 +310,22 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol) -> OdeResult:
             rejected = True
         if not success:
             break
-        _stages(f_of, t, y, h, K, N_STAGES + 1, 16)
-        nfev += 3
-        F = np.empty((7, n))
-        delta = F[0] = y_new - y
-        F[1] = h * f - delta
-        F[2] = 2 * delta - h * (f_new + f)
-        F[3:] = h * np.dot(D, K)
-        steps.append((h, F))
+        if not end_only:
+            _stages(f_of, t, y, h, K, N_STAGES + 1, 16)
+            nfev += 3
+            F = np.empty((7, n))
+            delta = F[0] = y_new - y
+            F[1] = h * f - delta
+            F[2] = 2 * delta - h * (f_new + f)
+            F[3:] = h * np.dot(D, K)
+            steps.append((h, F))
+            ts.append(t_new)
+            ys.append(y_new)
         t, y, f = t_new, y_new, f_new
-        ts.append(t)
-        ys.append(y)
 
+    if end_only:
+        return OdeResult(t=np.array([t]), y=y[:, None], sol=None, nfev=nfev,
+                         success=success, message=message)
     ts = np.array(ts)
     sol = None
     if steps:

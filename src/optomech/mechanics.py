@@ -43,8 +43,8 @@ def solve_ivp(fun, t_span, y0, **options):
     """:func:`optomech.dop853.solve_ivp`, imported on the first call.
 
     Closed-form results never integrate, so importing the package does not
-    load the stepper. ``coefficients`` imports this name, so each module's
-    integrations can be rebound separately.
+    load the stepper. ``coefficients`` and ``oracle`` import this name, so
+    each module's integrations can be rebound separately.
     """
     from .dop853 import solve_ivp as dop853_solve_ivp
     return dop853_solve_ivp(fun, t_span, y0, **options)

@@ -19,7 +19,8 @@ onto [-1, 1] by its Gershgorin interval, the series is cut where the Bessel
 tail bounds the rest below unit roundoff, and it costs about h tau banded
 matvecs per branch, h the interval's half-width, so it grows linearly with
 tau. Time-dependent drives integrate in one adaptive eighth-order
-Runge-Kutta pass.
+Runge-Kutta pass on the library's DOP853 stepper (:mod:`optomech.dop853`),
+which keeps only the end state. Neither route imports SciPy.
 Truncation shows up as loss of recurrence, not loss of norm: the truncated
 Hamiltonian is Hermitian, so norm drift measures integrator quality, while
 a tau = 2 pi trajectory failing to close signals insufficient dims.
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanics import STRICT
+from .mechanics import STRICT, solve_ivp
 from .moments import MomentSet
 from .params import InitialState, ModelSpec, evaluate_drive
 
@@ -46,18 +47,12 @@ class TruncationError(RuntimeError):
     pass
 
 
-# SciPy is imported on the first call, so importing the package loads
-# neither scipy.linalg nor scipy.integrate, and constant drives load neither.
-# The oracle integrates modulated drives with SciPy's DOP853, not the
-# library's stepper: it is the independent reference the decoupled solution
-# is checked against. The two eigensolver wrappers are not on propagate's
-# path: bench/trace_shim.py wraps them by name, and the tests diagonalise
-# through them to check the Chebyshev pass.
-def solve_ivp(*args, **kwargs):
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
-
-
+# propagate reaches neither eigensolver wrapper, so no oracle route imports
+# SciPy. They stay, importing scipy.linalg on the first call, only because
+# bench/trace_shim.py wraps them by name and tests/test_bench_contract.py
+# names them; the tests diagonalise through them to check the Chebyshev
+# pass. The oracle's integrations call solve_ivp by this module's name, so
+# the benchmark can time them apart from the decoupled solution's.
 def eig_banded(*args, **kwargs):
     from scipy.linalg import eig_banded as scipy_eig_banded
     return scipy_eig_banded(*args, **kwargs)
@@ -156,8 +151,9 @@ def propagate(spec: ModelSpec, state0: InitialState, tau: float,
     banded matvecs only, and no SciPy. Its cost is linear in tau, about
     h tau matvecs for a branch whose Gershgorin half-width is h. Modulated
     drives integrate all live branches in one adaptive eighth-order
-    Runge-Kutta pass (SciPy's DOP853), at STRICT tolerances scaled so that
-    each branch alone meets them.
+    Runge-Kutta pass (the library's DOP853 in its end-state mode, SciPy's
+    arithmetic in SciPy's order), at STRICT tolerances scaled so that each
+    branch alone meets them.
     """
     na, nb = dims
     psi0 = _initial_tensor(state0, dims)
@@ -223,7 +219,7 @@ def _step_branches(spec: ModelSpec, live: dict, tau: float) -> list:
         return out.view(float)
 
     # always strict: the oracle is the reference that oracle-check measures
-    # the decoupled solution against. SciPy's error norm is an RMS over the
+    # the decoupled solution against. DOP853's error norm is an RMS over the
     # whole vector; with both tolerances scaled by sqrt(smallest box / total)
     # that RMS is at least each branch's own RMS at STRICT, so a step the
     # pass accepts is one every branch would accept alone (up to the E3 part
@@ -231,14 +227,11 @@ def _step_branches(spec: ModelSpec, live: dict, tau: float) -> list:
     scale = math.sqrt(min(sizes) / k.size)
     rtol, atol = STRICT
     y0 = np.concatenate(list(live.values())).astype(complex).view(float)
-    # t_eval keeps only the end state instead of every accepted step
-    sol = solve_ivp(rhs, (0.0, tau), y0, method="DOP853", rtol=rtol * scale,
-                    atol=atol * scale, t_eval=(tau,))
+    sol = solve_ivp(rhs, (0.0, tau), y0, rtol=rtol * scale, atol=atol * scale,
+                    end_only=True)
     if not sol.success:
         raise TruncationError(f"branch integration failed: {sol.message}")
-    # over a zero-length span SciPy takes no step and returns no t_eval point
-    end = sol.y[:, -1] if len(sol.t) else y0
-    return np.split(end.view(complex), np.cumsum(sizes)[:-1])
+    return np.split(sol.y[:, 0].view(complex), np.cumsum(sizes)[:-1])
 
 
 def _gershgorin(band: np.ndarray):

@@ -448,8 +448,8 @@ def test_tau_sweep_integrates_once_on_catalog_miss(tmp_path, monkeypatch):
 
 
 # Run in a fresh interpreter: prints the scipy modules loaded after importing
-# the CLI and whether the library's stepper is, then, after each command in
-# argv, the scipy modules loaded and whether scipy.integrate is one of them.
+# the CLI and whether the library's stepper is, then the scipy modules loaded
+# after each command in argv.
 IMPORT_PROBE = """
 import json, sys
 
@@ -460,58 +460,48 @@ def scipy_modules():
 
 from optomech.cli import main
 report = {"scipy": scipy_modules(), "stepper": "optomech.dop853" in sys.modules,
-          "integrate": [], "after": []}
+          "after": []}
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
     report["after"].append(scipy_modules())
-    report["integrate"].append("scipy.integrate" in report["after"][-1])
 print(json.dumps(report))
 """
 
 
-def test_closed_form_commands_do_not_import_scipy_integrate(tmp_path):
-    # catalog misses integrate on the library's own stepper, so only the
-    # oracle, which keeps SciPy's as an independent reference, loads it
+def test_no_command_loads_scipy(tmp_path):
+    # catalog misses and the modulated-drive oracle integrate on the
+    # library's own stepper, and the constant-drive oracle is a numpy
+    # Chebyshev pass, so no command loads any SciPy module
     miss = tmp_path / "miss.json"
     miss.write_text(json.dumps(MISS_CONFIG))
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({
+        "command": "qfi", "model": MISS_CONFIG, "output": str(tmp_path / "s.csv"),
+        "swept": {"name": "tau", "start": 0.5, "stop": 1.0, "step": 0.5},
+        "fixed": {"mode": "finite_diff"}}))
     out = ["--out", str(tmp_path / "out.csv")]
     hits = [["coeffs", "--config", CONFIG, "--steps", "5", *out],
             ["nongauss", "--config", CONFIG, "--steps", "5", *out],
             ["qfi", "--config", CONFIG, "--tau", "6.283185307179586", *out],
             ["gravimetry", "--table", *out],
             ["cfi", "--config", CONFIG_DISPLACED, "--tau", "6.283185307179586",
-             *out]]
+             *out],
+            ["oracle-check", "--config", CONFIG, "--tau", "1.0", *out]]
     misses = [[command, "--config", str(miss), "--steps", "3", *out]
-              for command in ("mechanics", "coeffs", "moments", "nongauss")]
-    misses.append(["qfi", "--config", str(miss), "--tau", "1.0",
-                   "--mode", "finite_diff", *out])
-    oracle = ["oracle-check", "--config", str(miss), "--tau", "1.0", *out]
+              for command in ("drive-eval", "mechanics", "coeffs", "moments",
+                              "nongauss")]
+    misses += [["qfi", "--config", str(miss), "--tau", "1.0",
+                "--mode", "finite_diff", *out],
+               ["sweep", "--config", str(sweep)],
+               ["oracle-check", "--config", str(miss), "--tau", "1.0", *out]]
     result = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE,
-         json.dumps(hits + misses + [oracle])],
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(hits + misses)],
         capture_output=True, text=True, env=child_env())
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
     assert report["scipy"] == []
     assert report["stepper"] is False
-    assert report["integrate"] == [False] * len(hits + misses) + [True]
-
-
-def test_constant_drive_oracle_loads_no_scipy(tmp_path):
-    # the constant-drive oracle is a numpy Chebyshev pass; only modulated
-    # drives reach SciPy's integrator
-    miss = tmp_path / "miss.json"
-    miss.write_text(json.dumps(MISS_CONFIG))
-    out = ["--out", str(tmp_path / "out.csv")]
-    commands = [["oracle-check", "--config", CONFIG, "--tau", "1.0", *out],
-                ["oracle-check", "--config", str(miss), "--tau", "1.0", *out]]
-    result = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
-        capture_output=True, text=True, env=child_env())
-    assert result.returncode == 0, result.stderr
-    report = json.loads(result.stdout)
-    assert report["after"][0] == []
-    assert "scipy.integrate" in report["after"][1]
+    assert report["after"] == [[]] * len(hits + misses)
 
 
 @pytest.mark.parametrize("grid", ["1:2", "a:b:c", "1:0:0.1"])
@@ -564,8 +554,9 @@ FABRY_PEROT = {"kind": "fabry-perot", "length": 1e-5, "mass": 1e-6,
 
 # (argv, config, message): argv[0] is the command, the config file holds
 # json.dumps(config), or config itself when it is a str, and is missing when
-# config is None; a sweep config gets an "output" field. {path} in the
-# message stands for the config file's path.
+# config is None; a sweep config without an "output" field gets one. {path}
+# in the message stands for the config file's path, and {tmp} in argv, the
+# config or the message for the test's temporary directory.
 REJECTED_INPUT = [
     pytest.param(["cfi"], {**CFI_MODEL, "d2": 0.3, "omega_g": 0.7,
                            "epsilon": 0.5},
@@ -683,6 +674,29 @@ REJECTED_INPUT = [
                  "setup: ", id="setup-unknown-field"),
     pytest.param(["gravimetry"], [FABRY_PEROT],
                  "'{path}' does not hold a JSON object", id="setup-not-object"),
+    # the cavity frequency drops out of every result, so it must be 0
+    pytest.param(["qfi"], {"g0": 1, "mu_c_re": 1, "omega_c_ratio": 0.5},
+                 "field 'omega_c_ratio' must be 0, got 0.5",
+                 id="omega-c-ratio"),
+    # output targets that cannot be written, refused before computing
+    pytest.param(["qfi", "--out", "{tmp}/no-such-dir/x.csv"], CFI_MODEL,
+                 "cannot write '{tmp}/no-such-dir/x.csv': no directory",
+                 id="out-missing-dir"),
+    pytest.param(["oracle-check", "--out", "{tmp}/no-such-dir/x.csv"],
+                 CFI_MODEL,
+                 "cannot write '{tmp}/no-such-dir/x.csv': no directory",
+                 id="oracle-out-missing-dir"),
+    pytest.param(["coeffs", "--out", "{tmp}"], CFI_MODEL,
+                 "cannot write '{tmp}': it is a directory", id="out-directory"),
+    pytest.param(["sweep"], {"command": "qfi", "model": CFI_MODEL,
+                             "swept": TAU_SWEEP,
+                             "output": "{tmp}/no-such-dir/x.csv"},
+                 "cannot write '{tmp}/no-such-dir/x.csv': no directory",
+                 id="sweep-output-missing-dir"),
+    pytest.param(["sweep"], {"command": "nongauss", "model": CFI_MODEL,
+                             "swept": TAU_SWEEP, "output": 99},
+                 "field 'output' must be a string, got 99",
+                 id="sweep-output-number"),
 ]
 
 
@@ -691,11 +705,13 @@ def write_config(tmp_path, argv, config):
     REJECTED_INPUT), the output path a sweep config names, and the file."""
     out = tmp_path / "out.csv"
     if argv[0] == "sweep" and isinstance(config, dict):
-        config = {**config, "output": str(out)}
+        config = {"output": str(out), **config}
     cfg = tmp_path / "config.json"
     if config is not None:
-        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+        text = config if isinstance(config, str) else json.dumps(config)
+        cfg.write_text(text.replace("{tmp}", str(tmp_path)))
     flag = "--setup" if argv[0] == "gravimetry" else "--config"
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     return [*argv[:1], flag, str(cfg), *argv[1:]], out, cfg
 
 
@@ -716,7 +732,7 @@ def test_rejected_input_is_a_config_error(argv, config, message, tmp_path,
     argv, out, cfg = write_config(tmp_path, argv, config)
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {message.format(path=cfg)}")
+    assert err.startswith(f"error: {message.format(path=cfg, tmp=tmp_path)}")
     assert "\n" not in err[:-1]  # a single error line
     assert not out.exists()
 
@@ -732,5 +748,6 @@ def test_validate_only_refuses_what_the_run_refuses(argv, config, message,
         outcomes.append((code, capsys.readouterr().err))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == 2
-    assert outcomes[0][1].startswith(f"error: {message.format(path=cfg)}")
+    assert outcomes[0][1].startswith(
+        f"error: {message.format(path=cfg, tmp=tmp_path)}")
     assert not out.exists()

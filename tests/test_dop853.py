@@ -85,6 +85,11 @@ def test_zero_length_span():
     assert np.array_equal(ours.y, ref.y)
     assert np.array_equal(ours.sol(2.0), y0)
     assert np.array_equal(ours.sol([2.0, 2.0]), [[1.0, 1.0], [0.5, 0.5]])
+    end = dop853.solve_ivp(_oscillator, (2.0, 2.0), y0, rtol=1e-10,
+                           atol=1e-12, end_only=True)
+    assert end.success and end.sol is None
+    assert np.array_equal(end.t, [2.0])
+    assert np.array_equal(end.y, np.array(y0)[:, None])
 
 
 def test_zero_length_trajectory_on_a_catalog_miss():
@@ -102,6 +107,14 @@ def test_dense_output_is_exact_at_both_ends():
     assert np.allclose(ours.sol(3.0), ours.y[:, -1], rtol=1e-15, atol=0.0)
     assert np.array_equal(ours.sol(np.array([0.0, 3.0])),
                           np.column_stack([ours.sol(0.0), ours.sol(3.0)]))
+    # the end-state mode takes the same steps without the three
+    # dense-output stages of each, and keeps the last state alone
+    end = dop853.solve_ivp(_oscillator, (0.0, 3.0), [1.0, 0.0], rtol=1e-10,
+                           atol=1e-12, end_only=True)
+    assert end.success and end.sol is None
+    assert np.array_equal(end.t, ours.t[-1:])
+    assert np.array_equal(end.y, ours.y[:, -1:])
+    assert end.nfev == ours.nfev - 3 * (len(ours.t) - 1)
 
 
 def test_step_underflow_fails_instead_of_looping():

@@ -207,7 +207,7 @@ def per_branch_reference(spec: ModelSpec, state0: InitialState, tau: float,
 
 def test_modulated_branches_integrate_in_one_pass(monkeypatch):
     # every drive modulated; each branch must still meet STRICT's rtol on its
-    # own, although SciPy's error norm averages over all branches at once
+    # own, although DOP853's error norm averages over all branches at once
     spec = ModelSpec(coupling=Drive.offset_sinusoid(0.3, 0.4, 0.7),
                      displacement=Drive.cosine(0.2, 0.6),
                      squeezing=Drive.cosine(0.05, 2.0))
@@ -215,22 +215,36 @@ def test_modulated_branches_integrate_in_one_pass(monkeypatch):
     dims = recommended_dims(spec, state, math.pi)
     assert dims == (17, 445)
     calls = []
-    scipy_solve_ivp = oracle.solve_ivp
+    library_solve_ivp = oracle.solve_ivp
 
     def counting_solve_ivp(*args, **kwargs):
         calls.append(kwargs)
-        return scipy_solve_ivp(*args, **kwargs)
+        return library_solve_ivp(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "solve_ivp", counting_solve_ivp)
     st = propagate(spec, state, math.pi, dims)
     assert len(calls) == 1
-    # SciPy's norm is an RMS over the 17 branches; STRICT scaled by at most
+    assert calls[0]["end_only"] is True
+    # the norm is an RMS over the 17 branches; STRICT scaled by at most
     # sqrt(1 / 17) keeps the smallest branch's own RMS within STRICT
     scale = calls[0]["rtol"] / STRICT[0]
     assert calls[0]["atol"] / STRICT[1] == pytest.approx(scale, rel=1e-12)
     assert scale <= 1.0 / math.sqrt(17)
     ref = per_branch_reference(spec, state, math.pi, dims)
     assert np.max(np.abs(st.amplitudes - ref)) <= STRICT[0]
+
+    # the library's stepper does SciPy's arithmetic in SciPy's order: the
+    # same pass on SciPy's DOP853, keeping the end state by t_eval, gives
+    # the same amplitudes to the last bit
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    def scipy_end_state(fun, t_span, y0, *, rtol, atol, end_only):
+        return scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol,
+                               atol=atol, t_eval=(t_span[1],))
+
+    monkeypatch.setattr(oracle, "solve_ivp", scipy_end_state)
+    assert np.array_equal(st.amplitudes,
+                          propagate(spec, state, math.pi, dims).amplitudes)
 
 
 def test_fock_superposition_on_modulated_drives():
