@@ -468,10 +468,9 @@ print(json.dumps(report))
 """
 
 
-def test_no_command_loads_scipy(tmp_path):
-    # catalog misses and the modulated-drive oracle integrate on the
-    # library's own stepper, and the constant-drive oracle is a numpy
-    # Chebyshev pass, so no command loads any SciPy module
+def test_closed_form_commands_do_not_import_scipy_integrate(tmp_path):
+    # catalog misses integrate on the library's own stepper, so neither a
+    # catalog hit nor a miss loads any SciPy module
     miss = tmp_path / "miss.json"
     miss.write_text(json.dumps(MISS_CONFIG))
     sweep = tmp_path / "sweep.json"
@@ -485,15 +484,13 @@ def test_no_command_loads_scipy(tmp_path):
             ["qfi", "--config", CONFIG, "--tau", "6.283185307179586", *out],
             ["gravimetry", "--table", *out],
             ["cfi", "--config", CONFIG_DISPLACED, "--tau", "6.283185307179586",
-             *out],
-            ["oracle-check", "--config", CONFIG, "--tau", "1.0", *out]]
+             *out]]
     misses = [[command, "--config", str(miss), "--steps", "3", *out]
               for command in ("drive-eval", "mechanics", "coeffs", "moments",
                               "nongauss")]
     misses += [["qfi", "--config", str(miss), "--tau", "1.0",
                 "--mode", "finite_diff", *out],
-               ["sweep", "--config", str(sweep)],
-               ["oracle-check", "--config", str(miss), "--tau", "1.0", *out]]
+               ["sweep", "--config", str(sweep)]]
     result = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, json.dumps(hits + misses)],
         capture_output=True, text=True, env=child_env())
@@ -502,6 +499,23 @@ def test_no_command_loads_scipy(tmp_path):
     assert report["scipy"] == []
     assert report["stepper"] is False
     assert report["after"] == [[]] * len(hits + misses)
+
+
+def test_constant_drive_oracle_loads_no_scipy(tmp_path):
+    # the constant-drive oracle is a numpy Chebyshev pass, and modulated
+    # drives run on the library's end-state DOP853 pass, so neither loads
+    # any SciPy module
+    miss = tmp_path / "miss.json"
+    miss.write_text(json.dumps(MISS_CONFIG))
+    out = ["--out", str(tmp_path / "out.csv")]
+    commands = [["oracle-check", "--config", CONFIG, "--tau", "1.0", *out],
+                ["oracle-check", "--config", str(miss), "--tau", "1.0", *out]]
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=child_env())
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["after"] == [[], []]
 
 
 @pytest.mark.parametrize("grid", ["1:2", "a:b:c", "1:0:0.1"])
