@@ -9,7 +9,8 @@ from .mechanics import (SubsystemSolution, JSet, TOLERANCES, solve_subsystem,
                         j_coefficients, j_coefficients_ode, compose_bogoliubov,
                         mathieu_perturbative, map_constant_squeezing)
 from .coefficients import (FSet, DerivedScalars, Trajectory, f_integrated,
-                           f_closed_form, derived_scalars, CatalogMiss)
+                           f_closed_form, derived_scalars, CatalogMiss,
+                           catalog_entry)
 from .moments import (MomentSet, CovarianceMatrix, evolve_moments, covariance,
                       covariance_from_moments, symplectic_eigenvalues,
                       subsystem_eigenvalues, subsystem_eigenvalues_closed,
@@ -20,6 +21,6 @@ from .nongaussianity import report as nongauss_report
 from .metrology import (QfiCoefficients, SensitivityReport, qfi_coefficients,
                         qfi_thermal, qfi_coherent, qfi_fock, qfi_closed_form,
                         cfi_homodyne, gravimetry, acceleration_qfi,
-                        measurement_window)
+                        measurement_window, qfi_route)
 from .oracle import (TruncatedState, propagate, oracle_moments,
                      analytic_state_coefficients, recommended_dims)

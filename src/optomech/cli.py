@@ -17,14 +17,15 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from . import __version__
 from .coefficients import Trajectory, derived_scalars
 from .mechanics import TOLERANCES, j_coefficients, solve_subsystem
-from .metrology import (D2_VALIDITY, QFI_MODES, QFI_PARAMS, cfi_homodyne,
-                        gravimetry, qfi_coefficients, qfi_thermal)
+from .metrology import (D2_VALIDITY, QFI_MODES, cfi_homodyne, gravimetry,
+                        qfi_coefficients, qfi_route, qfi_thermal)
 from .moments import covariance, covariance_from_moments, evolve_moments, quadratures
 from .nongaussianity import report as nongauss_report
 from .oracle import oracle_moments, propagate, recommended_dims
@@ -347,20 +348,14 @@ def _parse_sweep(text: str):
 
 def _prepare_qfi(cfg: dict, fixed: dict, tau_max: float, tol):
     spec, state = model_from_config(cfg), state_from_config(cfg)
-    param, mode = fixed["param"], fixed["mode"]
-    if param not in QFI_PARAMS:
-        raise ConfigError(f"unknown parameter id {param!r}; "
-                          f"expected one of {QFI_PARAMS}")
-    _one_of("mode", mode, QFI_MODES)
+    param, mode = fixed["param"], _one_of("mode", fixed["mode"], QFI_MODES)
+    try:
+        qfi_route(spec, param, mode)
+    except ValueError as exc:  # a parameter or model with no derivative route
+        raise ConfigError(str(exc)) from None
     r_T = state.r_T if state.mechanical == "thermal" else 0.0
-
-    def value(tau):
-        try:
-            coeffs = qfi_coefficients(spec, param, tau, mode=mode, tol=tol)
-        except ValueError as exc:  # a model the parameter has no route for
-            raise ConfigError(str(exc)) from None
-        return (qfi_thermal(coeffs, state.mu_c, r_T),)
-    return value
+    return lambda tau: (qfi_thermal(qfi_coefficients(
+        spec, param, tau, mode=mode, tol=tol), state.mu_c, r_T),)
 
 
 def _prepare_cfi(cfg: dict, fixed: dict, tau_max: float, tol):
@@ -402,6 +397,15 @@ def _sweep_rows(prepare, cfg: dict, fixed: dict, name: str, values, tol,
     return [(v, prepare({**cfg, name: v}, fixed, tau, tol), tau) for v in values]
 
 
+def _notes(cfg: dict, fixed: dict, name: str, values):
+    """A run's warnings: the small-d2 ledger used beyond its validity."""
+    d2 = max(map(abs, values)) if name == "d2" else abs(cfg["d2"])
+    if fixed.get("param") != "d2" or fixed["mode"] != "analytic" or d2 <= D2_VALIDITY:
+        return []
+    return [f"d2 = {d2} exceeds the small-d2 validity bound {D2_VALIDITY}; "
+            "results are indicative only"]
+
+
 def cmd_qfi(args):
     cfg = load_config(args.config)
     name, values = "tau", [args.tau]
@@ -410,6 +414,8 @@ def cmd_qfi(args):
     fixed = {"param": args.param, "mode": args.mode, "tau": args.tau}
     rows = _sweep_rows(_prepare_qfi, cfg, fixed, name, values,
                        TOLERANCES[args.tolerance_profile], args.out)
+    for note in _notes(cfg, fixed, name, values):
+        print(f"# warning: {note}", file=sys.stderr)
     write_records(args.out, args.format,
                   _meta(args, config=cfg, sweep=args.sweep, **fixed),
                   (name, "qfi"), [(v, *value(t)) for v, value, t in rows])
@@ -537,12 +543,7 @@ def _sweep_plan(data: dict, tol):
                           f"{data['output']!r}")
     rows = _sweep_rows(prepare, cfg, fixed, swept["name"], values, tol,
                        data["output"])
-    d2 = max(map(abs, values)) if swept["name"] == "d2" else abs(cfg["d2"])
-    notes = []
-    if command == "qfi" and fixed["param"] == "d2" and d2 > D2_VALIDITY:
-        notes.append(f"d2 = {d2} exceeds the small-d2 validity bound "
-                     f"{D2_VALIDITY}; results are indicative only")
-    return rows, notes
+    return rows, _notes(cfg, fixed, swept["name"], values)
 
 
 def validate_sweep_config(data: dict):
@@ -628,11 +629,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # a run prints its small-d2 validity note once, as a # warning: line
+        warnings.filterwarnings("ignore", r"\|d2\| = .* small-d2 validity")
+        try:
+            return args.func(args)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

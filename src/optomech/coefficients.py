@@ -11,11 +11,11 @@ with all outer integrals over [0, tau] and primed integrals over [0, tau'].
 ``f_path`` evaluates them by co-integrating the inner cumulative
 integrals as auxiliary ODE states (exactly equivalent to the nested
 quadrature, with one adaptive pass and dense output); ``f_closed_form``
-dispatches to the catalog of analytic solutions for constant and
-sinusoidally modulated drives. The two paths must agree to fine tolerance
-and are tested against each other. :class:`Trajectory` is the one route
-from a model to its decoupled solution on a whole range: the subsystem,
-F(tau) from the catalog when it covers the model or else a single
+evaluates the analytic solution for constant and sinusoidally modulated
+drives that ``catalog_entry`` names. The two paths must agree to fine
+tolerance and are tested against each other. :class:`Trajectory` is the one
+route from a model to its decoupled solution on a whole range: the
+subsystem, F(tau) from the catalog entry when there is one or else a single
 ``f_path`` pass, and J(tau).
 """
 
@@ -126,8 +126,6 @@ def f_integrated(spec: ModelSpec, sol: SubsystemSolution, tau: float) -> FSet:
 def _f_all_constant(g0: float, d1: float, d2: float, tau: float) -> FSet:
     """All drives constant; zeta = sqrt(1 + 4 d2) (= 1 without squeezing)."""
     zeta2 = 1.0 + 4.0 * d2
-    if zeta2 <= 0:
-        raise CatalogMiss("constant squeezing with 1+4*d2 <= 0 is unstable")
     zeta = math.sqrt(zeta2)
     zt = zeta * tau
     common = (1.0 - float(sinc(2.0 * zt))) * tau
@@ -218,39 +216,43 @@ def _f_resonant_d1(g0: float, d1: float, tau: float) -> FSet:
                 f_nabp=-g0 * s, f_nabm=g0 * (c - 1.0))
 
 
-def f_closed_form(spec: ModelSpec, tau: float) -> FSet:
-    """Catalog of exact closed-form F-coefficients.
+def catalog_entry(spec: ModelSpec) -> str | None:
+    """The closed-form catalog entry that covers ``spec``, or None on a miss.
 
-    Covers: all-constant drives (optionally with constant squeezing), a
-    coupling modulated as g0 (1 + eps sin(w tau)) alone, and a displacement
-    d1 cos(w tau) with a constant coupling. Resonances (w = 1) dispatch to
-    dedicated entries; anything else raises :class:`CatalogMiss`.
+    Decided from the drives alone: 'all-constant' (with squeezing while
+    1 + 4 d2 > 0); else, without squeezing, a coupling g0 (1 + eps sin(w tau))
+    with D1 = 0 ('modulated-g') or a displacement d1 cos(w tau) with a
+    constant coupling ('modulated-d1'), 'resonant-g' and 'resonant-d1' at w = 1.
     """
-    tau = float(tau)
     g, d1, d2 = spec.coupling, spec.displacement, spec.squeezing
-
     if g.is_constant and d1.is_constant and d2.is_constant:
-        return _f_all_constant(g.amplitude, d1.amplitude, d2.amplitude, tau)
-
-    if not d2.is_constant or d2.amplitude != 0.0:
-        raise CatalogMiss("no exact catalog entry with both time-dependent "
-                          "drives and squeezing; use f_integrated")
-
+        return "all-constant" if 1.0 + 4.0 * d2.amplitude > 0 else None
+    if not d2.is_zero:
+        return None
     if not g.is_constant:
-        if g.phase != "sin":
-            raise CatalogMiss("modulated couplings follow the offset-sinusoid form")
-        if not (d1.is_constant and d1.amplitude == 0.0):
-            raise CatalogMiss("modulated coupling entries require D1 = 0")
-        if g.frequency == 1.0:
-            return _f_resonant_g(g.amplitude, g.offset, tau)
-        return _f_modulated_g(g.amplitude, g.offset, g.frequency, tau)
-
-    # constant coupling, modulated displacement
+        if g.phase != "sin" or not d1.is_zero:
+            return None
+        return "resonant-g" if g.frequency == 1.0 else "modulated-g"
     if d1.phase != "cos":
-        raise CatalogMiss("modulated displacements follow the plain-cosine form")
-    if d1.frequency == 1.0:
-        return _f_resonant_d1(g.amplitude, d1.amplitude, tau)
-    return _f_modulated_d1(g.amplitude, d1.amplitude, d1.frequency, tau)
+        return None
+    return "resonant-d1" if d1.frequency == 1.0 else "modulated-d1"
+
+
+def f_closed_form(spec: ModelSpec, tau: float) -> FSet:
+    """The exact F-coefficients of the :func:`catalog_entry`, or CatalogMiss."""
+    entry = catalog_entry(spec)
+    if entry is None:
+        raise CatalogMiss("no closed-form entry covers the drives; use f_integrated")
+    g, d1, d2, tau = spec.coupling, spec.displacement, spec.squeezing, float(tau)
+    if entry == "all-constant":
+        return _f_all_constant(g.amplitude, d1.amplitude, d2.amplitude, tau)
+    if entry == "modulated-g":
+        return _f_modulated_g(g.amplitude, g.offset, g.frequency, tau)
+    if entry == "resonant-g":
+        return _f_resonant_g(g.amplitude, g.offset, tau)
+    if entry == "modulated-d1":
+        return _f_modulated_d1(g.amplitude, d1.amplitude, d1.frequency, tau)
+    return _f_resonant_d1(g.amplitude, d1.amplitude, tau)
 
 
 class Trajectory:
@@ -258,15 +260,16 @@ class Trajectory:
 
     Reads the subsystem (``bogoliubov``), the F-coefficients (``f``) and the
     J parameters (``j``) at any tau in the range; each part is computed on
-    first use. F is read from the closed-form catalog per point. Catalog
-    coverage depends on the drives only, so the first :class:`CatalogMiss`
-    switches ``f``, once, to a single :func:`f_path` pass over the range; a
-    hit costs one catalog call per point. ``Trajectory(spec, tau).f(tau)``
-    equals ``f_integrated(spec, solve_subsystem(spec, tau), tau)`` on a miss.
+    first use. ``route`` is fixed on construction: the :func:`catalog_entry`
+    of the drives, read by one :func:`f_closed_form` call per point, or
+    'integrated' when there is none, read from one :func:`f_path` pass over
+    the range: then ``Trajectory(spec, tau).f(tau)`` equals
+    ``f_integrated(spec, solve_subsystem(spec, tau), tau)``.
     """
 
     def __init__(self, spec: ModelSpec, tau_max: float, tol=STRICT):
         self.spec, self.tau_max, self.tol = spec, float(tau_max), tol
+        self.route = catalog_entry(spec) or "integrated"
         self._sol = self._f_path = self._j = None
 
     @property
@@ -279,11 +282,10 @@ class Trajectory:
         return self.sol.bogoliubov(tau)
 
     def f(self, tau) -> FSet:
+        if self.route != "integrated":
+            return f_closed_form(self.spec, tau)
         if self._f_path is None:
-            try:
-                return f_closed_form(self.spec, tau)
-            except CatalogMiss:
-                self._f_path = f_path(self.spec, self.sol, self.tau_max)
+            self._f_path = f_path(self.spec, self.sol, self.tau_max)
         return self._f_path(tau)
 
     def j(self, tau) -> JSet:

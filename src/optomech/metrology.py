@@ -15,17 +15,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constants import HBAR
-from .coefficients import (FSet, Trajectory, f_closed_form,
+from .coefficients import (FSet, Trajectory, catalog_entry, f_closed_form,
                            f_small_d2_constant, f_small_d2_resonant)
 from .mechanics import STRICT, JSet
 from .oracle import analytic_state_coefficients
-from .params import (Drive, ModelSpec, PhysicalSetup, coupling_constant,
-                     oscillator_mass)
+from .params import ModelSpec, PhysicalSetup, coupling_constant, oscillator_mass
 
 D2_VALIDITY = 0.2
 TWO_PI = 2.0 * math.pi
@@ -82,127 +81,144 @@ def _assemble_coefficients(tau: float, f: FSet, df: FSet, j: JSet,
                            c_g=c_g, c_k=c_k)
 
 
-# the parameters qfi_coefficients estimates, and its two derivative modes
-QFI_PARAMS = ("g0", "epsilon", "d1", "d2", "omega_g", "omega_d1", "omega_d2")
+# the parameters qfi_coefficients estimates, each a field of a model drive,
+# and its two derivative modes
+QFI_FIELDS = {"g0": ("coupling", "amplitude"), "epsilon": ("coupling", "offset"),
+              "d1": ("displacement", "amplitude"), "d2": ("squeezing", "amplitude"),
+              "omega_g": ("coupling", "frequency"),
+              "omega_d1": ("displacement", "frequency"),
+              "omega_d2": ("squeezing", "frequency")}
+QFI_PARAMS = tuple(QFI_FIELDS)
 QFI_MODES = ("analytic", "finite_diff")
+# each catalog route's name and the parameter values of its model variants
+CATALOG_ROUTES = {"g0": ("g0-homogeneity", (1.0,)), "d1": ("d1-homogeneity", (1.0,)),
+                  "epsilon": ("epsilon-polynomial", (0.0, 1.0, -1.0))}
 
 
 def _with_param(spec: ModelSpec, name: str, value: float) -> ModelSpec:
-    g, d1, d2 = spec.coupling, spec.displacement, spec.squeezing
-    if name == "g0":
-        g = Drive(value, g.offset, g.frequency, g.phase)
-    elif name == "epsilon":
-        g = Drive(g.amplitude, value, g.frequency, g.phase)
-    elif name == "omega_g":
-        g = Drive(g.amplitude, g.offset, value, g.phase)
-    elif name == "d1":
-        d1 = Drive(value, d1.offset, d1.frequency, d1.phase)
-    elif name == "omega_d1":
-        d1 = Drive(d1.amplitude, d1.offset, value, d1.phase)
-    elif name == "d2":
-        d2 = Drive(value, d2.offset, d2.frequency, d2.phase)
-    elif name == "omega_d2":
-        d2 = Drive(d2.amplitude, d2.offset, value, d2.phase)
-    else:
-        raise ValueError(f"unknown parameter id {name!r}; expected one of {QFI_PARAMS}")
-    return ModelSpec(omega_c_ratio=spec.omega_c_ratio, coupling=g,
-                     displacement=d1, squeezing=d2)
+    drive, field = QFI_FIELDS[name]
+    return replace(spec, **{drive: replace(getattr(spec, drive), **{field: value})})
 
 
 def _param_value(spec: ModelSpec, name: str) -> float:
-    return {
-        "g0": spec.coupling.amplitude, "epsilon": spec.coupling.offset,
-        "omega_g": spec.coupling.frequency,
-        "d1": spec.displacement.amplitude, "omega_d1": spec.displacement.frequency,
-        "d2": spec.squeezing.amplitude, "omega_d2": spec.squeezing.frequency,
-    }[name]
+    drive, field = QFI_FIELDS[name]
+    return getattr(getattr(spec, drive), field)
 
 
-def _analytic_derivatives(spec: ModelSpec, name: str, tau: float):
-    """(F, dF/dtheta, J, dJ/dtheta) from the catalog structure.
+def _fd_step(theta: float) -> float:
+    return 1e-6 * max(1.0, abs(theta))
 
-    g0 and d1 enter the exact coefficients homogeneously and epsilon
-    polynomially, so the derivatives follow from catalog evaluations.
-    Squeezing-strength estimation uses the small-d2 ledger of the worked
-    schemes (constant or parametric-resonant modulation).
+
+def qfi_route(spec: ModelSpec, param: str, mode: str) -> str:
+    """The derivative route of ``qfi_coefficients(spec, param, tau, mode)``,
+    decided from the drives alone; raises the ValueError that call raises.
+
+    'finite-diff' differentiates the integrated paths, 'd2-constant' and
+    'd2-resonant' the small-d2 ledgers, and the CATALOG_ROUTES catalog
+    evaluations of the model and of each of its variants.
     """
-    g, d1dr, d2dr = spec.coupling, spec.displacement, spec.squeezing
-    zero = JSet(0.0, 0.0, 0.0)
-
-    if name == "d2":
-        g0 = g.amplitude
-        d2 = d2dr.amplitude
-        if not (g.is_constant and d1dr.is_zero):
+    if param not in QFI_FIELDS:
+        raise ValueError(f"unknown parameter id {param!r}; "
+                         f"expected one of {QFI_PARAMS}")
+    g, d1, d2 = spec.coupling, spec.displacement, spec.squeezing
+    if mode == "finite_diff":
+        theta = _param_value(spec, param)
+        low = theta - _fd_step(theta)
+        if QFI_FIELDS[param][1] == "frequency" and low < 0:
+            raise ValueError(f"the finite-difference stencil for {param!r} "
+                             f"reaches {low:.3g}, a negative drive frequency")
+        sq = _with_param(spec, param, low).squeezing if param == "d2" else d2
+        if sq.is_constant and 1.0 + 4.0 * sq.amplitude <= 0:
+            raise ValueError(f"finite differences integrate constant squeezing d2 = "
+                             f"{sq.amplitude:.7g}, unstable with 1 + 4 d2 <= 0")
+        return "finite-diff"
+    if mode != "analytic":
+        raise ValueError(f"mode must be one of {QFI_MODES}, got {mode!r}")
+    if param == "d2":
+        if not (g.is_constant and d1.is_zero):
             raise ValueError("analytic d2 estimation needs a constant coupling "
                              "and no displacement")
-        if abs(d2) > D2_VALIDITY:
-            warnings.warn(f"|d2| = {abs(d2)} exceeds the small-d2 validity "
-                          f"bound {D2_VALIDITY}; treat results as indicative",
-                          stacklevel=3)
-        if d2dr.is_constant:
-            sigma = 1.0 + 2.0 * d2
-            f = f_small_d2_constant(g0, d2, tau)
-            df = FSet(f_na=0.0,
-                      f_na2=-2.0 * g0 ** 2 * tau * (1.0 - math.cos(2.0 * sigma * tau)),
-                      f_bp=0.0, f_bm=0.0,
-                      f_nabp=-2.0 * g0 * tau * math.cos(sigma * tau),
-                      f_nabm=-2.0 * g0 * tau * math.sin(sigma * tau))
-            j = JSet(j_b=sigma * tau, j_plus=0.0, j_minus=0.0)
-            dj = JSet(j_b=2.0 * tau, j_plus=0.0, j_minus=0.0)
-            return f, df, j, dj
-        if d2dr.frequency == 2.0 and d2dr.phase == "cos":
-            ch, sh = math.cosh(d2 * tau), math.sinh(d2 * tau)
-            c, s = math.cos(tau), math.sin(tau)
-            f = f_small_d2_resonant(g0, d2, tau)
-            df = FSet(f_na=0.0,
-                      f_na2=g0 ** 2 * tau * (math.sinh(2 * d2 * tau) * math.sin(2 * tau)
-                                             + math.cosh(2 * d2 * tau)),
-                      f_bp=0.0, f_bm=0.0,
-                      f_nabp=-g0 * tau * (sh * s + ch * c),
-                      f_nabm=g0 * tau * (sh * c + ch * s))
-            j = JSet(j_b=tau, j_plus=0.5 * d2 * tau, j_minus=0.0)
-            dj = JSet(j_b=0.0, j_plus=0.5 * tau, j_minus=0.0)
-            return f, df, j, dj
+        if d2.is_constant:
+            return "d2-constant"
+        if d2.frequency == 2.0 and d2.phase == "cos":
+            return "d2-resonant"
         raise ValueError("analytic d2 estimation covers constant or "
                          "parametric-resonant (frequency 2) modulation only")
-
-    if not d2dr.is_zero:
+    if not d2.is_zero:
         raise ValueError("analytic derivatives with a squeezing term are only "
                          "available for the d2 parameter; use finite differences")
-    j = JSet(j_b=tau, j_plus=0.0, j_minus=0.0)
-    f = f_closed_form(spec, tau)
+    if param not in CATALOG_ROUTES:
+        raise ValueError(f"no analytic derivative route for parameter {param!r}")
+    route, values = CATALOG_ROUTES[param]
+    if any(catalog_entry(_with_param(spec, param, v)) is None
+           for v in (_param_value(spec, param), *values)):
+        raise ValueError(f"no analytic derivative route for parameter "
+                         f"{param!r}: the closed-form F catalog misses the "
+                         f"model or its variant at {param} in {values}")
+    return route
 
-    if name == "g0":
-        unit = f_closed_form(_with_param(spec, "g0", 1.0), tau)
-        g0 = g.amplitude
+
+def _analytic_derivatives(spec: ModelSpec, param: str, route: str, tau: float):
+    """(F, dF/dtheta, J, dJ/dtheta) on an analytic :func:`qfi_route`: the
+    small-d2 ledgers of the worked schemes, or catalog evaluations, as g0 and
+    d1 enter the exact coefficients homogeneously and epsilon polynomially.
+    """
+    g0, d2 = spec.coupling.amplitude, spec.squeezing.amplitude
+    if route in ("d2-constant", "d2-resonant") and abs(d2) > D2_VALIDITY:
+        warnings.warn(f"|d2| = {abs(d2)} exceeds the small-d2 validity "
+                      f"bound {D2_VALIDITY}; treat results as indicative",
+                      stacklevel=3)
+    if route == "d2-constant":
+        sigma = 1.0 + 2.0 * d2
+        f = f_small_d2_constant(g0, d2, tau)
+        df = FSet(f_na=0.0,
+                  f_na2=-2.0 * g0 ** 2 * tau * (1.0 - math.cos(2.0 * sigma * tau)),
+                  f_bp=0.0, f_bm=0.0,
+                  f_nabp=-2.0 * g0 * tau * math.cos(sigma * tau),
+                  f_nabm=-2.0 * g0 * tau * math.sin(sigma * tau))
+        j = JSet(j_b=sigma * tau, j_plus=0.0, j_minus=0.0)
+        dj = JSet(j_b=2.0 * tau, j_plus=0.0, j_minus=0.0)
+        return f, df, j, dj
+    if route == "d2-resonant":
+        ch, sh = math.cosh(d2 * tau), math.sinh(d2 * tau)
+        c, s = math.cos(tau), math.sin(tau)
+        f = f_small_d2_resonant(g0, d2, tau)
+        df = FSet(f_na=0.0,
+                  f_na2=g0 ** 2 * tau * (math.sinh(2 * d2 * tau) * math.sin(2 * tau)
+                                         + math.cosh(2 * d2 * tau)),
+                  f_bp=0.0, f_bm=0.0,
+                  f_nabp=-g0 * tau * (sh * s + ch * c),
+                  f_nabm=g0 * tau * (sh * c + ch * s))
+        j = JSet(j_b=tau, j_plus=0.5 * d2 * tau, j_minus=0.0)
+        dj = JSet(j_b=0.0, j_plus=0.5 * tau, j_minus=0.0)
+        return f, df, j, dj
+
+    j, zero = JSet(j_b=tau, j_plus=0.0, j_minus=0.0), JSet(0.0, 0.0, 0.0)
+    f = f_closed_form(spec, tau)
+    variants = [f_closed_form(_with_param(spec, param, v), tau)
+                for v in CATALOG_ROUTES[param][1]]
+    unit = variants[0]
+    if route == "g0-homogeneity":
         df = FSet(f_na=unit.f_na, f_na2=2.0 * g0 * unit.f_na2,
                   f_bp=0.0, f_bm=0.0,
                   f_nabp=unit.f_nabp, f_nabm=unit.f_nabm)
         return f, df, j, zero
-    if name == "d1":
-        unit = f_closed_form(_with_param(spec, "d1", 1.0), tau)
+    if route == "d1-homogeneity":
         df = FSet(f_na=unit.f_na, f_na2=0.0,
                   f_bp=unit.f_bp, f_bm=unit.f_bm, f_nabp=0.0, f_nabm=0.0)
         return f, df, j, zero
-    if name == "epsilon":
-        # F_NaB+- are linear and F_Na2 quadratic in epsilon: differentiate
-        # the polynomial through three catalog evaluations.
-        eps = g.offset
-        f0 = f_closed_form(_with_param(spec, "epsilon", 0.0), tau).as_array()
-        fp = f_closed_form(_with_param(spec, "epsilon", 1.0), tau).as_array()
-        fm = f_closed_form(_with_param(spec, "epsilon", -1.0), tau).as_array()
-        lin = 0.5 * (fp - fm)
-        quad = 0.5 * (fp + fm - 2.0 * f0)
-        darr = lin + 2.0 * eps * quad
-        df = FSet(*darr)
-        return f, df, j, zero
-    raise ValueError(f"no analytic derivative route for parameter {name!r}")
+    # epsilon-polynomial: F_NaB+- are linear and F_Na2 quadratic in epsilon,
+    # so the polynomial is differentiated through three catalog evaluations
+    f0, fp, fm = (v.as_array() for v in variants)
+    lin = 0.5 * (fp - fm)
+    quad = 0.5 * (fp + fm - 2.0 * f0)
+    return f, FSet(*(lin + 2.0 * spec.coupling.offset * quad)), j, zero
 
 
 def _finite_diff_derivatives(spec: ModelSpec, name: str, tau: float, tol):
     """Central differences with one Richardson refinement on the F/J paths."""
     theta = _param_value(spec, name)
-    h = 1e-6 * max(1.0, abs(theta))
+    h = _fd_step(theta)
 
     def f_j(model: ModelSpec):
         traj = Trajectory(model, tau, tol)
@@ -231,19 +247,16 @@ def qfi_coefficients(spec: ModelSpec, theta_param: str, tau: float,
     ``mode='analytic'`` differentiates the closed-form F/J ledgers
     (available for g0, epsilon, d1 and the worked small-d2 schemes);
     ``mode='finite_diff'`` differentiates the generic paths numerically,
-    integrating at ``tol`` = (rtol, atol), and works for any parameter id,
-    including drive frequencies.
+    integrating at ``tol`` = (rtol, atol), for any parameter id (a drive
+    frequency needs its stencil to stay >= 0). :func:`qfi_route` names the
+    route, or raises, before any arithmetic.
     """
-    if theta_param not in QFI_PARAMS:
-        raise ValueError(f"unknown parameter id {theta_param!r}; "
-                         f"expected one of {QFI_PARAMS}")
+    route = qfi_route(spec, theta_param, mode)
     tau = float(tau)
-    if mode == "analytic":
-        f, df, j, dj = _analytic_derivatives(spec, theta_param, tau)
-    elif mode == "finite_diff":
+    if route == "finite-diff":
         f, df, j, dj = _finite_diff_derivatives(spec, theta_param, tau, tol)
     else:
-        raise ValueError(f"mode must be one of {QFI_MODES}, got {mode!r}")
+        f, df, j, dj = _analytic_derivatives(spec, theta_param, route, tau)
     return _assemble_coefficients(tau, f, df, j, dj)
 
 

@@ -6,6 +6,7 @@ renamed or removed name breaks it on one side only. These checks fail first.
 
 import importlib
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -64,3 +65,19 @@ def test_ode_boundary_returns_what_the_shim_reads():
     assert result.success
     assert result.nfev > 0
     assert len(result.t) >= 2
+
+
+@pytest.mark.parametrize("config, route", [
+    ({"g0": 0.5, "epsilon": 0.5, "omega_g": 1.0, "mu_c_re": 1.0}, "hit"),
+    ({"g0": 0.5, "d2": 0.05, "omega_d2": 2.0, "mu_c_re": 1.0}, "miss"),
+])
+def test_require_route_classifies_hit_and_miss(bench, tmp_path, config, route):
+    # each workload asserts its configs take the catalog route it stresses;
+    # _require_route reads that from f_closed_form raising CatalogMiss
+    workloads, _ = bench
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    workloads._require_route(path, route)
+    other = "miss" if route == "hit" else "hit"
+    with pytest.raises(RuntimeError, match=f"is a catalog {route}"):
+        workloads._require_route(path, other)

@@ -247,6 +247,26 @@ def test_validate_sweep_d2_validity_warning():
     assert any("validity" in n for n in notes)
 
 
+@pytest.mark.parametrize("argv", [
+    ["qfi", "--param", "d2"],
+    ["qfi", "--param", "d2", "--sweep", "tau", "0.5:1.0:0.5"],
+    ["sweep"]])
+def test_d2_validity_is_one_warning_line(argv, tmp_path):
+    model = {"g0": 1.0, "d2": 0.5, "mu_c_re": 1.0}
+    config = model
+    if argv == ["sweep"]:
+        config = {"command": "qfi", "model": model, "fixed": {"param": "d2"},
+                  "swept": {"name": "tau", "start": 0.5, "stop": 1.0,
+                            "step": 0.5}, "output": str(tmp_path / "o.csv")}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    result = run_cli(argv[0], "--config", str(cfg), *argv[1:])
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ("# warning: d2 = 0.5 exceeds the small-d2 "
+                             "validity bound 0.2; results are indicative "
+                             "only\n")
+
+
 def test_validate_only_flag(tmp_path):
     config = json.loads((GOLDEN / "sweep_config.json").read_text())
     cfg_path = tmp_path / "sweep.json"
@@ -563,6 +583,9 @@ CFI_MODEL = {"g0": 1.0, "d1": 1.0, "mu_c_re": 1.0}
 
 
 TAU_SWEEP = {"name": "tau", "start": 1.0, "stop": 2.0, "step": 1.0}
+# in the catalog, with constant drives: no analytic omega_g derivative, and
+# a finite-difference stencil around omega_g = 0 reaches below 0
+ROUTE_MODEL = {"g0": 1.0, "d1": 0.5, "mu_c_re": 1.0}
 FABRY_PEROT = {"kind": "fabry-perot", "length": 1e-5, "mass": 1e-6,
                "omega_c": 1e14, "omega_m": 1e3}
 
@@ -711,6 +734,42 @@ REJECTED_INPUT = [
                              "swept": TAU_SWEEP, "output": 99},
                  "field 'output' must be a string, got 99",
                  id="sweep-output-number"),
+    # a qfi parameter, mode and model without a derivative route, refused
+    # from the drives before any value is computed
+    pytest.param(["sweep"], {"command": "qfi", "model": ROUTE_MODEL,
+                             "swept": TAU_SWEEP, "fixed": {"param": "omega_g"}},
+                 "no analytic derivative route for parameter 'omega_g'",
+                 id="sweep-qfi-analytic-frequency"),
+    pytest.param(["sweep"], {"command": "qfi",
+                             "model": {"g0": 1.0, "d2": 0.1, "mu_c_re": 1.0},
+                             "swept": TAU_SWEEP},
+                 "analytic derivatives with a squeezing term are only "
+                 "available for the d2 parameter", id="sweep-qfi-g0-squeezed"),
+    pytest.param(["sweep"], {"command": "qfi",
+                             "model": {"g0": 0.0, "epsilon": 0.3,
+                                       "omega_g": 0.7, "d1": 0.5,
+                                       "mu_c_re": 1.0},
+                             "swept": TAU_SWEEP},
+                 "no analytic derivative route for parameter 'g0': the "
+                 "closed-form F catalog misses the model or its variant at "
+                 "g0 in (1.0,)", id="sweep-qfi-catalog-variant-miss"),
+    pytest.param(["sweep"], {"command": "qfi", "model": ROUTE_MODEL,
+                             "swept": TAU_SWEEP,
+                             "fixed": {"param": "omega_g",
+                                       "mode": "finite_diff"}},
+                 "the finite-difference stencil for 'omega_g' reaches -1e-06, "
+                 "a negative drive frequency", id="sweep-qfi-stencil-frequency"),
+    pytest.param(["qfi", "--param", "omega_g"], ROUTE_MODEL,
+                 "no analytic derivative route for parameter 'omega_g'",
+                 id="qfi-analytic-frequency"),
+    pytest.param(["qfi", "--param", "omega_g", "--mode", "finite_diff"],
+                 ROUTE_MODEL,
+                 "the finite-difference stencil for 'omega_g' reaches -1e-06, "
+                 "a negative drive frequency", id="qfi-stencil-frequency"),
+    pytest.param(["qfi", "--param", "d2", "--mode", "finite_diff"],
+                 {"g0": 1.0, "d2": -0.3, "mu_c_re": 1.0},
+                 "finite differences integrate constant squeezing "
+                 "d2 = -0.300001, unstable", id="qfi-stencil-unstable"),
 ]
 
 

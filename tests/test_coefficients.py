@@ -95,8 +95,8 @@ def test_trajectory_f_routes():
 
 
 def test_trajectory_f_calls_per_point(monkeypatch):
-    # a hit makes one catalog call per point; a miss probes the catalog once
-    # and integrates once, however many points are read
+    # a hit makes one catalog call per point; a miss, named by catalog_entry,
+    # makes none and integrates once, however many points are read
     calls = {"f_closed_form": 0, "f_path": 0}
 
     def counted(name):
@@ -121,7 +121,8 @@ def test_trajectory_f_calls_per_point(monkeypatch):
     traj = Trajectory(miss, 4.0)
     for t in taus:
         traj.f(t)
-    assert calls == {"f_closed_form": 1, "f_path": 1}
+    assert traj.route == "integrated"
+    assert calls == {"f_closed_form": 0, "f_path": 1}
 
 def _catalog_spec(rng):
     entry = rng.choice(["constant", "constant-d2", "mod-g", "res-g",

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from optomech.metrology import (QfiCoefficients, _gauss_nodes,
-                                acceleration_qfi, cfi_homodyne,
+from optomech.coefficients import CatalogMiss, catalog_entry, f_closed_form
+from optomech.metrology import (QFI_MODES, QFI_PARAMS, QfiCoefficients,
+                                _gauss_nodes, acceleration_qfi, cfi_homodyne,
                                 gravimetry, gravimetry_qfi_closed,
                                 measurement_window, qfi_closed_form,
                                 qfi_coefficients, qfi_coherent, qfi_fock,
-                                qfi_thermal)
+                                qfi_route, qfi_thermal)
 from optomech.params import (ColdAtoms, Drive, FabryPerot, Levitated,
                              ModelSpec, coupling_constant, coupling_constant_hz)
+
+from conftest import random_spec
 
 TWO_PI = 2 * math.pi
 
@@ -201,6 +204,68 @@ def test_d2_validity_warning():
                      squeezing=Drive.constant(0.5))
     with pytest.warns(UserWarning, match="validity"):
         qfi_coefficients(spec, "d2", 1.0)
+
+
+def _refusal(fn, *args, **kwargs):
+    """The ValueError message ``fn`` raises, or None when it returns."""
+    try:
+        fn(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _unstable_constant_spec(rng, d2):
+    return ModelSpec(coupling=Drive.constant(float(rng.uniform(-1.0, 1.5))),
+                     displacement=Drive.constant(float(rng.uniform(-1.0, 1.5))),
+                     squeezing=Drive.constant(d2))
+
+
+@pytest.mark.filterwarnings("ignore:.*small-d2 validity")
+def test_routes_are_decided_before_the_arithmetic(rng):
+    # catalog_entry names no entry exactly when f_closed_form raises, and
+    # qfi_route refuses exactly what qfi_coefficients refuses, with its message
+    specs = [random_spec(rng) for _ in range(20)]
+    specs += [_unstable_constant_spec(rng, d2)
+              for d2 in (-0.25, -0.3, -0.6, float(rng.uniform(-1.0, -0.25)))]
+    for spec in specs:
+        miss = _refusal(f_closed_form, spec, 0.7)
+        assert (catalog_entry(spec) is None) == (miss is not None), spec
+        for param in QFI_PARAMS:
+            for mode in QFI_MODES:
+                refusal = _refusal(qfi_route, spec, param, mode)
+                assert refusal == _refusal(qfi_coefficients, spec, param, 0.7,
+                                           mode=mode), (spec, param, mode)
+    for spec in (random_spec(rng) for _ in range(300)):
+        miss = _refusal(f_closed_form, spec, 0.7)
+        assert (catalog_entry(spec) is None) == (miss is not None), spec
+
+
+def test_qfi_route_names():
+    gravimetry_model = ModelSpec.gravimetry(1.0, 0.5)
+    mod_g = ModelSpec(coupling=Drive.offset_sinusoid(1.0, 0.3, 0.7))
+    assert qfi_route(gravimetry_model, "g0", "analytic") == "g0-homogeneity"
+    assert qfi_route(gravimetry_model, "d1", "analytic") == "d1-homogeneity"
+    assert qfi_route(mod_g, "epsilon", "analytic") == "epsilon-polynomial"
+    assert qfi_route(mod_g, "omega_g", "finite_diff") == "finite-diff"
+    assert qfi_route(ModelSpec(coupling=Drive.constant(1.0),
+                               squeezing=Drive.cosine(0.1, 2.0)),
+                     "d2", "analytic") == "d2-resonant"
+    assert qfi_route(ModelSpec(coupling=Drive.constant(1.0),
+                               squeezing=Drive.constant(0.1)),
+                     "d2", "analytic") == "d2-constant"
+    # the model is all-constant, but its g0 = 1 variant the route evaluates
+    # is a modulated coupling with a displacement, which the catalog misses
+    variant_miss = ModelSpec(coupling=Drive.offset_sinusoid(0.0, 0.3, 0.7),
+                             displacement=Drive.constant(0.5))
+    assert catalog_entry(variant_miss) == "all-constant"
+    with pytest.raises(ValueError, match="misses the model or its variant"):
+        qfi_route(variant_miss, "g0", "analytic")
+    # the -h stencil point of a zero frequency is no drive
+    with pytest.raises(ValueError, match="stencil for 'omega_g' reaches -1e-06"):
+        qfi_route(gravimetry_model, "omega_g", "finite_diff")
+    assert qfi_route(ModelSpec(coupling=Drive.offset_sinusoid(1.0, 0.3, 1e-6)),
+                     "omega_g", "finite_diff") == "finite-diff"
 
 
 def test_qfi_coherent_example():

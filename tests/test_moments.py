@@ -18,14 +18,14 @@ from conftest import random_spec
 
 
 def moments_at(spec, mu_c, mu_m, tau, sol=None):
-    from optomech.coefficients import CatalogMiss, f_integrated
+    from optomech.coefficients import catalog_entry, f_integrated
 
     if sol is None:
         sol = solve_subsystem(spec, max(tau, 1e-9))
-    try:
-        f = f_closed_form(spec, tau)
-    except CatalogMiss:
+    if catalog_entry(spec) is None:
         f = f_integrated(spec, sol, tau)
+    else:
+        f = f_closed_form(spec, tau)
     alpha, beta = sol.bogoliubov(tau)
     d = derived_scalars(f, alpha, beta, mu_m)
     m = evolve_moments(f, alpha, beta, mu_c, mu_m, derived=d)
