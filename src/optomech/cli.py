@@ -23,12 +23,12 @@ import numpy as np
 
 from . import __version__
 from .coefficients import Trajectory, derived_scalars
-from .mechanics import TOLERANCES, j_coefficients, solve_subsystem
+from .mechanics import TOLERANCES, check_squeezing, j_coefficients, solve_subsystem
 from .metrology import (D2_VALIDITY, QFI_MODES, cfi_homodyne, gravimetry,
                         qfi_coefficients, qfi_route, qfi_thermal)
 from .moments import covariance, covariance_from_moments, evolve_moments, quadratures
 from .nongaussianity import report as nongauss_report
-from .oracle import oracle_moments, propagate, recommended_dims
+from .oracle import TruncationError, oracle_moments, propagate, recommended_dims
 from .params import (ColdAtoms, Drive, FabryPerot, InitialState, Levitated,
                      ModelSpec, coupling_constant, evaluate_drive)
 
@@ -121,6 +121,16 @@ def model_from_config(cfg: dict) -> ModelSpec:
         )
     except ValueError as exc:  # a drive the library refuses
         raise ConfigError(str(exc)) from None
+
+
+def subsystem_model(cfg: dict) -> ModelSpec:
+    """The model of a command that solves its mechanical subsystem."""
+    spec = model_from_config(cfg)
+    try:
+        check_squeezing(spec.squeezing)
+    except ValueError as exc:  # an unstable constant squeezing
+        raise ConfigError(str(exc)) from None
+    return spec
 
 
 def state_from_config(cfg: dict) -> InitialState:
@@ -226,7 +236,7 @@ def cmd_drive_eval(args):
 def cmd_mechanics(args):
     cfg = load_config(args.config)
     _check_output(args.out)
-    spec = model_from_config(cfg)
+    spec = subsystem_model(cfg)
     taus = _tau_grid(args)
     sol = solve_subsystem(spec, args.tau_max,
                           tol=TOLERANCES[args.tolerance_profile])
@@ -244,7 +254,7 @@ def cmd_mechanics(args):
 
 
 def _coeff_rows(cfg, taus, tol):
-    traj = Trajectory(model_from_config(cfg), float(max(taus)), tol)
+    traj = Trajectory(subsystem_model(cfg), float(max(taus)), tol)
     rows = []
     for t in taus:
         f = traj.f(t)
@@ -280,7 +290,7 @@ def _moments_at(state, traj, t):
 def cmd_moments(args):
     cfg = load_config(args.config)
     _check_output(args.out)
-    spec, state = model_from_config(cfg), state_from_config(cfg)
+    spec, state = subsystem_model(cfg), state_from_config(cfg)
     if state.optical != "coherent" or state.mechanical != "coherent":
         raise ConfigError("moments require coherent x coherent input")
     taus = _tau_grid(args)
@@ -309,7 +319,7 @@ def cmd_moments(args):
 
 
 def _prepare_nongauss(cfg: dict, fixed: dict, tau_max: float, tol):
-    spec, state = model_from_config(cfg), state_from_config(cfg)
+    spec, state = subsystem_model(cfg), state_from_config(cfg)
     if state.optical != "coherent" or state.mechanical != "coherent":
         raise ConfigError("the non-Gaussianity measure requires pure "
                           "coherent x coherent input")
@@ -495,11 +505,14 @@ def _parse_dims(text: str):
 def cmd_oracle_check(args):
     cfg = load_config(args.config)
     _check_output(args.out)
-    spec, state = model_from_config(cfg), state_from_config(cfg)
+    spec, state = subsystem_model(cfg), state_from_config(cfg)
     tau = args.tau
     _check_tau(tau)
-    dims = _parse_dims(args.dims) if args.dims else \
-        recommended_dims(spec, state, tau)
+    try:
+        dims = _parse_dims(args.dims) if args.dims else \
+            recommended_dims(spec, state, tau)
+    except TruncationError as exc:  # more levels than the oracle's cap
+        raise ConfigError(str(exc)) from None
     traj = Trajectory(spec, tau, TOLERANCES[args.tolerance_profile])
     f, alpha, beta, d, m = _moments_at(state, traj, tau)
     st = propagate(spec, state, tau, dims)

@@ -8,26 +8,28 @@ The coefficients are the single and nested integrals
     F_NaB+  = -int G Re(xi),        F_NaB-  =  int G Im(xi),
 
 with all outer integrals over [0, tau] and primed integrals over [0, tau'].
-``f_path`` evaluates them by co-integrating the inner cumulative
-integrals as auxiliary ODE states (exactly equivalent to the nested
-quadrature, with one adaptive pass and dense output); ``f_closed_form``
-evaluates the analytic solution for constant and sinusoidally modulated
-drives that ``catalog_entry`` names. The two paths must agree to fine
-tolerance and are tested against each other. :class:`Trajectory` is the one
-route from a model to its decoupled solution on a whole range: the
-subsystem, F(tau) from the catalog entry when there is one or else a single
-``f_path`` pass, and J(tau).
+``f_closed_form`` evaluates the analytic solution for the constant and
+sinusoidally modulated drives that ``catalog_entry`` names; the two must
+agree to fine tolerance and are tested against each other. Everything else
+comes from :func:`decoupled_pass`, one adaptive DOP853 pass with dense output
+over the subsystem, F and J, which carries the inner cumulative integrals as
+states (exactly equivalent to the nested quadrature). :class:`Trajectory` is
+the one route from a model to its decoupled solution on a whole range;
+``f_path``, ``f_integrated``, ``solve_subsystem`` and ``j_coefficients_ode``
+read the same pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .mechanics import (STRICT, IntegrationError, JSet, SubsystemSolution,
-                        j_coefficients_ode, solve_ivp, solve_subsystem)
+                        check_squeezing, solve_ivp, solve_subsystem,
+                        unstable_squeezing)
 from .params import ModelSpec, evaluate_drive
 
 
@@ -72,23 +74,27 @@ class CatalogMiss(ValueError):
     """The drive combination has no exact closed form; use f_integrated."""
 
 
-def f_path(spec: ModelSpec, sol: SubsystemSolution, tau_max: float):
-    """Dense evaluation of all six F-coefficients on [0, tau_max].
+def decoupled_pass(spec: ModelSpec, tau_max: float, tol=STRICT):
+    """The 15 states of the decoupled solution, dense on [0, tau_max].
 
-    Returns a callable tau -> FSet. The inner cumulative integrals
-    I_G = int G Re(xi) and I_D = int D1 Re(xi) ride along as ODE states,
-    so a single adaptive integration yields every coefficient. It runs at
-    the tolerances that solved ``sol``.
+    Returns the callable tau -> states of one DOP853 pass: (P11, P11', I_P22,
+    P22), I_G = int G Re(xi), I_D = int D1 Re(xi), F in FSet order at [6:12]
+    and (j_b, j_+, j_-) at [12:15]. Its RMS error norm spans all 15 states,
+    so both tolerances of ``tol`` are scaled by sqrt(3/15): each block, J
+    (3 states) the smallest, then meets ``tol`` on its own.
     """
-    g, d1 = spec.coupling, spec.displacement
+    g, d1, d2 = spec.coupling, spec.displacement, spec.squeezing
+    check_squeezing(d2)
 
     def rhs(tau, y):
-        p11, _, i22, _ = sol.state_at(tau)
-        re_xi, im_xi = p11, -i22
+        p11, dp11, i22, p22, i_g, i_d, *_, jb, jp, _ = y.tolist()
         gv = evaluate_drive(g, tau)
         dv = evaluate_drive(d1, tau)
-        i_g, i_d = y[0], y[1]
+        sv = evaluate_drive(d2, tau)
+        w2 = 1.0 + 4.0 * sv
+        re_xi, im_xi = p11, -i22
         return [
+            dp11, -w2 * p11, p22, -w2 * i22,           # subsystem
             gv * re_xi,                                # I_G
             dv * re_xi,                                # I_D
             -2.0 * (dv * im_xi * i_g + gv * im_xi * i_d),  # F_Na
@@ -97,20 +103,29 @@ def f_path(spec: ModelSpec, sol: SubsystemSolution, tau_max: float):
             -dv * im_xi,                               # F_B-
             -gv * re_xi,                               # F_NaB+
             gv * im_xi,                                # F_NaB-
+            1.0 + 2.0 * sv * (1.0 - math.sin(2 * jb) * math.tanh(4 * jp)),  # j_b
+            sv * math.cos(2 * jb),                     # j_+
+            sv * math.sin(2 * jb) / math.cosh(4 * jp),  # j_-
         ]
 
-    rtol, atol = sol.tol
-    ivp = solve_ivp(rhs, (0.0, tau_max), np.zeros(8), rtol=rtol, atol=atol)
+    y0 = [1.0, 0.0, 0.0, 1.0] + [0.0] * 11  # P11 = P22 = I_P22' = 1 at 0
+    scale = math.sqrt(3 / len(y0))
+    rtol, atol = tol
+    ivp = solve_ivp(rhs, (0.0, tau_max), y0, rtol=rtol * scale, atol=atol * scale)
     if not ivp.success:
-        raise IntegrationError(
-            f"coefficient integration failed near tau={ivp.t[-1]:.6g}: {ivp.message}")
+        raise IntegrationError(f"decoupled-solution integration failed near "
+                               f"tau={ivp.t[-1]:.6g}: {ivp.message}")
+    return ivp.sol
 
-    def at(tau) -> FSet:
-        y = ivp.sol(float(tau))
-        return FSet(f_na=y[2], f_na2=y[3], f_bp=y[4], f_bm=y[5],
-                    f_nabp=y[6], f_nabm=y[7])
 
-    return at
+def f_path(spec: ModelSpec, sol: SubsystemSolution, tau_max: float):
+    """Dense evaluation of all six F-coefficients on [0, tau_max].
+
+    Returns tau -> FSet from one :func:`decoupled_pass` at the tolerances
+    that solved ``sol``, whether or not the catalog covers ``spec``.
+    """
+    states = decoupled_pass(spec, tau_max, sol.tol)
+    return lambda tau: FSet(*states(float(tau))[6:12])
 
 
 def f_integrated(spec: ModelSpec, sol: SubsystemSolution, tau: float) -> FSet:
@@ -226,7 +241,7 @@ def catalog_entry(spec: ModelSpec) -> str | None:
     """
     g, d1, d2 = spec.coupling, spec.displacement, spec.squeezing
     if g.is_constant and d1.is_constant and d2.is_constant:
-        return "all-constant" if 1.0 + 4.0 * d2.amplitude > 0 else None
+        return None if unstable_squeezing(d2) else "all-constant"
     if not d2.is_zero:
         return None
     if not g.is_constant:
@@ -258,25 +273,28 @@ def f_closed_form(spec: ModelSpec, tau: float) -> FSet:
 class Trajectory:
     """The decoupled solution of one model on [0, tau_max] at ``tol``.
 
-    Reads the subsystem (``bogoliubov``), the F-coefficients (``f``) and the
-    J parameters (``j``) at any tau in the range; each part is computed on
-    first use. ``route`` is fixed on construction: the :func:`catalog_entry`
-    of the drives, read by one :func:`f_closed_form` call per point, or
-    'integrated' when there is none, read from one :func:`f_path` pass over
-    the range: then ``Trajectory(spec, tau).f(tau)`` equals
-    ``f_integrated(spec, solve_subsystem(spec, tau), tau)``.
+    Reads the subsystem (``sol``, ``bogoliubov``), the F-coefficients (``f``)
+    and the J parameters (``j``) at any tau in the range. Analytic paths come
+    first: the subsystem of a zero or constant squeezing, J = (tau, 0, 0) at
+    D2 = 0, and ``route``, fixed on construction: the :func:`catalog_entry`
+    of the drives, read by one :func:`f_closed_form` call per point. The
+    rest (F on the 'integrated' route, J at D2 != 0, a modulated subsystem)
+    is read from one :func:`decoupled_pass` over the range, run on first
+    use, so ``Trajectory(spec, tau).f(tau)`` equals
+    ``f_integrated(spec, solve_subsystem(spec, tau), tau)`` on a miss.
     """
 
     def __init__(self, spec: ModelSpec, tau_max: float, tol=STRICT):
         self.spec, self.tau_max, self.tol = spec, float(tau_max), tol
         self.route = catalog_entry(spec) or "integrated"
-        self._sol = self._f_path = self._j = None
+        if spec.squeezing.is_constant:
+            self.sol = solve_subsystem(spec, self.tau_max, tol)
+        else:
+            self.sol = SubsystemSolution(tol, lambda tau: self._states(tau)[:4])
 
-    @property
-    def sol(self) -> SubsystemSolution:
-        if self._sol is None:
-            self._sol = solve_subsystem(self.spec, self.tau_max, tol=self.tol)
-        return self._sol
+    @cached_property
+    def _states(self):
+        return decoupled_pass(self.spec, self.tau_max, self.tol)
 
     def bogoliubov(self, tau):
         return self.sol.bogoliubov(tau)
@@ -284,15 +302,12 @@ class Trajectory:
     def f(self, tau) -> FSet:
         if self.route != "integrated":
             return f_closed_form(self.spec, tau)
-        if self._f_path is None:
-            self._f_path = f_path(self.spec, self.sol, self.tau_max)
-        return self._f_path(tau)
+        return FSet(*self._states(float(tau))[6:12])
 
     def j(self, tau) -> JSet:
-        if self._j is None:
-            self._j = j_coefficients_ode(self.spec, self.tau_max, dense=True,
-                                         tol=self.tol)
-        return self._j(tau)
+        if self.spec.squeezing.is_zero:
+            return JSet(j_b=float(tau), j_plus=0.0, j_minus=0.0)
+        return JSet(*self._states(float(tau))[12:])
 
 
 def f_small_d2_constant(g0: float, d2: float, tau: float) -> FSet:

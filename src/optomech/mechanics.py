@@ -9,10 +9,11 @@ whose solutions determine xi = P11 - i*I22, the Bogoliubov pair
 alpha = (xi + i xi')/2, beta = (xi* + i xi'*)/2, and the rotation/squeezing
 parameters (J_b, J_+, J_-) of the decoupled evolution operator.
 
-Analytic fast paths cover D2 = 0 (free rotation, xi = exp(-i tau)) and
-constant D2 (xi = cos(zeta tau) - i sin(zeta tau)/zeta, zeta = sqrt(1+4 d2)).
-Everything else runs through the library's adaptive eighth-order
-Runge-Kutta stepper (DOP853, :mod:`optomech.dop853`) with dense output.
+Analytic paths cover D2 = 0 (xi = exp(-i tau), J = (tau, 0, 0)) and constant
+D2 (xi = cos(zeta tau) - i sin(zeta tau)/zeta, zeta = sqrt(1+4 d2), refused by
+:func:`unstable_squeezing` when 1 + 4 d2 <= 0). Everything else is read from
+the one DOP853 pass that integrates the subsystem, F and J together
+(:func:`optomech.coefficients.decoupled_pass`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Drive, ModelSpec, evaluate_drive
+from .params import Drive, ModelSpec
 
 # (rtol, atol) of every adaptive integration, by profile name
 TOLERANCES = {"strict": (1e-10, 1e-12), "fast": (1e-8, 1e-10)}
@@ -96,12 +97,21 @@ def _free_dense(tau):
     return np.cos(tau), -np.sin(tau), np.sin(tau), np.cos(tau)
 
 
-def _constant_dense_factory(d2: float):
-    zeta2 = 1.0 + 4.0 * d2
-    if zeta2 <= 0.0:
-        raise ValueError(f"constant squeezing d2={d2} gives 1+4*d2 <= 0; "
+def unstable_squeezing(d2: Drive) -> bool:
+    """A constant squeezing with 1 + 4 d2 <= 0: the subsystem oscillator then
+    has no bounded solution, and no route serves the model."""
+    return d2.is_constant and 1.0 + 4.0 * d2.amplitude <= 0.0
+
+
+def check_squeezing(d2: Drive):
+    """Raise the ValueError that refuses an :func:`unstable_squeezing`."""
+    if unstable_squeezing(d2):
+        raise ValueError(f"constant squeezing d2={d2.amplitude} gives 1+4*d2 <= 0; "
                          "the oscillator is unstable and has no bounded solution")
-    zeta = math.sqrt(zeta2)
+
+
+def _constant_dense_factory(d2: float):
+    zeta = math.sqrt(1.0 + 4.0 * d2)
 
     def dense(tau):
         tau = np.asarray(tau, dtype=float)
@@ -111,41 +121,23 @@ def _constant_dense_factory(d2: float):
     return dense
 
 
-def _numeric_dense_factory(d2_drive: Drive, tau_max: float, tol):
-    def rhs(tau, y):
-        w2 = 1.0 + 4.0 * evaluate_drive(d2_drive, tau)
-        return [y[1], -w2 * y[0], y[3], -w2 * y[2]]
-
-    rtol, atol = tol
-    sol = solve_ivp(rhs, (0.0, tau_max), [1.0, 0.0, 0.0, 1.0], rtol=rtol, atol=atol)
-    if not sol.success:
-        raise IntegrationError(
-            f"subsystem integration failed near tau={sol.t[-1]:.6g}: {sol.message}")
-
-    def dense(tau):
-        y = sol.sol(tau)
-        return y[0], y[1], y[2], y[3]
-
-    return dense
-
-
 def solve_subsystem(spec: ModelSpec, tau_max: float,
                     tol=STRICT) -> SubsystemSolution:
     """Solve the mechanical subsystem on [0, tau_max] at ``tol`` = (rtol, atol).
 
     Analytic paths are used when the squeezing drive is structurally zero
-    or constant.
+    or constant; any other is read from one :class:`Trajectory` pass.
     """
     if tau_max < 0:
         raise ValueError("tau_max must be >= 0")
     d2 = spec.squeezing
+    check_squeezing(d2)
     if d2.is_zero:
-        dense = _free_dense
-    elif d2.is_constant:
-        dense = _constant_dense_factory(d2.amplitude)
-    else:
-        dense = _numeric_dense_factory(d2, tau_max, tol)
-    return SubsystemSolution(tol=tol, _dense=dense)
+        return SubsystemSolution(tol=tol, _dense=_free_dense)
+    if d2.is_constant:
+        return SubsystemSolution(tol=tol, _dense=_constant_dense_factory(d2.amplitude))
+    from .coefficients import Trajectory  # that module imports this one
+    return Trajectory(spec, tau_max, tol).sol
 
 
 def _safe_acosh(x: float, what: str) -> float:
@@ -187,40 +179,18 @@ def compose_bogoliubov(j: JSet):
     return alpha, beta
 
 
-def j_coefficients_ode(spec: ModelSpec, tau, dense: bool = False, tol=STRICT):
-    """Integrate the first-order equations for (j_b, j_plus, j_minus).
+def j_coefficients_ode(spec: ModelSpec, tau, tol=STRICT) -> JSet:
+    """(j_b, j_plus, j_minus) at ``tau`` from the equations
 
         j_b'  = 1 + 2 D2 (1 - sin(2 j_b) tanh(4 j_+)),
         j_+'  = D2 cos(2 j_b),
         j_-'  = D2 sin(2 j_b) / cosh(4 j_+),
 
-    all vanishing at tau = 0, at ``tol`` = (rtol, atol). Returns a JSet at
-    scalar ``tau`` (the continuous, unwrapped j_b), or, with
-    ``dense=True``, a callable.
+    all vanishing at tau = 0, read from the :class:`Trajectory` pass on
+    [0, tau] at ``tol`` = (rtol, atol); j_b is continuous, unwrapped.
     """
-    d2 = spec.squeezing
-
-    if d2.is_zero:
-        if dense:
-            return lambda t: JSet(j_b=float(t), j_plus=0.0, j_minus=0.0)
-        return JSet(j_b=float(tau), j_plus=0.0, j_minus=0.0)
-
-    def rhs(t, y):
-        val = evaluate_drive(d2, t)
-        jb, jp, _ = y
-        return [1.0 + 2.0 * val * (1.0 - math.sin(2 * jb) * math.tanh(4 * jp)),
-                val * math.cos(2 * jb),
-                val * math.sin(2 * jb) / math.cosh(4 * jp)]
-
-    t_end = float(tau)
-    rtol, atol = tol
-    sol = solve_ivp(rhs, (0.0, t_end), [0.0, 0.0, 0.0], rtol=rtol, atol=atol)
-    if not sol.success:
-        raise IntegrationError(
-            f"J integration failed near tau={sol.t[-1]:.6g}: {sol.message}")
-    if dense:
-        return lambda t: JSet(*sol.sol(t))
-    return JSet(*sol.sol(t_end))
+    from .coefficients import Trajectory  # that module imports this one
+    return Trajectory(spec, tau, tol).j(tau)
 
 
 def unwrap_j_b(values, period: float = math.pi) -> np.ndarray:

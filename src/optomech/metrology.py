@@ -22,7 +22,7 @@ import numpy as np
 from .constants import HBAR
 from .coefficients import (FSet, Trajectory, catalog_entry, f_closed_form,
                            f_small_d2_constant, f_small_d2_resonant)
-from .mechanics import STRICT, JSet
+from .mechanics import STRICT, JSet, unstable_squeezing
 from .oracle import analytic_state_coefficients
 from .params import ModelSpec, PhysicalSetup, coupling_constant, oscillator_mass
 
@@ -128,7 +128,7 @@ def qfi_route(spec: ModelSpec, param: str, mode: str) -> str:
             raise ValueError(f"the finite-difference stencil for {param!r} "
                              f"reaches {low:.3g}, a negative drive frequency")
         sq = _with_param(spec, param, low).squeezing if param == "d2" else d2
-        if sq.is_constant and 1.0 + 4.0 * sq.amplitude <= 0:
+        if unstable_squeezing(sq):
             raise ValueError(f"finite differences integrate constant squeezing d2 = "
                              f"{sq.amplitude:.7g}, unstable with 1 + 4 d2 <= 0")
         return "finite-diff"

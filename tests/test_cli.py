@@ -9,12 +9,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from optomech import cli, coefficients, mechanics
+from optomech import cli, coefficients
 from optomech.cli import (ConfigError, main, model_from_config, resolve_config,
                           validate_sweep_config)
 from optomech.coefficients import (CatalogMiss, Trajectory, derived_scalars,
                                    f_closed_form, f_integrated)
 from optomech.mechanics import TOLERANCES, solve_subsystem
+from optomech.metrology import qfi_coefficients, qfi_thermal
 from optomech.moments import evolve_moments
 from optomech.nongaussianity import report
 
@@ -296,23 +297,31 @@ def record_tolerances(monkeypatch, module):
     return tolerances
 
 
+# the decoupled-solution pass scales both tolerances by sqrt(3/15), so
+# that its smallest block (J, 3 of 15 states) meets them on its own
+BLOCK_SCALE = math.sqrt(3 / 15)
+
+
 def test_fast_tolerance_profile(tmp_path, monkeypatch):
     result = run_cli("--tolerance-profile", "fast", "nongauss",
                      "--config", CONFIG, "--steps", "3",
                      "--out", str(tmp_path / "x.csv"))
     assert result.returncode == 0
-    # the profile must reach the F integration on a catalog miss
+    # the profile must reach the integration on a catalog miss
     cfg = tmp_path / "miss.json"
     cfg.write_text(json.dumps(MISS_CONFIG))
     tolerances = record_tolerances(monkeypatch, coefficients)
     assert main(["--tolerance-profile", "fast", "coeffs", "--config", str(cfg),
                  "--steps", "3", "--out", str(tmp_path / "c.csv")]) == 0
-    assert tolerances == [(1e-8, 1e-10)]
-    # and the J integration of a trajectory built at that profile
+    fast = (1e-8 * BLOCK_SCALE, 1e-10 * BLOCK_SCALE)
+    assert tolerances == [fast]
+    # and J of a trajectory built at that profile, from that one pass
     spec = model_from_config(resolve_config(MISS_CONFIG))
-    tolerances = record_tolerances(monkeypatch, mechanics)
-    Trajectory(spec, 2.0, TOLERANCES["fast"]).j(2.0)
-    assert tolerances == [(1e-8, 1e-10)]
+    tolerances.clear()
+    traj = Trajectory(spec, 2.0, TOLERANCES["fast"])
+    traj.j(2.0)
+    traj.f(2.0)
+    assert tolerances == [fast]
 
 
 def test_fast_profile_ends_with_its_command(tmp_path, monkeypatch):
@@ -324,7 +333,7 @@ def test_fast_profile_ends_with_its_command(tmp_path, monkeypatch):
     spec = model_from_config(resolve_config(MISS_CONFIG))
     tolerances = record_tolerances(monkeypatch, coefficients)
     f_integrated(spec, solve_subsystem(spec, 1.0), 1.0)
-    assert tolerances == [(1e-10, 1e-12)]
+    assert tolerances == [(1e-10 * BLOCK_SCALE, 1e-12 * BLOCK_SCALE)]
 
 
 def test_fingerprint_covers_tolerance_profile(tmp_path):
@@ -392,16 +401,16 @@ def test_qfi_frequency_sweep_peaks_at_resonance(tmp_path):
     assert abs(best[0] - 1.0) <= 0.1
 
 
-def count_f_path(monkeypatch):
-    """Record the arguments of every coefficients.f_path pass."""
+def count_passes(monkeypatch):
+    """Record the arguments of every coefficients.decoupled_pass."""
     passes = []
-    f_path = coefficients.f_path
+    decoupled_pass = coefficients.decoupled_pass
 
     def counted(*args, **kwargs):
         passes.append(args)
-        return f_path(*args, **kwargs)
+        return decoupled_pass(*args, **kwargs)
 
-    monkeypatch.setattr(coefficients, "f_path", counted)
+    monkeypatch.setattr(coefficients, "decoupled_pass", counted)
     return passes
 
 
@@ -433,7 +442,7 @@ def test_grid_commands_integrate_once_on_catalog_miss(tmp_path, monkeypatch):
         nongauss_ref.append((t, rep.delta, rep.delta_min, rep.delta_max,
                              rep.nu_op, rep.nu_me))
 
-    passes = count_f_path(monkeypatch)
+    passes = count_passes(monkeypatch)
     for command, reference in (("moments", moments_ref),
                                ("nongauss", nongauss_ref)):
         passes.clear()
@@ -454,7 +463,7 @@ def test_tau_sweep_integrates_once_on_catalog_miss(tmp_path, monkeypatch):
     reference = [(t, report(spec, mu_c, mu_m, t).delta)
                  for t in (start + i * step for i in range(17))]
 
-    passes = count_f_path(monkeypatch)
+    passes = count_passes(monkeypatch)
     data = {"command": "nongauss", "model": MISS_CONFIG,
             "swept": {"name": "tau", "start": start, "stop": stop, "step": step},
             "fixed": {}, "output": str(tmp_path / "ng.csv"), "format": "csv"}
@@ -586,6 +595,9 @@ TAU_SWEEP = {"name": "tau", "start": 1.0, "stop": 2.0, "step": 1.0}
 # in the catalog, with constant drives: no analytic omega_g derivative, and
 # a finite-difference stencil around omega_g = 0 reaches below 0
 ROUTE_MODEL = {"g0": 1.0, "d1": 0.5, "mu_c_re": 1.0}
+# constant squeezing with 1 + 4 d2 <= 0: the subsystem has no bounded solution
+UNSTABLE_MODEL = {"g0": 1, "d2": -0.3, "mu_c_re": 1}
+UNSTABLE = "constant squeezing d2=-0.3 gives 1+4*d2 <= 0"
 FABRY_PEROT = {"kind": "fabry-perot", "length": 1e-5, "mass": 1e-6,
                "omega_c": 1e14, "omega_m": 1e3}
 
@@ -770,6 +782,17 @@ REJECTED_INPUT = [
                  {"g0": 1.0, "d2": -0.3, "mu_c_re": 1.0},
                  "finite differences integrate constant squeezing "
                  "d2 = -0.300001, unstable", id="qfi-stencil-unstable"),
+    # every command that solves the subsystem refuses an unstable squeezing
+    # from the drives, before computing
+    *(pytest.param([command], UNSTABLE_MODEL, UNSTABLE, id=f"{command}-unstable")
+      for command in ("mechanics", "coeffs", "moments", "nongauss",
+                      "oracle-check")),
+    pytest.param(["sweep"], {"command": "nongauss", "model": UNSTABLE_MODEL,
+                             "swept": TAU_SWEEP},
+                 UNSTABLE, id="sweep-nongauss-unstable"),
+    # the truncation the oracle would need exceeds its cap
+    pytest.param(["oracle-check"], {"g0": 3, "mu_c_re": 4},
+                 "parameters need N_b ~ 85849 > cap 4000", id="oracle-cap"),
 ]
 
 
@@ -794,7 +817,8 @@ def refuse_computing(monkeypatch):
     def computed(*_args, **_kwargs):
         raise AssertionError("computed before refusing")
 
-    for name in ("qfi_coefficients", "cfi_homodyne", "nongauss_report"):
+    for name in ("qfi_coefficients", "cfi_homodyne", "nongauss_report",
+                 "Trajectory", "solve_subsystem", "propagate"):
         monkeypatch.setattr(cli, name, computed)
 
 
@@ -808,6 +832,25 @@ def test_rejected_input_is_a_config_error(argv, config, message, tmp_path,
     assert err.startswith(f"error: {message.format(path=cfg, tmp=tmp_path)}")
     assert "\n" not in err[:-1]  # a single error line
     assert not out.exists()
+
+
+def test_unstable_squeezing_leaves_what_needs_no_subsystem(tmp_path):
+    # the drives and the small-d2 ledger's analytic d2 estimate do not solve
+    # the subsystem, so they still serve the model the other commands refuse
+    cfg = tmp_path / "unstable.json"
+    cfg.write_text(json.dumps(UNSTABLE_MODEL))
+    drives = tmp_path / "drives.csv"
+    assert main(["drive-eval", "--config", str(cfg), "--steps", "3",
+                 "--out", str(drives)]) == 0
+    assert [row[3] for row in _read_rows(drives)] == [-0.3] * 3
+    out = tmp_path / "qfi.csv"
+    assert main(["qfi", "--config", str(cfg), "--param", "d2",
+                 "--out", str(out)]) == 0
+    spec = model_from_config(resolve_config(UNSTABLE_MODEL))
+    with pytest.warns(UserWarning, match="small-d2 validity"):
+        coeffs = qfi_coefficients(spec, "d2", 2 * math.pi)
+    expected = qfi_thermal(coeffs, 1.0, 0.0)
+    assert _read_rows(out) == [[2 * math.pi, expected]]
 
 
 @pytest.mark.parametrize("argv, config, message", [

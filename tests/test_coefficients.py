@@ -96,8 +96,8 @@ def test_trajectory_f_routes():
 
 def test_trajectory_f_calls_per_point(monkeypatch):
     # a hit makes one catalog call per point; a miss, named by catalog_entry,
-    # makes none and integrates once, however many points are read
-    calls = {"f_closed_form": 0, "f_path": 0}
+    # makes none and integrates once, however many points and parts are read
+    calls = {"f_closed_form": 0, "decoupled_pass": 0}
 
     def counted(name):
         original = getattr(coefficients, name)
@@ -108,21 +108,23 @@ def test_trajectory_f_calls_per_point(monkeypatch):
         monkeypatch.setattr(coefficients, name, wrapper)
 
     counted("f_closed_form")
-    counted("f_path")
+    counted("decoupled_pass")
     taus = np.linspace(0.0, 4.0, 9)
     hit = ModelSpec(coupling=Drive.offset_sinusoid(0.7, 0.3, 0.6))
     traj = Trajectory(hit, 4.0)
     for t in taus:
         traj.f(t)
-    assert calls == {"f_closed_form": len(taus), "f_path": 0}
+    assert calls == {"f_closed_form": len(taus), "decoupled_pass": 0}
     calls.update(f_closed_form=0)
     miss = ModelSpec(coupling=Drive.offset_sinusoid(0.7, 0.3, 0.6),
                      squeezing=Drive.cosine(0.05, 2.0))
     traj = Trajectory(miss, 4.0)
     for t in taus:
         traj.f(t)
+        traj.j(t)
+        traj.bogoliubov(t)
     assert traj.route == "integrated"
-    assert calls == {"f_closed_form": 0, "f_path": 1}
+    assert calls == {"f_closed_form": 0, "decoupled_pass": 1}
 
 def _catalog_spec(rng):
     entry = rng.choice(["constant", "constant-d2", "mod-g", "res-g",

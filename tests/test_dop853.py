@@ -11,7 +11,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 from optomech import coefficients, dop853, mechanics
 from optomech.cli import model_from_config, resolve_config
 from optomech.coefficients import FSet, Trajectory
-from optomech.mechanics import TOLERANCES
+from optomech.mechanics import STRICT, TOLERANCES
 
 # modulated coupling, displacement and squeezing: no closed form for any part
 MISS_CONFIG = {"g0": 0.3, "epsilon": 0.4, "omega_g": 0.7,
@@ -47,10 +47,41 @@ def test_decoupled_systems_match_scipy(profile, monkeypatch):
                       TOLERANCES[profile])
     traj.f(1.0)
     traj.j(1.0)
-    assert len(calls) == 3  # subsystem, F and J
+    traj.bogoliubov(1.0)
+    assert len(calls) == 1  # one pass: subsystem, F and J
     taus = np.linspace(0.0, TAU_MAX, 201)
     for ours, ref in calls:
         _assert_same_integration(ours, ref, taus)
+
+
+# modulated coupling and displacement without squeezing: F still misses
+D2_ZERO_MISS = {"g0": 0.3, "epsilon": 0.4, "omega_g": 0.7,
+                "d1": 0.2, "omega_d1": 0.6}
+
+
+@pytest.mark.parametrize("config", [MISS_CONFIG, D2_ZERO_MISS],
+                         ids=["squeezed", "d2-zero"])
+def test_pass_meets_strict_on_each_block(config, monkeypatch):
+    # the pass's RMS error norm spans all 15 states; its scaled tolerances
+    # must hold each block, J (3 states) the smallest, to STRICT on its own:
+    # against the same system run by SciPy's DOP853 at rtol 1e-13, every
+    # state of a block stays within STRICT's rtol of the block's magnitude
+    references = []
+
+    def with_reference(fun, t_span, y0, **options):
+        references.append(scipy_solve_ivp(fun, t_span, y0, method="DOP853",
+                                          dense_output=True, rtol=1e-13,
+                                          atol=1e-16))
+        return dop853.solve_ivp(fun, t_span, y0, **options)
+
+    monkeypatch.setattr(coefficients, "solve_ivp", with_reference)
+    spec = model_from_config(resolve_config(config))
+    states = coefficients.decoupled_pass(spec, TAU_MAX, STRICT)
+    taus = np.linspace(0.0, TAU_MAX, 201)
+    ours, ref = states(taus), references[0].sol(taus)
+    for block in (slice(0, 4), slice(4, 6), slice(6, 12), slice(12, 15)):
+        magnitude = max(1.0, np.max(np.abs(ref[block])))
+        assert np.max(np.abs(ours[block] - ref[block])) <= STRICT[0] * magnitude
 
 
 def test_step_end_derivative_is_taken_at_t_plus_h():

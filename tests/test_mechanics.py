@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from optomech.coefficients import f_closed_form
+from optomech.coefficients import Trajectory, f_closed_form
 from optomech.mechanics import (JSet, compose_bogoliubov, j_coefficients,
                                 j_coefficients_ode, map_constant_squeezing,
                                 mathieu_perturbative, rwa_bogoliubov,
@@ -175,11 +175,11 @@ def test_j_ode_resonant_small_d2():
 def test_j_ode_matches_bogoliubov_route():
     spec = ModelSpec(squeezing=Drive.cosine(0.08, 2.0))
     sol = solve_subsystem(spec, 4.2)
-    dense = j_coefficients_ode(spec, 4.0, dense=True)
+    traj = Trajectory(spec, 4.0)
     for tau in np.linspace(0.2, 4.0, 12):
         alpha, beta = sol.bogoliubov(tau)
         alg = j_coefficients(alpha, beta)
-        ode = dense(tau)
+        ode = traj.j(tau)
         branch = (alg.j_b - ode.j_b) % math.pi
         branch = min(branch, math.pi - branch)
         assert branch < 1e-6
