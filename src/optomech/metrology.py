@@ -423,8 +423,8 @@ def cfi_homodyne(g0: float, d1: float, mu_c: complex, mu_m: complex,
     half_width = math.sqrt(2.0 * n_max) + 8.0
 
     def integral(n_nodes: int) -> float:
-        x, wts = _gauss_nodes(n_nodes)
-        psi = _hermite_functions(n_max, x * half_width)  # (n_max, nx)
+        x, wts = _trapezoid_nodes(half_width, n_nodes)
+        psi = _hermite_functions(n_max, x)  # (n_max, nx)
         b = factor.T @ psi
         a = (n[:, None] * factor).T @ psi
         s0 = np.sum(b.real ** 2 + b.imag ** 2, axis=0)
@@ -432,7 +432,7 @@ def cfi_homodyne(g0: float, d1: float, mu_c: complex, mu_m: complex,
         # Cauchy-Schwarz bounds s1^2 / s0 by 4 sum |a_k|^2, so nodes where
         # the density vanishes carry no information
         live = s0 > 0.0
-        return float(np.sum(wts[live] * half_width * s1[live] ** 2 / s0[live]))
+        return float(np.sum(wts[live] * s1[live] ** 2 / s0[live]))
 
     coarse = integral(1200)
     fine = integral(2400)
@@ -441,48 +441,16 @@ def cfi_homodyne(g0: float, d1: float, mu_c: complex, mu_m: complex,
     return 4.0 * g0 ** 2 * (tau - math.sin(tau)) ** 2 * fine
 
 
-_GAUSS_CACHE: dict = {}
-# Newton steps this small leave the nodes at rounding level
-_NEWTON_TOL = 1e-14
-_NEWTON_MAX_STEPS = 20
+def _trapezoid_nodes(half_width: float, n_nodes: int):
+    """Uniform nodes on [-half_width, half_width] and trapezoid weights.
 
-
-def _gauss_nodes(n_nodes: int):
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
-
-    Newton's method on P_n, evaluated by the three-term recurrence from the
-    Tricomi initial guesses, for the non-negative half of the nodes; the
-    rest follow by symmetry. O(n^2) work, against O(n^3) for an eigensolve
-    of the companion matrix.
+    The CFI integrand decays like a Gaussian well inside the window, so the
+    rule converges geometrically in the node count.
     """
-    if n_nodes not in _GAUSS_CACHE:
-        n = n_nodes
-        theta = np.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4.0 * n + 2.0)
-        x = (1.0 - (n - 1.0) / (8.0 * n ** 3)) * np.cos(theta)  # descending
-        for _ in range(_NEWTON_MAX_STEPS):
-            p, dp = _legendre(n, x)
-            step = p / dp
-            x = x - step
-            if np.max(np.abs(step)) < _NEWTON_TOL:
-                break
-        else:
-            raise RuntimeError(f"Gauss-Legendre nodes for n={n} did not converge")
-        if n % 2:
-            x[-1] = 0.0
-        _, dp = _legendre(n, x)
-        w = 2.0 / ((1.0 - x) * (1.0 + x) * dp ** 2)
-        half = n // 2
-        _GAUSS_CACHE[n_nodes] = (np.concatenate((-x[:half], x[::-1])),
-                                 np.concatenate((w[:half], w[::-1])))
-    return _GAUSS_CACHE[n_nodes]
-
-
-def _legendre(n: int, x: np.ndarray):
-    """P_n(x) and P_n'(x) for |x| < 1 by the three-term recurrence."""
-    p_prev, p = np.ones_like(x), x
-    for k in range(2, n + 1):
-        p_prev, p = p, ((2.0 * k - 1.0) * x * p - (k - 1.0) * p_prev) / k
-    return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+    x = np.linspace(-half_width, half_width, n_nodes)
+    wts = np.full(n_nodes, x[1] - x[0])
+    wts[[0, -1]] *= 0.5
+    return x, wts
 
 
 def _hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:

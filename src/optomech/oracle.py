@@ -20,7 +20,8 @@ tail bounds the rest below unit roundoff, and it costs about h tau banded
 matvecs per branch, h the interval's half-width, so it grows linearly with
 tau. Time-dependent drives integrate in one adaptive eighth-order
 Runge-Kutta pass on the library's DOP853 stepper (:mod:`optomech.dop853`),
-which keeps only the end state. Neither route imports SciPy.
+in the frame rotating with N_b, where the drive terms alone set the step;
+it keeps only the end state. Neither route imports SciPy.
 Truncation shows up as loss of recurrence, not loss of norm: the truncated
 Hamiltonian is Hermitian, so norm drift measures integrator quality, while
 a tau = 2 pi trajectory failing to close signals insufficient dims.
@@ -152,8 +153,8 @@ def propagate(spec: ModelSpec, state0: InitialState, tau: float,
     h tau matvecs for a branch whose Gershgorin half-width is h. Modulated
     drives integrate all live branches in one adaptive eighth-order
     Runge-Kutta pass (the library's DOP853 in its end-state mode, SciPy's
-    arithmetic in SciPy's order), at STRICT tolerances scaled so that each
-    branch alone meets them.
+    arithmetic in SciPy's order) in the frame rotating with N_b, at STRICT
+    tolerances scaled so that each branch alone meets them.
     """
     na, nb = dims
     psi0 = _initial_tensor(state0, dims)
@@ -192,30 +193,49 @@ def _step_branches(spec: ModelSpec, live: dict, tau: float) -> list:
     live maps photon number n to the branch's initial amplitudes in its own
     box. The boxes are laid end to end in one vector; returns the final
     amplitudes of each branch, in the order of live.
+
+    The pass runs in the frame rotating with N_b, y = exp(-i N_b t) z, where
+
+        z' = -i [c_n(t) X(t) + d2(t) X(t)^2] z,
+        X(t) = exp(-i t) b + exp(i t) b^dag,  c_n = d1 - g n,
+
+    and maps z back by exp(-i k tau) on level k at the end. That is
+    free-oscillator evolution only; no decoupling result enters. N_b's
+    levels would otherwise set the step (they roughly double the largest
+    branch's spectral radius), and |z| = |y| level by level, so the
+    tolerances mean what they meant in the lab frame.
     """
     sizes = [branch.size for branch in live.values()]
     k = np.concatenate([np.arange(size, dtype=float) for size in sizes])
-    photons = np.repeat(np.array(list(live), dtype=float), sizes)
-    # sqrt(k) is 0 on each box's first level, so (b^dag + b) never couples
-    # the last level of one branch to the first of the next
-    sqk = np.sqrt(k[1:])
+    # photons and b's band are complex, so every product is one numpy loop.
+    # sqrt(k) is 0 on each box's first level, so X never couples one box to
+    # the next; X^2 is X applied twice, the same truncated operator, with
+    # diagonal k + (k + 1) inside a box and k on its top level
+    photons = np.repeat(np.array(list(live), dtype=complex), sizes)
+    sqk = np.sqrt(k[1:]).astype(complex)
     squeezed = not spec.squeezing.is_zero
 
-    def hop(y):
-        x = np.zeros_like(y)
-        x[:-1] += sqk * y[1:]
-        x[1:] += sqk * y[:-1]
-        return x
-
     def rhs(t, y):
-        y = y.view(complex)
-        x = hop(y)
-        out = k * y
-        out += (evaluate_drive(spec.displacement, t)
-                - evaluate_drive(spec.coupling, t) * photons) * x
+        z = y.view(complex)
+        down = sqk * cmath.exp(-1j * t)  # b picks up exp(-i t) in this frame
+        up = down.conjugate()
+
+        def x_apply(v):
+            out = np.empty_like(v)
+            np.multiply(down, v[1:], out=out[:-1])
+            out[-1] = 0.0
+            out[1:] += up * v[:-1]
+            return out
+
+        x = x_apply(z)
+        # -i (d1 - g n) X z, plus -i d2 X^2 z
+        out = photons * (1j * evaluate_drive(spec.coupling, t))
+        out -= 1j * evaluate_drive(spec.displacement, t)
+        out *= x
         if squeezed:
-            out += evaluate_drive(spec.squeezing, t) * hop(x)
-        out *= -1j
+            x = x_apply(x)
+            x *= -1j * evaluate_drive(spec.squeezing, t)
+            out += x
         return out.view(float)
 
     # always strict: the oracle is the reference that oracle-check measures
@@ -231,7 +251,8 @@ def _step_branches(spec: ModelSpec, live: dict, tau: float) -> list:
                     end_only=True)
     if not sol.success:
         raise TruncationError(f"branch integration failed: {sol.message}")
-    return np.split(sol.y[:, 0].view(complex), np.cumsum(sizes)[:-1])
+    psi = sol.y[:, 0].view(complex) * np.exp(-1j * tau * k)
+    return np.split(psi, np.cumsum(sizes)[:-1])
 
 
 def _gershgorin(band: np.ndarray):

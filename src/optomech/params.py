@@ -71,7 +71,18 @@ class Drive:
 
 
 def evaluate_drive(drive: Drive, tau):
-    """Evaluate a drive at dimensionless time tau (scalar or array)."""
+    """Evaluate a drive at dimensionless time tau (scalar or array).
+
+    A float tau (``np.float64`` included) or an int takes ``math.sin`` and
+    ``math.cos``, with the bits of the numpy path, and returns a float: the
+    integrators call this per drive per stage, where building a 0-d array
+    costs more than the arithmetic.
+    """
+    if isinstance(tau, (float, int)):
+        if drive.phase == "sin":
+            return drive.amplitude * (1.0 + drive.offset
+                                      * math.sin(drive.frequency * tau))
+        return drive.amplitude * math.cos(drive.frequency * tau)
     import numpy as np
 
     tau = np.asarray(tau, dtype=float)

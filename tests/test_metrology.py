@@ -5,7 +5,8 @@ import pytest
 
 from optomech.coefficients import CatalogMiss, catalog_entry, f_closed_form
 from optomech.metrology import (QFI_MODES, QFI_PARAMS, QfiCoefficients,
-                                _gauss_nodes, acceleration_qfi, cfi_homodyne,
+                                _hermite_functions, _trapezoid_nodes,
+                                acceleration_qfi, cfi_homodyne, default_n_max,
                                 gravimetry, gravimetry_qfi_closed,
                                 measurement_window, qfi_closed_form,
                                 qfi_coefficients, qfi_coherent, qfi_fock,
@@ -333,21 +334,15 @@ def test_cfi_truncation_warning():
         cfi_homodyne(1.0, 1.0, 1.5, 0.0, math.pi / 2, 2.0, n_max=6)
 
 
-@pytest.mark.parametrize("n", [5, 64, 200])
-def test_gauss_nodes_match_leggauss(n):
-    x, w = _gauss_nodes(n)
-    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
-    assert np.max(np.abs(x - x_ref)) <= 1e-14
-    assert np.max(np.abs(w - w_ref)) <= 1e-13
-    assert abs(np.sum(w) - 2.0) <= 1e-13
-
-
-def test_gauss_nodes_integrate_even_powers_exactly():
-    n = 1200
-    x, w = _gauss_nodes(n)
-    assert abs(np.sum(w) - 2.0) <= 1e-13
-    for k in range(0, 2 * n, 2):
-        assert abs(np.sum(w * x ** k) - 2.0 / (k + 1)) <= 1e-13, k
+@pytest.mark.parametrize("amplitude", [1, 3, 10])
+def test_uniform_rule_keeps_hermite_functions_orthonormal(amplitude):
+    # cfi_homodyne's coarsest rule: 1200 nodes on its window [-L, L],
+    # L = sqrt(2 n_max) + 8
+    n_max = default_n_max(amplitude)
+    x, weights = _trapezoid_nodes(math.sqrt(2.0 * n_max) + 8.0, 1200)
+    psi = _hermite_functions(n_max, x)
+    gram = (psi * weights) @ psi.T
+    assert np.max(np.abs(gram - np.eye(n_max))) <= 1e-13
 
 
 # --- dimensionful layer ------------------------------------------------------

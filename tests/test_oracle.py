@@ -247,6 +247,37 @@ def test_modulated_branches_integrate_in_one_pass(monkeypatch):
                           propagate(spec, state, math.pi, dims).amplitudes)
 
 
+def test_unsqueezed_modulated_branches_meet_strict():
+    # d2 = 0: the rotating-frame pass applies X once per evaluation
+    spec = ModelSpec(coupling=Drive.offset_sinusoid(0.3, 0.4, 0.7),
+                     displacement=Drive.cosine(0.2, 0.6))
+    state = InitialState.coherent(1.0, 0.5)
+    dims = recommended_dims(spec, state, math.pi)
+    st = propagate(spec, state, math.pi, dims)
+    ref = per_branch_reference(spec, state, math.pi, dims)
+    assert np.max(np.abs(st.amplitudes - ref)) <= STRICT[0]
+
+
+def test_rotating_frame_takes_fewer_evaluations(monkeypatch):
+    # the benchmark's modulated oracle config: in the lab frame N_b's levels
+    # set the step and the pass costs 4490 evaluations; without them, 3518
+    spec = ModelSpec(coupling=Drive.constant(0.5),
+                     squeezing=Drive.cosine(0.05, 2.0))
+    state = InitialState.coherent(1.0, 0.1)
+    nfev = []
+    library_solve_ivp = oracle.solve_ivp
+
+    def counting_solve_ivp(*args, **kwargs):
+        sol = library_solve_ivp(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(oracle, "solve_ivp", counting_solve_ivp)
+    propagate(spec, state, math.pi, recommended_dims(spec, state, math.pi))
+    assert len(nfev) == 1
+    assert nfev[0] < 4490
+
+
 def test_fock_superposition_on_modulated_drives():
     # only branches 0 and 4 are populated: the pass must carry those two and
     # give the second one photon number 4, not its position in the pass

@@ -35,6 +35,26 @@ def test_constant_equals_zero_frequency_sinusoid(rng):
                            evaluate_drive(zero_freq, taus), atol=0)
 
 
+@pytest.mark.parametrize("drive", [Drive.constant(0.3),
+                                   Drive.offset_sinusoid(0.3, 0.4, 0.7),
+                                   Drive.cosine(0.05, 2.0)],
+                         ids=["constant", "offset-sinusoid", "cosine"])
+def test_scalar_and_array_paths_agree_bit_for_bit(drive):
+    # the integrators pass float and np.float64 times; each must give the
+    # bits of the numpy path and come back as a Python float
+    for t in np.linspace(0.0, 8.0 * math.pi, 10 ** 4):
+        want = evaluate_drive(drive, np.array([t]))[0]
+        for tau in (float(t), t):
+            got = evaluate_drive(drive, tau)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes(), (drive, tau)
+    for tau in (0, 3, 25):
+        got = evaluate_drive(drive, tau)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == evaluate_drive(
+            drive, np.array([tau]))[0].tobytes()
+
+
 def test_drive_validation():
     with pytest.raises(ValueError):
         Drive(amplitude=1.0, frequency=-1.0)
