@@ -345,6 +345,18 @@ def test_uniform_rule_keeps_hermite_functions_orthonormal(amplitude):
     assert np.max(np.abs(gram - np.eye(n_max))) <= 1e-13
 
 
+@pytest.mark.parametrize("n_nodes", [1200, 2400, 4800])
+def test_trapezoid_nodes_integrate_gaussian_moments(n_nodes):
+    # every rule cfi_homodyne may use, on its widest default window;
+    # int x^2k exp(-x^2) dx = Gamma(k + 1/2)
+    x, weights = _trapezoid_nodes(math.sqrt(2.0 * default_n_max(10)) + 8.0,
+                                  n_nodes)
+    assert abs(np.sum(weights) / (2.0 * x[-1]) - 1.0) <= 1e-12
+    for k in range(30):
+        moment = np.sum(weights * x ** (2 * k) * np.exp(-x ** 2))
+        assert abs(moment / math.gamma(k + 0.5) - 1.0) <= 2e-13, k
+
+
 # --- dimensionful layer ------------------------------------------------------
 
 
