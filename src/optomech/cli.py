@@ -4,9 +4,17 @@ Subcommands: drive-eval, coeffs, mechanics, moments, nongauss, qfi, cfi,
 gravimetry, oracle-check, sweep. Model and state are described by a flat
 JSON config (see CONFIG_KEYS); outputs are deterministic CSV or JSON whose
 header embeds the resolved-config fingerprint, so repeated runs of one config
-on one install yield byte-identical files. Across numpy/SciPy/LAPACK builds the
-last digits of LAPACK- and quadrature-derived values (cfi, oracle-check) may
-differ; their goldens are compared at the accuracy each method promises.
+on one install yield byte-identical files. Across numpy/SciPy/LAPACK builds and
+BLAS thread counts the last digits of LAPACK- and quadrature-derived values
+(cfi, oracle-check) may differ; their goldens are compared at the accuracy each
+method promises. Run as ``python -m optomech.cli``, the module pins OpenBLAS
+to one thread unless OPENBLAS_NUM_THREADS is already set: every BLAS call a
+command makes is small, so a second thread buys no wall time but costs CPU at
+load and while it spins after each call. The pin moves oracle-check residuals
+at the 1e-14 level (b2 1.1031e-12 -> 1.1049e-12 at g0 = d1 = 1, mu_c = 1,
+mu_m = 0.5, tau = pi), because zdotc no longer splits its sum across threads;
+they stay deterministic per process. Imported as a module, as the ``optomech``
+console script and the tests do, it leaves the variable alone.
 """
 
 from __future__ import annotations
@@ -18,6 +26,10 @@ import math
 import os
 import sys
 import warnings
+
+if __name__ == "__main__":
+    # before numpy loads, since OpenBLAS reads its thread count once, at load
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -28,6 +28,7 @@ from .params import ModelSpec, PhysicalSetup, coupling_constant, oscillator_mass
 
 D2_VALIDITY = 0.2
 TWO_PI = 2.0 * math.pi
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 @dataclass(frozen=True)
@@ -407,6 +408,13 @@ def cfi_homodyne(g0: float, d1: float, mu_c: complex, mu_m: complex,
         warnings.warn(f"photon tail mass {tail:.2e} beyond n_max={n_max} "
                       "exceeds 1e-10; increase n_max", stacklevel=2)
 
+    # |rho_nm| <= |w_n| |w_m| <= max |rho| |w_n| / max |w|, so a photon row
+    # with |w_n| <= u max |w| (u the unit roundoff) lies below the rounding
+    # of rho's largest entry; only the rows [first, last) between the
+    # outermost larger weights are factored (all rows if every weight is 0)
+    big = np.flatnonzero(np.abs(weights) >= _UNIT_ROUNDOFF * np.max(np.abs(weights)))
+    first, last = int(big[0]), int(big[-1]) + 1
+    weights, labels = weights[first:last], labels[first:last]
     # the mechanical overlaps <phi_m|phi_n> are exponentiated in one go:
     # only the combined exponent has a non-positive real part
     half_sq = 0.5 * np.abs(labels) ** 2
@@ -415,20 +423,24 @@ def cfi_homodyne(g0: float, d1: float, mu_c: complex, mu_m: complex,
         - half_sq[:, None] - half_sq[None, :])
     evals, evecs = np.linalg.eigh(rho)
     keep = evals > 1e-15 * evals[-1]
-    n = np.arange(n_max)
+    n = np.arange(first, last)
     # rho = L L^H with the quadrature phase e^{-i lam n} folded into L
     factor = (np.exp(-1j * lam * n)[:, None] * evecs[:, keep]
               * np.sqrt(evals[keep]))
+    # the real and imaginary parts of L and of N L as the rows of one real
+    # matrix, so the products with the real psi need no complex copy of it
+    n_factor = n[:, None] * factor
+    parts = np.concatenate([factor.real, factor.imag, n_factor.real,
+                            n_factor.imag], axis=1).T
 
     half_width = math.sqrt(2.0 * n_max) + 8.0
 
     def integral(n_nodes: int) -> float:
         x, wts = _trapezoid_nodes(half_width, n_nodes)
-        psi = _hermite_functions(n_max, x)  # (n_max, nx)
-        b = factor.T @ psi
-        a = (n[:, None] * factor).T @ psi
-        s0 = np.sum(b.real ** 2 + b.imag ** 2, axis=0)
-        s1 = 2.0 * np.sum((a * np.conj(b)).imag, axis=0)
+        psi = _hermite_functions(last, x, first)  # (last - first, nx)
+        b_re, b_im, a_re, a_im = np.split(parts @ psi, 4)
+        s0 = np.sum(b_re ** 2 + b_im ** 2, axis=0)
+        s1 = 2.0 * np.sum(a_im * b_re - a_re * b_im, axis=0)
         # Cauchy-Schwarz bounds s1^2 / s0 by 4 sum |a_k|^2, so nodes where
         # the density vanishes carry no information
         live = s0 > 0.0
@@ -453,15 +465,17 @@ def _trapezoid_nodes(half_width: float, n_nodes: int):
     return x, wts
 
 
-def _hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
-    """Normalised oscillator eigenfunctions psi_n(x), stable to large n."""
-    psi = np.zeros((n_max, x.size))
-    psi[0] = np.pi ** -0.25 * np.exp(-0.5 * x ** 2)
-    if n_max > 1:
-        psi[1] = math.sqrt(2.0) * x * psi[0]
-    for k in range(2, n_max):
-        psi[k] = (math.sqrt(2.0 / k) * x * psi[k - 1]
-                  - math.sqrt((k - 1.0) / k) * psi[k - 2])
+def _hermite_functions(n_max: int, x: np.ndarray, first: int = 0) -> np.ndarray:
+    """Normalised oscillator eigenfunctions psi_n(x) for first <= n < n_max,
+    stable to large n."""
+    psi = np.empty((n_max - first, x.size))
+    psi_k = np.pi ** -0.25 * np.exp(-0.5 * x ** 2)
+    psi_next = math.sqrt(2.0) * x * psi_k
+    for k in range(n_max):
+        if k >= first:
+            psi[k - first] = psi_k
+        psi_k, psi_next = psi_next, (math.sqrt(2.0 / (k + 2)) * x * psi_next
+                                     - math.sqrt((k + 1.0) / (k + 2)) * psi_k)
     return psi
 
 

@@ -547,6 +547,55 @@ def test_constant_drive_oracle_loads_no_scipy(tmp_path):
     assert report["after"] == [[], []]
 
 
+# Run in a fresh interpreter: runs the CLI as `python -m optomech.cli --help`
+# does, or only imports it, then prints OPENBLAS_NUM_THREADS and the
+# process's thread count as the interpreter exits.
+PIN_PROBE = """
+import atexit, json, os, runpy, sys
+
+
+def report():
+    with open("/proc/self/status") as fh:
+        threads = next(int(line.split()[1]) for line in fh
+                       if line.startswith("Threads:"))
+    print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+
+
+atexit.register(report)
+if sys.argv[1] == "main":
+    sys.argv[1:] = ["--help"]
+    runpy.run_module("optomech.cli", run_name="__main__")
+else:
+    import optomech.cli
+"""
+
+
+def _uses_openblas():
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not _uses_openblas(),
+                    reason="reads /proc/self/status; pins OpenBLAS only")
+@pytest.mark.parametrize("how, preset, expected", [
+    ("main", None, ["1", 1]),
+    ("main", "2", ["2", None]),
+    ("import", None, [None, None]),
+])
+def test_cli_main_pins_one_blas_thread(how, preset, expected):
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    result = subprocess.run([sys.executable, "-c", PIN_PROBE, how],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    variable, threads = json.loads(result.stdout.splitlines()[-1])
+    assert variable == expected[0]
+    if expected[1] is not None:
+        assert threads == expected[1]
+
+
 @pytest.mark.parametrize("grid", ["1:2", "a:b:c", "1:0:0.1"])
 def test_malformed_sweep_range_is_a_config_error(grid, capsys):
     assert main(["qfi", "--config", CONFIG, "--sweep", "g0", grid]) == 2

@@ -297,7 +297,7 @@ def test_cfi_zero_coupling():
     assert cfi_homodyne(0.0, 1.0, 1.0, 0.0, math.pi / 2, 2.0) == 0.0
 
 
-@pytest.mark.parametrize("amplitude", [1, 3, 10])
+@pytest.mark.parametrize("amplitude", [1, 3, 10, 30])
 def test_cfi_saturates_qfi_at_two_pi(amplitude):
     cfi = cfi_homodyne(1.0, 1.0, amplitude, 0.0, math.pi / 2, TWO_PI)
     assert cfi == pytest.approx(64 * math.pi ** 2 * amplitude ** 2, rel=1e-4)
