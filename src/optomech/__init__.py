@@ -1,8 +1,8 @@
 """Nonlinear optomechanics: decoupled dynamics, non-Gaussianity, metrology.
 
 The names in ``__all__`` are loaded from their submodules on first access
-(PEP 562), so ``import optomech`` imports no numpy. ``python -m optomech.cli``
-relies on that to set the BLAS thread count before numpy loads.
+(PEP 562), so ``import optomech`` imports no numpy. The CLI relies on that
+to parse its arguments, and to set the BLAS thread count, before numpy loads.
 """
 
 from importlib import import_module

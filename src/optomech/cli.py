@@ -7,42 +7,64 @@ header embeds the resolved-config fingerprint, so repeated runs of one config
 on one install yield byte-identical files. Across numpy/SciPy/LAPACK builds and
 BLAS thread counts the last digits of LAPACK- and quadrature-derived values
 (cfi, oracle-check) may differ; their goldens are compared at the accuracy each
-method promises. Run as ``python -m optomech.cli``, the module pins OpenBLAS
-to one thread unless OPENBLAS_NUM_THREADS is already set: every BLAS call a
+method promises.
+
+Importing this module loads the standard library and ``params`` only. The
+layer modules are registered at import and run on first use, so parsing and
+``--help`` load no numpy, and each command loads the layers it calls:
+``drive-eval`` loads none, and only ``cfi`` and ``oracle-check`` load the
+oracle.
+
+``launch``, the entry point of the ``optomech`` console script and of
+``python -m optomech.cli``, pins OpenBLAS to one thread unless
+OPENBLAS_NUM_THREADS is already set, then runs ``main``: every BLAS call a
 command makes is small, so a second thread buys no wall time but costs CPU at
 load and while it spins after each call. The pin moves oracle-check residuals
 at the 1e-14 level (b2 1.1031e-12 -> 1.1049e-12 at g0 = d1 = 1, mu_c = 1,
 mu_m = 0.5, tau = pi), because zdotc no longer splits its sum across threads;
-they stay deterministic per process. Imported as a module, as the ``optomech``
-console script and the tests do, it leaves the variable alone.
+they stay deterministic per process. Importing the module, or calling
+``main``, leaves the variable alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import math
 import os
 import sys
 import warnings
 
-if __name__ == "__main__":
-    # before numpy loads, since OpenBLAS reads its thread count once, at load
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np
-
 from . import __version__
-from .coefficients import Trajectory, derived_scalars
-from .mechanics import TOLERANCES, check_squeezing, j_coefficients, solve_subsystem
-from .metrology import (D2_VALIDITY, QFI_MODES, cfi_homodyne, gravimetry,
-                        qfi_coefficients, qfi_route, qfi_thermal)
-from .moments import covariance, covariance_from_moments, evolve_moments, quadratures
-from .nongaussianity import report as nongauss_report
-from .oracle import TruncationError, oracle_moments, propagate, recommended_dims
-from .params import (ColdAtoms, Drive, FabryPerot, InitialState, Levitated,
-                     ModelSpec, coupling_constant, evaluate_drive)
+from .params import (QFI_MODES, ColdAtoms, Drive, FabryPerot, InitialState,
+                     Levitated, ModelSpec, coupling_constant, evaluate_drive)
+
+
+def _lazy_layer(name: str):
+    """The submodule ``name`` of this package: the module itself once it is
+    imported, else a module registered in sys.modules that runs on its first
+    attribute access.
+
+    Commands look every library function up on its module when they call
+    it, so a function rebound on its module is the one that runs.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+(mechanics, coefficients, moments, nongaussianity, metrology,
+ oracle) = map(_lazy_layer, ("mechanics", "coefficients", "moments",
+                             "nongaussianity", "metrology", "oracle"))
 
 CONFIG_KEYS = {
     "omega_c_ratio": 0.0,
@@ -139,7 +161,7 @@ def subsystem_model(cfg: dict) -> ModelSpec:
     """The model of a command that solves its mechanical subsystem."""
     spec = model_from_config(cfg)
     try:
-        check_squeezing(spec.squeezing)
+        mechanics.check_squeezing(spec.squeezing)
     except ValueError as exc:  # an unstable constant squeezing
         raise ConfigError(str(exc)) from None
     return spec
@@ -219,7 +241,9 @@ def _check_tau(tau):
         raise ConfigError(f"tau must be >= 0, got {tau}")
 
 
-def _tau_grid(args) -> np.ndarray:
+def _tau_grid(args):
+    import numpy as np
+
     _check_tau(args.tau_max)
     if args.steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
@@ -250,8 +274,8 @@ def cmd_mechanics(args):
     _check_output(args.out)
     spec = subsystem_model(cfg)
     taus = _tau_grid(args)
-    sol = solve_subsystem(spec, args.tau_max,
-                          tol=TOLERANCES[args.tolerance_profile])
+    sol = mechanics.solve_subsystem(
+        spec, args.tau_max, tol=mechanics.TOLERANCES[args.tolerance_profile])
     p11, _, i_p22, _ = sol.state_at(taus)
     rows = []
     for i, t in enumerate(taus):
@@ -266,13 +290,13 @@ def cmd_mechanics(args):
 
 
 def _coeff_rows(cfg, taus, tol):
-    traj = Trajectory(subsystem_model(cfg), float(max(taus)), tol)
+    traj = coefficients.Trajectory(subsystem_model(cfg), float(max(taus)), tol)
     rows = []
     for t in taus:
         f = traj.f(t)
         alpha, beta = traj.bogoliubov(t)
-        j = j_coefficients(alpha, beta)
-        d = derived_scalars(f, alpha, beta)
+        j = mechanics.j_coefficients(alpha, beta)
+        d = coefficients.derived_scalars(f, alpha, beta)
         rows.append((t, f.f_na, f.f_na2, f.f_bp, f.f_bm, f.f_nabp, f.f_nabm,
                      j.j_b, j.j_plus, j.j_minus, d.theta,
                      d.k_na.real, d.k_na.imag))
@@ -283,19 +307,20 @@ def cmd_coeffs(args):
     cfg = load_config(args.config)
     _check_output(args.out)
     taus = _tau_grid(args)
+    tol = mechanics.TOLERANCES[args.tolerance_profile]
     write_records(args.out, args.format,
                   _meta(args, config=cfg, tau_max=args.tau_max, steps=args.steps),
                   ("tau", "F_Na", "F_Na2", "F_B+", "F_B-", "F_NaB+", "F_NaB-",
                    "J_b", "J_+", "J_-", "theta", "re_K_Na", "im_K_Na"),
-                  _coeff_rows(cfg, taus, TOLERANCES[args.tolerance_profile]))
+                  _coeff_rows(cfg, taus, tol))
     return 0
 
 
 def _moments_at(state, traj, t):
     f = traj.f(t)
     alpha, beta = traj.bogoliubov(t)
-    d = derived_scalars(f, alpha, beta, state.mu_m)
-    m = evolve_moments(f, alpha, beta, state.mu_c, state.mu_m, derived=d)
+    d = coefficients.derived_scalars(f, alpha, beta, state.mu_m)
+    m = moments.evolve_moments(f, alpha, beta, state.mu_c, state.mu_m, derived=d)
     return f, alpha, beta, d, m
 
 
@@ -306,12 +331,13 @@ def cmd_moments(args):
     if state.optical != "coherent" or state.mechanical != "coherent":
         raise ConfigError("moments require coherent x coherent input")
     taus = _tau_grid(args)
-    traj = Trajectory(spec, args.tau_max, TOLERANCES[args.tolerance_profile])
+    traj = coefficients.Trajectory(spec, args.tau_max,
+                                   mechanics.TOLERANCES[args.tolerance_profile])
     rows = []
     for t in taus:
         *_, m = _moments_at(state, traj, t)
         if args.quadratures:
-            rows.append((t, *quadratures(m)))
+            rows.append((t, *moments.quadratures(m)))
         else:
             rows.append((t, m.a.real, m.a.imag, m.b.real, m.b.imag,
                          m.a2.real, m.a2.imag, m.b2.real, m.b2.imag,
@@ -335,10 +361,10 @@ def _prepare_nongauss(cfg: dict, fixed: dict, tau_max: float, tol):
     if state.optical != "coherent" or state.mechanical != "coherent":
         raise ConfigError("the non-Gaussianity measure requires pure "
                           "coherent x coherent input")
-    traj = Trajectory(spec, tau_max, tol)  # integrates on first use
+    traj = coefficients.Trajectory(spec, tau_max, tol)  # integrates on first use
 
     def value(tau):
-        rep = nongauss_report(spec, state.mu_c, state.mu_m, tau, traj=traj)
+        rep = nongaussianity.report(spec, state.mu_c, state.mu_m, tau, traj=traj)
         return rep.delta, rep.delta_min, rep.delta_max, rep.nu_op, rep.nu_me
     return value
 
@@ -346,7 +372,7 @@ def _prepare_nongauss(cfg: dict, fixed: dict, tau_max: float, tol):
 def cmd_nongauss(args):
     cfg = load_config(args.config)
     rows = _sweep_rows(_prepare_nongauss, cfg, {}, "tau", _tau_grid(args),
-                       TOLERANCES[args.tolerance_profile], args.out)
+                       mechanics.TOLERANCES[args.tolerance_profile], args.out)
     write_records(args.out, args.format,
                   _meta(args, config=cfg, tau_max=args.tau_max, steps=args.steps),
                   ("tau", "delta", "delta_min", "delta_max", "nu_op", "nu_me"),
@@ -372,11 +398,11 @@ def _prepare_qfi(cfg: dict, fixed: dict, tau_max: float, tol):
     spec, state = model_from_config(cfg), state_from_config(cfg)
     param, mode = fixed["param"], _one_of("mode", fixed["mode"], QFI_MODES)
     try:
-        qfi_route(spec, param, mode)
+        metrology.qfi_route(spec, param, mode)
     except ValueError as exc:  # a parameter or model with no derivative route
         raise ConfigError(str(exc)) from None
     r_T = state.r_T if state.mechanical == "thermal" else 0.0
-    return lambda tau: (qfi_thermal(qfi_coefficients(
+    return lambda tau: (metrology.qfi_thermal(metrology.qfi_coefficients(
         spec, param, tau, mode=mode, tol=tol), state.mu_c, r_T),)
 
 
@@ -391,7 +417,7 @@ def _prepare_cfi(cfg: dict, fixed: dict, tau_max: float, tol):
     lam, n_max = _number("lambda", fixed["lambda"]), fixed.get("n_max")
     if n_max is not None and n_max < 1:
         raise ConfigError(f"--n-max must be >= 1, got {n_max}")
-    return lambda tau: (cfi_homodyne(
+    return lambda tau: (metrology.cfi_homodyne(
         spec.coupling.amplitude, spec.displacement.amplitude, state.mu_c,
         state.mu_m, lam, tau, n_max=n_max),)
 
@@ -422,10 +448,11 @@ def _sweep_rows(prepare, cfg: dict, fixed: dict, name: str, values, tol,
 def _notes(cfg: dict, fixed: dict, name: str, values):
     """A run's warnings: the small-d2 ledger used beyond its validity."""
     d2 = max(map(abs, values)) if name == "d2" else abs(cfg["d2"])
-    if fixed.get("param") != "d2" or fixed["mode"] != "analytic" or d2 <= D2_VALIDITY:
+    if (fixed.get("param") != "d2" or fixed["mode"] != "analytic"
+            or d2 <= metrology.D2_VALIDITY):
         return []
-    return [f"d2 = {d2} exceeds the small-d2 validity bound {D2_VALIDITY}; "
-            "results are indicative only"]
+    return [f"d2 = {d2} exceeds the small-d2 validity bound "
+            f"{metrology.D2_VALIDITY}; results are indicative only"]
 
 
 def cmd_qfi(args):
@@ -435,7 +462,7 @@ def cmd_qfi(args):
         name, values = args.sweep[0], _parse_sweep(args.sweep[1])
     fixed = {"param": args.param, "mode": args.mode, "tau": args.tau}
     rows = _sweep_rows(_prepare_qfi, cfg, fixed, name, values,
-                       TOLERANCES[args.tolerance_profile], args.out)
+                       mechanics.TOLERANCES[args.tolerance_profile], args.out)
     for note in _notes(cfg, fixed, name, values):
         print(f"# warning: {note}", file=sys.stderr)
     write_records(args.out, args.format,
@@ -449,7 +476,7 @@ def cmd_cfi(args):
     fixed = {"lambda": args.quadrature_angle, "n_max": args.n_max,
              "tau": args.tau}
     rows = _sweep_rows(_prepare_cfi, cfg, fixed, "tau", [args.tau],
-                       TOLERANCES[args.tolerance_profile], args.out)
+                       mechanics.TOLERANCES[args.tolerance_profile], args.out)
     # the default cut-off (None) is left out, so default fingerprints (and
     # the golden header) do not depend on it being recorded
     fields = {key: v for key, v in fixed.items() if v is not None}
@@ -484,7 +511,7 @@ def cmd_gravimetry(args):
     if args.table:
         rows = []
         for name, setup in REFERENCE_PLATFORMS.items():
-            rep = gravimetry(setup, mu_c=math.sqrt(args.photons))
+            rep = metrology.gravimetry(setup, mu_c=math.sqrt(args.photons))
             rows.append((name, coupling_constant(setup),
                          rep.qfi_dimensionful, rep.std_dev))
         write_records(args.out, args.format,
@@ -494,7 +521,7 @@ def cmd_gravimetry(args):
     if not args.setup:
         raise ConfigError("provide --setup JSON or --table")
     setup = setup_from_json(args.setup)
-    rep = gravimetry(setup, mu_c=math.sqrt(args.photons))
+    rep = metrology.gravimetry(setup, mu_c=math.sqrt(args.photons))
     write_records(args.out, args.format,
                   _meta(args, setup=args.setup, photons=args.photons),
                   ("g0_dimensionless", "qfi_dimensionless", "qfi_si", "delta_g"),
@@ -515,6 +542,8 @@ def _parse_dims(text: str):
 
 
 def cmd_oracle_check(args):
+    import numpy as np
+
     cfg = load_config(args.config)
     _check_output(args.out)
     spec, state = subsystem_model(cfg), state_from_config(cfg)
@@ -522,17 +551,19 @@ def cmd_oracle_check(args):
     _check_tau(tau)
     try:
         dims = _parse_dims(args.dims) if args.dims else \
-            recommended_dims(spec, state, tau)
-    except TruncationError as exc:  # more levels than the oracle's cap
+            oracle.recommended_dims(spec, state, tau)
+    except oracle.TruncationError as exc:  # more levels than the oracle's cap
         raise ConfigError(str(exc)) from None
-    traj = Trajectory(spec, tau, TOLERANCES[args.tolerance_profile])
+    traj = coefficients.Trajectory(spec, tau,
+                                   mechanics.TOLERANCES[args.tolerance_profile])
     f, alpha, beta, d, m = _moments_at(state, traj, tau)
-    st = propagate(spec, state, tau, dims)
-    mo = oracle_moments(st)
+    st = oracle.propagate(spec, state, tau, dims)
+    mo = oracle.oracle_moments(st)
     names = ("a", "b", "a2", "b2", "adag_a", "bdag_b", "ab", "abdag")
     rows = [(k, abs(getattr(m, k) - getattr(mo, k))) for k in names]
-    cov_dev = np.max(np.abs(covariance(m, d, alpha, beta, state.mu_c).matrix
-                            - covariance_from_moments(mo).matrix))
+    cov_dev = np.max(np.abs(
+        moments.covariance(m, d, alpha, beta, state.mu_c).matrix
+        - moments.covariance_from_moments(mo).matrix))
     rows.append(("covariance", float(cov_dev)))
     rows.append(("norm_defect", st.norm_defect))
     write_records(args.out, args.format,
@@ -573,12 +604,12 @@ def _sweep_plan(data: dict, tol):
 
 def validate_sweep_config(data: dict):
     """Every refusal of the sweep's run, computing nothing; returns warnings."""
-    return _sweep_plan(data, TOLERANCES["strict"])[1]
+    return _sweep_plan(data, mechanics.TOLERANCES["strict"])[1]
 
 
 def cmd_sweep(args):
     data = _read_json(args.config)
-    rows, notes = _sweep_plan(data, TOLERANCES[args.tolerance_profile])
+    rows, notes = _sweep_plan(data, mechanics.TOLERANCES[args.tolerance_profile])
     for note in notes:
         print(f"# warning: {note}", file=sys.stderr)
     if args.validate_only:
@@ -664,5 +695,13 @@ def main(argv=None) -> int:
             return 2
 
 
-if __name__ == "__main__":
+def launch():
+    """Run ``main`` on the command line and exit with its code, with OpenBLAS
+    pinned to one thread unless OPENBLAS_NUM_THREADS is set. OpenBLAS reads
+    the variable once, when numpy loads, which parsing does not do."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    launch()

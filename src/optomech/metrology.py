@@ -23,12 +23,17 @@ from .constants import HBAR
 from .coefficients import (FSet, Trajectory, catalog_entry, f_closed_form,
                            f_small_d2_constant, f_small_d2_resonant)
 from .mechanics import STRICT, JSet, unstable_squeezing
-from .oracle import analytic_state_coefficients
-from .params import ModelSpec, PhysicalSetup, coupling_constant, oscillator_mass
+from .params import (QFI_MODES, ModelSpec, PhysicalSetup, coupling_constant,
+                     oscillator_mass)
 
 D2_VALIDITY = 0.2
 TWO_PI = 2.0 * math.pi
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# _hermite_functions: the start e^{-x^2/2} is kept unscaled down to
+# 2^-_START_BITS, and no mantissa grows past 2^_GROWTH_BITS
+_LN2 = math.log(2.0)
+_START_BITS = 1000
+_GROWTH_BITS = 512
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,6 @@ QFI_FIELDS = {"g0": ("coupling", "amplitude"), "epsilon": ("coupling", "offset")
               "omega_d1": ("displacement", "frequency"),
               "omega_d2": ("squeezing", "frequency")}
 QFI_PARAMS = tuple(QFI_FIELDS)
-QFI_MODES = ("analytic", "finite_diff")
 # each catalog route's name and the parameter values of its model variants
 CATALOG_ROUTES = {"g0": ("g0-homogeneity", (1.0,)), "d1": ("d1-homogeneity", (1.0,)),
                   "epsilon": ("epsilon-polynomial", (0.0, 1.0, -1.0))}
@@ -399,6 +403,9 @@ def cfi_homodyne(g0: float, d1: float, mu_c: complex, mu_m: complex,
     rank-sized rows. Equals the coherent-input QFI at tau = 2 pi for
     integer g0, d1 and a matched quadrature angle.
     """
+    # imported here, so the QFI and gravimetry paths never load the oracle
+    from .oracle import analytic_state_coefficients
+
     mu_c, mu_m = complex(mu_c), complex(mu_m)
     if n_max is None:
         n_max = default_n_max(mu_c)
@@ -467,15 +474,34 @@ def _trapezoid_nodes(half_width: float, n_nodes: int):
 
 def _hermite_functions(n_max: int, x: np.ndarray, first: int = 0) -> np.ndarray:
     """Normalised oscillator eigenfunctions psi_n(x) for first <= n < n_max,
-    stable to large n."""
+    stable to large n and large |x|.
+
+    The start pi^-1/4 e^{-x^2/2} underflows for |x| > 38.6, yet psi_n(x) is
+    of order one there once n passes x^2 / 2. So the recurrence runs on
+    mantissas m_n = psi_n 2^-p with an integer exponent p <= 0 per node,
+    p = 0 wherever e^{-x^2/2} exceeds about 2^-_START_BITS (B. Bunck, BIT
+    Numer. Math. 49, 281 (2009)). A step grows a mantissa by at most
+    |x| + 1, and every few steps each node moves its mantissas' excess over
+    1 into p, so no mantissa passes 2^_GROWTH_BITS. Where p = 0 the values
+    are those of the unscaled recurrence, bit for bit.
+    """
     psi = np.empty((n_max - first, x.size))
-    psi_k = np.pi ** -0.25 * np.exp(-0.5 * x ** 2)
-    psi_next = math.sqrt(2.0) * x * psi_k
+    half_sq = 0.5 * x ** 2
+    p = np.minimum(0.0, np.ceil(-half_sq / _LN2) + _START_BITS).astype(np.intc)
+    m_k = np.pi ** -0.25 * np.exp(-half_sq - _LN2 * p)
+    m_next = math.sqrt(2.0) * x * m_k
+    every = max(1, int(_GROWTH_BITS
+                       / math.log2(np.max(np.abs(x), initial=0.0) + 2.0)))
     for k in range(n_max):
         if k >= first:
-            psi[k - first] = psi_k
-        psi_k, psi_next = psi_next, (math.sqrt(2.0 / (k + 2)) * x * psi_next
-                                     - math.sqrt((k + 1.0) / (k + 2)) * psi_k)
+            np.ldexp(m_k, p, out=psi[k - first])
+        m_k, m_next = m_next, (math.sqrt(2.0 / (k + 2)) * x * m_next
+                               - math.sqrt((k + 1.0) / (k + 2)) * m_k)
+        if k % every == 0:
+            _, bits = np.frexp(np.maximum(np.abs(m_k), np.abs(m_next)))
+            shift = np.clip(bits, 0, -p)
+            m_k, m_next = np.ldexp(m_k, -shift), np.ldexp(m_next, -shift)
+            p += shift
     return psi
 
 

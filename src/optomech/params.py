@@ -12,6 +12,10 @@ from dataclasses import dataclass, field
 
 from .constants import EPSILON_0, HBAR, K_B
 
+# the derivative modes of metrology.qfi_coefficients; named here, so the
+# CLI's parser offers them without loading numpy
+QFI_MODES = ("analytic", "finite_diff")
+
 
 @dataclass(frozen=True)
 class Drive:

@@ -7,12 +7,14 @@ renamed or removed name breaks it on one side only. These checks fail first.
 import importlib
 import inspect
 import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from optomech import coefficients, mechanics, metrology, oracle
+from test_cli import CONFIG, child_env
 
 BENCH = str(Path(__file__).resolve().parent.parent / "bench")
 
@@ -81,3 +83,17 @@ def test_require_route_classifies_hit_and_miss(bench, tmp_path, config, route):
     other = "miss" if route == "hit" else "hit"
     with pytest.raises(RuntimeError, match=f"is a catalog {route}"):
         workloads._require_route(path, other)
+
+
+def test_traced_command_runs(tmp_path):
+    # the shim imports the CLI, wraps every traced function it finds through
+    # sys.modules, then runs the command; in a fresh interpreter, because
+    # the wrapping rebinds library functions
+    trace = tmp_path / "trace.json"
+    result = subprocess.run(
+        [sys.executable, str(Path(BENCH) / "trace_shim.py"), str(trace), "--",
+         "nongauss", "--config", CONFIG, "--steps", "5",
+         "--out", str(tmp_path / "ng.csv")],
+        capture_output=True, text=True, env=child_env())
+    assert result.returncode == 0, result.stderr
+    assert json.loads(trace.read_text())["spans"]["report"][0] == 5

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from optomech import cli, coefficients
+from optomech import coefficients, mechanics, metrology, nongaussianity, oracle
 from optomech.cli import (ConfigError, main, model_from_config, resolve_config,
                           validate_sweep_config)
 from optomech.coefficients import (CatalogMiss, Trajectory, derived_scalars,
@@ -547,9 +547,11 @@ def test_constant_drive_oracle_loads_no_scipy(tmp_path):
     assert report["after"] == [[], []]
 
 
-# Run in a fresh interpreter: runs the CLI as `python -m optomech.cli --help`
-# does, or only imports it, then prints OPENBLAS_NUM_THREADS and the
-# process's thread count as the interpreter exits.
+# Run in a fresh interpreter: runs the CLI as `python -m optomech.cli` does
+# ("main") or as the console script does ("launch"), each with --help; calls
+# main in-process ("call"), or only imports the module ("import"). Then
+# prints OPENBLAS_NUM_THREADS and the process's thread count as the
+# interpreter exits.
 PIN_PROBE = """
 import atexit, json, os, runpy, sys
 
@@ -562,9 +564,15 @@ def report():
 
 
 atexit.register(report)
-if sys.argv[1] == "main":
-    sys.argv[1:] = ["--help"]
+how, sys.argv[1:] = sys.argv[1], ["--help"]
+if how == "main":
     runpy.run_module("optomech.cli", run_name="__main__")
+elif how == "launch":
+    from optomech.cli import launch
+    launch()
+elif how == "call":
+    from optomech.cli import main
+    main(["--help"])
 else:
     import optomech.cli
 """
@@ -581,6 +589,9 @@ def _uses_openblas():
     ("main", None, ["1", 1]),
     ("main", "2", ["2", None]),
     ("import", None, [None, None]),
+    ("launch", None, ["1", 1]),
+    ("launch", "2", ["2", None]),
+    ("call", None, [None, None]),
 ])
 def test_cli_main_pins_one_blas_thread(how, preset, expected):
     env = child_env()
@@ -594,6 +605,69 @@ def test_cli_main_pins_one_blas_thread(how, preset, expected):
     assert variable == expected[0]
     if expected[1] is not None:
         assert threads == expected[1]
+
+
+def test_console_script_is_the_launcher():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(SRC).parent / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"optomech": "optomech.cli:launch"}
+
+
+# Run in a fresh interpreter: runs the CLI as `python -m optomech.cli` does
+# with the arguments after "main", or only imports it ("import"), then prints
+# whether numpy is loaded and which optomech submodules have run, as the
+# interpreter exits. The CLI registers the layer modules in sys.modules at
+# import; a registered module is of a ModuleType subclass until it runs.
+LOADED_PROBE = """
+import atexit, json, runpy, sys, types
+
+
+def report():
+    ran = sorted(name for name, module in sys.modules.items()
+                 if name.startswith("optomech.")
+                 and type(module) is types.ModuleType)
+    print(json.dumps({"numpy": "numpy" in sys.modules, "ran": ran}))
+
+
+atexit.register(report)
+if sys.argv[1] == "main":
+    sys.argv[1:] = sys.argv[2:]
+    runpy.run_module("optomech.cli", run_name="__main__")
+else:
+    import optomech.cli
+"""
+
+LAYERS = {f"optomech.{name}" for name in (
+    "mechanics", "coefficients", "moments", "nongaussianity", "metrology",
+    "oracle", "dop853")}
+
+
+def modules_loaded_by(*argv):
+    result = subprocess.run([sys.executable, "-c", LOADED_PROBE, *argv],
+                            capture_output=True, text=True, env=child_env())
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", [["main", "--help"], ["import"]])
+def test_help_and_import_load_no_numpy(argv):
+    report = modules_loaded_by(*argv)
+    assert report["numpy"] is False
+    assert not LAYERS & set(report["ran"])
+
+
+@pytest.mark.parametrize("argv, ran, not_ran", [
+    (["drive-eval", "--config", CONFIG, "--steps", "3"], set(), LAYERS),
+    (["gravimetry", "--table"], {"optomech.metrology"}, {"optomech.oracle"}),
+    (["qfi", "--config", CONFIG], {"optomech.metrology"}, {"optomech.oracle"}),
+    (["cfi", "--config", CONFIG_DISPLACED], {"optomech.oracle"}, set()),
+])
+def test_command_runs_only_the_layers_it_uses(tmp_path, argv, ran, not_ran):
+    # cfi is the control: it does run the oracle, and the probe sees it
+    report = modules_loaded_by("main", *argv, "--out", str(tmp_path / "o.csv"))
+    assert ran <= set(report["ran"])
+    assert not not_ran & set(report["ran"])
 
 
 @pytest.mark.parametrize("grid", ["1:2", "a:b:c", "1:0:0.1"])
@@ -866,9 +940,12 @@ def refuse_computing(monkeypatch):
     def computed(*_args, **_kwargs):
         raise AssertionError("computed before refusing")
 
-    for name in ("qfi_coefficients", "cfi_homodyne", "nongauss_report",
-                 "Trajectory", "solve_subsystem", "propagate"):
-        monkeypatch.setattr(cli, name, computed)
+    # commands look each function up on its module when they call it
+    for module, name in ((metrology, "qfi_coefficients"),
+                         (metrology, "cfi_homodyne"), (nongaussianity, "report"),
+                         (coefficients, "Trajectory"),
+                         (mechanics, "solve_subsystem"), (oracle, "propagate")):
+        monkeypatch.setattr(module, name, computed)
 
 
 @pytest.mark.parametrize("argv, config, message", REJECTED_INPUT)

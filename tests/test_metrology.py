@@ -11,6 +11,7 @@ from optomech.metrology import (QFI_MODES, QFI_PARAMS, QfiCoefficients,
                                 measurement_window, qfi_closed_form,
                                 qfi_coefficients, qfi_coherent, qfi_fock,
                                 qfi_route, qfi_thermal)
+from optomech.oracle import analytic_state_coefficients
 from optomech.params import (ColdAtoms, Drive, FabryPerot, Levitated,
                              ModelSpec, coupling_constant, coupling_constant_hz)
 
@@ -343,6 +344,48 @@ def test_uniform_rule_keeps_hermite_functions_orthonormal(amplitude):
     psi = _hermite_functions(n_max, x)
     gram = (psi * weights) @ psi.T
     assert np.max(np.abs(gram - np.eye(n_max))) <= 1e-13
+
+
+# |mu_c| = 30 centres the cavity's quadrature density at sqrt2 * 30 = 42.4,
+# where the Hermite recurrence's start e^{-x^2/2} underflows to 0
+
+
+def test_cfi_follows_sin_squared_lambda_at_large_amplitude():
+    # at tau = 2 pi the cavity is in a coherent state, whose homodyne CFI
+    # for the displacement scales as sin^2 lambda; each value is accepted
+    # once two quadrature rules agree to 1e-10
+    low, matched = (cfi_homodyne(1.0, 1.0, 30.0, 0.3, lam, TWO_PI)
+                    for lam in (0.4, math.pi / 2))
+    assert low / matched == pytest.approx(math.sin(0.4) ** 2, rel=1e-9)
+
+
+def test_hermite_functions_match_mpmath_beyond_underflow():
+    # psi_n(x) = H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi)), at nodes on both
+    # sides of |x| = 38.6 and at n below, at and past the turning point
+    # x^2 / 2; the start is accurate to x^2 u and each step adds about u
+    mpmath = pytest.importorskip("mpmath")
+    x = np.array([-50.0, -42.4, 0.5, 38.0, 42.4, 57.0])
+    orders = (0, 1, 300, 899, 900, 1219, 1250, 1799)
+    psi = _hermite_functions(max(orders) + 1, x)
+    with mpmath.workdps(40):
+        for n in orders:
+            norm = mpmath.sqrt(2 ** mpmath.mpf(n) * mpmath.factorial(n)
+                               * mpmath.sqrt(mpmath.pi))
+            for j, xj in enumerate(x):
+                exact = (mpmath.hermite(n, xj)
+                         * mpmath.exp(-mpmath.mpf(xj) ** 2 / 2) / norm)
+                assert abs(psi[n, j] - float(exact)) <= 1e-12, (n, xj)
+
+
+def test_quadrature_density_integrates_to_one_at_large_amplitude():
+    # at tau = 2 pi every photon row carries the same mechanical state, so
+    # the lambda = 0 density is |sum_n w_n psi_n(x)|^2
+    n_max = default_n_max(30.0)
+    weights, _ = analytic_state_coefficients(1.0, 1.0, 30.0, 0.3, TWO_PI,
+                                             n_max)
+    x, wts = _trapezoid_nodes(math.sqrt(2.0 * n_max) + 8.0, 2400)
+    density = np.abs(weights @ _hermite_functions(n_max, x)) ** 2
+    assert abs(np.sum(wts * density) - 1.0) <= 1e-9
 
 
 @pytest.mark.parametrize("n_nodes", [1200, 2400, 4800])
