@@ -9,11 +9,17 @@ BLAS thread counts the last digits of LAPACK- and quadrature-derived values
 (cfi, oracle-check) may differ; their goldens are compared at the accuracy each
 method promises.
 
-Importing this module loads the standard library and ``params`` only. The
-layer modules are registered at import and run on first use, so parsing and
-``--help`` load no numpy, and each command loads the layers it calls:
-``drive-eval`` loads none, and only ``cfi`` and ``oracle-check`` load the
-oracle.
+Importing this module loads the standard library and ``params`` only. numpy
+and the layer modules are registered at import and run on first use, so
+parsing and ``--help`` load no numpy, and each command loads what it calls:
+``drive-eval`` loads no layer module, and only ``cfi`` and ``oracle-check``
+load the oracle. The closed forms run on ``math`` alone, so ``drive-eval``,
+``gravimetry`` and a ``qfi`` on the resonant- or modulated-g catalog entries
+(a single tau or a sweep) run no numpy either. ``mechanics``,
+``coefficients`` and ``metrology`` take numpy from sys.modules rather than
+with an import statement, which reads the lazy module's ``__spec__`` and so
+loads it; a program that imports them without this module gets numpy loaded
+as usual.
 
 ``launch``, the entry point of the ``optomech`` console script and of
 ``python -m optomech.cli``, pins OpenBLAS to one thread unless
@@ -42,15 +48,13 @@ from .params import (QFI_MODES, ColdAtoms, Drive, FabryPerot, InitialState,
                      Levitated, ModelSpec, coupling_constant, evaluate_drive)
 
 
-def _lazy_layer(name: str):
-    """The submodule ``name`` of this package: the module itself once it is
-    imported, else a module registered in sys.modules that runs on its first
-    attribute access.
+def _lazy_module(fullname: str):
+    """The module ``fullname``: the module itself once it is imported, else a
+    module registered in sys.modules that runs on its first attribute access.
 
     Commands look every library function up on its module when they call
     it, so a function rebound on its module is the one that runs.
     """
-    fullname = f"{__package__}.{name}"
     module = sys.modules.get(fullname)
     if module is None:
         spec = importlib.util.find_spec(fullname)
@@ -58,13 +62,18 @@ def _lazy_layer(name: str):
         module = importlib.util.module_from_spec(spec)
         sys.modules[fullname] = module
         spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
+        parent, _, name = fullname.rpartition(".")
+        if parent:
+            setattr(sys.modules[parent], name, module)
     return module
 
 
+# numpy first: the layer modules take it from sys.modules when they run
+np = _lazy_module("numpy")
 (mechanics, coefficients, moments, nongaussianity, metrology,
- oracle) = map(_lazy_layer, ("mechanics", "coefficients", "moments",
-                             "nongaussianity", "metrology", "oracle"))
+ oracle) = (_lazy_module(f"{__package__}.{name}") for name in (
+     "mechanics", "coefficients", "moments", "nongaussianity", "metrology",
+     "oracle"))
 
 CONFIG_KEYS = {
     "omega_c_ratio": 0.0,
@@ -115,6 +124,13 @@ def _number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field '{name}' must be a number, got {value!r}")
     return float(value)
+
+
+def _finite(name: str, value) -> float:
+    value = _number(name, value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _one_of(name: str, value, choices):
@@ -236,18 +252,28 @@ def _check_output(path):
 
 
 def _check_tau(tau):
-    """Every command reads the evolution from its start at tau = 0 on."""
+    """Every command reads the evolution from its start at tau = 0 on, up to
+    a finite time."""
     if _number("tau", tau) < 0:
         raise ConfigError(f"tau must be >= 0, got {tau}")
+    _finite("tau", tau)
 
 
 def _tau_grid(args):
-    import numpy as np
-
+    """np.linspace(0, tau_max, steps), bit for bit, as a list of floats."""
     _check_tau(args.tau_max)
     if args.steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
-    return np.linspace(0.0, args.tau_max, args.steps)
+    tau_max, div = args.tau_max, args.steps - 1
+    if div == 0:
+        return [0.0]
+    step = tau_max / div
+    if step == 0:  # the step underflows: numpy scales i / div by tau_max
+        grid = [i / div * tau_max for i in range(args.steps)]
+    else:
+        grid = [i * step for i in range(args.steps)]
+    grid[-1] = tau_max
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +412,9 @@ def _parse_sweep(text: str):
     except ValueError:  # not three fields, or one is not a number
         raise ConfigError(f"sweep range '{text}' is not START:STOP:STEP "
                           "with numeric fields") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"sweep range '{text}' has a field that is not "
+                          "finite")
     if step <= 0:
         raise ConfigError("sweep step must be > 0")
     if stop < start:
@@ -414,7 +443,7 @@ def _prepare_cfi(cfg: dict, fixed: dict, tau_max: float, tol):
         raise ConfigError("cfi needs d2 = 0")
     if state.optical != "coherent" or state.mechanical != "coherent":
         raise ConfigError("cfi requires coherent x coherent input")
-    lam, n_max = _number("lambda", fixed["lambda"]), fixed.get("n_max")
+    lam, n_max = _finite("lambda", fixed["lambda"]), fixed.get("n_max")
     if n_max is not None and n_max < 1:
         raise ConfigError(f"--n-max must be >= 1, got {n_max}")
     return lambda tau: (metrology.cfi_homodyne(
@@ -508,6 +537,9 @@ def setup_from_json(path: str):
 
 def cmd_gravimetry(args):
     _check_output(args.out)
+    if not 0 <= args.photons < math.inf:
+        raise ConfigError(f"--photons must be finite and >= 0, got "
+                          f"{args.photons}")
     if args.table:
         rows = []
         for name, setup in REFERENCE_PLATFORMS.items():
@@ -542,13 +574,14 @@ def _parse_dims(text: str):
 
 
 def cmd_oracle_check(args):
-    import numpy as np
-
     cfg = load_config(args.config)
     _check_output(args.out)
     spec, state = subsystem_model(cfg), state_from_config(cfg)
     tau = args.tau
     _check_tau(tau)
+    if not 0 < args.tolerance < math.inf:
+        raise ConfigError(f"--tolerance must be finite and > 0, got "
+                          f"{args.tolerance}")
     try:
         dims = _parse_dims(args.dims) if args.dims else \
             oracle.recommended_dims(spec, state, tau)

@@ -22,10 +22,13 @@ read the same pass.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from importlib import import_module
 
-import numpy as np
+# numpy as sys.modules holds it, else imported (see optomech.mechanics)
+np = sys.modules.get("numpy") or import_module("numpy")
 
 from .mechanics import (STRICT, IntegrationError, JSet, SubsystemSolution,
                         check_squeezing, solve_ivp, solve_subsystem,

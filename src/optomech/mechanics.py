@@ -20,9 +20,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
+from importlib import import_module
 
-import numpy as np
+# numpy as sys.modules holds it, else imported. The CLI registers numpy there
+# to load on first use; an import statement reads its __spec__ and so loads
+# it at once, while a closed-form result never touches it
+np = sys.modules.get("numpy") or import_module("numpy")
 
 from .params import Drive, ModelSpec
 

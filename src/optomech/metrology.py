@@ -14,10 +14,13 @@ force sensitivities.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
+from importlib import import_module
 
-import numpy as np
+# numpy as sys.modules holds it, else imported (see optomech.mechanics)
+np = sys.modules.get("numpy") or import_module("numpy")
 
 from .constants import HBAR
 from .coefficients import (FSet, Trajectory, catalog_entry, f_closed_form,
@@ -28,7 +31,7 @@ from .params import (QFI_MODES, ModelSpec, PhysicalSetup, coupling_constant,
 
 D2_VALIDITY = 0.2
 TWO_PI = 2.0 * math.pi
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_UNIT_ROUNDOFF = 2.0 ** -53  # half the float64 machine epsilon
 # _hermite_functions: the start e^{-x^2/2} is kept unscaled down to
 # 2^-_START_BITS, and no mantissa grows past 2^_GROWTH_BITS
 _LN2 = math.log(2.0)

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from optomech import coefficients, mechanics, metrology, nongaussianity, oracle
-from optomech.cli import (ConfigError, main, model_from_config, resolve_config,
-                          validate_sweep_config)
+from optomech.cli import (ConfigError, _tau_grid, main, model_from_config,
+                          resolve_config, validate_sweep_config)
 from optomech.coefficients import (CatalogMiss, Trajectory, derived_scalars,
                                    f_closed_form, f_integrated)
 from optomech.mechanics import TOLERANCES, solve_subsystem
@@ -619,15 +619,17 @@ def test_console_script_is_the_launcher():
 # whether numpy is loaded and which optomech submodules have run, as the
 # interpreter exits. The CLI registers the layer modules in sys.modules at
 # import; a registered module is of a ModuleType subclass until it runs.
+# reports numpy and the optomech modules that ran: a module registered to
+# load on first use is still a _LazyModule until then
 LOADED_PROBE = """
-import atexit, json, runpy, sys, types
+import atexit, importlib, json, runpy, sys, types
 
 
 def report():
     ran = sorted(name for name, module in sys.modules.items()
-                 if name.startswith("optomech.")
+                 if (name == "numpy" or name.startswith("optomech."))
                  and type(module) is types.ModuleType)
-    print(json.dumps({"numpy": "numpy" in sys.modules, "ran": ran}))
+    print(json.dumps({"ran": ran}))
 
 
 atexit.register(report)
@@ -635,7 +637,7 @@ if sys.argv[1] == "main":
     sys.argv[1:] = sys.argv[2:]
     runpy.run_module("optomech.cli", run_name="__main__")
 else:
-    import optomech.cli
+    importlib.import_module(sys.argv[1])
 """
 
 LAYERS = {f"optomech.{name}" for name in (
@@ -644,33 +646,70 @@ LAYERS = {f"optomech.{name}" for name in (
 
 
 def modules_loaded_by(*argv):
+    """The modules that ran in a fresh interpreter that either runs the CLI
+    on ``argv[1:]`` (argv[0] == "main") or imports the module argv[0]."""
     result = subprocess.run([sys.executable, "-c", LOADED_PROBE, *argv],
                             capture_output=True, text=True, env=child_env())
     assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout.splitlines()[-1])
+    return set(json.loads(result.stdout.splitlines()[-1])["ran"])
 
 
-@pytest.mark.parametrize("argv", [["main", "--help"], ["import"]])
+@pytest.mark.parametrize("argv", [["main", "--help"], ["optomech.cli"]])
 def test_help_and_import_load_no_numpy(argv):
-    report = modules_loaded_by(*argv)
-    assert report["numpy"] is False
-    assert not LAYERS & set(report["ran"])
+    assert not {"numpy", *LAYERS} & modules_loaded_by(*argv)
+
+
+def test_library_import_loads_numpy():
+    # only the CLI registers numpy to load on first use
+    assert {"numpy", "optomech.metrology"} <= modules_loaded_by(
+        "optomech.metrology")
+
+
+# a coupling g0 (1 + eps sin(tau)): the 'resonant-g' catalog entry, whose
+# closed forms, like the omega_g sweep's 'modulated-g', run on math alone
+RESONANT_G_MODEL = {"g0": 0.5, "epsilon": 0.5, "omega_g": 1.0,
+                    "mu_c_re": 1.0, "mu_m_re": 0.5}
 
 
 @pytest.mark.parametrize("argv, ran, not_ran", [
-    (["drive-eval", "--config", CONFIG, "--steps", "3"], set(), LAYERS),
-    (["gravimetry", "--table"], {"optomech.metrology"}, {"optomech.oracle"}),
+    (["drive-eval", "--config", CONFIG, "--steps", "3"], set(),
+     {"numpy", *LAYERS}),
+    (["gravimetry", "--table"], {"optomech.metrology"},
+     {"numpy", "optomech.oracle"}),
     (["qfi", "--config", CONFIG], {"optomech.metrology"}, {"optomech.oracle"}),
-    (["cfi", "--config", CONFIG_DISPLACED], {"optomech.oracle"}, set()),
+    (["cfi", "--config", CONFIG_DISPLACED], {"numpy", "optomech.oracle"},
+     set()),
+    (["qfi", "--config", RESONANT_G_MODEL, "--tau", repr(10 * math.pi)],
+     {"optomech.metrology"}, {"numpy", "optomech.oracle"}),
+    (["qfi", "--config", RESONANT_G_MODEL, "--sweep", "omega_g",
+      "0.3:0.5:0.1"], {"optomech.metrology"}, {"numpy", "optomech.oracle"}),
+    (["moments", "--config", MISS_CONFIG, "--steps", "3"],
+     {"numpy", "optomech.moments"}, {"optomech.oracle"}),
 ])
 def test_command_runs_only_the_layers_it_uses(tmp_path, argv, ran, not_ran):
-    # cfi is the control: it does run the oracle, and the probe sees it
-    report = modules_loaded_by("main", *argv, "--out", str(tmp_path / "o.csv"))
-    assert ran <= set(report["ran"])
-    assert not not_ran & set(report["ran"])
+    # cfi and the catalog-miss moments are the controls: they do run numpy
+    # and the probe sees it. A dict in argv is a config, written to a file.
+    config = tmp_path / "config.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+    argv = [str(config) if isinstance(arg, dict) else arg for arg in argv]
+    loaded = modules_loaded_by("main", *argv, "--out", str(tmp_path / "o.csv"))
+    assert ran <= loaded
+    assert not not_ran & loaded
 
 
-@pytest.mark.parametrize("grid", ["1:2", "a:b:c", "1:0:0.1"])
+@pytest.mark.parametrize("steps", [1, 2, 3, 101, 201, 10001])
+@pytest.mark.parametrize("tau_max", [0.0, 5e-324, 1e-300, 1.0, 4 * math.pi,
+                                     1e308])
+def test_tau_grid_is_linspace_bit_for_bit(tau_max, steps):
+    grid = _tau_grid(SimpleNamespace(tau_max=tau_max, steps=steps))
+    assert (np.asarray(grid).tobytes()
+            == np.linspace(0.0, tau_max, steps).tobytes())
+
+
+@pytest.mark.parametrize("grid", ["1:2", "a:b:c", "1:0:0.1", "0:nan:1",
+                                  "0:inf:1", "nan:1:1", "0:1:inf"])
 def test_malformed_sweep_range_is_a_config_error(grid, capsys):
     assert main(["qfi", "--config", CONFIG, "--sweep", "g0", grid]) == 2
     assert capsys.readouterr().err.startswith("error: sweep range")
@@ -687,12 +726,17 @@ def test_malformed_oracle_dims_are_a_config_error(dims, capsys):
     ["moments", "--tau-max", "-1"], ["nongauss", "--tau-max", "-1"],
     ["qfi", "--mode", "finite_diff", "--tau", "-1"],
     ["oracle-check", "--tau", "-1"],
+    # nor after any finite time
+    ["qfi", "--tau", "nan"], ["qfi", "--tau", "inf"],
+    ["coeffs", "--tau-max", "inf"], ["drive-eval", "--tau-max", "nan"],
+    ["oracle-check", "--tau", "nan"],
 ])
 def test_negative_tau_is_a_config_error(argv, capsys):
     # a catalog hit: every value has a closed form, yet the evolution
     # starts at tau = 0 and nothing before it is read
     assert main([*argv[:1], "--config", CONFIG, *argv[1:]]) == 2
-    assert capsys.readouterr().err.startswith("error: tau must be >= 0")
+    expected = "must be >= 0" if argv[-1] == "-1" else "must be finite"
+    assert capsys.readouterr().err.startswith(f"error: tau {expected}")
 
 
 @pytest.mark.parametrize("swept, fixed", [
@@ -913,6 +957,33 @@ REJECTED_INPUT = [
     pytest.param(["sweep"], {"command": "nongauss", "model": UNSTABLE_MODEL,
                              "swept": TAU_SWEEP},
                  UNSTABLE, id="sweep-nongauss-unstable"),
+    # non-finite numbers, refused before any arithmetic
+    pytest.param(["qfi", "--tau", "nan"], CFI_MODEL,
+                 "tau must be finite, got nan", id="qfi-tau-nan"),
+    pytest.param(["coeffs", "--tau-max", "inf"], CFI_MODEL,
+                 "tau must be finite, got inf", id="coeffs-tau-max-inf"),
+    pytest.param(["oracle-check", "--tau", "nan"], CFI_MODEL,
+                 "tau must be finite, got nan", id="oracle-tau-nan"),
+    pytest.param(["sweep"], {"command": "nongauss", "model": CFI_MODEL,
+                             "swept": {"name": "g0", "start": 0.5,
+                                       "stop": 1.0, "step": 0.5},
+                             "fixed": {"tau": math.nan}},
+                 "tau must be finite, got nan", id="sweep-fixed-tau-nan"),
+    pytest.param(["sweep"], {"command": "qfi", "model": CFI_MODEL,
+                             "swept": {**TAU_SWEEP, "stop": math.inf}},
+                 "sweep range '1.0:inf:1.0' has a field that is not finite",
+                 id="sweep-range-inf"),
+    pytest.param(["gravimetry", "--photons", "nan"], FABRY_PEROT,
+                 "--photons must be finite and >= 0, got nan",
+                 id="photons-nan"),
+    pytest.param(["gravimetry", "--photons", "-1"], FABRY_PEROT,
+                 "--photons must be finite and >= 0, got -1.0",
+                 id="photons-negative"),
+    pytest.param(["cfi", "--quadrature-angle", "nan"], CFI_MODEL,
+                 "lambda must be finite, got nan", id="cfi-angle-nan"),
+    pytest.param(["oracle-check", "--tolerance", "nan"], CFI_MODEL,
+                 "--tolerance must be finite and > 0, got nan",
+                 id="oracle-tolerance-nan"),
     # the truncation the oracle would need exceeds its cap
     pytest.param(["oracle-check"], {"g0": 3, "mu_c_re": 4},
                  "parameters need N_b ~ 85849 > cap 4000", id="oracle-cap"),
