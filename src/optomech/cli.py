@@ -14,12 +14,11 @@ and the layer modules are registered at import and run on first use, so
 parsing and ``--help`` load no numpy, and each command loads what it calls:
 ``drive-eval`` loads no layer module, and only ``cfi`` and ``oracle-check``
 load the oracle. The closed forms run on ``math`` alone, so ``drive-eval``,
-``gravimetry`` and a ``qfi`` on the resonant- or modulated-g catalog entries
-(a single tau or a sweep) run no numpy either. ``mechanics``,
-``coefficients`` and ``metrology`` take numpy from sys.modules rather than
-with an import statement, which reads the lazy module's ``__spec__`` and so
-loads it; a program that imports them without this module gets numpy loaded
-as usual.
+``gravimetry`` and a ``qfi`` on the g0 or d1 catalog route (a single tau or a
+sweep) run no numpy either. ``mechanics``, ``coefficients`` and ``metrology``
+take numpy from sys.modules rather than with an import statement, which reads
+the lazy module's ``__spec__`` and so loads it; a program that imports them
+without this module gets numpy loaded as usual.
 
 ``launch``, the entry point of the ``optomech`` console script and of
 ``python -m optomech.cli``, pins OpenBLAS to one thread unless
@@ -41,7 +40,6 @@ import json
 import math
 import os
 import sys
-import warnings
 
 from . import __version__
 from .params import (QFI_MODES, ColdAtoms, Drive, FabryPerot, InitialState,
@@ -88,6 +86,9 @@ SWEPT_NAMES = ("tau", "g0", "epsilon", "omega_g", "d1", "omega_d1",
                "d2", "omega_d2", "mu_c_re", "mu_m_re", "r_T")
 
 FORMATS = ("csv", "json")
+
+# the most points a sweep range may hold, checked before its list is built
+MAX_SWEEP_POINTS = 10 ** 6
 
 
 class ConfigError(ValueError):
@@ -419,8 +420,11 @@ def _parse_sweep(text: str):
         raise ConfigError("sweep step must be > 0")
     if stop < start:
         raise ConfigError(f"sweep range '{text}' is empty")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(n)]
+    last = (stop - start) / step + 1e-9  # inf when the span overflows
+    if not last < MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep range '{text}' holds more than "
+                          f"{MAX_SWEEP_POINTS} points")
+    return [start + i * step for i in range(math.floor(last) + 1)]
 
 
 def _prepare_qfi(cfg: dict, fixed: dict, tau_max: float, tol):
@@ -474,16 +478,6 @@ def _sweep_rows(prepare, cfg: dict, fixed: dict, name: str, values, tol,
     return [(v, prepare({**cfg, name: v}, fixed, tau, tol), tau) for v in values]
 
 
-def _notes(cfg: dict, fixed: dict, name: str, values):
-    """A run's warnings: the small-d2 ledger used beyond its validity."""
-    d2 = max(map(abs, values)) if name == "d2" else abs(cfg["d2"])
-    if (fixed.get("param") != "d2" or fixed["mode"] != "analytic"
-            or d2 <= metrology.D2_VALIDITY):
-        return []
-    return [f"d2 = {d2} exceeds the small-d2 validity bound "
-            f"{metrology.D2_VALIDITY}; results are indicative only"]
-
-
 def cmd_qfi(args):
     cfg = load_config(args.config)
     name, values = "tau", [args.tau]
@@ -492,8 +486,6 @@ def cmd_qfi(args):
     fixed = {"param": args.param, "mode": args.mode, "tau": args.tau}
     rows = _sweep_rows(_prepare_qfi, cfg, fixed, name, values,
                        mechanics.TOLERANCES[args.tolerance_profile], args.out)
-    for note in _notes(cfg, fixed, name, values):
-        print(f"# warning: {note}", file=sys.stderr)
     write_records(args.out, args.format,
                   _meta(args, config=cfg, sweep=args.sweep, **fixed),
                   (name, "qfi"), [(v, *value(t)) for v, value, t in rows])
@@ -616,7 +608,7 @@ SWEEP_COMMANDS = {"qfi": (_prepare_qfi, {"param": "g0", "mode": "analytic"}),
 
 
 def _sweep_plan(data: dict, tol):
-    """(prepared rows, warnings) of a sweep document, refused as its run is."""
+    """The prepared rows of a sweep document, refused as its run is."""
     _fields(data, SWEEP_FIELDS, required=SWEEP_FIELDS[:4])
     cfg = resolve_config(_fields(data["model"], CONFIG_KEYS, "model"))
     swept = _fields(data["swept"], SWEPT_FIELDS, "swept", SWEPT_FIELDS)
@@ -630,21 +622,18 @@ def _sweep_plan(data: dict, tol):
     if not isinstance(data["output"], str):
         raise ConfigError(f"field 'output' must be a string, got "
                           f"{data['output']!r}")
-    rows = _sweep_rows(prepare, cfg, fixed, swept["name"], values, tol,
+    return _sweep_rows(prepare, cfg, fixed, swept["name"], values, tol,
                        data["output"])
-    return rows, _notes(cfg, fixed, swept["name"], values)
 
 
-def validate_sweep_config(data: dict):
-    """Every refusal of the sweep's run, computing nothing; returns warnings."""
-    return _sweep_plan(data, mechanics.TOLERANCES["strict"])[1]
+def validate_sweep_config(data: dict) -> None:
+    """Every refusal of the sweep's run, as a ConfigError; computes nothing."""
+    _sweep_plan(data, mechanics.TOLERANCES["strict"])
 
 
 def cmd_sweep(args):
     data = _read_json(args.config)
-    rows, notes = _sweep_plan(data, mechanics.TOLERANCES[args.tolerance_profile])
-    for note in notes:
-        print(f"# warning: {note}", file=sys.stderr)
+    rows = _sweep_plan(data, mechanics.TOLERANCES[args.tolerance_profile])
     if args.validate_only:
         print("ok")
         return 0
@@ -718,14 +707,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    with warnings.catch_warnings():
-        # a run prints its small-d2 validity note once, as a # warning: line
-        warnings.filterwarnings("ignore", r"\|d2\| = .* small-d2 validity")
-        try:
-            return args.func(args)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def launch():

@@ -36,9 +36,13 @@ from .mechanics import (STRICT, IntegrationError, JSet, SubsystemSolution,
 from .params import ModelSpec, evaluate_drive
 
 
-def sinc(x):
-    """sin(x)/x with sinc(0) = 1."""
-    return np.sinc(np.asarray(x) / np.pi)
+def sinc(x: float) -> float:
+    """sin(x)/x with sinc(0) = 1, bit for bit ``np.sinc(x / np.pi)``: numpy
+    forms t = pi (x / pi) and puts the machine epsilon in place of t = 0."""
+    t = math.pi * (x / math.pi)
+    if t == 0.0:
+        t = 2.0 ** -52
+    return math.sin(t) / t
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,7 @@ def _f_all_constant(g0: float, d1: float, d2: float, tau: float) -> FSet:
     zeta2 = 1.0 + 4.0 * d2
     zeta = math.sqrt(zeta2)
     zt = zeta * tau
-    common = (1.0 - float(sinc(2.0 * zt))) * tau
+    common = (1.0 - sinc(2.0 * zt)) * tau
     return FSet(
         f_na=2.0 * g0 * d1 / zeta2 * common,
         f_na2=-(g0 ** 2) / zeta2 * common,
@@ -311,40 +315,6 @@ class Trajectory:
         if self.spec.squeezing.is_zero:
             return JSet(j_b=float(tau), j_plus=0.0, j_minus=0.0)
         return JSet(*self._states(float(tau))[12:])
-
-
-def f_small_d2_constant(g0: float, d2: float, tau: float) -> FSet:
-    """Leading-order coefficients for weak constant squeezing (d2 << 1).
-
-    Keeps terms proportional to d2*tau while discarding bare d2 terms; the
-    companion rotation parameter is J_b = (1 + 2 d2) tau with J_+- = 0.
-    """
-    sigma = 1.0 + 2.0 * d2
-    return FSet(
-        f_na=0.0,
-        f_na2=-0.5 * g0 ** 2 * (2.0 * sigma * tau - math.sin(2.0 * sigma * tau)),
-        f_bp=0.0, f_bm=0.0,
-        f_nabp=-g0 * math.sin(sigma * tau),
-        f_nabm=-g0 * (1.0 - math.cos(sigma * tau)),
-    )
-
-
-def f_small_d2_resonant(g0: float, d2: float, tau: float) -> FSet:
-    """Leading-order coefficients for weak squeezing modulated at Omega = 2.
-
-    Companion rotation/squeezing parameters: J_b = tau, J_+ = d2 tau / 2,
-    J_- = 0.
-    """
-    ch, sh = math.cosh(d2 * tau), math.sinh(d2 * tau)
-    c, s = math.cos(tau), math.sin(tau)
-    return FSet(
-        f_na=0.0,
-        f_na2=0.5 * g0 ** 2 * (math.cosh(2 * d2 * tau) * math.sin(2 * tau)
-                               + math.sinh(2 * d2 * tau) - 2.0 * tau),
-        f_bp=0.0, f_bm=0.0,
-        f_nabp=-g0 * (ch * s + sh * c),
-        f_nabm=g0 * (ch * c + sh * s - 1.0),
-    )
 
 
 # ---------------------------------------------------------------------------

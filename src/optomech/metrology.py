@@ -23,13 +23,11 @@ from importlib import import_module
 np = sys.modules.get("numpy") or import_module("numpy")
 
 from .constants import HBAR
-from .coefficients import (FSet, Trajectory, catalog_entry, f_closed_form,
-                           f_small_d2_constant, f_small_d2_resonant)
+from .coefficients import FSet, Trajectory, catalog_entry, f_closed_form
 from .mechanics import STRICT, JSet, unstable_squeezing
 from .params import (QFI_MODES, ModelSpec, PhysicalSetup, coupling_constant,
                      oscillator_mass)
 
-D2_VALIDITY = 0.2
 TWO_PI = 2.0 * math.pi
 _UNIT_ROUNDOFF = 2.0 ** -53  # half the float64 machine epsilon
 # _hermite_functions: the start e^{-x^2/2} is kept unscaled down to
@@ -121,14 +119,15 @@ def qfi_route(spec: ModelSpec, param: str, mode: str) -> str:
     """The derivative route of ``qfi_coefficients(spec, param, tau, mode)``,
     decided from the drives alone; raises the ValueError that call raises.
 
-    'finite-diff' differentiates the integrated paths, 'd2-constant' and
-    'd2-resonant' the small-d2 ledgers, and the CATALOG_ROUTES catalog
-    evaluations of the model and of each of its variants.
+    'finite-diff' differentiates the integrated paths and serves every
+    parameter id; the CATALOG_ROUTES routes (g0, d1 and epsilon, without
+    squeezing) differentiate catalog evaluations of the model and of each
+    of its variants.
     """
     if param not in QFI_FIELDS:
         raise ValueError(f"unknown parameter id {param!r}; "
                          f"expected one of {QFI_PARAMS}")
-    g, d1, d2 = spec.coupling, spec.displacement, spec.squeezing
+    d2 = spec.squeezing
     if mode == "finite_diff":
         theta = _param_value(spec, param)
         low = theta - _fd_step(theta)
@@ -142,21 +141,12 @@ def qfi_route(spec: ModelSpec, param: str, mode: str) -> str:
         return "finite-diff"
     if mode != "analytic":
         raise ValueError(f"mode must be one of {QFI_MODES}, got {mode!r}")
-    if param == "d2":
-        if not (g.is_constant and d1.is_zero):
-            raise ValueError("analytic d2 estimation needs a constant coupling "
-                             "and no displacement")
-        if d2.is_constant:
-            return "d2-constant"
-        if d2.frequency == 2.0 and d2.phase == "cos":
-            return "d2-resonant"
-        raise ValueError("analytic d2 estimation covers constant or "
-                         "parametric-resonant (frequency 2) modulation only")
-    if not d2.is_zero:
-        raise ValueError("analytic derivatives with a squeezing term are only "
-                         "available for the d2 parameter; use finite differences")
     if param not in CATALOG_ROUTES:
-        raise ValueError(f"no analytic derivative route for parameter {param!r}")
+        raise ValueError(f"no analytic derivative route for parameter "
+                         f"{param!r}; use mode finite_diff")
+    if not d2.is_zero:
+        raise ValueError("analytic derivatives do not cover a squeezing term; "
+                         "use mode finite_diff")
     route, values = CATALOG_ROUTES[param]
     if any(catalog_entry(_with_param(spec, param, v)) is None
            for v in (_param_value(spec, param), *values)):
@@ -167,40 +157,11 @@ def qfi_route(spec: ModelSpec, param: str, mode: str) -> str:
 
 
 def _analytic_derivatives(spec: ModelSpec, param: str, route: str, tau: float):
-    """(F, dF/dtheta, J, dJ/dtheta) on an analytic :func:`qfi_route`: the
-    small-d2 ledgers of the worked schemes, or catalog evaluations, as g0 and
-    d1 enter the exact coefficients homogeneously and epsilon polynomially.
+    """(F, dF/dtheta, J, dJ/dtheta) on a catalog :func:`qfi_route`: g0 and d1
+    enter the exact coefficients homogeneously and epsilon polynomially, so
+    catalog evaluations of the model's variants give the derivatives.
     """
-    g0, d2 = spec.coupling.amplitude, spec.squeezing.amplitude
-    if route in ("d2-constant", "d2-resonant") and abs(d2) > D2_VALIDITY:
-        warnings.warn(f"|d2| = {abs(d2)} exceeds the small-d2 validity "
-                      f"bound {D2_VALIDITY}; treat results as indicative",
-                      stacklevel=3)
-    if route == "d2-constant":
-        sigma = 1.0 + 2.0 * d2
-        f = f_small_d2_constant(g0, d2, tau)
-        df = FSet(f_na=0.0,
-                  f_na2=-2.0 * g0 ** 2 * tau * (1.0 - math.cos(2.0 * sigma * tau)),
-                  f_bp=0.0, f_bm=0.0,
-                  f_nabp=-2.0 * g0 * tau * math.cos(sigma * tau),
-                  f_nabm=-2.0 * g0 * tau * math.sin(sigma * tau))
-        j = JSet(j_b=sigma * tau, j_plus=0.0, j_minus=0.0)
-        dj = JSet(j_b=2.0 * tau, j_plus=0.0, j_minus=0.0)
-        return f, df, j, dj
-    if route == "d2-resonant":
-        ch, sh = math.cosh(d2 * tau), math.sinh(d2 * tau)
-        c, s = math.cos(tau), math.sin(tau)
-        f = f_small_d2_resonant(g0, d2, tau)
-        df = FSet(f_na=0.0,
-                  f_na2=g0 ** 2 * tau * (math.sinh(2 * d2 * tau) * math.sin(2 * tau)
-                                         + math.cosh(2 * d2 * tau)),
-                  f_bp=0.0, f_bm=0.0,
-                  f_nabp=-g0 * tau * (sh * s + ch * c),
-                  f_nabm=g0 * tau * (sh * c + ch * s))
-        j = JSet(j_b=tau, j_plus=0.5 * d2 * tau, j_minus=0.0)
-        dj = JSet(j_b=0.0, j_plus=0.5 * tau, j_minus=0.0)
-        return f, df, j, dj
-
+    g0 = spec.coupling.amplitude
     j, zero = JSet(j_b=tau, j_plus=0.0, j_minus=0.0), JSet(0.0, 0.0, 0.0)
     f = f_closed_form(spec, tau)
     variants = [f_closed_form(_with_param(spec, param, v), tau)
@@ -252,12 +213,12 @@ def qfi_coefficients(spec: ModelSpec, theta_param: str, tau: float,
                      mode: str = "analytic", tol=STRICT) -> QfiCoefficients:
     """Generator coefficients for estimating ``theta_param`` at time tau.
 
-    ``mode='analytic'`` differentiates the closed-form F/J ledgers
-    (available for g0, epsilon, d1 and the worked small-d2 schemes);
-    ``mode='finite_diff'`` differentiates the generic paths numerically,
-    integrating at ``tol`` = (rtol, atol), for any parameter id (a drive
-    frequency needs its stencil to stay >= 0). :func:`qfi_route` names the
-    route, or raises, before any arithmetic.
+    ``mode='analytic'`` differentiates the closed-form F catalog (g0, d1
+    and epsilon, on a model without squeezing); ``mode='finite_diff'``
+    differentiates the generic paths numerically, integrating at ``tol`` =
+    (rtol, atol), for any parameter id, and is the one route for d2 and the
+    drive frequencies (a frequency needs its stencil to stay >= 0).
+    :func:`qfi_route` names the route, or raises, before any arithmetic.
     """
     route = qfi_route(spec, theta_param, mode)
     tau = float(tau)

@@ -129,14 +129,21 @@ def _squeezing_factors(spec: ModelSpec, tau: float):
     return boost, boost
 
 
-def _branch_box(spec: ModelSpec, state0: InitialState, n_photon: int,
-                tau: float, margin: float = 10.0, floor: float = 25.0) -> int:
-    """Mechanical Fock levels needed to hold branch n without edge effects."""
+def _branch_amplitude(spec: ModelSpec, state0: InitialState, n_photon: int,
+                      tau: float) -> float:
+    """Bound on the coherent amplitude branch n's wavepacket reaches by tau,
+    about 2 (g n + d1) from the drives, widened by the squeezing."""
     resp, boost = _squeezing_factors(spec, tau)
-    amp = (abs(state0.mu_m)
-           + 2.0 * (_drive_bound(spec.coupling) * n_photon
-                    + _drive_bound(spec.displacement)) * resp) * boost
-    return int(math.ceil(amp * amp + margin * amp + floor))
+    return (abs(state0.mu_m)
+            + 2.0 * (_drive_bound(spec.coupling) * n_photon
+                     + _drive_bound(spec.displacement)) * resp) * boost
+
+
+def _branch_box(spec: ModelSpec, state0: InitialState, n_photon: int,
+                tau: float) -> int:
+    """Mechanical Fock levels needed to hold branch n without edge effects."""
+    amp = _branch_amplitude(spec, state0, n_photon, tau)
+    return int(math.ceil(amp * amp + 10.0 * amp + 25.0))
 
 
 def propagate(spec: ModelSpec, state0: InitialState, tau: float,
@@ -477,23 +484,15 @@ def recommended_dims(spec: ModelSpec, state0: InitialState, tau: float,
         probs = [0.0] * na
         probs[0] = probs[state0.fock_n] = 0.5
 
-    g_max = _drive_bound(spec.coupling)
-    d1_max = _drive_bound(spec.displacement)
-    resp, boost = _squeezing_factors(spec, tau)
-
-    def phi_max(n):
-        return (abs(state0.mu_m) + 2.0 * (g_max * n + d1_max) * resp) * boost
-
     # largest branch that must be fully covered
     residual = 0.0
     n_star = na - 1
     for n in range(na - 1, -1, -1):
-        residual += probs[n] * (phi_max(n) + 40.0)
+        residual += probs[n] * (_branch_amplitude(spec, state0, n, tau) + 40.0)
         if residual > target:
             n_star = n
             break
-    amp = phi_max(min(n_star + 1, na - 1))
-    nb = int(math.ceil(amp ** 2 + 10.0 * amp + 25))
+    nb = _branch_box(spec, state0, min(n_star + 1, na - 1), tau)
     if nb > nb_cap:
         raise TruncationError(
             f"parameters need N_b ~ {nb} > cap {nb_cap}; outside the "

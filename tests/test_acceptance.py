@@ -1,10 +1,10 @@
 """Acceptance gate: one test per release criterion, at pinned tolerances.
 
 Each test prints a PASS/FAIL line (run pytest with -s to see them inline).
-Two sub-criteria target published reference values that are inconsistent
-with the formulas they came from; those are implemented verbatim as
-strict-xfail tests right next to the passing formula-derived checks, with
-the analysis in the project notes.
+Some sub-criteria target published reference values or formulas that are
+inconsistent with the exact results they stand for; those are implemented
+verbatim as strict-xfail tests right next to the passing checks, with the
+analysis in the project notes.
 """
 
 import math
@@ -26,7 +26,7 @@ from optomech.oracle import (TruncationError, oracle_moments, propagate,
 from optomech.params import (ColdAtoms, Drive, FabryPerot, InitialState,
                              Levitated, ModelSpec, coupling_constant)
 
-from conftest import random_spec
+from conftest import finite_diff_qfi_budget, random_spec
 
 TWO_PI = 2 * math.pi
 
@@ -376,7 +376,6 @@ def test_catalog_integrity_qfi():
         if abs(w - 1.0) < 0.05:
             w += 0.1
         d1 = float(rng.uniform(0.2, 2.0))
-        d2 = float(rng.uniform(0.01, 0.15))
         cases += [
             (ModelSpec(coupling=Drive.offset_sinusoid(g0, eps, w)), "g0",
              qfi_closed_form("g0-general-omega", tau, g0=g0, epsilon=eps,
@@ -395,18 +394,52 @@ def test_catalog_integrity_qfi():
                        displacement=Drive.cosine(d1, 1.0)), "d1",
              qfi_closed_form("d1-resonant", tau, g0=g0, n_photons=nc,
                              r_T=r_t), nc, r_t, tau),
-            (ModelSpec(coupling=Drive.constant(g0),
-                       squeezing=Drive.constant(d2)), "d2",
-             qfi_closed_form("d2-constant-approx", tau, g0=g0, n_photons=nc,
-                             r_T=r_t), nc, r_t, tau),
-            (ModelSpec(coupling=Drive.constant(g0),
-                       squeezing=Drive.cosine(d2, 2.0)), "d2",
-             qfi_closed_form("d2-resonant-approx", tau, g0=g0, n_photons=nc,
-                             r_T=r_t), nc, r_t, tau),
         ]
     for spec, param, closed, nc, r_t, tau in cases:
         coeffs = qfi_coefficients(spec, param, tau)
         generic = qfi_thermal(coeffs, math.sqrt(nc), r_t)
         worst = max(worst, abs(generic / closed - 1.0))
-    _criterion("QFI catalog vs generic coefficient path (1e-8 rel)",
-               worst < 1e-8, f"worst {worst:.1e}")
+    # d2-resonant-approx is the d2 -> 0 limit of the d2 cos(2 tau) QFI at
+    # tau = 2 pi k: the finite-difference QFI at d2 = 0, within its budget
+    excess = 0.0
+    for k in (1, 2, 3):
+        g0 = float(rng.uniform(0.3, 3.0))
+        nc = float(rng.uniform(0.2, 9.0))
+        r_t = float(rng.uniform(0.0, 2.0))
+        spec = ModelSpec(coupling=Drive.constant(g0),
+                         squeezing=Drive.cosine(0.0, 2.0))
+        limit = qfi_thermal(qfi_coefficients(spec, "d2", k * TWO_PI,
+                                             mode="finite_diff"),
+                            math.sqrt(nc), r_t)
+        closed = qfi_closed_form("d2-resonant-approx", k * TWO_PI, g0=g0,
+                                 n_photons=nc, r_T=r_t)
+        excess = max(excess, abs(limit / closed - 1.0)
+                     / finite_diff_qfi_budget(spec, "d2", k * TWO_PI))
+    _criterion("QFI catalog vs generic coefficient path (1e-8 rel; "
+               "d2-resonant-approx within the finite-difference budget)",
+               worst < 1e-8 and excess < 1.0,
+               f"worst {worst:.1e}, d2 limit at {excess:.2f} of its budget")
+
+
+@pytest.mark.xfail(strict=True, reason="d2-constant-approx drops the secular "
+                   "term of dF_Na2/dd2 (F_Na2 carries 1/zeta^3, zeta^2 = 1 + "
+                   "4 d2), so it is not the d2 -> 0 limit of the exact QFI")
+def test_catalog_integrity_qfi_d2_constant_approx():
+    rng = np.random.default_rng(37)
+    worst = 0.0
+    for _ in range(3):
+        g0 = float(rng.uniform(0.3, 3.0))
+        nc = float(rng.uniform(0.2, 9.0))
+        r_t = float(rng.uniform(0.0, 2.0))
+        tau = float(rng.uniform(0.3, 3 * math.pi))
+        spec = ModelSpec(coupling=Drive.constant(g0),
+                         squeezing=Drive.constant(0.0))
+        limit = qfi_thermal(qfi_coefficients(spec, "d2", tau,
+                                             mode="finite_diff"),
+                            math.sqrt(nc), r_t)
+        closed = qfi_closed_form("d2-constant-approx", tau, g0=g0,
+                                 n_photons=nc, r_T=r_t)
+        worst = max(worst, abs(limit / closed - 1.0)
+                    / finite_diff_qfi_budget(spec, "d2", tau))
+    _criterion("d2-constant-approx vs the d2 -> 0 finite-difference QFI",
+               worst < 1.0, f"at {worst:.1e} of the budget")

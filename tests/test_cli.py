@@ -238,36 +238,6 @@ def test_validate_sweep_unknown_name():
         validate_sweep_config(data)
 
 
-def test_validate_sweep_d2_validity_warning():
-    data = {"command": "qfi",
-            "model": {"g0": 1.0, "d2": 0.5, "mu_c_re": 1.0},
-            "swept": {"name": "tau", "start": 0.5, "stop": 2.0, "step": 0.5},
-            "fixed": {"param": "d2"},
-            "output": "x.csv"}
-    notes = validate_sweep_config(data)
-    assert any("validity" in n for n in notes)
-
-
-@pytest.mark.parametrize("argv", [
-    ["qfi", "--param", "d2"],
-    ["qfi", "--param", "d2", "--sweep", "tau", "0.5:1.0:0.5"],
-    ["sweep"]])
-def test_d2_validity_is_one_warning_line(argv, tmp_path):
-    model = {"g0": 1.0, "d2": 0.5, "mu_c_re": 1.0}
-    config = model
-    if argv == ["sweep"]:
-        config = {"command": "qfi", "model": model, "fixed": {"param": "d2"},
-                  "swept": {"name": "tau", "start": 0.5, "stop": 1.0,
-                            "step": 0.5}, "output": str(tmp_path / "o.csv")}
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(config))
-    result = run_cli(argv[0], "--config", str(cfg), *argv[1:])
-    assert result.returncode == 0, result.stderr
-    assert result.stderr == ("# warning: d2 = 0.5 exceeds the small-d2 "
-                             "validity bound 0.2; results are indicative "
-                             "only\n")
-
-
 def test_validate_only_flag(tmp_path):
     config = json.loads((GOLDEN / "sweep_config.json").read_text())
     cfg_path = tmp_path / "sweep.json"
@@ -676,7 +646,8 @@ RESONANT_G_MODEL = {"g0": 0.5, "epsilon": 0.5, "omega_g": 1.0,
      {"numpy", *LAYERS}),
     (["gravimetry", "--table"], {"optomech.metrology"},
      {"numpy", "optomech.oracle"}),
-    (["qfi", "--config", CONFIG], {"optomech.metrology"}, {"optomech.oracle"}),
+    (["qfi", "--config", CONFIG], {"optomech.metrology"},
+     {"numpy", "optomech.oracle"}),
     (["cfi", "--config", CONFIG_DISPLACED], {"numpy", "optomech.oracle"},
      set()),
     (["qfi", "--config", RESONANT_G_MODEL, "--tau", repr(10 * math.pi)],
@@ -709,7 +680,10 @@ def test_tau_grid_is_linspace_bit_for_bit(tau_max, steps):
 
 
 @pytest.mark.parametrize("grid", ["1:2", "a:b:c", "1:0:0.1", "0:nan:1",
-                                  "0:inf:1", "nan:1:1", "0:1:inf"])
+                                  "0:inf:1", "nan:1:1", "0:1:inf",
+                                  # more points than MAX_SWEEP_POINTS, or a
+                                  # count that overflows: no list is built
+                                  "0:1000000:1", "0:1:1e-7", "0:1e308:1e-10"])
 def test_malformed_sweep_range_is_a_config_error(grid, capsys):
     assert main(["qfi", "--config", CONFIG, "--sweep", "g0", grid]) == 2
     assert capsys.readouterr().err.startswith("error: sweep range")
@@ -922,8 +896,17 @@ REJECTED_INPUT = [
     pytest.param(["sweep"], {"command": "qfi",
                              "model": {"g0": 1.0, "d2": 0.1, "mu_c_re": 1.0},
                              "swept": TAU_SWEEP},
-                 "analytic derivatives with a squeezing term are only "
-                 "available for the d2 parameter", id="sweep-qfi-g0-squeezed"),
+                 "analytic derivatives do not cover a squeezing term; use "
+                 "mode finite_diff", id="sweep-qfi-g0-squeezed"),
+    # d2 has finite differences as its one route
+    pytest.param(["qfi", "--param", "d2"],
+                 {"g0": 1.0, "d2": 0.1, "mu_c_re": 1.0}, "no analytic derivative route for parameter 'd2'; use mode "
+                 "finite_diff", id="qfi-analytic-d2"),
+    pytest.param(["sweep"], {"command": "qfi",
+                             "model": {"g0": 1.0, "d2": 0.1, "mu_c_re": 1.0},
+                             "swept": TAU_SWEEP, "fixed": {"param": "d2"}},
+                 "no analytic derivative route for parameter 'd2'; use mode "
+                 "finite_diff", id="sweep-qfi-analytic-d2"),
     pytest.param(["sweep"], {"command": "qfi",
                              "model": {"g0": 0.0, "epsilon": 0.3,
                                        "omega_g": 0.7, "d1": 0.5,
@@ -973,6 +956,13 @@ REJECTED_INPUT = [
                              "swept": {**TAU_SWEEP, "stop": math.inf}},
                  "sweep range '1.0:inf:1.0' has a field that is not finite",
                  id="sweep-range-inf"),
+    # a range whose point count overflows, or passes the ceiling, refused
+    # before its list is built
+    pytest.param(["sweep"], {"command": "qfi", "model": CFI_MODEL,
+                             "swept": {"name": "g0", "start": -1e308,
+                                       "stop": 1e308, "step": 1.0}},
+                 "sweep range '-1e+308:1e+308:1.0' holds more than 1000000 "
+                 "points", id="sweep-range-overflow"),
     pytest.param(["gravimetry", "--photons", "nan"], FABRY_PEROT,
                  "--photons must be finite and >= 0, got nan",
                  id="photons-nan"),
@@ -1031,9 +1021,9 @@ def test_rejected_input_is_a_config_error(argv, config, message, tmp_path,
     assert not out.exists()
 
 
-def test_unstable_squeezing_leaves_what_needs_no_subsystem(tmp_path):
-    # the drives and the small-d2 ledger's analytic d2 estimate do not solve
-    # the subsystem, so they still serve the model the other commands refuse
+def test_unstable_squeezing_leaves_what_needs_no_subsystem(tmp_path, capsys):
+    # the drives do not solve the subsystem, so they still serve the model
+    # the other commands refuse; a d2 QFI has no analytic route to serve it
     cfg = tmp_path / "unstable.json"
     cfg.write_text(json.dumps(UNSTABLE_MODEL))
     drives = tmp_path / "drives.csv"
@@ -1042,12 +1032,11 @@ def test_unstable_squeezing_leaves_what_needs_no_subsystem(tmp_path):
     assert [row[3] for row in _read_rows(drives)] == [-0.3] * 3
     out = tmp_path / "qfi.csv"
     assert main(["qfi", "--config", str(cfg), "--param", "d2",
-                 "--out", str(out)]) == 0
-    spec = model_from_config(resolve_config(UNSTABLE_MODEL))
-    with pytest.warns(UserWarning, match="small-d2 validity"):
-        coeffs = qfi_coefficients(spec, "d2", 2 * math.pi)
-    expected = qfi_thermal(coeffs, 1.0, 0.0)
-    assert _read_rows(out) == [[2 * math.pi, expected]]
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: no analytic derivative route for parameter 'd2'; "
+        "use mode finite_diff\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, config, message", [

@@ -17,6 +17,16 @@ def test_sinc_at_zero():
     assert sinc(math.pi) == pytest.approx(0.0, abs=1e-16)
 
 
+def test_sinc_is_numpy_sinc_bit_for_bit():
+    # the all-constant catalog entry's sinc runs on math; it must round as
+    # np.sinc(x / pi) does, at zero, subnormal and tiny arguments and over
+    # the range 2 zeta tau of the catalog's times
+    x = np.concatenate([[0.0, -0.0, 5e-324, 1e-300, 1e-8, math.pi, -1e-8],
+                        np.random.default_rng(11).uniform(0.0, 200.0, 20000)])
+    ours = np.array([sinc(float(v)) for v in x])
+    assert ours.tobytes() == np.sinc(x / np.pi).tobytes()
+
+
 def test_all_zero_drives():
     spec = ModelSpec()
     sol = solve_subsystem(spec, 1.0)

@@ -15,7 +15,7 @@ from optomech.oracle import analytic_state_coefficients
 from optomech.params import (ColdAtoms, Drive, FabryPerot, Levitated,
                              ModelSpec, coupling_constant, coupling_constant_hz)
 
-from conftest import random_spec
+from conftest import finite_diff_qfi_budget, random_spec
 
 TWO_PI = 2 * math.pi
 
@@ -148,21 +148,41 @@ def test_closed_forms_match_generic_path(rng):
                        "d1", qfi_closed_form("d1-resonant", tau, g0=g0,
                                              n_photons=nc, r_T=r_t),
                        nc, r_t, tau))
-        d2 = float(rng.uniform(0.01, 0.15))
-        checks.append((ModelSpec(coupling=Drive.constant(g0),
-                                 squeezing=Drive.constant(d2)),
-                       "d2", qfi_closed_form("d2-constant-approx", tau, g0=g0,
-                                             n_photons=nc, r_T=r_t),
-                       nc, r_t, tau))
-        checks.append((ModelSpec(coupling=Drive.constant(g0),
-                                 squeezing=Drive.cosine(d2, 2.0)),
-                       "d2", qfi_closed_form("d2-resonant-approx", tau, g0=g0,
-                                             n_photons=nc, r_T=r_t),
-                       nc, r_t, tau))
     for spec, param, closed, nc, r_t, tau in checks:
         coeffs = qfi_coefficients(spec, param, tau)
         generic = qfi_thermal(coeffs, math.sqrt(nc), r_t)
         assert generic == pytest.approx(closed, rel=1e-8), (param, tau)
+
+
+def test_d2_resonant_approx_is_the_d2_to_0_limit(rng):
+    # the d2 cos(2 tau) QFI at tau = 2 pi k as d2 -> 0: d2 = 0 itself, where
+    # finite differences step to d2 = +-h, and the QFI is smooth in d2
+    for _ in range(4):
+        g0 = float(rng.uniform(0.3, 3.0))
+        nc = float(rng.uniform(0.2, 9.0))
+        r_t = float(rng.uniform(0.0, 2.0))
+        tau = TWO_PI * int(rng.integers(1, 4))
+        spec = ModelSpec(coupling=Drive.constant(g0),
+                         squeezing=Drive.cosine(0.0, 2.0))
+        limit = qfi_thermal(qfi_coefficients(spec, "d2", tau, mode="finite_diff"),
+                            math.sqrt(nc), r_t)
+        closed = qfi_closed_form("d2-resonant-approx", tau, g0=g0,
+                                 n_photons=nc, r_T=r_t)
+        assert limit == pytest.approx(
+            closed, rel=finite_diff_qfi_budget(spec, "d2", tau)), (g0, tau)
+
+
+@pytest.mark.xfail(strict=True, reason="d2-constant-approx drops the secular "
+                   "term of dF_Na2/dd2 (F_Na2 carries 1/zeta^3, zeta^2 = 1 + "
+                   "4 d2), so it is not the d2 -> 0 limit of the exact QFI")
+def test_d2_constant_approx_is_the_d2_to_0_limit():
+    g0, nc, tau = 1.0, 1.0, TWO_PI
+    spec = ModelSpec(coupling=Drive.constant(g0), squeezing=Drive.constant(0.0))
+    limit = qfi_thermal(qfi_coefficients(spec, "d2", tau, mode="finite_diff"),
+                        math.sqrt(nc))
+    closed = qfi_closed_form("d2-constant-approx", tau, g0=g0, n_photons=nc)
+    assert limit == pytest.approx(
+        closed, rel=finite_diff_qfi_budget(spec, "d2", tau))
 
 
 def test_resonant_asymptote():
@@ -201,13 +221,6 @@ def test_temperature_monotonicity():
     assert d_vals[0] >= d_vals[1] >= d_vals[2]
 
 
-def test_d2_validity_warning():
-    spec = ModelSpec(coupling=Drive.constant(1.0),
-                     squeezing=Drive.constant(0.5))
-    with pytest.warns(UserWarning, match="validity"):
-        qfi_coefficients(spec, "d2", 1.0)
-
-
 def _refusal(fn, *args, **kwargs):
     """The ValueError message ``fn`` raises, or None when it returns."""
     try:
@@ -223,7 +236,6 @@ def _unstable_constant_spec(rng, d2):
                      squeezing=Drive.constant(d2))
 
 
-@pytest.mark.filterwarnings("ignore:.*small-d2 validity")
 def test_routes_are_decided_before_the_arithmetic(rng):
     # catalog_entry names no entry exactly when f_closed_form raises, and
     # qfi_route refuses exactly what qfi_coefficients refuses, with its message
@@ -238,6 +250,7 @@ def test_routes_are_decided_before_the_arithmetic(rng):
                 refusal = _refusal(qfi_route, spec, param, mode)
                 assert refusal == _refusal(qfi_coefficients, spec, param, 0.7,
                                            mode=mode), (spec, param, mode)
+        assert _refusal(qfi_route, spec, "d2", "analytic") is not None
     for spec in (random_spec(rng) for _ in range(300)):
         miss = _refusal(f_closed_form, spec, 0.7)
         assert (catalog_entry(spec) is None) == (miss is not None), spec
@@ -250,12 +263,17 @@ def test_qfi_route_names():
     assert qfi_route(gravimetry_model, "d1", "analytic") == "d1-homogeneity"
     assert qfi_route(mod_g, "epsilon", "analytic") == "epsilon-polynomial"
     assert qfi_route(mod_g, "omega_g", "finite_diff") == "finite-diff"
-    assert qfi_route(ModelSpec(coupling=Drive.constant(1.0),
-                               squeezing=Drive.cosine(0.1, 2.0)),
-                     "d2", "analytic") == "d2-resonant"
-    assert qfi_route(ModelSpec(coupling=Drive.constant(1.0),
-                               squeezing=Drive.constant(0.1)),
-                     "d2", "analytic") == "d2-constant"
+    # d2 has no analytic route, squeezed or not; finite differences serve it
+    for squeezing in (Drive.constant(0.0), Drive.constant(0.1),
+                      Drive.cosine(0.1, 2.0)):
+        spec = ModelSpec(coupling=Drive.constant(1.0), squeezing=squeezing)
+        with pytest.raises(ValueError, match="no analytic derivative route "
+                           "for parameter 'd2'; use mode finite_diff"):
+            qfi_route(spec, "d2", "analytic")
+        assert qfi_route(spec, "d2", "finite_diff") == "finite-diff"
+    with pytest.raises(ValueError, match="do not cover a squeezing term"):
+        qfi_route(ModelSpec(coupling=Drive.constant(1.0),
+                            squeezing=Drive.constant(0.1)), "g0", "analytic")
     # the model is all-constant, but its g0 = 1 variant the route evaluates
     # is a modulated coupling with a displacement, which the catalog misses
     variant_miss = ModelSpec(coupling=Drive.offset_sinusoid(0.0, 0.3, 0.7),

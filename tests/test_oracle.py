@@ -6,6 +6,8 @@ import pytest
 from optomech import oracle
 from optomech.coefficients import derived_scalars, f_closed_form
 from optomech.mechanics import STRICT, solve_subsystem
+from optomech.metrology import (_param_value, _with_param, qfi_coefficients,
+                                qfi_thermal)
 from optomech.moments import evolve_moments
 from optomech.oracle import (TruncatedState, TruncationError, _bessel_j,
                              _branch_band, _branch_box, _drive_bound,
@@ -15,6 +17,9 @@ from optomech.oracle import (TruncatedState, TruncationError, _bessel_j,
                              mechanical_fidelity_with_coherent, oracle_moments,
                              overlap, propagate, recommended_dims)
 from optomech.params import Drive, InitialState, ModelSpec, evaluate_drive
+
+from conftest import (CLOSED_FORM_ROUNDINGS, UNIT_ROUNDOFF,
+                      finite_diff_qfi_budget)
 
 
 def test_coherent_amplitudes_normalised():
@@ -381,3 +386,72 @@ def test_fock_superposition_initialisation():
     st = propagate(spec, state, 0.5, (6, 6))
     m = oracle_moments(st)
     assert m.adag_a == pytest.approx(1.5, abs=1e-10)
+
+
+# The QFI of a pure coherent x coherent input from the truncated state,
+# F_Q = 4 (<dpsi|dpsi> - |<psi|dpsi>|^2), with dpsi Richardson's
+# (4 D(h/2) - D(h)) / 3 of central differences D of propagate, is an exact
+# reference that shares nothing with the generator ledger.
+ORACLE_QFI_TARGET = 1e-8
+ORACLE_QFI_STEP = 1e-4
+SQUEEZED_AT_2 = ModelSpec(coupling=Drive.constant(0.5),
+                          displacement=Drive.constant(0.3),
+                          squeezing=Drive.cosine(0.05, 2.0))
+
+
+@pytest.mark.parametrize("spec, param, mode, tau", [
+    pytest.param(ModelSpec(coupling=Drive.constant(0.5),
+                           displacement=Drive.constant(0.3),
+                           squeezing=Drive.constant(0.2)),
+                 "d2", "finite_diff", 2.0, id="d2-constant"),
+    pytest.param(SQUEEZED_AT_2, "d2", "finite_diff", 2.0, id="d2-at-omega-2"),
+    pytest.param(ModelSpec.gravimetry(0.5, 0.3), "g0", "analytic", 4.5,
+                 id="g0"),
+    pytest.param(ModelSpec(coupling=Drive.constant(0.5),
+                           displacement=Drive.cosine(0.3, 0.7)),
+                 "d1", "analytic", 2.0, id="d1"),
+    pytest.param(ModelSpec(coupling=Drive.offset_sinusoid(0.5, 0.4, 0.7)),
+                 "epsilon", "analytic", 2.0, id="epsilon"),
+    pytest.param(SQUEEZED_AT_2, "omega_d2", "finite_diff", 2.0, id="omega_d2"),
+])
+def test_qfi_matches_the_truncated_state(spec, param, mode, tau):
+    mu_c = 0.6 + 0.5j
+    state = InitialState.coherent(mu_c, 0.0)  # qfi_thermal's r_T = 0 vacuum
+    dims = recommended_dims(spec, state, tau, target=ORACLE_QFI_TARGET)
+    theta, h = _param_value(spec, param), ORACLE_QFI_STEP
+
+    def psi(value):
+        return propagate(_with_param(spec, param, value), state, tau,
+                         dims).amplitudes
+
+    def central(step):
+        return (psi(theta + step) - psi(theta - step)) / (2.0 * step)
+
+    d_h, d_half = central(h), central(h / 2.0)
+    dpsi = (4.0 * d_half - d_h) / 3.0
+    qfi_oracle = 4.0 * (np.vdot(dpsi, dpsi).real
+                        - abs(np.vdot(psi(theta), dpsi)) ** 2)
+    qfi = qfi_thermal(qfi_coefficients(spec, param, tau, mode=mode), mu_c)
+
+    # The budget, relative to F_Q. An error e in dpsi moves sqrt(F_Q) by at
+    # most 2 |e|, so F_Q by 4 |e| / sqrt(F_Q) relative:
+    # - integration: the modulated pass meets STRICT's rtol (constant drives
+    #   are exact to rounding), and a stencil this narrow keeps one step
+    #   sequence, so |e| <= rtol |dpsi|;
+    # - rounding: the weights turn rounding n u of the amplitudes into
+    #   3 n u / h, with n <= N_b tau, which bounds the Chebyshev degree (the
+    #   branch spectra's half-width times tau) and the pass's step count;
+    # - Richardson's remainder -h^4 psi^(5) / 480: with Taylor coefficients
+    #   falling geometrically it is |a h^2|^2 / (4 |dpsi|), where
+    #   a h^2 = 4/3 (D(h) - D(h/2)) is the leading term the step removed.
+    # The truncation adds 2 TARGET (recommended_dims holds the moments, and
+    # with them the generator's variance, to TARGET), and the reference its
+    # own budget: finite differences, or closed forms on the catalog routes.
+    norm = float(np.linalg.norm(dpsi))
+    a_h2 = 4.0 / 3.0 * float(np.linalg.norm(d_h - d_half))
+    e = (STRICT[0] * norm + 3.0 * dims[1] * tau * UNIT_ROUNDOFF / h
+         + a_h2 ** 2 / (4.0 * norm))
+    reference = (finite_diff_qfi_budget(spec, param, tau) if mode == "finite_diff"
+                 else 2.0 * CLOSED_FORM_ROUNDINGS * UNIT_ROUNDOFF)
+    bound = 2.0 * ORACLE_QFI_TARGET + 4.0 * e / math.sqrt(qfi) + reference
+    assert qfi_oracle == pytest.approx(qfi, rel=bound)
