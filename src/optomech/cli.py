@@ -9,6 +9,17 @@ BLAS thread counts the last digits of LAPACK- and quadrature-derived values
 (cfi, oracle-check) may differ; their goldens are compared at the accuracy each
 method promises.
 
+The seven value commands, drive-eval through cfi, are one table,
+VALUE_COMMANDS: each entry is a prepare, its value columns, the args its
+fingerprint records and the input states it computes. One runner,
+cmd_values, reads the swept values (the tau grid, --tau or qfi's --sweep),
+refuses an output it cannot write and an input state the entry does not
+accept, prepares (every other refusal, no arithmetic) and writes one row per
+value; sweep runs the qfi, cfi and nongauss prepares of the same table.
+Every refusal exits 2 before any arithmetic, among them a Fock input to qfi,
+a thermal or Fock input to oracle-check, a --steps above MAX_SWEEP_POINTS
+and oracle-check --dims above the oracle's caps.
+
 Importing this module loads the standard library and ``params`` only. numpy
 and the layer modules are registered at import and run on first use, so
 parsing and ``--help`` load no numpy, and each command loads what it calls:
@@ -40,10 +51,12 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 
 from . import __version__
-from .params import (QFI_MODES, ColdAtoms, Drive, FabryPerot, InitialState,
-                     Levitated, ModelSpec, coupling_constant, evaluate_drive)
+from .params import (QFI_MODES, STRICT, TOLERANCES, ColdAtoms, Drive,
+                     FabryPerot, InitialState, Levitated, ModelSpec,
+                     coupling_constant, evaluate_drive)
 
 
 def _lazy_module(fullname: str):
@@ -230,14 +243,17 @@ def write_records(path, fmt: str, meta: dict, columns, rows):
             fh.write(text)
 
 
+# settings a fingerprint leaves out at these values: strict, the default
+# profile, and cfi's default cut-off, so default fingerprints (and with them
+# the golden headers) do not depend on either being recorded
+UNRECORDED = (("tolerance_profile", "strict"), ("n_max", None))
+
+
 def _meta(args, **fields) -> dict:
     """The fingerprinted description of a command's output."""
-    meta = {"cmd": args.command, **fields}
-    # strict, the default, is left out, so strict fingerprints (and with
-    # them the golden headers) do not depend on the profile being recorded
-    if args.tolerance_profile != "strict":
-        meta["tolerance_profile"] = args.tolerance_profile
-    return meta
+    meta = {"cmd": args.command, **fields,
+            "tolerance_profile": args.tolerance_profile}
+    return {key: v for key, v in meta.items() if (key, v) not in UNRECORDED}
 
 
 def _check_output(path):
@@ -263,8 +279,9 @@ def _check_tau(tau):
 def _tau_grid(args):
     """np.linspace(0, tau_max, steps), bit for bit, as a list of floats."""
     _check_tau(args.tau_max)
-    if args.steps < 1:
-        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+    if not 1 <= args.steps <= MAX_SWEEP_POINTS:
+        raise ConfigError(f"--steps must be >= 1 and <= {MAX_SWEEP_POINTS}, "
+                          f"got {args.steps}")
     tau_max, div = args.tau_max, args.steps - 1
     if div == 0:
         return [0.0]
@@ -275,136 +292,6 @@ def _tau_grid(args):
         grid = [i * step for i in range(args.steps)]
     grid[-1] = tau_max
     return grid
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-
-def cmd_drive_eval(args):
-    cfg = load_config(args.config)
-    _check_output(args.out)
-    spec = model_from_config(cfg)
-    taus = _tau_grid(args)
-    rows = [(t, evaluate_drive(spec.coupling, t),
-             evaluate_drive(spec.displacement, t),
-             evaluate_drive(spec.squeezing, t)) for t in taus]
-    write_records(args.out, args.format,
-                  _meta(args, config=cfg, tau_max=args.tau_max, steps=args.steps),
-                  ("tau", "G", "D1", "D2"), rows)
-    return 0
-
-
-def cmd_mechanics(args):
-    cfg = load_config(args.config)
-    _check_output(args.out)
-    spec = subsystem_model(cfg)
-    taus = _tau_grid(args)
-    sol = mechanics.solve_subsystem(
-        spec, args.tau_max, tol=mechanics.TOLERANCES[args.tolerance_profile])
-    p11, _, i_p22, _ = sol.state_at(taus)
-    rows = []
-    for i, t in enumerate(taus):
-        alpha, beta = sol.bogoliubov(t)
-        rows.append((t, p11[i], i_p22[i],
-                     alpha.real, alpha.imag, beta.real, beta.imag))
-    write_records(args.out, args.format,
-                  _meta(args, config=cfg, tau_max=args.tau_max, steps=args.steps),
-                  ("tau", "P11", "I_P22", "re_alpha", "im_alpha",
-                   "re_beta", "im_beta"), rows)
-    return 0
-
-
-def _coeff_rows(cfg, taus, tol):
-    traj = coefficients.Trajectory(subsystem_model(cfg), float(max(taus)), tol)
-    rows = []
-    for t in taus:
-        f = traj.f(t)
-        alpha, beta = traj.bogoliubov(t)
-        j = mechanics.j_coefficients(alpha, beta)
-        d = coefficients.derived_scalars(f, alpha, beta)
-        rows.append((t, f.f_na, f.f_na2, f.f_bp, f.f_bm, f.f_nabp, f.f_nabm,
-                     j.j_b, j.j_plus, j.j_minus, d.theta,
-                     d.k_na.real, d.k_na.imag))
-    return rows
-
-
-def cmd_coeffs(args):
-    cfg = load_config(args.config)
-    _check_output(args.out)
-    taus = _tau_grid(args)
-    tol = mechanics.TOLERANCES[args.tolerance_profile]
-    write_records(args.out, args.format,
-                  _meta(args, config=cfg, tau_max=args.tau_max, steps=args.steps),
-                  ("tau", "F_Na", "F_Na2", "F_B+", "F_B-", "F_NaB+", "F_NaB-",
-                   "J_b", "J_+", "J_-", "theta", "re_K_Na", "im_K_Na"),
-                  _coeff_rows(cfg, taus, tol))
-    return 0
-
-
-def _moments_at(state, traj, t):
-    f = traj.f(t)
-    alpha, beta = traj.bogoliubov(t)
-    d = coefficients.derived_scalars(f, alpha, beta, state.mu_m)
-    m = moments.evolve_moments(f, alpha, beta, state.mu_c, state.mu_m, derived=d)
-    return f, alpha, beta, d, m
-
-
-def cmd_moments(args):
-    cfg = load_config(args.config)
-    _check_output(args.out)
-    spec, state = subsystem_model(cfg), state_from_config(cfg)
-    if state.optical != "coherent" or state.mechanical != "coherent":
-        raise ConfigError("moments require coherent x coherent input")
-    taus = _tau_grid(args)
-    traj = coefficients.Trajectory(spec, args.tau_max,
-                                   mechanics.TOLERANCES[args.tolerance_profile])
-    rows = []
-    for t in taus:
-        *_, m = _moments_at(state, traj, t)
-        if args.quadratures:
-            rows.append((t, *moments.quadratures(m)))
-        else:
-            rows.append((t, m.a.real, m.a.imag, m.b.real, m.b.imag,
-                         m.a2.real, m.a2.imag, m.b2.real, m.b2.imag,
-                         m.adag_a, m.bdag_b, m.ab.real, m.ab.imag,
-                         m.abdag.real, m.abdag.imag))
-    if args.quadratures:
-        cols = ("tau", "x_c", "p_c", "x_m", "p_m")
-    else:
-        cols = ("tau", "re_a", "im_a", "re_b", "im_b", "re_a2", "im_a2",
-                "re_b2", "im_b2", "adag_a", "bdag_b", "re_ab", "im_ab",
-                "re_abdag", "im_abdag")
-    write_records(args.out, args.format,
-                  _meta(args, config=cfg, tau_max=args.tau_max, steps=args.steps,
-                        quadratures=bool(args.quadratures)),
-                  cols, rows)
-    return 0
-
-
-def _prepare_nongauss(cfg: dict, fixed: dict, tau_max: float, tol):
-    spec, state = subsystem_model(cfg), state_from_config(cfg)
-    if state.optical != "coherent" or state.mechanical != "coherent":
-        raise ConfigError("the non-Gaussianity measure requires pure "
-                          "coherent x coherent input")
-    traj = coefficients.Trajectory(spec, tau_max, tol)  # integrates on first use
-
-    def value(tau):
-        rep = nongaussianity.report(spec, state.mu_c, state.mu_m, tau, traj=traj)
-        return rep.delta, rep.delta_min, rep.delta_max, rep.nu_op, rep.nu_me
-    return value
-
-
-def cmd_nongauss(args):
-    cfg = load_config(args.config)
-    rows = _sweep_rows(_prepare_nongauss, cfg, {}, "tau", _tau_grid(args),
-                       mechanics.TOLERANCES[args.tolerance_profile], args.out)
-    write_records(args.out, args.format,
-                  _meta(args, config=cfg, tau_max=args.tau_max, steps=args.steps),
-                  ("tau", "delta", "delta_min", "delta_max", "nu_op", "nu_me"),
-                  [(v, *value(t)) for v, value, t in rows])
-    return 0
 
 
 def _parse_sweep(text: str):
@@ -427,6 +314,87 @@ def _parse_sweep(text: str):
     return [start + i * step for i in range(math.floor(last) + 1)]
 
 
+def _input_state(cfg: dict, requires) -> InitialState:
+    """The input state of ``cfg``, refused unless ``requires``, a triple (who
+    requires it, optical states, mechanical states), accepts it."""
+    state = state_from_config(cfg)
+    who, optical, mechanical = requires
+    if state.optical not in optical or state.mechanical not in mechanical:
+        raise ConfigError(f"{who} {' or '.join(optical)} x "
+                          f"{' or '.join(mechanical)} input")
+    return state
+
+
+# ---------------------------------------------------------------------------
+# value commands: prepare(cfg, fixed, tau_max, tol) -> value applies every
+# refusal of the command besides its input state and computes nothing;
+# value(tau) computes one row's value columns on [0, tau_max]. ``fixed``
+# holds the command's settings.
+# ---------------------------------------------------------------------------
+
+
+def _prepare_drives(cfg: dict, fixed: dict, tau_max: float, tol):
+    spec = model_from_config(cfg)
+    return lambda tau: (evaluate_drive(spec.coupling, tau),
+                        evaluate_drive(spec.displacement, tau),
+                        evaluate_drive(spec.squeezing, tau))
+
+
+def _prepare_mechanics(cfg: dict, fixed: dict, tau_max: float, tol):
+    sol = mechanics.solve_subsystem(subsystem_model(cfg), tau_max, tol=tol)
+
+    def value(tau):
+        p11, _, i_p22, _ = sol.state_at(tau)
+        alpha, beta = sol.bogoliubov(tau)
+        return p11, i_p22, alpha.real, alpha.imag, beta.real, beta.imag
+    return value
+
+
+def _prepare_coeffs(cfg: dict, fixed: dict, tau_max: float, tol):
+    traj = coefficients.Trajectory(subsystem_model(cfg), tau_max, tol)
+
+    def value(tau):
+        f = traj.f(tau)
+        alpha, beta = traj.bogoliubov(tau)
+        j = mechanics.j_coefficients(alpha, beta)
+        d = coefficients.derived_scalars(f, alpha, beta)
+        return (f.f_na, f.f_na2, f.f_bp, f.f_bm, f.f_nabp, f.f_nabm,
+                j.j_b, j.j_plus, j.j_minus, d.theta, d.k_na.real, d.k_na.imag)
+    return value
+
+
+def _moments_at(state, traj, t):
+    f = traj.f(t)
+    alpha, beta = traj.bogoliubov(t)
+    d = coefficients.derived_scalars(f, alpha, beta, state.mu_m)
+    m = moments.evolve_moments(f, alpha, beta, state.mu_c, state.mu_m, derived=d)
+    return f, alpha, beta, d, m
+
+
+def _prepare_moments(cfg: dict, fixed: dict, tau_max: float, tol):
+    spec, state = subsystem_model(cfg), state_from_config(cfg)
+    traj = coefficients.Trajectory(spec, tau_max, tol)
+
+    def value(tau):
+        *_, m = _moments_at(state, traj, tau)
+        if fixed["quadratures"]:
+            return moments.quadratures(m)
+        return (m.a.real, m.a.imag, m.b.real, m.b.imag, m.a2.real, m.a2.imag,
+                m.b2.real, m.b2.imag, m.adag_a, m.bdag_b, m.ab.real, m.ab.imag,
+                m.abdag.real, m.abdag.imag)
+    return value
+
+
+def _prepare_nongauss(cfg: dict, fixed: dict, tau_max: float, tol):
+    spec, state = subsystem_model(cfg), state_from_config(cfg)
+    traj = coefficients.Trajectory(spec, tau_max, tol)  # integrates on first use
+
+    def value(tau):
+        rep = nongaussianity.report(spec, state.mu_c, state.mu_m, tau, traj=traj)
+        return rep.delta, rep.delta_min, rep.delta_max, rep.nu_op, rep.nu_me
+    return value
+
+
 def _prepare_qfi(cfg: dict, fixed: dict, tau_max: float, tol):
     spec, state = model_from_config(cfg), state_from_config(cfg)
     param, mode = fixed["param"], _one_of("mode", fixed["mode"], QFI_MODES)
@@ -445,8 +413,6 @@ def _prepare_cfi(cfg: dict, fixed: dict, tau_max: float, tol):
         raise ConfigError("cfi needs a constant coupling and displacement")
     if not spec.squeezing.is_zero:
         raise ConfigError("cfi needs d2 = 0")
-    if state.optical != "coherent" or state.mechanical != "coherent":
-        raise ConfigError("cfi requires coherent x coherent input")
     lam, n_max = _finite("lambda", fixed["lambda"]), fixed.get("n_max")
     if n_max is not None and n_max < 1:
         raise ConfigError(f"--n-max must be >= 1, got {n_max}")
@@ -455,54 +421,80 @@ def _prepare_cfi(cfg: dict, fixed: dict, tau_max: float, tol):
         state.mu_m, lam, tau, n_max=n_max),)
 
 
-def _sweep_rows(prepare, cfg: dict, fixed: dict, name: str, values, tol,
-                out):
-    """Prepared rows (v, value, t) over the swept values v of ``name``;
-    value(t) computes the row's value columns. A tau sweep prepares once at
-    the largest tau, any other name overrides that field of ``cfg`` and
-    prepares each point at ``fixed["tau"]``. ``out`` is the output file the
-    rows go to.
+# a value command: its prepare, its value columns, the args its fingerprint
+# records, and the input states it computes, as _input_state takes them
+# (None: it reads no input state)
+ValueCommand = namedtuple("ValueCommand", "prepare columns records requires")
+GRID = ("tau_max", "steps")
+COHERENT = ("coherent",)
+QUADRATURE_COLUMNS = ("x_c", "p_c", "x_m", "p_m")  # moments --quadratures
+VALUE_COMMANDS = {
+    "drive-eval": ValueCommand(_prepare_drives, ("G", "D1", "D2"), GRID, None),
+    "mechanics": ValueCommand(
+        _prepare_mechanics, ("P11", "I_P22", "re_alpha", "im_alpha",
+                             "re_beta", "im_beta"), GRID, None),
+    "coeffs": ValueCommand(
+        _prepare_coeffs, ("F_Na", "F_Na2", "F_B+", "F_B-", "F_NaB+", "F_NaB-",
+                          "J_b", "J_+", "J_-", "theta", "re_K_Na", "im_K_Na"),
+        GRID, None),
+    "moments": ValueCommand(
+        _prepare_moments, ("re_a", "im_a", "re_b", "im_b", "re_a2", "im_a2",
+                           "re_b2", "im_b2", "adag_a", "bdag_b", "re_ab",
+                           "im_ab", "re_abdag", "im_abdag"),
+        (*GRID, "quadratures"), ("moments require", COHERENT, COHERENT)),
+    "nongauss": ValueCommand(
+        _prepare_nongauss, ("delta", "delta_min", "delta_max", "nu_op", "nu_me"),
+        GRID, ("the non-Gaussianity measure requires pure", COHERENT,
+               COHERENT)),
+    "qfi": ValueCommand(_prepare_qfi, ("qfi",), ("sweep", "param", "mode", "tau"),
+                        ("qfi requires", COHERENT, ("coherent", "thermal"))),
+    "cfi": ValueCommand(_prepare_cfi, ("cfi",), ("lambda", "n_max", "tau"),
+                        ("cfi requires", COHERENT, COHERENT)),
+}
 
-    prepare(cfg, fixed, tau_max, tol) -> value applies every refusal of a
-    value command's run and computes nothing; ``fixed`` holds its settings.
+
+def _sweep_rows(command: str, cfg: dict, fixed: dict, name: str, values, tol,
+                out):
+    """The rows (v, value, t) of the value command ``command`` over the swept
+    values v of ``name``, prepared and refused, computing nothing; value(t)
+    computes the row's value columns. A tau sweep prepares once at the
+    largest tau, any other name overrides that field of ``cfg`` and prepares
+    each point at ``fixed["tau"]``. ``out`` is the output file the rows go to.
     """
     _check_output(out)
     if name not in SWEPT_NAMES:
         raise ConfigError(f"unknown swept name '{name}'")
+    entry = VALUE_COMMANDS[command]
+
+    def prepare(point, tau_max):
+        if entry.requires is not None:
+            _input_state(point, entry.requires)
+        return entry.prepare(point, fixed, tau_max, tol)
+
     if name == "tau":
         _check_tau(min(values))
-        value = prepare(cfg, fixed, max(values), tol)
+        value = prepare(cfg, max(values))
         return [(v, value, v) for v in values]
     _check_tau(fixed["tau"])
     tau = float(fixed["tau"])
-    return [(v, prepare({**cfg, name: v}, fixed, tau, tol), tau) for v in values]
+    return [(v, prepare({**cfg, name: v}, tau), tau) for v in values]
 
 
-def cmd_qfi(args):
+def cmd_values(args):
+    """Run a value command: one row per tau of its grid, its --tau or the
+    values of qfi's --sweep, fingerprinted with the config and the args the
+    command records."""
+    entry = VALUE_COMMANDS[args.command]
     cfg = load_config(args.config)
-    name, values = "tau", [args.tau]
-    if args.sweep:
-        name, values = args.sweep[0], _parse_sweep(args.sweep[1])
-    fixed = {"param": args.param, "mode": args.mode, "tau": args.tau}
-    rows = _sweep_rows(_prepare_qfi, cfg, fixed, name, values,
-                       mechanics.TOLERANCES[args.tolerance_profile], args.out)
-    write_records(args.out, args.format,
-                  _meta(args, config=cfg, sweep=args.sweep, **fixed),
-                  (name, "qfi"), [(v, *value(t)) for v, value, t in rows])
-    return 0
-
-
-def cmd_cfi(args):
-    cfg = load_config(args.config)
-    fixed = {"lambda": args.quadrature_angle, "n_max": args.n_max,
-             "tau": args.tau}
-    rows = _sweep_rows(_prepare_cfi, cfg, fixed, "tau", [args.tau],
-                       mechanics.TOLERANCES[args.tolerance_profile], args.out)
-    # the default cut-off (None) is left out, so default fingerprints (and
-    # the golden header) do not depend on it being recorded
-    fields = {key: v for key, v in fixed.items() if v is not None}
-    write_records(args.out, args.format, _meta(args, config=cfg, **fields),
-                  ("tau", "cfi"), [(v, *value(t)) for v, value, t in rows])
+    fixed = {key: getattr(args, key) for key in entry.records}
+    name, values = "tau", (_tau_grid(args) if "steps" in fixed else [args.tau])
+    if fixed.get("sweep"):
+        name, values = fixed["sweep"][0], _parse_sweep(fixed["sweep"][1])
+    rows = _sweep_rows(args.command, cfg, fixed, name, values, args.tol,
+                       args.out)
+    columns = QUADRATURE_COLUMNS if fixed.get("quadratures") else entry.columns
+    write_records(args.out, args.format, _meta(args, config=cfg, **fixed),
+                  (name, *columns), [(v, *value(t)) for v, value, t in rows])
     return 0
 
 
@@ -562,13 +554,18 @@ def _parse_dims(text: str):
     if len(dims) != 2 or min(dims) < 1:
         raise ConfigError(f"dims '{text}' is not NA,NB with two positive "
                           "integers")
+    if dims[0] > oracle.NA_CAP or dims[1] > oracle.NB_CAP:
+        raise ConfigError(f"dims '{text}' exceed the oracle's caps "
+                          f"NA <= {oracle.NA_CAP}, NB <= {oracle.NB_CAP}")
     return dims
 
 
 def cmd_oracle_check(args):
     cfg = load_config(args.config)
     _check_output(args.out)
-    spec, state = subsystem_model(cfg), state_from_config(cfg)
+    spec = subsystem_model(cfg)
+    # the oracle propagates coherent x coherent inputs only
+    state = _input_state(cfg, ("oracle-check requires", COHERENT, COHERENT))
     tau = args.tau
     _check_tau(tau)
     if not 0 < args.tolerance < math.inf:
@@ -577,10 +574,9 @@ def cmd_oracle_check(args):
     try:
         dims = _parse_dims(args.dims) if args.dims else \
             oracle.recommended_dims(spec, state, tau)
-    except oracle.TruncationError as exc:  # more levels than the oracle's cap
+    except oracle.TruncationError as exc:  # more levels than the oracle's caps
         raise ConfigError(str(exc)) from None
-    traj = coefficients.Trajectory(spec, tau,
-                                   mechanics.TOLERANCES[args.tolerance_profile])
+    traj = coefficients.Trajectory(spec, tau, args.tol)
     f, alpha, beta, d, m = _moments_at(state, traj, tau)
     st = oracle.propagate(spec, state, tau, dims)
     mo = oracle.oracle_moments(st)
@@ -598,13 +594,12 @@ def cmd_oracle_check(args):
     return 0 if worst < args.tolerance else 1
 
 
-# the fields of a sweep document, the first four required; and each
-# command's prepare with the defaults of its fixed settings besides tau
+# the fields of a sweep document, the first four required; and the value
+# commands a sweep runs, with the defaults of their fixed settings besides tau
 SWEEP_FIELDS = ("command", "model", "swept", "output", "fixed", "format")
 SWEPT_FIELDS = ("name", "start", "stop", "step")
-SWEEP_COMMANDS = {"qfi": (_prepare_qfi, {"param": "g0", "mode": "analytic"}),
-                  "cfi": (_prepare_cfi, {"lambda": math.pi / 2}),
-                  "nongauss": (_prepare_nongauss, {})}
+SWEEP_COMMANDS = {"qfi": {"param": "g0", "mode": "analytic"},
+                  "cfi": {"lambda": math.pi / 2}, "nongauss": {}}
 
 
 def _sweep_plan(data: dict, tol):
@@ -615,25 +610,24 @@ def _sweep_plan(data: dict, tol):
     _one_of("swept.name", swept["name"], SWEPT_NAMES)
     values = _parse_sweep(f"{swept['start']}:{swept['stop']}:{swept['step']}")
     command = _one_of("command", data["command"], tuple(SWEEP_COMMANDS))
-    prepare, defaults = SWEEP_COMMANDS[command]
-    fixed = {"tau": 2.0 * math.pi, **defaults}
+    fixed = {"tau": 2.0 * math.pi, **SWEEP_COMMANDS[command]}
     fixed.update(_fields(data.get("fixed", {}), fixed, "fixed"))
     _one_of("format", data.get("format", "csv"), FORMATS)
     if not isinstance(data["output"], str):
         raise ConfigError(f"field 'output' must be a string, got "
                           f"{data['output']!r}")
-    return _sweep_rows(prepare, cfg, fixed, swept["name"], values, tol,
+    return _sweep_rows(command, cfg, fixed, swept["name"], values, tol,
                        data["output"])
 
 
 def validate_sweep_config(data: dict) -> None:
     """Every refusal of the sweep's run, as a ConfigError; computes nothing."""
-    _sweep_plan(data, mechanics.TOLERANCES["strict"])
+    _sweep_plan(data, STRICT)
 
 
 def cmd_sweep(args):
     data = _read_json(args.config)
-    rows = _sweep_plan(data, mechanics.TOLERANCES[args.tolerance_profile])
+    rows = _sweep_plan(data, args.tol)
     if args.validate_only:
         print("ok")
         return 0
@@ -652,7 +646,7 @@ def cmd_sweep(args):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="optomech")
-    parser.add_argument("--tolerance-profile", choices=("strict", "fast"),
+    parser.add_argument("--tolerance-profile", choices=tuple(TOLERANCES),
                         default="strict")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -667,22 +661,18 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--steps", type=int, default=101)
         return p
 
-    common("drive-eval", cmd_drive_eval, grid=True)
-    common("mechanics", cmd_mechanics, grid=True)
-    common("coeffs", cmd_coeffs, grid=True)
-    p = common("moments", cmd_moments, grid=True)
-    p.add_argument("--quadratures", action="store_true")
-    common("nongauss", cmd_nongauss, grid=True)
-
-    p = common("qfi", cmd_qfi)
+    values = {name: common(name, cmd_values, grid="steps" in entry.records)
+              for name, entry in VALUE_COMMANDS.items()}
+    values["moments"].add_argument("--quadratures", action="store_true")
+    p = values["qfi"]
     p.add_argument("--param", default="g0")
     p.add_argument("--tau", type=float, default=2.0 * math.pi)
     p.add_argument("--mode", choices=QFI_MODES, default="analytic")
     p.add_argument("--sweep", nargs=2, metavar=("NAME", "START:STOP:STEP"))
-
-    p = common("cfi", cmd_cfi)
+    p = values["cfi"]
     p.add_argument("--tau", type=float, default=2.0 * math.pi)
-    p.add_argument("--quadrature-angle", type=float, default=math.pi / 2)
+    p.add_argument("--quadrature-angle", dest="lambda", type=float,
+                   default=math.pi / 2)
     p.add_argument("--n-max", type=int, default=None)
 
     p = sub.add_parser("gravimetry")
@@ -707,6 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.tol = TOLERANCES[args.tolerance_profile]
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -29,11 +29,9 @@ from importlib import import_module
 # it at once, while a closed-form result never touches it
 np = sys.modules.get("numpy") or import_module("numpy")
 
-from .params import Drive, ModelSpec
-
-# (rtol, atol) of every adaptive integration, by profile name
-TOLERANCES = {"strict": (1e-10, 1e-12), "fast": (1e-8, 1e-10)}
-STRICT = TOLERANCES["strict"]
+# the (rtol, atol) profiles live in params, which the CLI reads without
+# numpy, and are re-exported here, beside the integrations that take them
+from .params import STRICT, TOLERANCES, Drive, ModelSpec
 
 # arcosh arguments this far below 1 are treated as rounding noise
 ACOSH_CLAMP = 1e-12

@@ -275,6 +275,11 @@ def qfi_closed_form(case: str, tau: float, g0: float = 0.0, epsilon: float = 0.0
     ``d1-general-omega``, ``d1-constant``, ``d1-resonant``,
     ``d2-constant-approx``, ``d2-resonant-approx``. ``n_photons`` is
     |mu_c|^2 and ``omega`` the relevant modulation frequency.
+
+    ``d2-resonant-approx`` equals the exact d2 QFI, the ``finite_diff`` QFI
+    of d2 cos 2 tau at d2 = 0, only at tau = 2 pi k; at other tau it is off
+    by O(1). ``d2-constant-approx`` is not the d2 -> 0 limit at any tau: it
+    drops the secular dF_Na2/dd2 term.
     """
     nc = float(n_photons)
     ch = math.cosh(2.0 * r_T)

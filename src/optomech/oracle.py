@@ -42,6 +42,11 @@ from .params import InitialState, ModelSpec, evaluate_drive
 
 NORM_DEFECT_LIMIT = 1e-6
 INITIAL_TAIL_LIMIT = 1e-12
+# caps on the truncation: photon levels N_a, where recommended_dims cuts a
+# coherent input's photon tail, and mechanical levels N_b, above which it
+# refuses the parameters
+NA_CAP = 401
+NB_CAP = 4000
 
 
 class TruncationError(RuntimeError):
@@ -464,7 +469,7 @@ def mechanical_fidelity_with_coherent(state: TruncatedState, mu: complex) -> flo
 
 
 def recommended_dims(spec: ModelSpec, state0: InitialState, tau: float,
-                     target: float = 3e-8, nb_cap: int = 4000):
+                     target: float = 3e-8, nb_cap: int = NB_CAP):
     """Truncation dims for moment agreement around ``target`` accuracy.
 
     N_a keeps the initial photon tail below 1e-13. N_b covers the branch
@@ -474,7 +479,8 @@ def recommended_dims(spec: ModelSpec, state0: InitialState, tau: float,
     if state0.optical == "coherent":
         nc = abs(state0.mu_c) ** 2
         probs = [math.exp(-nc)]
-        while sum(probs) < 1.0 - 1e-13 and len(probs) < 400:
+        # one level is left for the tail appended below
+        while sum(probs) < 1.0 - 1e-13 and len(probs) < NA_CAP - 1:
             n = len(probs)
             probs.append(probs[-1] * nc / n)
         probs.append(probs[-1] * nc / len(probs))

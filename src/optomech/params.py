@@ -16,6 +16,11 @@ from .constants import EPSILON_0, HBAR, K_B
 # CLI's parser offers them without loading numpy
 QFI_MODES = ("analytic", "finite_diff")
 
+# (rtol, atol) of every adaptive integration, by profile name; named here,
+# so the CLI resolves --tolerance-profile without loading numpy
+TOLERANCES = {"strict": (1e-10, 1e-12), "fast": (1e-8, 1e-10)}
+STRICT = TOLERANCES["strict"]
+
 
 @dataclass(frozen=True)
 class Drive:

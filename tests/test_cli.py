@@ -768,6 +768,10 @@ REJECTED_INPUT = [
                  id="steps-zero"),
     pytest.param(["drive-eval", "--steps", "-1"], CFI_MODEL,
                  "--steps must be >= 1", id="steps-negative"),
+    # a grid of more than MAX_SWEEP_POINTS, refused before its list is built
+    pytest.param(["coeffs", "--steps", "1000001"], CFI_MODEL,
+                 "--steps must be >= 1 and <= 1000000, got 1000001",
+                 id="steps-over-cap"),
     pytest.param(["qfi", "--param", "bogus"], CFI_MODEL,
                  "unknown parameter id 'bogus'", id="qfi-unknown-param"),
     pytest.param(["coeffs"], {"g0": 1.0, "omega_g": -1},
@@ -801,6 +805,22 @@ REJECTED_INPUT = [
                   "swept": TAU_SWEEP},
                  "the non-Gaussianity measure requires pure",
                  id="sweep-nongauss-thermal"),
+    # the QFI takes a coherent optical input, the oracle coherent x coherent
+    pytest.param(["qfi"], {"g0": 0.5, "optical": "fock", "fock_n": 3},
+                 "qfi requires coherent x coherent or thermal input",
+                 id="qfi-fock"),
+    pytest.param(["sweep", "--validate-only"],
+                 {"command": "qfi",
+                  "model": {"g0": 0.5, "optical": "fock", "fock_n": 3},
+                  "swept": TAU_SWEEP},
+                 "qfi requires coherent x coherent or thermal input",
+                 id="validate-qfi-fock"),
+    pytest.param(["oracle-check"], {**CFI_MODEL, "mechanical": "thermal"},
+                 "oracle-check requires coherent x coherent input",
+                 id="oracle-thermal"),
+    pytest.param(["oracle-check"], {**CFI_MODEL, "optical": "fock"},
+                 "oracle-check requires coherent x coherent input",
+                 id="oracle-fock"),
     # a sweep's fields and fixed settings are checked like config fields
     pytest.param(["sweep"], {"command": "qfi", "model": CFI_MODEL,
                              "swept": TAU_SWEEP, "fixed": {"parm": "d1"}},
@@ -977,6 +997,13 @@ REJECTED_INPUT = [
     # the truncation the oracle would need exceeds its cap
     pytest.param(["oracle-check"], {"g0": 3, "mu_c_re": 4},
                  "parameters need N_b ~ 85849 > cap 4000", id="oracle-cap"),
+    # explicit dims above the same caps, refused before any allocation
+    pytest.param(["oracle-check", "--dims", "402,10"], CFI_MODEL,
+                 "dims '402,10' exceed the oracle's caps NA <= 401, NB <= 4000",
+                 id="oracle-dims-na-cap"),
+    pytest.param(["oracle-check", "--dims", "10,4001"], CFI_MODEL,
+                 "dims '10,4001' exceed the oracle's caps NA <= 401, NB <= 4000",
+                 id="oracle-dims-nb-cap"),
 ]
 
 

@@ -413,6 +413,12 @@ SQUEEZED_AT_2 = ModelSpec(coupling=Drive.constant(0.5),
     pytest.param(ModelSpec(coupling=Drive.offset_sinusoid(0.5, 0.4, 0.7)),
                  "epsilon", "analytic", 2.0, id="epsilon"),
     pytest.param(SQUEEZED_AT_2, "omega_d2", "finite_diff", 2.0, id="omega_d2"),
+    pytest.param(ModelSpec(coupling=Drive.offset_sinusoid(0.5, 0.4, 0.7),
+                           displacement=Drive.constant(0.3)),
+                 "omega_g", "finite_diff", 2.0, id="omega_g"),
+    pytest.param(ModelSpec(coupling=Drive.constant(0.5),
+                           displacement=Drive.cosine(0.3, 0.7)),
+                 "omega_d1", "finite_diff", 3.0, id="omega_d1"),
 ])
 def test_qfi_matches_the_truncated_state(spec, param, mode, tau):
     mu_c = 0.6 + 0.5j
