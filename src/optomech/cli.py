@@ -18,18 +18,22 @@ accept, prepares (every other refusal, no arithmetic) and writes one row per
 value; sweep runs the qfi, cfi and nongauss prepares of the same table.
 Every refusal exits 2 before any arithmetic, among them a Fock input to qfi,
 a thermal or Fock input to oracle-check, a --steps above MAX_SWEEP_POINTS
-and oracle-check --dims above the oracle's caps.
+and oracle-check --dims above the oracle's caps or cutting more of the
+input than oracle.INITIAL_TAIL_LIMIT.
 
 Importing this module loads the standard library and ``params`` only. numpy
 and the layer modules are registered at import and run on first use, so
 parsing and ``--help`` load no numpy, and each command loads what it calls:
 ``drive-eval`` loads no layer module, and only ``cfi`` and ``oracle-check``
 load the oracle. The closed forms run on ``math`` alone, so ``drive-eval``,
-``gravimetry`` and a ``qfi`` on the g0 or d1 catalog route (a single tau or a
-sweep) run no numpy either. ``mechanics``, ``coefficients`` and ``metrology``
-take numpy from sys.modules rather than with an import statement, which reads
-the lazy module's ``__spec__`` and so loads it; a program that imports them
-without this module gets numpy loaded as usual.
+``gravimetry`` and a ``qfi`` on a catalog route (g0, d1 or epsilon; a single
+tau or a sweep) run no numpy either, nor do ``mechanics``, ``coeffs`` and
+``moments`` on a catalog hit without squeezing, whose subsystem, J and
+moments are scalars on ``math`` and ``cmath``. ``mechanics``,
+``coefficients``, ``moments`` and ``metrology`` take numpy from sys.modules
+rather than with an import statement, which reads the lazy module's
+``__spec__`` and so loads it; a program that imports them without this
+module gets numpy loaded as usual.
 
 ``launch``, the entry point of the ``optomech`` console script and of
 ``python -m optomech.cli``, pins OpenBLAS to one thread unless
@@ -576,6 +580,11 @@ def cmd_oracle_check(args):
             oracle.recommended_dims(spec, state, tau)
     except oracle.TruncationError as exc:  # more levels than the oracle's caps
         raise ConfigError(str(exc)) from None
+    tail = oracle.initial_tail(state, dims)
+    if tail > oracle.INITIAL_TAIL_LIMIT:
+        raise ConfigError(f"dims {dims[0]},{dims[1]} cut an initial tail mass "
+                          f"{tail:.2e} off the input, above "
+                          f"{oracle.INITIAL_TAIL_LIMIT:.0e}; increase dims")
     traj = coefficients.Trajectory(spec, tau, args.tol)
     f, alpha, beta, d, m = _moments_at(state, traj, tau)
     st = oracle.propagate(spec, state, tau, dims)

@@ -21,6 +21,7 @@ read the same pass.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -342,9 +343,9 @@ def derived_scalars(f: FSet, alpha: complex, beta: complex,
     varphi = f.f_na + f.f_na2 + 2.0 * f.f_nabp * f.f_bm
     gamma = (alpha + beta) * f.f_bm - 1j * (alpha - beta) * f.f_bp
     delta = (alpha + beta) * f.f_nabm - 1j * (alpha - beta) * f.f_nabp
-    e_bpbm = np.exp(0.5 * (
+    e_bpbm = cmath.exp(0.5 * (
         -f.f_nabm ** 2 - f.f_nabp ** 2 - 2j * f.f_nabm * f.f_nabp
-        - 2.0 * mu_m * k_na + 2.0 * np.conj(mu_m) * np.conj(k_na)
+        - 2.0 * mu_m * k_na + 2.0 * mu_m.conjugate() * k_na.conjugate()
     ))
     return DerivedScalars(theta=theta, varphi=varphi, k_na=k_na,
-                          gamma=gamma, delta=delta, e_bpbm=complex(e_bpbm))
+                          gamma=gamma, delta=delta, e_bpbm=e_bpbm)

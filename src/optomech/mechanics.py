@@ -82,7 +82,7 @@ class SubsystemSolution:
         xi = self.xi(tau)
         dxi = self.dxi(tau)
         alpha = 0.5 * (xi + 1j * dxi)
-        beta = 0.5 * (np.conj(xi) + 1j * np.conj(dxi))
+        beta = 0.5 * (xi.conjugate() + 1j * dxi.conjugate())
         return alpha, beta
 
 
@@ -96,6 +96,11 @@ class JSet:
 
 
 def _free_dense(tau):
+    # a float or int tau takes math.cos and math.sin, with the bits of the
+    # numpy path (tests/test_mechanics.py checks it), and returns floats
+    if isinstance(tau, (int, float)):
+        c, s = math.cos(tau), math.sin(tau)
+        return c, -s, s, c
     tau = np.asarray(tau, dtype=float)
     return np.cos(tau), -np.sin(tau), np.sin(tau), np.cos(tau)
 
@@ -168,7 +173,9 @@ def j_coefficients(alpha: complex, beta: complex) -> JSet:
     mod = abs(z)
     j_plus = 0.25 * _safe_acosh(mod, "J_+")
     j_minus = 0.25 * _safe_acosh((2.0 * abs(alpha) ** 2 - 1.0) / mod, "J_-")
-    j_b = -0.5 * cmath.phase(z / mod)
+    # numpy divides a complex by a real through the reciprocal, and Python
+    # does not: this form rounds as numpy does for either kind of input
+    j_b = -0.5 * cmath.phase(z * (1.0 / mod))
     return JSet(j_b=j_b, j_plus=j_plus, j_minus=j_minus)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from importlib import import_module
 
 # numpy as sys.modules holds it, else imported (see optomech.mechanics)
@@ -177,11 +177,12 @@ def _analytic_derivatives(spec: ModelSpec, param: str, route: str, tau: float):
                   f_bp=unit.f_bp, f_bm=unit.f_bm, f_nabp=0.0, f_nabm=0.0)
         return f, df, j, zero
     # epsilon-polynomial: F_NaB+- are linear and F_Na2 quadratic in epsilon,
-    # so the polynomial is differentiated through three catalog evaluations
-    f0, fp, fm = (v.as_array() for v in variants)
-    lin = 0.5 * (fp - fm)
-    quad = 0.5 * (fp + fm - 2.0 * f0)
-    return f, FSet(*(lin + 2.0 * spec.coupling.offset * quad)), j, zero
+    # so the polynomial is differentiated through three catalog evaluations,
+    # on Python floats (the sums and products round as numpy's do)
+    slope = 2.0 * spec.coupling.offset
+    df = FSet(*(0.5 * (p - m) + slope * (0.5 * (p + m - 2.0 * z))
+                for z, p, m in zip(*map(astuple, variants))))
+    return f, df, j, zero
 
 
 def _finite_diff_derivatives(spec: ModelSpec, name: str, tau: float, tol):

@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
+from importlib import import_module
 
-import numpy as np
+# numpy as sys.modules holds it, else imported (see optomech.mechanics):
+# evolve_moments runs on scalars alone
+np = sys.modules.get("numpy") or import_module("numpy")
 
 from .coefficients import DerivedScalars
 
@@ -50,12 +54,13 @@ def evolve_moments(f, alpha: complex, beta: complex,
     mu_c, mu_m = complex(mu_c), complex(mu_m)
     d = derived if derived is not None else derived_scalars(f, alpha, beta, mu_m)
     nc = abs(mu_c) ** 2
+    mu_m_c = mu_m.conjugate()
     theta, varphi = d.theta, d.varphi
     k, gam, dlt, e1 = d.k_na, d.gamma, d.delta, d.e_bpbm
 
     phase1 = cmath.exp(-1j * varphi) * cmath.exp(nc * (cmath.exp(-1j * theta) - 1.0))
     a = phase1 * e1 * mu_c
-    b = alpha * mu_m + beta * np.conj(mu_m) + gam + dlt * nc
+    b = alpha * mu_m + beta * mu_m_c + gam + dlt * nc
 
     a2 = (cmath.exp(-2j * varphi) * mu_c ** 2 * cmath.exp(-1j * theta)
           * cmath.exp(nc * (cmath.exp(-2j * theta) - 1.0))
@@ -63,28 +68,28 @@ def evolve_moments(f, alpha: complex, beta: complex,
 
     col = gam + dlt * nc
     b2 = (alpha ** 2 * mu_m ** 2 + alpha * beta * (2.0 * abs(mu_m) ** 2 + 1.0)
-          + beta ** 2 * np.conj(mu_m) ** 2
-          + 2.0 * (alpha * mu_m + beta * np.conj(mu_m)) * col
+          + beta ** 2 * mu_m_c ** 2
+          + 2.0 * (alpha * mu_m + beta * mu_m_c) * col
           + gam ** 2 + 2.0 * gam * dlt * nc + dlt ** 2 * nc * (1.0 + nc))
 
     bdag_b = ((abs(alpha) ** 2 + abs(beta) ** 2) * abs(mu_m) ** 2
-              + np.conj(alpha) * beta * np.conj(mu_m) ** 2
-              + alpha * np.conj(beta) * mu_m ** 2
-              + (np.conj(alpha) * np.conj(mu_m) + np.conj(beta) * mu_m) * col
-              + (alpha * mu_m + beta * np.conj(mu_m)) * np.conj(col)
-              + (np.conj(gam) * dlt + gam * np.conj(dlt)) * nc
+              + alpha.conjugate() * beta * mu_m_c ** 2
+              + alpha * beta.conjugate() * mu_m ** 2
+              + (alpha.conjugate() * mu_m_c + beta.conjugate() * mu_m) * col
+              + (alpha * mu_m + beta * mu_m_c) * col.conjugate()
+              + (gam.conjugate() * dlt + gam * dlt.conjugate()) * nc
               + abs(dlt) ** 2 * nc * (1.0 + nc)
               + abs(beta) ** 2 + abs(gam) ** 2)
 
     bracket = nc * cmath.exp(-1j * theta) + 1.0
-    ab = phase1 * mu_c * e1 * (alpha * mu_m + beta * (np.conj(mu_m) - k)
+    ab = phase1 * mu_c * e1 * (alpha * mu_m + beta * (mu_m_c - k)
                                + gam + bracket * dlt)
-    abdag = phase1 * mu_c * e1 * (np.conj(alpha) * (np.conj(mu_m) - k)
-                                  + np.conj(beta) * mu_m
-                                  + np.conj(gam) + bracket * np.conj(dlt))
+    abdag = phase1 * mu_c * e1 * (alpha.conjugate() * (mu_m_c - k)
+                                  + beta.conjugate() * mu_m
+                                  + gam.conjugate() + bracket * dlt.conjugate())
 
     return MomentSet(a=a, b=b, a2=a2, b2=complex(b2),
-                     adag_a=nc, bdag_b=float(np.real(bdag_b)),
+                     adag_a=nc, bdag_b=float(bdag_b.real),
                      ab=ab, abdag=abdag)
 
 

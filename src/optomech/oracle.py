@@ -12,16 +12,22 @@ independent mechanical problems, one per photon branch n, each generated by
 
     H_n = N_b + (d1(tau) - g(tau) n)(b^dag + b) + d2(tau) (b^dag + b)^2.
 
+Each branch lives in its own mechanical box, sized from the force it feels:
+with constant coupling and displacement that force is exactly
+c_n = d1 - g n, and a modulated drive takes the triangle bound g n + d1.
 Both routes carry every live branch in one pass over the branches laid
 end to end. Constant drives expand exp(-i H_n tau) in Chebyshev polynomials
 (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)): each H_n is scaled
 onto [-1, 1] by its Gershgorin interval, the series is cut where the Bessel
 tail bounds the rest below unit roundoff, and it costs about h tau banded
 matvecs per branch, h the interval's half-width, so it grows linearly with
-tau. Time-dependent drives integrate in one adaptive eighth-order
-Runge-Kutta pass on the library's DOP853 stepper (:mod:`optomech.dop853`),
-in the frame rotating with N_b, where the drive terms alone set the step;
-it keeps only the end state. Neither route imports SciPy.
+tau. The scaled H_n is real, so a real input (real mu_c and mu_m) is
+carried as one real row rather than a real and an imaginary one, at half
+the cost and with the same bits. Time-dependent drives integrate in one
+adaptive eighth-order Runge-Kutta pass on the library's DOP853 stepper
+(:mod:`optomech.dop853`), in the frame rotating with N_b, where the drive
+terms alone set the step; it keeps only the end state. Neither route
+imports SciPy.
 Truncation shows up as loss of recurrence, not loss of norm: the truncated
 Hamiltonian is Hermitian, so norm drift measures integrator quality, while
 a tau = 2 pi trajectory failing to close signals insufficient dims.
@@ -107,10 +113,28 @@ def _initial_tensor(state0: InitialState, dims) -> np.ndarray:
     return np.outer(ca, coherent_amplitudes(state0.mu_m, nb))
 
 
+def initial_tail(state0: InitialState, dims) -> float:
+    """The probability mass of the input that the dims (N_a, N_b) cut off."""
+    return _tail(_initial_tensor(state0, dims))
+
+
+def _tail(psi0: np.ndarray) -> float:
+    return max(0.0, 1.0 - float(np.sum(np.abs(psi0) ** 2)))
+
+
 def _drive_bound(drive) -> float:
     if drive.phase == "sin":
         return abs(drive.amplitude) * (1.0 + abs(drive.offset))
     return abs(drive.amplitude)
+
+
+def _branch_force(spec: ModelSpec, n_photon: int) -> float:
+    """Bound on |d1(tau) - g(tau) n|, the force on branch n: exact when
+    coupling and displacement are constant, the triangle bound otherwise."""
+    g, d1 = spec.coupling, spec.displacement
+    if g.is_constant and d1.is_constant:
+        return abs(d1.amplitude - g.amplitude * n_photon)
+    return _drive_bound(g) * n_photon + _drive_bound(d1)
 
 
 def _branch_band(n_photon: int, g: float, d1: float, d2: float,
@@ -137,11 +161,10 @@ def _squeezing_factors(spec: ModelSpec, tau: float):
 def _branch_amplitude(spec: ModelSpec, state0: InitialState, n_photon: int,
                       tau: float) -> float:
     """Bound on the coherent amplitude branch n's wavepacket reaches by tau,
-    about 2 (g n + d1) from the drives, widened by the squeezing."""
+    about 2 |d1 - g n| from the drives, widened by the squeezing."""
     resp, boost = _squeezing_factors(spec, tau)
     return (abs(state0.mu_m)
-            + 2.0 * (_drive_bound(spec.coupling) * n_photon
-                     + _drive_bound(spec.displacement)) * resp) * boost
+            + 2.0 * _branch_force(spec, n_photon) * resp) * boost
 
 
 def _branch_box(spec: ModelSpec, state0: InitialState, n_photon: int,
@@ -162,7 +185,8 @@ def propagate(spec: ModelSpec, state0: InitialState, tau: float,
     Constant drives apply exp(-i H_n tau) to all live branches in one
     Chebyshev pass (``_chebyshev_branches``): exact to rounding, with
     banded matvecs only, and no SciPy. Its cost is linear in tau, about
-    h tau matvecs for a branch whose Gershgorin half-width is h. Modulated
+    h tau matvecs for a branch whose Gershgorin half-width is h, on one
+    real row for a real input and two rows otherwise. Modulated
     drives integrate all live branches in one adaptive eighth-order
     Runge-Kutta pass (the library's DOP853 in its end-state mode, SciPy's
     arithmetic in SciPy's order) in the frame rotating with N_b, at STRICT
@@ -170,7 +194,7 @@ def propagate(spec: ModelSpec, state0: InitialState, tau: float,
     """
     na, nb = dims
     psi0 = _initial_tensor(state0, dims)
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(psi0) ** 2)))
+    tail = _tail(psi0)
     if tail > INITIAL_TAIL_LIMIT:
         warnings.warn(f"initial truncation tail mass {tail:.2e} exceeds "
                       f"{INITIAL_TAIL_LIMIT:.0e}; increase dims", stacklevel=2)
@@ -352,7 +376,8 @@ def _chebyshev_branches(spec: ModelSpec, live: dict, tau: float) -> list:
                * weights[:, order])
 
     def apply(y):
-        """(H - c) / h on the first y.shape[1] levels; y holds Re and Im."""
+        """(H - c) / h on the first y.shape[1] levels; y holds Re and Im,
+        or Re alone for a real input."""
         end = y.shape[1]
         out = diag[:end] * y
         out[:, :-1] += off1[:end - 1] * y[:, 1:]
@@ -364,7 +389,10 @@ def _chebyshev_branches(spec: ModelSpec, live: dict, tau: float) -> list:
 
     branches = list(live.values())
     v = np.concatenate([branches[b] for b in order])
-    prev = np.stack([v.real, v.imag])
+    # the scaled H_n is real, so a real input stays real under every T_k and
+    # is carried as one row; zeros add exactly, so this is the two-row pass
+    # to the bit
+    prev = np.stack([v.real, v.imag] if v.imag.any() else [v.real])
     sums = [np.repeat(weights[0], sizes) * prev, np.zeros_like(prev)]
     # counts[k]: the branches whose series reaches term k, a prefix of order
     counts = np.searchsorted(-terms[order], -np.arange(weights.shape[0]))
@@ -384,7 +412,10 @@ def _chebyshev_branches(spec: ModelSpec, live: dict, tau: float) -> list:
         sums[k % 2][:, :end] += np.repeat(weights[k, :count],
                                           sizes[:count]) * cur
     even, odd = sums
-    out = (even[0] + odd[1]) + 1j * (even[1] - odd[0])
+    if len(even) == 2:
+        out = (even[0] + odd[1]) + 1j * (even[1] - odd[0])
+    else:
+        out = even[0] - 1j * odd[0]
     out *= np.repeat(np.exp(-1j * centre[order] * tau), sizes)
     pieces = np.split(out, ends[:-1])
     return [pieces[i] for i in np.argsort(order)]
@@ -473,7 +504,7 @@ def recommended_dims(spec: ModelSpec, state0: InitialState, tau: float,
     """Truncation dims for moment agreement around ``target`` accuracy.
 
     N_a keeps the initial photon tail below 1e-13. N_b covers the branch
-    coherent amplitudes phi_n ~ 2 (g n + d1) for every branch whose weighted
+    coherent amplitudes phi_n ~ 2 |d1 - g n| for every branch whose weighted
     contribution p_n (|phi_n| + sqrt(N_b)) exceeds the error budget.
     """
     if state0.optical == "coherent":
@@ -498,7 +529,10 @@ def recommended_dims(spec: ModelSpec, state0: InitialState, tau: float,
         if residual > target:
             n_star = n
             break
-    nb = _branch_box(spec, state0, min(n_star + 1, na - 1), tau)
+    # the exact force |d1 - g n| of a constant drive is not monotone in n, so
+    # the box is the largest over the covered branches
+    nb = max(_branch_box(spec, state0, n, tau)
+             for n in range(min(n_star + 1, na - 1) + 1))
     if nb > nb_cap:
         raise TruncationError(
             f"parameters need N_b ~ {nb} > cap {nb_cap}; outside the "

@@ -654,12 +654,25 @@ RESONANT_G_MODEL = {"g0": 0.5, "epsilon": 0.5, "omega_g": 1.0,
      {"optomech.metrology"}, {"numpy", "optomech.oracle"}),
     (["qfi", "--config", RESONANT_G_MODEL, "--sweep", "omega_g",
       "0.3:0.5:0.1"], {"optomech.metrology"}, {"numpy", "optomech.oracle"}),
+    # the grid commands on a catalog hit without squeezing, and the epsilon
+    # QFI's three catalog evaluations, are scalar arithmetic on math and cmath
+    (["mechanics", "--config", CONFIG, "--steps", "3"],
+     {"optomech.mechanics"}, {"numpy", "optomech.oracle"}),
+    (["coeffs", "--config", CONFIG, "--steps", "3"],
+     {"optomech.coefficients"}, {"numpy", "optomech.oracle"}),
+    (["moments", "--config", CONFIG, "--steps", "3"],
+     {"optomech.moments"}, {"numpy", "optomech.oracle"}),
+    (["qfi", "--config", RESONANT_G_MODEL, "--param", "epsilon"],
+     {"optomech.metrology"}, {"numpy", "optomech.oracle"}),
     (["moments", "--config", MISS_CONFIG, "--steps", "3"],
      {"numpy", "optomech.moments"}, {"optomech.oracle"}),
+    (["mechanics", "--config", MISS_CONFIG, "--steps", "3"],
+     {"numpy", "optomech.mechanics"}, {"optomech.oracle"}),
 ])
 def test_command_runs_only_the_layers_it_uses(tmp_path, argv, ran, not_ran):
-    # cfi and the catalog-miss moments are the controls: they do run numpy
-    # and the probe sees it. A dict in argv is a config, written to a file.
+    # cfi and the catalog-miss moments and mechanics are the controls: they
+    # do run numpy and the probe sees it. A dict in argv is a config, written
+    # to a file.
     config = tmp_path / "config.json"
     for arg in argv:
         if isinstance(arg, dict):
@@ -1004,6 +1017,13 @@ REJECTED_INPUT = [
     pytest.param(["oracle-check", "--dims", "10,4001"], CFI_MODEL,
                  "dims '10,4001' exceed the oracle's caps NA <= 401, NB <= 4000",
                  id="oracle-dims-nb-cap"),
+    # explicit dims that cut off more of the input than the oracle allows,
+    # refused before propagating: a deviation that the cut input causes is
+    # the truncation's, and exit 1 would blame the library for it
+    pytest.param(["oracle-check", "--tau", "0.5", "--dims", "8,60"],
+                 {"g0": 1.0, "mu_c_re": 1.0},
+                 "dims 8,60 cut an initial tail mass 1.02e-05 off the input, "
+                 "above 1e-12; increase dims", id="oracle-dims-tail"),
 ]
 
 

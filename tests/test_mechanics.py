@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from optomech.coefficients import Trajectory, f_closed_form
-from optomech.mechanics import (JSet, compose_bogoliubov, j_coefficients,
-                                j_coefficients_ode, map_constant_squeezing,
+from optomech.mechanics import (JSet, _free_dense, compose_bogoliubov,
+                                j_coefficients, j_coefficients_ode,
+                                map_constant_squeezing,
                                 mathieu_perturbative, rwa_bogoliubov,
                                 solve_subsystem, unwrap_j_b)
 from optomech.moments import evolve_moments, quadratures
@@ -142,6 +143,26 @@ def test_j_round_trip(rng):
         alpha2, beta2 = compose_bogoliubov(back)
         assert abs(alpha - alpha2) < 1e-8
         assert abs(beta - beta2) < 1e-8
+
+
+def test_scalar_paths_round_as_numpy_bit_for_bit(rng):
+    # a catalog hit without squeezing solves the subsystem and J on Python
+    # scalars; they must give the bits numpy gives. _free_dense takes math
+    # for a float tau and numpy for an array; j_coefficients sees Python
+    # complex on a catalog hit and np.complex128 on an integrated route
+    tau = np.concatenate([[0.0, 5e-324, 1e-300, math.pi, 2 * math.pi],
+                          rng.uniform(0.0, 200.0, 20000)])
+    scalar = np.array([_free_dense(float(t)) for t in tau])
+    assert scalar.tobytes() == np.array(_free_dense(tau)).T.tobytes()
+
+    pairs = [compose_bogoliubov(JSet(j_b=float(rng.uniform(-3.0, 3.0)),
+                                     j_plus=float(rng.uniform(0.0, 1.5)),
+                                     j_minus=float(rng.uniform(0.0, 1.5))))
+             for _ in range(5000)]
+    pairs += [(cmath.exp(-1j * t), 0j) for t in tau[:5000]]
+    for alpha, beta in pairs:
+        ours = j_coefficients(alpha, beta)
+        assert ours == j_coefficients(np.complex128(alpha), np.complex128(beta))
 
 
 def test_j_coefficients_rejects_invalid_pair():

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -10,8 +11,8 @@ from optomech.metrology import (_param_value, _with_param, qfi_coefficients,
                                 qfi_thermal)
 from optomech.moments import evolve_moments
 from optomech.oracle import (TruncatedState, TruncationError, _bessel_j,
-                             _branch_band, _branch_box, _drive_bound,
-                             _gershgorin, _initial_tensor,
+                             _branch_band, _branch_box, _chebyshev_branches,
+                             _drive_bound, _gershgorin, _initial_tensor,
                              analytic_state_coefficients,
                              analytic_state_tensor, coherent_amplitudes,
                              mechanical_fidelity_with_coherent, oracle_moments,
@@ -352,6 +353,57 @@ def test_chebyshev_pass_at_tau_zero_returns_psi0(d2):
     dims = (17, 25)  # no branch box is below 25 levels, so none is trimmed
     st = propagate(spec, state, 0.0, dims)
     assert np.array_equal(st.amplitudes, _initial_tensor(state, dims))
+
+
+def test_real_input_runs_as_one_row():
+    # real mu_c and mu_m give real branch vectors, which the Chebyshev pass
+    # carries as one row; a unit phase makes them complex, and so two rows
+    spec = ModelSpec(coupling=Drive.constant(1.0),
+                     displacement=Drive.constant(0.5),
+                     squeezing=Drive.constant(0.05))
+    state, tau = InitialState.coherent(0.6, 0.3), math.pi
+    dims = recommended_dims(spec, state, tau)
+    psi0 = _initial_tensor(state, dims)
+    live = {n: psi0[n, :min(dims[1], _branch_box(spec, state, n, tau))]
+            for n in range(dims[0])}
+    assert not any(v.imag.any() for v in live.values())
+    one = _chebyshev_branches(spec, live, tau)
+    # the phase rounds both rows; to the recurrence's rounding bound
+    phase = cmath.exp(0.7j)
+    two = _chebyshev_branches(spec, {n: phase * v for n, v in live.items()},
+                              tau)
+    halves = [_gershgorin(_branch_band(n, 1.0, 0.5, 0.05, v.size))[1]
+              for n, v in live.items()]
+    k_max = _bessel_j(np.array(halves) * tau)[0].shape[0]
+    bound = k_max * EPS * np.linalg.norm(psi0)
+    assert max(np.max(np.abs(a - b / phase)) for a, b in zip(one, two)) <= bound
+
+
+@pytest.mark.parametrize("g0, d1", [(1.0, 1.0), (0.5, 5.0)])
+def test_exact_force_box_holds_every_branch(g0, d1):
+    # a constant drive's branch n feels exactly d1 - g0 n, not the triangle
+    # bound g0 n + d1. At tau = pi the wavepacket reaches its largest
+    # amplitude; at g0 = 0.5, d1 = 5 branch 0 feels the largest force, so the
+    # box must come from the largest branch, not the last covered one
+    spec = ModelSpec(coupling=Drive.constant(g0),
+                     displacement=Drive.constant(d1))
+    state, tau = InitialState.coherent(1.0, 0.5), math.pi
+    na, nb = recommended_dims(spec, state, tau)
+    psi = propagate(spec, state, tau, (na, nb)).amplitudes
+    # the dims cover every branch of weight above the budget, here n <= 12,
+    # and none reaches the top levels of its box
+    for n in range(13):
+        box = _branch_box(spec, state, n, tau)
+        assert box <= nb
+        assert np.max(np.abs(psi[n, box - 3:box])) < 1e-12
+
+
+def test_recommended_dims_of_the_golden_config():
+    # d1 = 0: the exact force g0 n is the triangle bound, so the golden
+    # oracle-check keeps its dims, and with them its fingerprint
+    spec = ModelSpec.standard(1.0)
+    for tau in (1.0, math.pi):
+        assert recommended_dims(spec, InitialState.coherent(1.0), tau) == (17, 961)
 
 
 def test_bessel_helper_matches_scipy():
