@@ -21,19 +21,18 @@ a thermal or Fock input to oracle-check, a --steps above MAX_SWEEP_POINTS
 and oracle-check --dims above the oracle's caps or cutting more of the
 input than oracle.INITIAL_TAIL_LIMIT.
 
-Importing this module loads the standard library and ``params`` only. numpy
-and the layer modules are registered at import and run on first use, so
-parsing and ``--help`` load no numpy, and each command loads what it calls:
+Importing this module loads the standard library and ``params`` only. Each
+function imports the layer modules it calls where it calls them, so parsing
+and ``--help`` load no numpy, and each command loads what it calls:
 ``drive-eval`` loads no layer module, and only ``cfi`` and ``oracle-check``
-load the oracle. The closed forms run on ``math`` alone, so ``drive-eval``,
+load the oracle. The layer modules import numpy inside the functions that
+build arrays, and the closed forms run on ``math`` alone, so ``drive-eval``,
 ``gravimetry`` and a ``qfi`` on a catalog route (g0, d1 or epsilon; a single
 tau or a sweep) run no numpy either, nor do ``mechanics``, ``coeffs`` and
 ``moments`` on a catalog hit without squeezing, whose subsystem, J and
-moments are scalars on ``math`` and ``cmath``. ``mechanics``,
-``coefficients``, ``moments`` and ``metrology`` take numpy from sys.modules
-rather than with an import statement, which reads the lazy module's
-``__spec__`` and so loads it; a program that imports them without this
-module gets numpy loaded as usual.
+moments are scalars on ``math`` and ``cmath``. Every library function is
+looked up on its module when it is called, so a function rebound on its
+module is the one that runs.
 
 ``launch``, the entry point of the ``optomech`` console script and of
 ``python -m optomech.cli``, pins OpenBLAS to one thread unless
@@ -50,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib.util
 import json
 import math
 import os
@@ -62,33 +60,6 @@ from .params import (QFI_MODES, STRICT, TOLERANCES, ColdAtoms, Drive,
                      FabryPerot, InitialState, Levitated, ModelSpec,
                      coupling_constant, evaluate_drive)
 
-
-def _lazy_module(fullname: str):
-    """The module ``fullname``: the module itself once it is imported, else a
-    module registered in sys.modules that runs on its first attribute access.
-
-    Commands look every library function up on its module when they call
-    it, so a function rebound on its module is the one that runs.
-    """
-    module = sys.modules.get(fullname)
-    if module is None:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[fullname] = module
-        spec.loader.exec_module(module)
-        parent, _, name = fullname.rpartition(".")
-        if parent:
-            setattr(sys.modules[parent], name, module)
-    return module
-
-
-# numpy first: the layer modules take it from sys.modules when they run
-np = _lazy_module("numpy")
-(mechanics, coefficients, moments, nongaussianity, metrology,
- oracle) = (_lazy_module(f"{__package__}.{name}") for name in (
-     "mechanics", "coefficients", "moments", "nongaussianity", "metrology",
-     "oracle"))
 
 CONFIG_KEYS = {
     "omega_c_ratio": 0.0,
@@ -181,7 +152,6 @@ def resolve_config(raw: dict) -> dict:
 def model_from_config(cfg: dict) -> ModelSpec:
     try:
         return ModelSpec(
-            omega_c_ratio=cfg["omega_c_ratio"],
             coupling=Drive.offset_sinusoid(cfg["g0"], cfg["epsilon"],
                                            cfg["omega_g"]),
             displacement=Drive.cosine(cfg["d1"], cfg["omega_d1"]),
@@ -193,6 +163,7 @@ def model_from_config(cfg: dict) -> ModelSpec:
 
 def subsystem_model(cfg: dict) -> ModelSpec:
     """The model of a command that solves its mechanical subsystem."""
+    from . import mechanics
     spec = model_from_config(cfg)
     try:
         mechanics.check_squeezing(spec.squeezing)
@@ -345,6 +316,7 @@ def _prepare_drives(cfg: dict, fixed: dict, tau_max: float, tol):
 
 
 def _prepare_mechanics(cfg: dict, fixed: dict, tau_max: float, tol):
+    from . import mechanics
     sol = mechanics.solve_subsystem(subsystem_model(cfg), tau_max, tol=tol)
 
     def value(tau):
@@ -355,6 +327,7 @@ def _prepare_mechanics(cfg: dict, fixed: dict, tau_max: float, tol):
 
 
 def _prepare_coeffs(cfg: dict, fixed: dict, tau_max: float, tol):
+    from . import coefficients, mechanics
     traj = coefficients.Trajectory(subsystem_model(cfg), tau_max, tol)
 
     def value(tau):
@@ -368,6 +341,7 @@ def _prepare_coeffs(cfg: dict, fixed: dict, tau_max: float, tol):
 
 
 def _moments_at(state, traj, t):
+    from . import coefficients, moments
     f = traj.f(t)
     alpha, beta = traj.bogoliubov(t)
     d = coefficients.derived_scalars(f, alpha, beta, state.mu_m)
@@ -376,6 +350,7 @@ def _moments_at(state, traj, t):
 
 
 def _prepare_moments(cfg: dict, fixed: dict, tau_max: float, tol):
+    from . import coefficients, moments
     spec, state = subsystem_model(cfg), state_from_config(cfg)
     traj = coefficients.Trajectory(spec, tau_max, tol)
 
@@ -390,16 +365,19 @@ def _prepare_moments(cfg: dict, fixed: dict, tau_max: float, tol):
 
 
 def _prepare_nongauss(cfg: dict, fixed: dict, tau_max: float, tol):
+    from . import coefficients
     spec, state = subsystem_model(cfg), state_from_config(cfg)
     traj = coefficients.Trajectory(spec, tau_max, tol)  # integrates on first use
 
     def value(tau):
+        from . import nongaussianity
         rep = nongaussianity.report(spec, state.mu_c, state.mu_m, tau, traj=traj)
         return rep.delta, rep.delta_min, rep.delta_max, rep.nu_op, rep.nu_me
     return value
 
 
 def _prepare_qfi(cfg: dict, fixed: dict, tau_max: float, tol):
+    from . import metrology
     spec, state = model_from_config(cfg), state_from_config(cfg)
     param, mode = fixed["param"], _one_of("mode", fixed["mode"], QFI_MODES)
     try:
@@ -420,6 +398,11 @@ def _prepare_cfi(cfg: dict, fixed: dict, tau_max: float, tol):
     lam, n_max = _finite("lambda", fixed["lambda"]), fixed.get("n_max")
     if n_max is not None and n_max < 1:
         raise ConfigError(f"--n-max must be >= 1, got {n_max}")
+    from . import metrology
+    tail = 0.0 if n_max is None else metrology.photon_tail(state.mu_c, n_max)
+    if tail > metrology.PHOTON_TAIL_LIMIT:
+        raise ConfigError(f"--n-max {n_max} cuts a photon tail mass {tail:.2e} "
+                          "off the input, above 1e-10; increase --n-max")
     return lambda tau: (metrology.cfi_homodyne(
         spec.coupling.amplitude, spec.displacement.amplitude, state.mu_c,
         state.mu_m, lam, tau, n_max=n_max),)
@@ -524,6 +507,7 @@ def setup_from_json(path: str):
 
 
 def cmd_gravimetry(args):
+    from . import metrology
     _check_output(args.out)
     if not 0 <= args.photons < math.inf:
         raise ConfigError(f"--photons must be finite and >= 0, got "
@@ -551,6 +535,7 @@ def cmd_gravimetry(args):
 
 
 def _parse_dims(text: str):
+    from . import oracle
     try:
         dims = tuple(int(x) for x in text.split(","))
     except ValueError:  # a field is not an integer
@@ -575,6 +560,7 @@ def cmd_oracle_check(args):
     if not 0 < args.tolerance < math.inf:
         raise ConfigError(f"--tolerance must be finite and > 0, got "
                           f"{args.tolerance}")
+    from . import coefficients, moments, oracle
     try:
         dims = _parse_dims(args.dims) if args.dims else \
             oracle.recommended_dims(spec, state, tau)
@@ -591,9 +577,8 @@ def cmd_oracle_check(args):
     mo = oracle.oracle_moments(st)
     names = ("a", "b", "a2", "b2", "adag_a", "bdag_b", "ab", "abdag")
     rows = [(k, abs(getattr(m, k) - getattr(mo, k))) for k in names]
-    cov_dev = np.max(np.abs(
-        moments.covariance(m, d, alpha, beta, state.mu_c).matrix
-        - moments.covariance_from_moments(mo).matrix))
+    cov_dev = abs(moments.covariance(m, d, alpha, beta, state.mu_c).matrix
+                  - moments.covariance_from_moments(mo).matrix).max()
     rows.append(("covariance", float(cov_dev)))
     rows.append(("norm_defect", st.norm_defect))
     write_records(args.out, args.format,

@@ -23,13 +23,8 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import import_module
-
-# numpy as sys.modules holds it, else imported (see optomech.mechanics)
-np = sys.modules.get("numpy") or import_module("numpy")
 
 from .mechanics import (STRICT, IntegrationError, JSet, SubsystemSolution,
                         check_squeezing, solve_ivp, solve_subsystem,
@@ -58,6 +53,7 @@ class FSet:
     f_nabm: float
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
         return np.array([self.f_na, self.f_na2, self.f_bp,
                          self.f_bm, self.f_nabp, self.f_nabm])
 

@@ -20,14 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
-from importlib import import_module
-
-# numpy as sys.modules holds it, else imported. The CLI registers numpy there
-# to load on first use; an import statement reads its __spec__ and so loads
-# it at once, while a closed-form result never touches it
-np = sys.modules.get("numpy") or import_module("numpy")
 
 # the (rtol, atol) profiles live in params, which the CLI reads without
 # numpy, and are re-exported here, beside the integrations that take them
@@ -101,6 +94,7 @@ def _free_dense(tau):
     if isinstance(tau, (int, float)):
         c, s = math.cos(tau), math.sin(tau)
         return c, -s, s, c
+    import numpy as np
     tau = np.asarray(tau, dtype=float)
     return np.cos(tau), -np.sin(tau), np.sin(tau), np.cos(tau)
 
@@ -119,6 +113,7 @@ def check_squeezing(d2: Drive):
 
 
 def _constant_dense_factory(d2: float):
+    import numpy as np
     zeta = math.sqrt(1.0 + 4.0 * d2)
 
     def dense(tau):
@@ -205,6 +200,7 @@ def j_coefficients_ode(spec: ModelSpec, tau, tol=STRICT) -> JSet:
 
 def unwrap_j_b(values, period: float = math.pi) -> np.ndarray:
     """Continuously unwrap principal-branch j_b samples along a grid."""
+    import numpy as np
     values = np.asarray(values, dtype=float)
     return np.unwrap(values, period=period)
 
@@ -220,6 +216,7 @@ def mathieu_perturbative(d2: float, tau):
 
     Valid for d2 << 1; no hard rejection is applied.
     """
+    import numpy as np
     tau = np.asarray(tau, dtype=float)
     ch, sh = np.cosh(d2 * tau), np.sinh(d2 * tau)
     c, s = np.cos(tau), np.sin(tau)
@@ -257,6 +254,7 @@ class FrequencyShift:
     squeeze_r: float
 
     def map_coherent(self, mu_m: complex) -> complex:
+        import numpy as np
         r = self.squeeze_r
         return mu_m * math.cosh(r) - np.conj(mu_m) * math.sinh(r)
 

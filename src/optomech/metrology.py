@@ -13,14 +13,10 @@ force sensitivities.
 
 from __future__ import annotations
 
+import itertools
 import math
-import sys
 import warnings
 from dataclasses import astuple, dataclass, replace
-from importlib import import_module
-
-# numpy as sys.modules holds it, else imported (see optomech.mechanics)
-np = sys.modules.get("numpy") or import_module("numpy")
 
 from .constants import HBAR
 from .coefficients import FSet, Trajectory, catalog_entry, f_closed_form
@@ -30,6 +26,8 @@ from .params import (QFI_MODES, ModelSpec, PhysicalSetup, coupling_constant,
 
 TWO_PI = 2.0 * math.pi
 _UNIT_ROUNDOFF = 2.0 ** -53  # half the float64 machine epsilon
+# the most photon-number mass of the input cfi_homodyne cuts off silently
+PHOTON_TAIL_LIMIT = 1e-10
 # _hermite_functions: the start e^{-x^2/2} is kept unscaled down to
 # 2^-_START_BITS, and no mantissa grows past 2^_GROWTH_BITS
 _LN2 = math.log(2.0)
@@ -187,6 +185,7 @@ def _analytic_derivatives(spec: ModelSpec, param: str, route: str, tau: float):
 
 def _finite_diff_derivatives(spec: ModelSpec, name: str, tau: float, tol):
     """Central differences with one Richardson refinement on the F/J paths."""
+    import numpy as np
     theta = _param_value(spec, name)
     h = _fd_step(theta)
 
@@ -359,6 +358,22 @@ def default_n_max(mu_c: complex) -> int:
     return int(math.ceil(nc + 10.0 * math.sqrt(nc) + 20.0))
 
 
+def photon_tail(mu_c: complex, n_max: int) -> float:
+    """The photon-number mass of |mu_c> on n >= n_max, which cfi_homodyne cuts
+    off: Poisson terms formed in log space, where none underflows, summed from
+    the cut away from the mean until one is below the sum's unit roundoff."""
+    nc = abs(complex(mu_c)) ** 2
+    if nc == 0.0:
+        return float(n_max < 1)
+    above, total = n_max > nc, 0.0
+    for n in itertools.count(n_max) if above else range(n_max - 1, -1, -1):
+        term = math.exp(n * math.log(nc) - nc - math.lgamma(n + 1.0))
+        total += term
+        if term <= _UNIT_ROUNDOFF * total:
+            break
+    return total if above else max(0.0, 1.0 - total)
+
+
 def cfi_homodyne(g0: float, d1: float, mu_c: complex, mu_m: complex,
                  lam: float, tau: float, n_max: int | None = None) -> float:
     """Classical Fisher information of a homodyne quadrature measurement.
@@ -373,17 +388,18 @@ def cfi_homodyne(g0: float, d1: float, mu_c: complex, mu_m: complex,
     rank-sized rows. Equals the coherent-input QFI at tau = 2 pi for
     integer g0, d1 and a matched quadrature angle.
     """
+    import numpy as np
     # imported here, so the QFI and gravimetry paths never load the oracle
     from .oracle import analytic_state_coefficients
 
     mu_c, mu_m = complex(mu_c), complex(mu_m)
     if n_max is None:
         n_max = default_n_max(mu_c)
-    weights, labels = analytic_state_coefficients(g0, d1, mu_c, mu_m, tau, n_max)
-    tail = 1.0 - float(np.sum(np.abs(weights) ** 2))
-    if tail > 1e-10:
+    tail = photon_tail(mu_c, n_max)
+    if tail > PHOTON_TAIL_LIMIT:
         warnings.warn(f"photon tail mass {tail:.2e} beyond n_max={n_max} "
                       "exceeds 1e-10; increase n_max", stacklevel=2)
+    weights, labels = analytic_state_coefficients(g0, d1, mu_c, mu_m, tau, n_max)
 
     # |rho_nm| <= |w_n| |w_m| <= max |rho| |w_n| / max |w|, so a photon row
     # with |w_n| <= u max |w| (u the unit roundoff) lies below the rounding
@@ -436,6 +452,7 @@ def _trapezoid_nodes(half_width: float, n_nodes: int):
     The CFI integrand decays like a Gaussian well inside the window, so the
     rule converges geometrically in the node count.
     """
+    import numpy as np
     x = np.linspace(-half_width, half_width, n_nodes)
     wts = np.full(n_nodes, x[1] - x[0])
     wts[[0, -1]] *= 0.5
@@ -455,6 +472,7 @@ def _hermite_functions(n_max: int, x: np.ndarray, first: int = 0) -> np.ndarray:
     1 into p, so no mantissa passes 2^_GROWTH_BITS. Where p = 0 the values
     are those of the unscaled recurrence, bit for bit.
     """
+    import numpy as np
     psi = np.empty((n_max - first, x.size))
     half_sq = 0.5 * x ** 2
     p = np.minimum(0.0, np.ceil(-half_sq / _LN2) + _START_BITS).astype(np.intc)

@@ -10,13 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
-from importlib import import_module
-
-# numpy as sys.modules holds it, else imported (see optomech.mechanics):
-# evolve_moments runs on scalars alone
-np = sys.modules.get("numpy") or import_module("numpy")
 
 from .coefficients import DerivedScalars
 
@@ -100,6 +94,7 @@ class CovarianceMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError("covariance matrix must be 4x4")
@@ -109,17 +104,18 @@ class CovarianceMatrix:
         object.__setattr__(self, "matrix", m)
 
     def optical_block(self) -> np.ndarray:
-        return self.matrix[np.ix_([0, 2], [0, 2])]
+        return self.matrix[0::2, 0::2].copy()
 
     def mechanical_block(self) -> np.ndarray:
-        return self.matrix[np.ix_([1, 3], [1, 3])]
+        return self.matrix[1::2, 1::2].copy()
 
     def cross_block(self) -> np.ndarray:
         """Optical-mechanical correlations (rows a, a^dag; columns b, b^dag)."""
-        return self.matrix[np.ix_([0, 2], [1, 3])]
+        return self.matrix[0::2, 1::2].copy()
 
 
 def _assemble(s11, s22, s31, s42, s21, s41) -> CovarianceMatrix:
+    import numpy as np
     m = np.empty((4, 4), dtype=complex)
     m[0, 0] = m[2, 2] = s11
     m[1, 1] = m[3, 3] = s22
@@ -136,6 +132,7 @@ def _assemble(s11, s22, s31, s42, s21, s41) -> CovarianceMatrix:
 
 def covariance_from_moments(m: MomentSet) -> CovarianceMatrix:
     """Covariance matrix from the eight moments (works for any source)."""
+    import numpy as np
     s11 = 1.0 + 2.0 * m.adag_a - 2.0 * abs(m.a) ** 2
     s22 = 1.0 + 2.0 * m.bdag_b - 2.0 * abs(m.b) ** 2
     s31 = 2.0 * m.a2 - 2.0 * m.a ** 2
@@ -152,6 +149,7 @@ def covariance(m: MomentSet, derived: DerivedScalars, alpha: complex,
     Agrees with :func:`covariance_from_moments` to rounding; kept separate
     because the simplified forms are numerically stabler at large |mu_c|.
     """
+    import numpy as np
     mu_c = complex(mu_c)
     nc = abs(mu_c) ** 2
     theta, varphi = derived.theta, derived.varphi
@@ -179,6 +177,7 @@ def symplectic_eigenvalues(sigma) -> np.ndarray:
     interleaved mode ordering; eigenvalues come in +-nu pairs and the
     positive branch is returned (one value per mode).
     """
+    import numpy as np
     m = sigma.matrix if isinstance(sigma, CovarianceMatrix) else np.asarray(sigma, dtype=complex)
     if m.shape == (4, 4):  # (a, b, a^dag, b^dag)
         signs = np.array([1.0, 1.0, -1.0, -1.0])

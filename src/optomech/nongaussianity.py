@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .coefficients import Trajectory, derived_scalars
 from .moments import (CovarianceMatrix, covariance, evolve_moments,
                       subsystem_eigenvalues, symplectic_eigenvalues)

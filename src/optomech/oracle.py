@@ -42,6 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# not used here: imported so that bench/trace_shim.py, which imports cli,
+# coefficients, metrology and oracle, finds every layer module in sys.modules
+from . import nongaussianity  # noqa: F401
 from .mechanics import STRICT, solve_ivp
 from .moments import MomentSet
 from .params import InitialState, ModelSpec, evaluate_drive
@@ -431,6 +434,10 @@ def analytic_state_coefficients(g0: float, d1: float, mu_c: complex,
     the mechanical coherent-state parameter
 
         phi_n = mu_m exp(-i tau) + (g0 n - d1) (1 - exp(-i tau)).
+
+    The weights leave out the global phase exp(i d1^2 (tau - sin tau)) of
+    every :func:`propagate` branch, on which no density matrix, moment or
+    Fisher information depends; :func:`analytic_state_tensor` restores it.
     """
     n = np.arange(n_max)
     eta = 1.0 - cmath.exp(-1j * tau)
@@ -445,9 +452,11 @@ def analytic_state_coefficients(g0: float, d1: float, mu_c: complex,
 
 def analytic_state_tensor(g0: float, d1: float, mu_c: complex, mu_m: complex,
                           tau: float, dims) -> np.ndarray:
-    """Truncated tensor of the closed-form state (same frame as propagate)."""
+    """Truncated tensor of the closed-form state, amplitude for amplitude
+    that of :func:`propagate`, global phase included."""
     na, nb = dims
     weights, labels = analytic_state_coefficients(g0, d1, mu_c, mu_m, tau, na)
+    weights = weights * cmath.exp(1j * d1 ** 2 * (tau - math.sin(tau)))
     psi = np.zeros((na, nb), dtype=complex)
     for n in range(na):
         psi[n, :] = weights[n] * coherent_amplitudes(labels[n], nb)

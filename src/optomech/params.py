@@ -104,30 +104,26 @@ def evaluate_drive(drive: Drive, tau):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Dimensionless Hamiltonian description.
+    """Dimensionless Hamiltonian description; its Omega_c Na term drops out in
+    the frame rotating at the cavity frequency, where every result is computed.
 
     H/(hbar omega_m) = Omega_c Na + Nb - G(tau) Na (b^dag + b)
                        + D1(tau) (b^dag + b) + D2(tau) (b^dag + b)^2
     """
 
-    omega_c_ratio: float = 0.0
     coupling: Drive = field(default_factory=lambda: Drive.constant(0.0))
     displacement: Drive = field(default_factory=lambda: Drive.constant(0.0))
     squeezing: Drive = field(default_factory=lambda: Drive.constant(0.0))
 
     @classmethod
-    def standard(cls, g0: float, omega_c_ratio: float = 0.0) -> "ModelSpec":
+    def standard(cls, g0: float) -> "ModelSpec":
         """Constant-coupling Hamiltonian without displacement or squeezing."""
-        return cls(omega_c_ratio=omega_c_ratio, coupling=Drive.constant(g0))
+        return cls(coupling=Drive.constant(g0))
 
     @classmethod
-    def gravimetry(cls, g0: float, d1: float, omega_c_ratio: float = 0.0) -> "ModelSpec":
+    def gravimetry(cls, g0: float, d1: float) -> "ModelSpec":
         """Constant coupling plus constant displacement (constant acceleration)."""
-        return cls(
-            omega_c_ratio=omega_c_ratio,
-            coupling=Drive.constant(g0),
-            displacement=Drive.constant(d1),
-        )
+        return cls(coupling=Drive.constant(g0), displacement=Drive.constant(d1))
 
 
 @dataclass(frozen=True)

@@ -587,10 +587,7 @@ def test_console_script_is_the_launcher():
 # Run in a fresh interpreter: runs the CLI as `python -m optomech.cli` does
 # with the arguments after "main", or only imports it ("import"), then prints
 # whether numpy is loaded and which optomech submodules have run, as the
-# interpreter exits. The CLI registers the layer modules in sys.modules at
-# import; a registered module is of a ModuleType subclass until it runs.
-# reports numpy and the optomech modules that ran: a module registered to
-# load on first use is still a _LazyModule until then
+# interpreter exits; only plain modules count as run
 LOADED_PROBE = """
 import atexit, importlib, json, runpy, sys, types
 
@@ -629,10 +626,38 @@ def test_help_and_import_load_no_numpy(argv):
     assert not {"numpy", *LAYERS} & modules_loaded_by(*argv)
 
 
-def test_library_import_loads_numpy():
-    # only the CLI registers numpy to load on first use
-    assert {"numpy", "optomech.metrology"} <= modules_loaded_by(
-        "optomech.metrology")
+# Run in a fresh interpreter: imports the CLI, then the layer modules, then
+# calls one array path, and reports what sys.modules holds after each step
+LIBRARY_PROBE = """
+import json, sys, types
+
+
+def state():
+    entries = {name: module for name, module in sys.modules.items()
+               if name == "numpy" or name.startswith("optomech.")}
+    return ["numpy" in entries,
+            all(type(module) is types.ModuleType for module in entries.values())]
+
+
+import optomech.cli
+steps = [state()]
+from optomech import coefficients, mechanics, metrology, moments
+steps.append(state())
+moments.symplectic_eigenvalues([[3.0, 0.0], [0.0, 3.0]])
+steps.append(state())
+print(json.dumps(steps))
+"""
+
+
+def test_library_import_loads_no_numpy():
+    # the CLI puts no stand-in modules into sys.modules, and the layer
+    # modules import numpy inside the functions that build arrays, so the
+    # library loads numpy on its first array and not before
+    result = subprocess.run([sys.executable, "-c", LIBRARY_PROBE],
+                            capture_output=True, text=True, env=child_env())
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[False, True], [False, True],
+                                         [True, True]]
 
 
 # a coupling g0 (1 + eps sin(tau)): the 'resonant-g' catalog entry, whose
@@ -777,6 +802,19 @@ REJECTED_INPUT = [
                  "cfi needs d2 = 0", id="cfi-sweep-squeezed"),
     pytest.param(["cfi", "--n-max", "0"], CFI_MODEL, "--n-max must be >= 1",
                  id="n-max-zero"),
+    # a cut-off that drops more of the input than cfi_homodyne's warning
+    # bound, refused before computing; at |mu_c| = 30 the mass is formed
+    # without underflow
+    pytest.param(["cfi", "--n-max", "2"], CFI_MODEL,
+                 "--n-max 2 cuts a photon tail mass 2.64e-01 off the input, "
+                 "above 1e-10; increase --n-max", id="n-max-tail"),
+    pytest.param(["cfi", "--n-max", "1000"], {**CFI_MODEL, "mu_c_re": 30.0},
+                 "--n-max 1000 cuts a photon tail mass 5.50e-04 off the input",
+                 id="n-max-tail-large-amplitude"),
+    # a sweep document sets no cut-off
+    pytest.param(["sweep"], {"command": "cfi", "model": CFI_MODEL,
+                             "swept": TAU_SWEEP, "fixed": {"n_max": 2}},
+                 "unknown config field 'fixed.n_max'", id="sweep-fixed-n-max"),
     pytest.param(["coeffs", "--steps", "0"], CFI_MODEL, "--steps must be >= 1",
                  id="steps-zero"),
     pytest.param(["drive-eval", "--steps", "-1"], CFI_MODEL,

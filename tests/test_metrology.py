@@ -8,9 +8,10 @@ from optomech.metrology import (QFI_MODES, QFI_PARAMS, QfiCoefficients,
                                 _hermite_functions, _trapezoid_nodes,
                                 acceleration_qfi, cfi_homodyne, default_n_max,
                                 gravimetry, gravimetry_qfi_closed,
-                                measurement_window, qfi_closed_form,
-                                qfi_coefficients, qfi_coherent, qfi_fock,
-                                qfi_route, qfi_thermal)
+                                measurement_window, photon_tail,
+                                qfi_closed_form, qfi_coefficients,
+                                qfi_coherent, qfi_fock, qfi_route,
+                                qfi_thermal)
 from optomech.oracle import analytic_state_coefficients
 from optomech.params import (ColdAtoms, Drive, FabryPerot, Levitated,
                              ModelSpec, coupling_constant, coupling_constant_hz)
@@ -351,6 +352,24 @@ def test_cfi_strictly_below_qfi_when_entangled():
 def test_cfi_truncation_warning():
     with pytest.warns(UserWarning, match="tail mass"):
         cfi_homodyne(1.0, 1.0, 1.5, 0.0, math.pi / 2, 2.0, n_max=6)
+
+
+@pytest.mark.parametrize("mu_c, n_max", [
+    (0.0, 1), (1.0, 2), (1.5, 6), (1.0, 10), (3.0, 40), (10.0, 40),
+    (30.0, 40), (30.0, 900), (30.0, 1000), (30j, 1220)])
+def test_photon_tail_is_the_poisson_mass_beyond_the_cut(mu_c, n_max):
+    # against P(n >= n_max) = P(n_max, |mu_c|^2), the regularised lower
+    # incomplete gamma function, in 40 digits; at |mu_c| = 30 every Poisson
+    # term below n = 155 underflows in float64 unless formed in log space.
+    # Each term's exponent, up to |n ln n| ~ 7e3, rounds to a few ulp of
+    # that, so a term is good to about 1e-12 relative; a mass formed as
+    # 1 - kept is good to the unit roundoff of 1 per term summed
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = float(mpmath.gammainc(n_max, 0, abs(mu_c) ** 2,
+                                      regularized=True))
+    assert photon_tail(mu_c, n_max) == pytest.approx(exact, rel=1e-11,
+                                                     abs=1e-13)
 
 
 @pytest.mark.parametrize("amplitude", [1, 3, 10])
