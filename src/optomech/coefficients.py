@@ -14,9 +14,9 @@ agree to fine tolerance and are tested against each other. Everything else
 comes from :func:`decoupled_pass`, one adaptive DOP853 pass with dense output
 over the subsystem, F and J, which carries the inner cumulative integrals as
 states (exactly equivalent to the nested quadrature). :class:`Trajectory` is
-the one route from a model to its decoupled solution on a whole range;
-``f_path``, ``f_integrated``, ``solve_subsystem`` and ``j_coefficients_ode``
-read the same pass.
+the one object for a model solved on a whole range; ``f_path``,
+``f_integrated``, ``solve_subsystem`` and ``j_coefficients_ode`` read the
+same pass.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .mechanics import (STRICT, IntegrationError, JSet, SubsystemSolution,
-                        check_squeezing, solve_ivp, solve_subsystem,
-                        unstable_squeezing)
+from .mechanics import (STRICT, IntegrationError, JSet, _constant_dense,
+                        check_squeezing, solve_ivp, unstable_squeezing)
 from .params import ModelSpec, evaluate_drive
 
 
@@ -122,17 +121,18 @@ def decoupled_pass(spec: ModelSpec, tau_max: float, tol=STRICT):
     return ivp.sol
 
 
-def f_path(spec: ModelSpec, sol: SubsystemSolution, tau_max: float):
+def f_path(spec: ModelSpec, sol: Trajectory, tau_max: float):
     """Dense evaluation of all six F-coefficients on [0, tau_max].
 
     Returns tau -> FSet from one :func:`decoupled_pass` at the tolerances
-    that solved ``sol``, whether or not the catalog covers ``spec``.
+    of the :class:`Trajectory` ``sol``, whether or not the catalog covers
+    ``spec``.
     """
     states = decoupled_pass(spec, tau_max, sol.tol)
     return lambda tau: FSet(*states(float(tau))[6:12])
 
 
-def f_integrated(spec: ModelSpec, sol: SubsystemSolution, tau: float) -> FSet:
+def f_integrated(spec: ModelSpec, sol: Trajectory, tau: float) -> FSet:
     """Evaluate the defining F-integrals numerically at a single time."""
     return f_path(spec, sol, float(tau))(tau)
 
@@ -277,31 +277,60 @@ def f_closed_form(spec: ModelSpec, tau: float) -> FSet:
 class Trajectory:
     """The decoupled solution of one model on [0, tau_max] at ``tol``.
 
-    Reads the subsystem (``sol``, ``bogoliubov``), the F-coefficients (``f``)
-    and the J parameters (``j``) at any tau in the range. Analytic paths come
-    first: the subsystem of a zero or constant squeezing, J = (tau, 0, 0) at
-    D2 = 0, and ``route``, fixed on construction: the :func:`catalog_entry`
-    of the drives, read by one :func:`f_closed_form` call per point. The
-    rest (F on the 'integrated' route, J at D2 != 0, a modulated subsystem)
-    is read from one :func:`decoupled_pass` over the range, run on first
-    use, so ``Trajectory(spec, tau).f(tau)`` equals
-    ``f_integrated(spec, solve_subsystem(spec, tau), tau)`` on a miss.
+    Reads the subsystem (``state_at``, ``xi``, ``dxi``, ``bogoliubov``), the
+    F-coefficients (``f``) and the J parameters (``j``) at any tau in the
+    range. Analytic paths come first: the subsystem of a constant squeezing,
+    zero included, J = (tau, 0, 0) at D2 = 0, and ``route``, fixed on
+    construction: the :func:`catalog_entry` of the drives, read by one
+    :func:`f_closed_form` call per point. The rest (F on the 'integrated'
+    route, J at D2 != 0, a modulated subsystem) is read from one
+    :func:`decoupled_pass` over the range, run on first use, which refuses
+    a tau outside the range; so ``traj.f(tau)`` equals
+    ``f_integrated(spec, traj, tau)`` on a miss.
     """
 
     def __init__(self, spec: ModelSpec, tau_max: float, tol=STRICT):
+        if tau_max < 0:
+            raise ValueError("tau_max must be >= 0")
+        d2 = spec.squeezing
+        check_squeezing(d2)
         self.spec, self.tau_max, self.tol = spec, float(tau_max), tol
         self.route = catalog_entry(spec) or "integrated"
-        if spec.squeezing.is_constant:
-            self.sol = solve_subsystem(spec, self.tau_max, tol)
-        else:
-            self.sol = SubsystemSolution(tol, lambda tau: self._states(tau)[:4])
+        self._subsystem = (_constant_dense(d2.amplitude) if d2.is_constant
+                           else lambda tau: self._states(tau)[:4])
 
     @cached_property
-    def _states(self):
+    def _pass(self):
         return decoupled_pass(self.spec, self.tau_max, self.tol)
 
+    def _states(self, tau):
+        # the dense output would extrapolate its last step outside the range
+        import numpy as np
+        t = np.asarray(tau)
+        if not ((t >= 0.0) & (t <= self.tau_max)).all():
+            raise ValueError(f"tau={tau} is outside the solved range "
+                             f"[0, {self.tau_max}]")
+        return self._pass(tau)
+
+    def state_at(self, tau):
+        """(P11, P11', I_P22, P22) at tau."""
+        return self._subsystem(tau)
+
+    def xi(self, tau) -> complex:
+        p11, _, i22, _ = self.state_at(tau)
+        return p11 - 1j * i22
+
+    def dxi(self, tau) -> complex:
+        _, dp11, _, p22 = self.state_at(tau)
+        return dp11 - 1j * p22
+
     def bogoliubov(self, tau):
-        return self.sol.bogoliubov(tau)
+        """Bogoliubov pair (alpha, beta) of the squeezing subsystem."""
+        xi = self.xi(tau)
+        dxi = self.dxi(tau)
+        alpha = 0.5 * (xi + 1j * dxi)
+        beta = 0.5 * (xi.conjugate() + 1j * dxi.conjugate())
+        return alpha, beta
 
     def f(self, tau) -> FSet:
         if self.route != "integrated":

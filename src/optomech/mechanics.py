@@ -9,11 +9,11 @@ whose solutions determine xi = P11 - i*I22, the Bogoliubov pair
 alpha = (xi + i xi')/2, beta = (xi* + i xi'*)/2, and the rotation/squeezing
 parameters (J_b, J_+, J_-) of the decoupled evolution operator.
 
-Analytic paths cover D2 = 0 (xi = exp(-i tau), J = (tau, 0, 0)) and constant
-D2 (xi = cos(zeta tau) - i sin(zeta tau)/zeta, zeta = sqrt(1+4 d2), refused by
-:func:`unstable_squeezing` when 1 + 4 d2 <= 0). Everything else is read from
-the one DOP853 pass that integrates the subsystem, F and J together
-(:func:`optomech.coefficients.decoupled_pass`).
+One closed form covers every constant D2, zero included (zeta = 1):
+xi = cos(zeta tau) - i sin(zeta tau)/zeta, zeta = sqrt(1 + 4 d2), refused by
+:func:`unstable_squeezing` when 1 + 4 d2 <= 0. Everything else is read from
+the one DOP853 pass that integrates the subsystem, F and J together. Both
+are read through :class:`optomech.coefficients.Trajectory`.
 """
 
 from __future__ import annotations
@@ -48,55 +48,12 @@ def solve_ivp(fun, t_span, y0, **options):
 
 
 @dataclass(frozen=True)
-class SubsystemSolution:
-    """Dense P11/I_P22 and derivatives, with the tolerances that solved them.
-
-    Satisfies xi = P11 - i * I_P22 exactly and |alpha|^2 - |beta|^2 = 1 up
-    to integration tolerance at every time.
-    """
-
-    tol: tuple  # (rtol, atol); integrations built on this solution reuse it
-    _dense: object  # callable tau -> (p11, dp11, i_p22, p22)
-
-    def state_at(self, tau):
-        """(P11, P11', I_P22, P22) at any tau inside the solved range."""
-        return self._dense(tau)
-
-    def xi(self, tau) -> complex:
-        p11, _, i22, _ = self.state_at(tau)
-        return p11 - 1j * i22
-
-    def dxi(self, tau) -> complex:
-        _, dp11, _, p22 = self.state_at(tau)
-        return dp11 - 1j * p22
-
-    def bogoliubov(self, tau):
-        """Bogoliubov pair (alpha, beta) of the squeezing subsystem."""
-        xi = self.xi(tau)
-        dxi = self.dxi(tau)
-        alpha = 0.5 * (xi + 1j * dxi)
-        beta = 0.5 * (xi.conjugate() + 1j * dxi.conjugate())
-        return alpha, beta
-
-
-@dataclass(frozen=True)
 class JSet:
     """Rotation (j_b) and squeezing (j_plus, j_minus) parameters."""
 
     j_b: float
     j_plus: float
     j_minus: float
-
-
-def _free_dense(tau):
-    # a float or int tau takes math.cos and math.sin, with the bits of the
-    # numpy path (tests/test_mechanics.py checks it), and returns floats
-    if isinstance(tau, (int, float)):
-        c, s = math.cos(tau), math.sin(tau)
-        return c, -s, s, c
-    import numpy as np
-    tau = np.asarray(tau, dtype=float)
-    return np.cos(tau), -np.sin(tau), np.sin(tau), np.cos(tau)
 
 
 def unstable_squeezing(d2: Drive) -> bool:
@@ -112,35 +69,32 @@ def check_squeezing(d2: Drive):
                          "the oscillator is unstable and has no bounded solution")
 
 
-def _constant_dense_factory(d2: float):
-    import numpy as np
+def _constant_dense(d2: float):
+    """tau -> (P11, P11', I_P22, P22) of a constant squeezing d2, at any tau.
+    At d2 = 0, zeta = 1.0 and every product and quotient below is exact."""
     zeta = math.sqrt(1.0 + 4.0 * d2)
 
     def dense(tau):
-        tau = np.asarray(tau, dtype=float)
-        c, s = np.cos(zeta * tau), np.sin(zeta * tau)
+        # a float or int tau takes math.cos and math.sin, with the bits of the
+        # numpy path (tests/test_mechanics.py checks it), and returns floats
+        if isinstance(tau, (int, float)):
+            c, s = math.cos(zeta * tau), math.sin(zeta * tau)
+        else:
+            import numpy as np
+            zt = zeta * np.asarray(tau, dtype=float)
+            c, s = np.cos(zt), np.sin(zt)
         return c, -zeta * s, s / zeta, c
 
     return dense
 
 
-def solve_subsystem(spec: ModelSpec, tau_max: float,
-                    tol=STRICT) -> SubsystemSolution:
-    """Solve the mechanical subsystem on [0, tau_max] at ``tol`` = (rtol, atol).
-
-    Analytic paths are used when the squeezing drive is structurally zero
-    or constant; any other is read from one :class:`Trajectory` pass.
+def solve_subsystem(spec: ModelSpec, tau_max: float, tol=STRICT) -> Trajectory:
+    """The :class:`~optomech.coefficients.Trajectory` of ``spec`` on
+    [0, tau_max] at ``tol`` = (rtol, atol), which reads the subsystem
+    (``state_at``, ``xi``, ``dxi``, ``bogoliubov``) at any tau in the range.
     """
-    if tau_max < 0:
-        raise ValueError("tau_max must be >= 0")
-    d2 = spec.squeezing
-    check_squeezing(d2)
-    if d2.is_zero:
-        return SubsystemSolution(tol=tol, _dense=_free_dense)
-    if d2.is_constant:
-        return SubsystemSolution(tol=tol, _dense=_constant_dense_factory(d2.amplitude))
     from .coefficients import Trajectory  # that module imports this one
-    return Trajectory(spec, tau_max, tol).sol
+    return Trajectory(spec, tau_max, tol)
 
 
 def _safe_acosh(x: float, what: str) -> float:
@@ -254,9 +208,8 @@ class FrequencyShift:
     squeeze_r: float
 
     def map_coherent(self, mu_m: complex) -> complex:
-        import numpy as np
         r = self.squeeze_r
-        return mu_m * math.cosh(r) - np.conj(mu_m) * math.sinh(r)
+        return mu_m * math.cosh(r) - complex(mu_m).conjugate() * math.sinh(r)
 
 
 def map_constant_squeezing(omega_m: float, d2: float) -> FrequencyShift:

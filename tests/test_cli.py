@@ -664,6 +664,10 @@ def test_library_import_loads_no_numpy():
 # closed forms, like the omega_g sweep's 'modulated-g', run on math alone
 RESONANT_G_MODEL = {"g0": 0.5, "epsilon": 0.5, "omega_g": 1.0,
                     "mu_c_re": 1.0, "mu_m_re": 0.5}
+# constant coupling, displacement and squeezing: the 'all-constant' entry,
+# whose subsystem is the constant-squeezing closed form
+CONSTANT_D2_MODEL = {"g0": 0.6, "d1": 0.3, "d2": 0.05,
+                     "mu_c_re": 1.0, "mu_m_re": 0.5}
 
 
 @pytest.mark.parametrize("argv, ran, not_ran", [
@@ -693,6 +697,13 @@ RESONANT_G_MODEL = {"g0": 0.5, "epsilon": 0.5, "omega_g": 1.0,
      {"numpy", "optomech.moments"}, {"optomech.oracle"}),
     (["mechanics", "--config", MISS_CONFIG, "--steps", "3"],
      {"numpy", "optomech.mechanics"}, {"optomech.oracle"}),
+    # so do they with a constant squeezing: one closed form, at zeta != 1
+    (["mechanics", "--config", CONSTANT_D2_MODEL, "--steps", "3"],
+     {"optomech.mechanics"}, {"numpy", "optomech.oracle"}),
+    (["moments", "--config", CONSTANT_D2_MODEL, "--steps", "3"],
+     {"optomech.moments"}, {"numpy", "optomech.oracle"}),
+    (["coeffs", "--config", CONSTANT_D2_MODEL, "--steps", "3"],
+     {"optomech.coefficients"}, {"numpy", "optomech.oracle"}),
 ])
 def test_command_runs_only_the_layers_it_uses(tmp_path, argv, ran, not_ran):
     # cfi and the catalog-miss moments and mechanics are the controls: they

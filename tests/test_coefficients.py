@@ -7,6 +7,7 @@ from optomech import coefficients
 from optomech.coefficients import (CatalogMiss, Trajectory, derived_scalars,
                                    f_closed_form, f_integrated, sinc)
 from optomech.mechanics import solve_subsystem
+from optomech.nongaussianity import report as nongauss_report
 from optomech.params import Drive, ModelSpec
 
 from conftest import random_spec
@@ -94,14 +95,48 @@ def test_trajectory_f_routes():
     sol = solve_subsystem(miss, tau)
     assert Trajectory(miss, tau).f(tau) == f_integrated(miss, sol, tau)
     traj = Trajectory(miss, tau)
-    assert traj.f(tau) == f_integrated(miss, traj.sol, tau)
+    assert traj.f(tau) == f_integrated(miss, traj, tau)
     # one pass serves the whole range
     traj = Trajectory(miss, 2 * tau)
     for t in (0.5, tau, 2 * tau):
         assert np.allclose(traj.f(t).as_array(),
-                           f_integrated(miss, traj.sol, t).as_array(),
+                           f_integrated(miss, traj, t).as_array(),
                            atol=1e-9, rtol=0.0)
 
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(coupling=Drive.constant(0.5)),
+    ModelSpec(coupling=Drive.constant(0.5), squeezing=Drive.constant(0.05)),
+    ModelSpec(coupling=Drive.offset_sinusoid(0.7, 0.3, 0.6),
+              squeezing=Drive.cosine(0.05, 2.0)),
+], ids=["hit", "hit-d2", "miss"])
+def test_trajectory_refuses_a_negative_range(spec):
+    # every route refuses on construction, the lazily integrated one too
+    with pytest.raises(ValueError, match="tau_max"):
+        Trajectory(spec, -1.0)
+
+
+def test_trajectory_refuses_reads_outside_the_pass():
+    # the dense output would extrapolate its last step: f_na2 read 15.4 at
+    # tau = 5 on a pass over [0, 1], where a pass over [0, 5] gives -3.5
+    miss = ModelSpec(coupling=Drive.offset_sinusoid(0.7, 0.3, 0.6),
+                     squeezing=Drive.cosine(0.05, 2.0))
+    traj = Trajectory(miss, 1.0)
+    for read in (traj.f, traj.j, traj.bogoliubov, traj.state_at):
+        for tau in (5.0, 1.0 + 1e-9, -1e-9):
+            with pytest.raises(ValueError, match="outside the solved range"):
+                read(tau)
+    with pytest.raises(ValueError, match="outside the solved range"):
+        traj.state_at(np.array([0.5, 1.5]))
+    with pytest.raises(ValueError, match="outside the solved range"):
+        nongauss_report(miss, 1.0, 0.0, 5.0, traj=traj)
+    # the end points read, and the closed forms stay exact past tau_max
+    traj.f(0.0)
+    traj.state_at(np.array([0.0, 1.0]))
+    hit = ModelSpec(coupling=Drive.constant(0.5), squeezing=Drive.constant(0.05))
+    assert Trajectory(hit, 1.0).f(5.0) == Trajectory(hit, 5.0).f(5.0)
+    assert Trajectory(hit, 1.0).bogoliubov(5.0) == Trajectory(hit, 5.0).bogoliubov(5.0)
 
 
 def test_trajectory_f_calls_per_point(monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from optomech.coefficients import Trajectory, f_closed_form
-from optomech.mechanics import (JSet, _free_dense, compose_bogoliubov,
+from optomech.mechanics import (JSet, _constant_dense, compose_bogoliubov,
                                 j_coefficients, j_coefficients_ode,
                                 map_constant_squeezing,
                                 mathieu_perturbative, rwa_bogoliubov,
@@ -146,14 +146,16 @@ def test_j_round_trip(rng):
 
 
 def test_scalar_paths_round_as_numpy_bit_for_bit(rng):
-    # a catalog hit without squeezing solves the subsystem and J on Python
-    # scalars; they must give the bits numpy gives. _free_dense takes math
-    # for a float tau and numpy for an array; j_coefficients sees Python
-    # complex on a catalog hit and np.complex128 on an integrated route
+    # a catalog hit with a constant squeezing solves the subsystem and J on
+    # Python scalars; they must give the bits numpy gives. _constant_dense
+    # takes math for a float tau and numpy for an array; j_coefficients sees
+    # Python complex on a catalog hit and np.complex128 on an integrated route
     tau = np.concatenate([[0.0, 5e-324, 1e-300, math.pi, 2 * math.pi],
                           rng.uniform(0.0, 200.0, 20000)])
-    scalar = np.array([_free_dense(float(t)) for t in tau])
-    assert scalar.tobytes() == np.array(_free_dense(tau)).T.tobytes()
+    for d2 in (0.0, 0.05, -0.2, 1.3):
+        dense = _constant_dense(d2)
+        scalar = np.array([dense(float(t)) for t in tau])
+        assert scalar.tobytes() == np.array(dense(tau)).T.tobytes()
 
     pairs = [compose_bogoliubov(JSet(j_b=float(rng.uniform(-3.0, 3.0)),
                                      j_plus=float(rng.uniform(0.0, 1.5)),
