@@ -16,10 +16,14 @@ cmd_values, reads the swept values (the tau grid, --tau or qfi's --sweep),
 refuses an output it cannot write and an input state the entry does not
 accept, prepares (every other refusal, no arithmetic) and writes one row per
 value; sweep runs the qfi, cfi and nongauss prepares of the same table.
-Every refusal exits 2 before any arithmetic, among them a Fock input to qfi,
-a thermal or Fock input to oracle-check, a --steps above MAX_SWEEP_POINTS
-and oracle-check --dims above the oracle's caps or cutting more of the
-input than oracle.INITIAL_TAIL_LIMIT.
+Every refusal of an input exits 2 before any arithmetic, among them a Fock
+input to qfi, a thermal or Fock input to oracle-check, a --steps above
+MAX_SWEEP_POINTS and oracle-check --dims above the oracle's caps or cutting
+more of the input than oracle.INITIAL_TAIL_LIMIT. A value that passes the
+float range (the library raises OverflowError, or returns inf or nan) is
+refused as well, with exit 2 and one error line naming the command and tau,
+after the arithmetic that overflowed and before any output is written; no
+prepare can foresee it, so ``sweep --validate-only`` does not see it.
 
 Importing this module loads the standard library and ``params`` only. Each
 function imports the layer modules it calls where it calls them, so parsing
@@ -28,7 +32,8 @@ and ``--help`` load no numpy, and each command loads what it calls:
 load the oracle. The layer modules import numpy inside the functions that
 build arrays, and the closed forms run on ``math`` alone, so ``drive-eval``,
 ``gravimetry`` and a ``qfi`` on a catalog route (g0, d1 or epsilon; a single
-tau or a sweep) run no numpy either, nor do ``mechanics``, ``coeffs`` and
+tau or a sweep) run no numpy either, nor does a ``finite_diff`` ``qfi`` whose
+stencil the catalog covers, nor do ``mechanics``, ``coeffs`` and
 ``moments`` on a catalog hit without squeezing, whose subsystem, J and
 moments are scalars on ``math`` and ``cmath``. Every library function is
 looked up on its module when it is called, so a function rebound on its
@@ -302,9 +307,10 @@ def _input_state(cfg: dict, requires) -> InitialState:
 
 # ---------------------------------------------------------------------------
 # value commands: prepare(cfg, fixed, tau_max, tol) -> value applies every
-# refusal of the command besides its input state and computes nothing;
-# value(tau) computes one row's value columns on [0, tau_max]. ``fixed``
-# holds the command's settings.
+# refusal of the command besides its input state and builds the model it
+# reads on [0, tau_max], computing nothing; value(tau) computes one row's
+# value columns, integrating on the first read. ``fixed`` holds the
+# command's settings.
 # ---------------------------------------------------------------------------
 
 
@@ -384,9 +390,11 @@ def _prepare_qfi(cfg: dict, fixed: dict, tau_max: float, tol):
         metrology.qfi_route(spec, param, mode)
     except ValueError as exc:  # a parameter or model with no derivative route
         raise ConfigError(str(exc)) from None
+    stencil = (metrology._finite_diff_derivatives(spec, param, tau_max, tol)
+               if mode == "finite_diff" else None)
     r_T = state.r_T if state.mechanical == "thermal" else 0.0
     return lambda tau: (metrology.qfi_thermal(metrology.qfi_coefficients(
-        spec, param, tau, mode=mode, tol=tol), state.mu_c, r_T),)
+        spec, param, tau, mode=mode, tol=tol, stencil=stencil), state.mu_c, r_T),)
 
 
 def _prepare_cfi(cfg: dict, fixed: dict, tau_max: float, tol):
@@ -445,8 +453,10 @@ def _sweep_rows(command: str, cfg: dict, fixed: dict, name: str, values, tol,
     """The rows (v, value, t) of the value command ``command`` over the swept
     values v of ``name``, prepared and refused, computing nothing; value(t)
     computes the row's value columns. A tau sweep prepares once at the
-    largest tau, any other name overrides that field of ``cfg`` and prepares
-    each point at ``fixed["tau"]``. ``out`` is the output file the rows go to.
+    largest tau, so it integrates each trajectory it reads once: one for the
+    grid commands, the five of the stencil for a finite_diff qfi. Any other
+    name overrides that field of ``cfg`` and prepares each point at
+    ``fixed["tau"]``. ``out`` is the output file the rows go to.
     """
     _check_output(out)
     if name not in SWEPT_NAMES:
@@ -467,6 +477,25 @@ def _sweep_rows(command: str, cfg: dict, fixed: dict, name: str, values, tol,
     return [(v, prepare({**cfg, name: v}, tau), tau) for v in values]
 
 
+def _computed(command: str, name: str, rows):
+    """The records (v, *value(t)) of the rows of ``_sweep_rows``. A value past
+    the float range, raised as OverflowError or computed as inf or nan, is
+    refused, naming the command, v and tau."""
+    records = []
+    for v, value, t in rows:
+        try:
+            record = (v, *value(t))
+            for x in record[1:]:
+                if not math.isfinite(x):
+                    raise OverflowError(f"a value is {x}")
+        except OverflowError as exc:
+            at = "" if name == "tau" else f"{name}={v!r}, "
+            raise ConfigError(f"{command} overflows at {at}tau={t!r}: "
+                              f"{exc}") from None
+        records.append(record)
+    return records
+
+
 def cmd_values(args):
     """Run a value command: one row per tau of its grid, its --tau or the
     values of qfi's --sweep, fingerprinted with the config and the args the
@@ -481,7 +510,7 @@ def cmd_values(args):
                        args.out)
     columns = QUADRATURE_COLUMNS if fixed.get("quadratures") else entry.columns
     write_records(args.out, args.format, _meta(args, config=cfg, **fixed),
-                  (name, *columns), [(v, *value(t)) for v, value, t in rows])
+                  (name, *columns), _computed(args.command, name, rows))
     return 0
 
 
@@ -506,8 +535,18 @@ def setup_from_json(path: str):
         raise ConfigError(f"setup: {exc}") from None
 
 
-def cmd_gravimetry(args):
+def _sensitivity(setup, photons: float):
+    """The gravimetric sensitivity of ``setup`` at tau = 2 pi; one past the
+    float range is refused."""
     from . import metrology
+    try:
+        return metrology.gravimetry(setup, mu_c=math.sqrt(photons))
+    except OverflowError as exc:
+        raise ConfigError(f"gravimetry overflows at tau={metrology.TWO_PI!r}: "
+                          f"{exc}") from None
+
+
+def cmd_gravimetry(args):
     _check_output(args.out)
     if not 0 <= args.photons < math.inf:
         raise ConfigError(f"--photons must be finite and >= 0, got "
@@ -515,7 +554,7 @@ def cmd_gravimetry(args):
     if args.table:
         rows = []
         for name, setup in REFERENCE_PLATFORMS.items():
-            rep = metrology.gravimetry(setup, mu_c=math.sqrt(args.photons))
+            rep = _sensitivity(setup, args.photons)
             rows.append((name, coupling_constant(setup),
                          rep.qfi_dimensionful, rep.std_dev))
         write_records(args.out, args.format,
@@ -525,7 +564,7 @@ def cmd_gravimetry(args):
     if not args.setup:
         raise ConfigError("provide --setup JSON or --table")
     setup = setup_from_json(args.setup)
-    rep = metrology.gravimetry(setup, mu_c=math.sqrt(args.photons))
+    rep = _sensitivity(setup, args.photons)
     write_records(args.out, args.format,
                   _meta(args, setup=args.setup, photons=args.photons),
                   ("g0_dimensionless", "qfi_dimensionless", "qfi_si", "delta_g"),
@@ -629,7 +668,8 @@ def cmd_sweep(args):
     write_records(data["output"], data.get("format", "csv"),
                   _meta(args, sweep_config=data),
                   (data["swept"]["name"], data["command"]),
-                  [(v, value(t)[0]) for v, value, t in rows])
+                  [record[:2] for record in _computed(
+                      data["command"], data["swept"]["name"], rows)])
     return 0
 
 

@@ -33,7 +33,10 @@ from .params import ModelSpec, evaluate_drive
 
 def sinc(x: float) -> float:
     """sin(x)/x with sinc(0) = 1, bit for bit ``np.sinc(x / np.pi)``: numpy
-    forms t = pi (x / pi) and puts the machine epsilon in place of t = 0."""
+    forms t = pi (x / pi) and puts the machine epsilon in place of t = 0.
+    An x that is not finite has overflowed, and raises OverflowError."""
+    if not math.isfinite(x):
+        raise OverflowError(f"sinc of {x}: its argument has overflowed")
     t = math.pi * (x / math.pi)
     if t == 0.0:
         t = 2.0 ** -52
@@ -50,11 +53,6 @@ class FSet:
     f_bm: float
     f_nabp: float
     f_nabm: float
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-        return np.array([self.f_na, self.f_na2, self.f_bp,
-                         self.f_bm, self.f_nabp, self.f_nabm])
 
     @classmethod
     def zero(cls) -> "FSet":

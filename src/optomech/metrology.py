@@ -183,47 +183,47 @@ def _analytic_derivatives(spec: ModelSpec, param: str, route: str, tau: float):
     return f, df, j, zero
 
 
-def _finite_diff_derivatives(spec: ModelSpec, name: str, tau: float, tol):
-    """Central differences with one Richardson refinement on the F/J paths."""
-    import numpy as np
+def _finite_diff_derivatives(spec: ModelSpec, name: str, tau_max: float, tol):
+    """The reader tau -> (F, dF/dtheta, J, dJ/dtheta) on [0, tau_max]:
+    central differences with one Richardson refinement on the paths of five
+    :class:`Trajectory` objects, at theta, theta +- h and theta +- h/2, built
+    once and integrated on first read, so a tau sweep integrates five passes.
+    The differences are formed on Python floats, as numpy would round them.
+    """
     theta = _param_value(spec, name)
     h = _fd_step(theta)
+    models = [spec] + [_with_param(spec, name, theta + s)
+                       for s in (h, -h, h / 2.0, -h / 2.0)]
+    stencil = [Trajectory(model, tau_max, tol) for model in models]
 
-    def f_j(model: ModelSpec):
-        traj = Trajectory(model, tau, tol)
-        return traj.f(tau), traj.j(tau)
-
-    def diff(step: float):
-        f_hi, j_hi = f_j(_with_param(spec, name, theta + step))
-        f_lo, j_lo = f_j(_with_param(spec, name, theta - step))
-        darr = (f_hi.as_array() - f_lo.as_array()) / (2.0 * step)
-        djay = np.array([j_hi.j_b - j_lo.j_b, j_hi.j_plus - j_lo.j_plus,
-                         j_hi.j_minus - j_lo.j_minus]) / (2.0 * step)
-        return darr, djay
-
-    d1, dj1 = diff(h)
-    d2_, dj2 = diff(h / 2.0)
-    darr = (4.0 * d2_ - d1) / 3.0
-    djay = (4.0 * dj2 - dj1) / 3.0
-    f, j = f_j(spec)
-    return f, FSet(*darr), j, JSet(*djay)
+    def derivatives(tau: float):
+        center, *points = [astuple(t.f(tau)) + astuple(t.j(tau)) for t in stencil]
+        # Richardson's (4 D(h/2) - D(h)) / 3 of the central differences D
+        d = [(4.0 * ((p2 - m2) / h) - (p1 - m1) / (2.0 * h)) / 3.0
+             for p1, m1, p2, m2 in zip(*points)]
+        return FSet(*center[:6]), FSet(*d[:6]), JSet(*center[6:]), JSet(*d[6:])
+    return derivatives
 
 
 def qfi_coefficients(spec: ModelSpec, theta_param: str, tau: float,
-                     mode: str = "analytic", tol=STRICT) -> QfiCoefficients:
+                     mode: str = "analytic", tol=STRICT,
+                     stencil=None) -> QfiCoefficients:
     """Generator coefficients for estimating ``theta_param`` at time tau.
 
     ``mode='analytic'`` differentiates the closed-form F catalog (g0, d1
     and epsilon, on a model without squeezing); ``mode='finite_diff'``
     differentiates the generic paths numerically, integrating at ``tol`` =
     (rtol, atol), for any parameter id, and is the one route for d2 and the
-    drive frequencies (a frequency needs its stencil to stay >= 0).
+    drive frequencies (a frequency needs its stencil to stay >= 0). It reads
+    ``stencil``, the :func:`_finite_diff_derivatives` of the same model and
+    parameter on a range that holds tau, or builds one on [0, tau].
     :func:`qfi_route` names the route, or raises, before any arithmetic.
     """
     route = qfi_route(spec, theta_param, mode)
     tau = float(tau)
     if route == "finite-diff":
-        f, df, j, dj = _finite_diff_derivatives(spec, theta_param, tau, tol)
+        stencil = stencil or _finite_diff_derivatives(spec, theta_param, tau, tol)
+        f, df, j, dj = stencil(tau)
     else:
         f, df, j, dj = _analytic_derivatives(spec, theta_param, route, tau)
     return _assemble_coefficients(tau, f, df, j, dj)
@@ -515,6 +515,8 @@ class SensitivityReport:
 def _report(qfi_dimless: float, jacobian_sq: float,
             n_measurements: int) -> SensitivityReport:
     qfi_dim = jacobian_sq * qfi_dimless
+    if not math.isfinite(qfi_dim):  # its std_dev would read 0
+        raise OverflowError(f"the dimensionful QFI is {qfi_dim}")
     std = 1.0 / math.sqrt(n_measurements * qfi_dim) if qfi_dim > 0 else math.inf
     return SensitivityReport(qfi_dimensionless=qfi_dimless,
                              qfi_dimensionful=qfi_dim, std_dev=std,
@@ -530,7 +532,8 @@ def gravimetry(setup: PhysicalSetup, mu_c: complex,
     The dimensionless d1-estimation QFI is converted through the chain rule
     d(d1)/dg = cos(tilt) sqrt(m / (2 hbar omega_m^3)), so qfi_dimensionful
     is in s^4 m^-2 and std_dev in m s^-2. Thermal mechanical occupation
-    leaves the tau = 2 pi value untouched.
+    leaves the tau = 2 pi value untouched. A qfi_dimensionful past the float
+    range raises OverflowError.
     """
     g0 = coupling_constant(setup)
     nc = abs(complex(mu_c)) ** 2

@@ -50,6 +50,9 @@ def evolve_moments(f, alpha: complex, beta: complex,
     nc = abs(mu_c) ** 2
     mu_m_c = mu_m.conjugate()
     theta, varphi = d.theta, d.varphi
+    if not (math.isfinite(2.0 * theta) and math.isfinite(2.0 * varphi)):
+        raise OverflowError(f"the phases 2 theta = {2.0 * theta} and 2 varphi = "
+                            f"{2.0 * varphi} have overflowed")
     k, gam, dlt, e1 = d.k_na, d.gamma, d.delta, d.e_bpbm
 
     phase1 = cmath.exp(-1j * varphi) * cmath.exp(nc * (cmath.exp(-1j * theta) - 1.0))

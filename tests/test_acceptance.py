@@ -9,6 +9,7 @@ analysis in the project notes.
 
 import math
 import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -355,8 +356,8 @@ def test_catalog_integrity_f_coefficients():
         spec = _catalog_spec(rng)
         tau = float(rng.uniform(0.05, 4 * math.pi))
         sol = solve_subsystem(spec, tau)
-        a = f_closed_form(spec, tau).as_array()
-        b = f_integrated(spec, sol, tau).as_array()
+        a = np.array(astuple(f_closed_form(spec, tau)))
+        b = np.array(astuple(f_integrated(spec, sol, tau)))
         worst = max(worst, float(np.max(np.abs(a - b))))
     _criterion("F catalog vs defining integrals (1e-8, 200 draws)",
                worst < 1e-8, f"worst {worst:.1e}")

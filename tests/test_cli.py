@@ -19,6 +19,8 @@ from optomech.metrology import qfi_coefficients, qfi_thermal
 from optomech.moments import evolve_moments
 from optomech.nongaussianity import report
 
+from conftest import finite_diff_qfi_budget
+
 GOLDEN = Path(__file__).parent / "golden"
 CONFIG = str(GOLDEN / "config.json")
 CONFIG_DISPLACED = str(GOLDEN / "config_displaced.json")
@@ -425,25 +427,59 @@ def test_grid_commands_integrate_once_on_catalog_miss(tmp_path, monkeypatch):
         assert np.max(np.abs(rows - np.array(reference))) <= 1e-8, command
 
 
-def test_tau_sweep_integrates_once_on_catalog_miss(tmp_path, monkeypatch):
+def _nongauss_delta(spec, mu_c, mu_m, tau):
+    """nongauss's delta solved and integrated afresh at tau, and its bound."""
+    return report(spec, mu_c, mu_m, tau).delta, 1e-8
+
+
+def _fd_qfi(spec, mu_c, mu_m, tau):
+    """The finite-difference d2 QFI with its stencil integrated afresh on
+    [0, tau], and its relative budget as an absolute bound."""
+    qfi = qfi_thermal(qfi_coefficients(spec, "d2", tau, mode="finite_diff"), mu_c)
+    return qfi, finite_diff_qfi_budget(spec, "d2", tau) * abs(qfi)
+
+
+@pytest.mark.parametrize("command, fixed, single, reference, n_passes", [
+    pytest.param("nongauss", {}, ["--steps", "2", "--tau-max"],
+                 _nongauss_delta, 1, id="nongauss"),
+    # the five trajectories of the finite-difference stencil
+    pytest.param("qfi", {"param": "d2", "mode": "finite_diff"},
+                 ["--param", "d2", "--mode", "finite_diff", "--tau"], _fd_qfi,
+                 5, id="qfi-finite-diff"),
+])
+def test_tau_sweep_integrates_once_on_catalog_miss(command, fixed, single,
+                                                   reference, n_passes,
+                                                   tmp_path, monkeypatch):
     spec = model_from_config(resolve_config(MISS_CONFIG))
     mu_c, mu_m = MISS_CONFIG["mu_c_re"], MISS_CONFIG["mu_m_re"]
     start, stop, step = 0.0, 4 * math.pi, math.pi / 4
     # reference: every swept tau solved and integrated afresh
-    reference = [(t, report(spec, mu_c, mu_m, t).delta)
-                 for t in (start + i * step for i in range(17))]
+    taus = [start + i * step for i in range(17)]
+    expected = [reference(spec, mu_c, mu_m, t) for t in taus]
 
     passes = count_passes(monkeypatch)
-    data = {"command": "nongauss", "model": MISS_CONFIG,
+    data = {"command": command, "model": MISS_CONFIG,
             "swept": {"name": "tau", "start": start, "stop": stop, "step": step},
-            "fixed": {}, "output": str(tmp_path / "ng.csv"), "format": "csv"}
+            "fixed": fixed, "output": str(tmp_path / "sweep.csv"), "format": "csv"}
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps(data))
+    assert main(["sweep", "--config", str(cfg), "--validate-only"]) == 0
+    assert passes == []
     assert main(["sweep", "--config", str(cfg)]) == 0
-    assert len(passes) == 1
-    rows = np.array(_read_rows(tmp_path / "ng.csv"))
-    assert rows.shape == (len(reference), 2)
-    assert np.max(np.abs(rows - np.array(reference))) <= 1e-8
+    assert len(passes) == n_passes
+    rows = _read_rows(tmp_path / "sweep.csv")
+    assert [row[0] for row in rows] == taus
+    for row, (value, bound) in zip(rows, expected):
+        assert abs(row[1] - value) <= bound, row
+    assert rows[-1][1] == expected[-1][0]  # read at the end of the range
+    # the last row is the value the command computes at that tau alone; a
+    # sweep writes its first value column
+    miss = tmp_path / "miss.json"
+    miss.write_text(json.dumps(MISS_CONFIG))
+    out = tmp_path / "single.csv"
+    assert main([command, "--config", str(miss), *single, repr(taus[-1]),
+                 "--out", str(out)]) == 0
+    assert _read_rows(out)[-1][:2] == rows[-1]
 
 
 # Run in a fresh interpreter: prints the scipy modules loaded after importing
@@ -704,6 +740,10 @@ CONSTANT_D2_MODEL = {"g0": 0.6, "d1": 0.3, "d2": 0.05,
      {"optomech.moments"}, {"numpy", "optomech.oracle"}),
     (["coeffs", "--config", CONSTANT_D2_MODEL, "--steps", "3"],
      {"optomech.coefficients"}, {"numpy", "optomech.oracle"}),
+    # finite differences of catalog values, formed on Python floats
+    (["qfi", "--config", RESONANT_G_MODEL, "--param", "epsilon",
+      "--mode", "finite_diff"], {"optomech.metrology"},
+     {"numpy", "optomech.oracle"}),
 ])
 def test_command_runs_only_the_layers_it_uses(tmp_path, argv, ran, not_ran):
     # cfi and the catalog-miss moments and mechanics are the controls: they
@@ -790,6 +830,50 @@ UNSTABLE_MODEL = {"g0": 1, "d2": -0.3, "mu_c_re": 1}
 UNSTABLE = "constant squeezing d2=-0.3 gives 1+4*d2 <= 0"
 FABRY_PEROT = {"kind": "fabry-perot", "length": 1e-5, "mass": 1e-6,
                "omega_c": 1e14, "omega_m": 1e3}
+
+GOLDEN_MODEL = {"g0": 1.0, "mu_c_re": 1.0}  # tests/golden/config.json
+# values past the float range, refused after the arithmetic that overflows
+# (so no prepare sees them) and before any output is written
+OVERFLOW_INPUT = [
+    pytest.param(["qfi", "--tau", "1.3e154"], GOLDEN_MODEL,
+                 "qfi overflows at tau=1.3e+154: ", id="overflow-qfi-tau"),
+    # sums and products past the float range, which Python's float
+    # arithmetic makes inf, or nan once multiplied by 0, without raising
+    pytest.param(["qfi", "--tau", "1.2e153"], GOLDEN_MODEL,
+                 "qfi overflows at tau=1.2e+153: a value is inf",
+                 id="overflow-qfi-sum"),
+    pytest.param(["cfi", "--tau", "1e154"], CFI_MODEL,
+                 "cfi overflows at tau=1e+154: a value is inf",
+                 id="overflow-cfi-product"),
+    pytest.param(["coeffs", "--steps", "2"],
+                 {**GOLDEN_MODEL, "g0": 1e150, "d1": 1e158},
+                 "coeffs overflows at tau=0.0: a value is nan",
+                 id="overflow-coeffs-product"),
+    pytest.param(["moments", "--tau-max", "8e307", "--steps", "2"],
+                 GOLDEN_MODEL, "moments overflows at tau=8e+307: the phases",
+                 id="overflow-moments-tau"),
+    pytest.param(["nongauss", "--tau-max", "8e307", "--steps", "2"],
+                 GOLDEN_MODEL, "nongauss overflows at tau=8e+307: the phases",
+                 id="overflow-nongauss-tau"),
+    pytest.param(["coeffs", "--tau-max", "1e308", "--steps", "2"],
+                 GOLDEN_MODEL, "coeffs overflows at tau=1e+308: sinc of inf",
+                 id="overflow-coeffs-tau"),
+    pytest.param(["cfi", "--tau", "1e200"], CFI_MODEL,
+                 "cfi overflows at tau=1e+200: ", id="overflow-cfi-tau"),
+    *(pytest.param([command], {**GOLDEN_MODEL, "g0": 1e160},
+                   f"{command} overflows at tau=", id=f"overflow-{command}-g0")
+      for command in ("coeffs", "nongauss", "qfi")),
+    pytest.param(["qfi", "--sweep", "g0", "1e150:1e160:1e159"], GOLDEN_MODEL,
+                 "qfi overflows at g0=1.000000001e+159, tau=6.283185307179586",
+                 id="overflow-qfi-g0-sweep"),
+    # a dimensionful QFI of inf would write a delta_g of 0
+    pytest.param(["gravimetry", "--table", "--photons", "1e300"], FABRY_PEROT,
+                 "gravimetry overflows at tau=6.283185307179586: the "
+                 "dimensionful QFI is inf", id="overflow-gravimetry-table"),
+    pytest.param(["gravimetry", "--photons", "1e300"], FABRY_PEROT,
+                 "gravimetry overflows at tau=6.283185307179586: the "
+                 "dimensionful QFI is inf", id="overflow-gravimetry-setup"),
+]
 
 # (argv, config, message): argv[0] is the command, the config file holds
 # json.dumps(config), or config itself when it is a str, and is missing when
@@ -1073,6 +1157,7 @@ REJECTED_INPUT = [
                  {"g0": 1.0, "mu_c_re": 1.0},
                  "dims 8,60 cut an initial tail mass 1.02e-05 off the input, "
                  "above 1e-12; increase dims", id="oracle-dims-tail"),
+    *OVERFLOW_INPUT,
 ]
 
 
@@ -1107,8 +1192,10 @@ def refuse_computing(monkeypatch):
 
 @pytest.mark.parametrize("argv, config, message", REJECTED_INPUT)
 def test_rejected_input_is_a_config_error(argv, config, message, tmp_path,
-                                          capsys, monkeypatch):
-    refuse_computing(monkeypatch)
+                                          capsys, monkeypatch, request):
+    # an overflow is refused after the arithmetic that overflows
+    if not request.node.callspec.id.startswith("overflow-"):
+        refuse_computing(monkeypatch)
     argv, out, cfg = write_config(tmp_path, argv, config)
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ def test_all_zero_drives():
     spec = ModelSpec()
     sol = solve_subsystem(spec, 1.0)
     f = f_integrated(spec, sol, 1.0)
-    assert np.allclose(f.as_array(), 0.0, atol=1e-12)
+    assert np.allclose(np.array(astuple(f)), 0.0, atol=1e-12)
 
 
 def test_forced_closed_form_constant_coupling():
@@ -69,8 +70,8 @@ def test_entry_constant_displacement_at_pi():
 def test_resonant_coupling_matches_quadrature():
     spec = ModelSpec(coupling=Drive.offset_sinusoid(1.0, 0.5, 1.0))
     sol = solve_subsystem(spec, math.pi / 2)
-    a = f_closed_form(spec, math.pi / 2).as_array()
-    b = f_integrated(spec, sol, math.pi / 2).as_array()
+    a = np.array(astuple(f_closed_form(spec, math.pi / 2)))
+    b = np.array(astuple(f_integrated(spec, sol, math.pi / 2)))
     assert np.max(np.abs(a - b)) < 1e-8
 
 
@@ -99,8 +100,8 @@ def test_trajectory_f_routes():
     # one pass serves the whole range
     traj = Trajectory(miss, 2 * tau)
     for t in (0.5, tau, 2 * tau):
-        assert np.allclose(traj.f(t).as_array(),
-                           f_integrated(miss, traj, t).as_array(),
+        assert np.allclose(np.array(astuple(traj.f(t))),
+                           np.array(astuple(f_integrated(miss, traj, t))),
                            atol=1e-9, rtol=0.0)
 
 
@@ -205,8 +206,8 @@ def test_catalog_vs_quadrature_random(rng):
         spec = _catalog_spec(rng)
         tau = float(rng.uniform(0.05, 4 * math.pi))
         sol = solve_subsystem(spec, tau)
-        a = f_closed_form(spec, tau).as_array()
-        b = f_integrated(spec, sol, tau).as_array()
+        a = np.array(astuple(f_closed_form(spec, tau)))
+        b = np.array(astuple(f_integrated(spec, sol, tau)))
         worst = max(worst, float(np.max(np.abs(a - b))))
     assert worst < 1e-8
 
