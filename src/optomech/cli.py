@@ -30,12 +30,11 @@ function imports the layer modules it calls where it calls them, so parsing
 and ``--help`` load no numpy, and each command loads what it calls:
 ``drive-eval`` loads no layer module, and only ``cfi`` and ``oracle-check``
 load the oracle. The layer modules import numpy inside the functions that
-build arrays, and the closed forms run on ``math`` alone, so ``drive-eval``,
-``gravimetry`` and a ``qfi`` on a catalog route (g0, d1 or epsilon; a single
-tau or a sweep) run no numpy either, nor does a ``finite_diff`` ``qfi`` whose
-stencil the catalog covers, nor do ``mechanics``, ``coeffs`` and
-``moments`` on a catalog hit without squeezing, whose subsystem, J and
-moments are scalars on ``math`` and ``cmath``. Every library function is
+build arrays, and the closed forms run on ``math`` and ``cmath`` alone, so
+``drive-eval``, ``gravimetry`` and a ``qfi`` on a catalog route (in either
+mode; a single tau or a sweep) run no numpy either, nor do ``mechanics``,
+``coeffs`` and ``moments`` on a catalog hit without squeezing, whose
+subsystem, J and moments are scalars. Every library function is
 looked up on its module when it is called, so a function rebound on its
 module is the one that runs.
 
@@ -61,9 +60,8 @@ import sys
 from collections import namedtuple
 
 from . import __version__
-from .params import (QFI_MODES, STRICT, TOLERANCES, ColdAtoms, Drive,
-                     FabryPerot, InitialState, Levitated, ModelSpec,
-                     coupling_constant, evaluate_drive)
+from .params import (QFI_MODES, ColdAtoms, Drive, FabryPerot, InitialState,
+                     Levitated, ModelSpec, coupling_constant, evaluate_drive)
 
 
 CONFIG_KEYS = {
@@ -223,17 +221,16 @@ def write_records(path, fmt: str, meta: dict, columns, rows):
             fh.write(text)
 
 
-# settings a fingerprint leaves out at these values: strict, the default
-# profile, and cfi's default cut-off, so default fingerprints (and with them
-# the golden headers) do not depend on either being recorded
-UNRECORDED = (("tolerance_profile", "strict"), ("n_max", None))
+# a setting a fingerprint leaves out at this value: cfi's default cut-off,
+# so default fingerprints (and with them the golden headers) do not depend
+# on it being recorded
+UNRECORDED = ("n_max", None)
 
 
 def _meta(args, **fields) -> dict:
     """The fingerprinted description of a command's output."""
-    meta = {"cmd": args.command, **fields,
-            "tolerance_profile": args.tolerance_profile}
-    return {key: v for key, v in meta.items() if (key, v) not in UNRECORDED}
+    meta = {"cmd": args.command, **fields}
+    return {key: v for key, v in meta.items() if (key, v) != UNRECORDED}
 
 
 def _check_output(path):
@@ -306,7 +303,7 @@ def _input_state(cfg: dict, requires) -> InitialState:
 
 
 # ---------------------------------------------------------------------------
-# value commands: prepare(cfg, fixed, tau_max, tol) -> value applies every
+# value commands: prepare(cfg, fixed, tau_max) -> value applies every
 # refusal of the command besides its input state and builds the model it
 # reads on [0, tau_max], computing nothing; value(tau) computes one row's
 # value columns, integrating on the first read. ``fixed`` holds the
@@ -314,16 +311,16 @@ def _input_state(cfg: dict, requires) -> InitialState:
 # ---------------------------------------------------------------------------
 
 
-def _prepare_drives(cfg: dict, fixed: dict, tau_max: float, tol):
+def _prepare_drives(cfg: dict, fixed: dict, tau_max: float):
     spec = model_from_config(cfg)
     return lambda tau: (evaluate_drive(spec.coupling, tau),
                         evaluate_drive(spec.displacement, tau),
                         evaluate_drive(spec.squeezing, tau))
 
 
-def _prepare_mechanics(cfg: dict, fixed: dict, tau_max: float, tol):
+def _prepare_mechanics(cfg: dict, fixed: dict, tau_max: float):
     from . import mechanics
-    sol = mechanics.solve_subsystem(subsystem_model(cfg), tau_max, tol=tol)
+    sol = mechanics.solve_subsystem(subsystem_model(cfg), tau_max)
 
     def value(tau):
         p11, _, i_p22, _ = sol.state_at(tau)
@@ -332,9 +329,9 @@ def _prepare_mechanics(cfg: dict, fixed: dict, tau_max: float, tol):
     return value
 
 
-def _prepare_coeffs(cfg: dict, fixed: dict, tau_max: float, tol):
+def _prepare_coeffs(cfg: dict, fixed: dict, tau_max: float):
     from . import coefficients, mechanics
-    traj = coefficients.Trajectory(subsystem_model(cfg), tau_max, tol)
+    traj = coefficients.Trajectory(subsystem_model(cfg), tau_max)
 
     def value(tau):
         f = traj.f(tau)
@@ -355,10 +352,10 @@ def _moments_at(state, traj, t):
     return f, alpha, beta, d, m
 
 
-def _prepare_moments(cfg: dict, fixed: dict, tau_max: float, tol):
+def _prepare_moments(cfg: dict, fixed: dict, tau_max: float):
     from . import coefficients, moments
     spec, state = subsystem_model(cfg), state_from_config(cfg)
-    traj = coefficients.Trajectory(spec, tau_max, tol)
+    traj = coefficients.Trajectory(spec, tau_max)
 
     def value(tau):
         *_, m = _moments_at(state, traj, tau)
@@ -370,10 +367,10 @@ def _prepare_moments(cfg: dict, fixed: dict, tau_max: float, tol):
     return value
 
 
-def _prepare_nongauss(cfg: dict, fixed: dict, tau_max: float, tol):
+def _prepare_nongauss(cfg: dict, fixed: dict, tau_max: float):
     from . import coefficients
     spec, state = subsystem_model(cfg), state_from_config(cfg)
-    traj = coefficients.Trajectory(spec, tau_max, tol)  # integrates on first use
+    traj = coefficients.Trajectory(spec, tau_max)  # integrates on first use
 
     def value(tau):
         from . import nongaussianity
@@ -382,7 +379,7 @@ def _prepare_nongauss(cfg: dict, fixed: dict, tau_max: float, tol):
     return value
 
 
-def _prepare_qfi(cfg: dict, fixed: dict, tau_max: float, tol):
+def _prepare_qfi(cfg: dict, fixed: dict, tau_max: float):
     from . import metrology
     spec, state = model_from_config(cfg), state_from_config(cfg)
     param, mode = fixed["param"], _one_of("mode", fixed["mode"], QFI_MODES)
@@ -390,14 +387,14 @@ def _prepare_qfi(cfg: dict, fixed: dict, tau_max: float, tol):
         metrology.qfi_route(spec, param, mode)
     except ValueError as exc:  # a parameter or model with no derivative route
         raise ConfigError(str(exc)) from None
-    stencil = (metrology._finite_diff_derivatives(spec, param, tau_max, tol)
-               if mode == "finite_diff" else None)
+    derivatives = metrology.qfi_derivatives(spec, param, tau_max)
     r_T = state.r_T if state.mechanical == "thermal" else 0.0
     return lambda tau: (metrology.qfi_thermal(metrology.qfi_coefficients(
-        spec, param, tau, mode=mode, tol=tol, stencil=stencil), state.mu_c, r_T),)
+        spec, param, tau, mode=mode, derivatives=derivatives),
+        state.mu_c, r_T),)
 
 
-def _prepare_cfi(cfg: dict, fixed: dict, tau_max: float, tol):
+def _prepare_cfi(cfg: dict, fixed: dict, tau_max: float):
     spec, state = model_from_config(cfg), state_from_config(cfg)
     if not (spec.coupling.is_constant and spec.displacement.is_constant):
         raise ConfigError("cfi needs a constant coupling and displacement")
@@ -448,13 +445,12 @@ VALUE_COMMANDS = {
 }
 
 
-def _sweep_rows(command: str, cfg: dict, fixed: dict, name: str, values, tol,
-                out):
+def _sweep_rows(command: str, cfg: dict, fixed: dict, name: str, values, out):
     """The rows (v, value, t) of the value command ``command`` over the swept
     values v of ``name``, prepared and refused, computing nothing; value(t)
     computes the row's value columns. A tau sweep prepares once at the
-    largest tau, so it integrates each trajectory it reads once: one for the
-    grid commands, the five of the stencil for a finite_diff qfi. Any other
+    largest tau, so it integrates each pass it reads once: the model's, and
+    for a qfi off the catalog the complex pass of its derivatives. Any other
     name overrides that field of ``cfg`` and prepares each point at
     ``fixed["tau"]``. ``out`` is the output file the rows go to.
     """
@@ -466,7 +462,7 @@ def _sweep_rows(command: str, cfg: dict, fixed: dict, name: str, values, tol,
     def prepare(point, tau_max):
         if entry.requires is not None:
             _input_state(point, entry.requires)
-        return entry.prepare(point, fixed, tau_max, tol)
+        return entry.prepare(point, fixed, tau_max)
 
     if name == "tau":
         _check_tau(min(values))
@@ -506,8 +502,7 @@ def cmd_values(args):
     name, values = "tau", (_tau_grid(args) if "steps" in fixed else [args.tau])
     if fixed.get("sweep"):
         name, values = fixed["sweep"][0], _parse_sweep(fixed["sweep"][1])
-    rows = _sweep_rows(args.command, cfg, fixed, name, values, args.tol,
-                       args.out)
+    rows = _sweep_rows(args.command, cfg, fixed, name, values, args.out)
     columns = QUADRATURE_COLUMNS if fixed.get("quadratures") else entry.columns
     write_records(args.out, args.format, _meta(args, config=cfg, **fixed),
                   (name, *columns), _computed(args.command, name, rows))
@@ -610,7 +605,7 @@ def cmd_oracle_check(args):
         raise ConfigError(f"dims {dims[0]},{dims[1]} cut an initial tail mass "
                           f"{tail:.2e} off the input, above "
                           f"{oracle.INITIAL_TAIL_LIMIT:.0e}; increase dims")
-    traj = coefficients.Trajectory(spec, tau, args.tol)
+    traj = coefficients.Trajectory(spec, tau)
     f, alpha, beta, d, m = _moments_at(state, traj, tau)
     st = oracle.propagate(spec, state, tau, dims)
     mo = oracle.oracle_moments(st)
@@ -635,7 +630,7 @@ SWEEP_COMMANDS = {"qfi": {"param": "g0", "mode": "analytic"},
                   "cfi": {"lambda": math.pi / 2}, "nongauss": {}}
 
 
-def _sweep_plan(data: dict, tol):
+def _sweep_plan(data: dict):
     """The prepared rows of a sweep document, refused as its run is."""
     _fields(data, SWEEP_FIELDS, required=SWEEP_FIELDS[:4])
     cfg = resolve_config(_fields(data["model"], CONFIG_KEYS, "model"))
@@ -649,18 +644,18 @@ def _sweep_plan(data: dict, tol):
     if not isinstance(data["output"], str):
         raise ConfigError(f"field 'output' must be a string, got "
                           f"{data['output']!r}")
-    return _sweep_rows(command, cfg, fixed, swept["name"], values, tol,
+    return _sweep_rows(command, cfg, fixed, swept["name"], values,
                        data["output"])
 
 
 def validate_sweep_config(data: dict) -> None:
     """Every refusal of the sweep's run, as a ConfigError; computes nothing."""
-    _sweep_plan(data, STRICT)
+    _sweep_plan(data)
 
 
 def cmd_sweep(args):
     data = _read_json(args.config)
-    rows = _sweep_plan(data, args.tol)
+    rows = _sweep_plan(data)
     if args.validate_only:
         print("ok")
         return 0
@@ -680,8 +675,6 @@ def cmd_sweep(args):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="optomech")
-    parser.add_argument("--tolerance-profile", choices=tuple(TOLERANCES),
-                        default="strict")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(name, func, grid=False):
@@ -731,7 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.tol = TOLERANCES[args.tolerance_profile]
     try:
         return args.func(args)
     except ConfigError as exc:

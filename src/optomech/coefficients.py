@@ -75,7 +75,7 @@ class CatalogMiss(ValueError):
     """The drive combination has no exact closed form; use f_integrated."""
 
 
-def decoupled_pass(spec: ModelSpec, tau_max: float, tol=STRICT):
+def decoupled_pass(spec: ModelSpec, tau_max: float, tol=STRICT, drives=None):
     """The 15 states of the decoupled solution, dense on [0, tau_max].
 
     Returns the callable tau -> states of one DOP853 pass: (P11, P11', I_P22,
@@ -83,9 +83,20 @@ def decoupled_pass(spec: ModelSpec, tau_max: float, tol=STRICT):
     and (j_b, j_+, j_-) at [12:15]. Its RMS error norm spans all 15 states,
     so both tolerances of ``tol`` are scaled by sqrt(3/15): each block, J
     (3 states) the smallest, then meets ``tol`` on its own.
+
+    ``drives`` replaces the coupling, displacement and squeezing of ``spec``
+    by objects with a Drive's fields, which the Drive checks do not see. A
+    complex field makes the pass complex, on ``cmath``: the states' imaginary
+    parts then carry a complex-step derivative. ``spec`` is the model whose
+    squeezing is checked.
     """
-    g, d1, d2 = spec.coupling, spec.displacement, spec.squeezing
-    check_squeezing(d2)
+    check_squeezing(spec.squeezing)
+    g, d1, d2 = drives or (spec.coupling, spec.displacement, spec.squeezing)
+    y0 = [1.0, 0.0, 0.0, 1.0] + [0.0] * 11  # P11 = P22 = I_P22' = 1 at 0
+    m = math
+    if any(isinstance(x, complex) for drive in (g, d1, d2)
+           for x in (drive.amplitude, drive.offset, drive.frequency)):
+        m, y0 = cmath, [complex(x) for x in y0]
 
     def rhs(tau, y):
         p11, dp11, i22, p22, i_g, i_d, *_, jb, jp, _ = y.tolist()
@@ -104,12 +115,11 @@ def decoupled_pass(spec: ModelSpec, tau_max: float, tol=STRICT):
             -dv * im_xi,                               # F_B-
             -gv * re_xi,                               # F_NaB+
             gv * im_xi,                                # F_NaB-
-            1.0 + 2.0 * sv * (1.0 - math.sin(2 * jb) * math.tanh(4 * jp)),  # j_b
-            sv * math.cos(2 * jb),                     # j_+
-            sv * math.sin(2 * jb) / math.cosh(4 * jp),  # j_-
+            1.0 + 2.0 * sv * (1.0 - m.sin(2 * jb) * m.tanh(4 * jp)),  # j_b
+            sv * m.cos(2 * jb),                        # j_+
+            sv * m.sin(2 * jb) / m.cosh(4 * jp),       # j_-
         ]
 
-    y0 = [1.0, 0.0, 0.0, 1.0] + [0.0] * 11  # P11 = P22 = I_P22' = 1 at 0
     scale = math.sqrt(3 / len(y0))
     rtol, atol = tol
     ivp = solve_ivp(rhs, (0.0, tau_max), y0, rtol=rtol * scale, atol=atol * scale)
@@ -158,15 +168,16 @@ def _f_all_constant(g0: float, d1: float, d2: float, tau: float) -> FSet:
 
 def _f_modulated_g(g0: float, eps: float, w: float, tau: float) -> FSet:
     """G = g0 (1 + eps sin(w tau)), no displacement or squeezing, w not in {0, 1}."""
-    s, c = math.sin(tau), math.cos(tau)
-    sw, cw = math.sin(w * tau), math.cos(w * tau)
-    s2, c2 = math.sin(2 * tau), math.cos(2 * tau)
-    s2w, c2w = math.sin(2 * w * tau), math.cos(2 * w * tau)
-    shalf = math.sin(0.5 * (1.0 - w) * tau)
+    m = cmath if isinstance(w, complex) else math
+    s, c = m.sin(tau), m.cos(tau)
+    sw, cw = m.sin(w * tau), m.cos(w * tau)
+    s2, c2 = m.sin(2 * tau), m.cos(2 * tau)
+    s2w, c2w = m.sin(2 * w * tau), m.cos(2 * w * tau)
+    shalf = m.sin(0.5 * (1.0 - w) * tau)
 
     f_na2 = (
         -g0 ** 2 * (tau - s * c)
-        + 2.0 * eps * g0 ** 2 / w * (s ** 2 * cw - 2.0 * math.sin(tau / 2.0) ** 2)
+        + 2.0 * eps * g0 ** 2 / w * (s ** 2 * cw - 2.0 * m.sin(tau / 2.0) ** 2)
         - eps * g0 ** 2 / (w * (1.0 + w)) * s2 * sw
         - 4.0 * eps * g0 ** 2 / (w * (1.0 - w ** 2)) * c * shalf ** 2
         + eps ** 2 * g0 ** 2 / (4.0 * w * (1.0 + w))
@@ -184,8 +195,8 @@ def _f_modulated_g(g0: float, eps: float, w: float, tau: float) -> FSet:
     )
     f_nabm = (
         -g0 / (1.0 - w) * eps * s * cw
-        + g0 / (1.0 - w ** 2) * eps * math.sin((1.0 + w) * tau)
-        - 2.0 * g0 * math.sin(tau / 2.0) ** 2
+        + g0 / (1.0 - w ** 2) * eps * m.sin((1.0 + w) * tau)
+        - 2.0 * g0 * m.sin(tau / 2.0) ** 2
     )
     return FSet(f_na=0.0, f_na2=f_na2, f_bp=0.0, f_bm=0.0,
                 f_nabp=f_nabp, f_nabm=f_nabm)
@@ -208,14 +219,15 @@ def _f_resonant_g(g0: float, eps: float, tau: float) -> FSet:
 
 def _f_modulated_d1(g0: float, d1: float, w: float, tau: float) -> FSet:
     """D1 = d1 cos(w tau) with constant coupling g0, w not in {0, 1}."""
-    s, c = math.sin(tau), math.cos(tau)
-    sw, cw = math.sin(w * tau), math.cos(w * tau)
+    m = cmath if isinstance(w, complex) else math
+    s, c = m.sin(tau), m.cos(tau)
+    sw, cw = m.sin(w * tau), m.cos(w * tau)
     f_na = -g0 * d1 / (2.0 * w * (w ** 2 - 1.0)) * (
         2.0 * w ** 2 * c ** 2 * sw
         - 4.0 * w * s * c * cw
-        + sw * (w ** 2 * math.cos(2.0 * tau) - 3.0 * w ** 2 + 4.0)
+        + sw * (w ** 2 * m.cos(2.0 * tau) - 3.0 * w ** 2 + 4.0)
     )
-    f_na2 = 0.5 * g0 ** 2 * (math.sin(2.0 * tau) - 2.0 * tau)
+    f_na2 = 0.5 * g0 ** 2 * (m.sin(2.0 * tau) - 2.0 * tau)
     f_bp = -d1 * (w * c * sw - s * cw) / (1.0 - w ** 2)
     f_bm = -d1 * (w * s * sw + c * cw - 1.0) / (1.0 - w ** 2)
     return FSet(f_na=f_na, f_na2=f_na2, f_bp=f_bp, f_bm=f_bm,
@@ -260,7 +272,14 @@ def f_closed_form(spec: ModelSpec, tau: float) -> FSet:
     entry = catalog_entry(spec)
     if entry is None:
         raise CatalogMiss("no closed-form entry covers the drives; use f_integrated")
-    g, d1, d2, tau = spec.coupling, spec.displacement, spec.squeezing, float(tau)
+    return entry_f(entry, spec.coupling, spec.displacement, spec.squeezing,
+                   float(tau))
+
+
+def entry_f(entry: str, g, d1, d2, tau: float) -> FSet:
+    """The F-coefficients of the catalog ``entry`` for the coupling ``g``,
+    displacement ``d1`` and squeezing ``d2``: drives, or any objects with a
+    Drive's fields, which may be complex (a complex-step derivative)."""
     if entry == "all-constant":
         return _f_all_constant(g.amplitude, d1.amplitude, d2.amplitude, tau)
     if entry == "modulated-g":

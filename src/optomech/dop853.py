@@ -259,16 +259,19 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, end_only=False) -> OdeResult:
     in the range. With ``end_only`` the result holds only the time and state
     where the integration stopped, and ``sol`` is None; the steps are the
     same. If the step falls below ten units in the last place of t the
-    integration stops with ``success`` False.
+    integration stops with ``success`` False. A complex ``y0`` integrates a
+    complex state, its steps controlled by the moduli of the errors.
     """
     t0, t_bound = map(float, t_span)
     if t_bound < t0:
         raise ValueError("only forward integration is implemented")
 
-    def f_of(t, y):
-        return np.asarray(fun(t, y), dtype=float)
+    dtype = complex if np.iscomplexobj(y0) else float
 
-    t, y = t0, np.array(y0, dtype=float)
+    def f_of(t, y):
+        return np.asarray(fun(t, y), dtype=dtype)
+
+    t, y = t0, np.array(y0, dtype=dtype)
     f = f_of(t, y)
     nfev, n = 1, y.size
     ts, ys, steps = [t], [y], []  # steps: (h, F) of each accepted step
@@ -277,11 +280,11 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, end_only=False) -> OdeResult:
         # one zero-length step whose interpolant is the constant y0
         ts.append(t)
         ys.append(y)
-        steps.append((1.0, np.zeros((7, n))))
+        steps.append((1.0, np.zeros((7, n), dtype)))
     else:
         h_abs = _initial_step(f_of, t0, y, f, t_bound - t0, rtol, atol)
         nfev += 1
-    K = np.empty((16, n))
+    K = np.empty((16, n), dtype)
     while t < t_bound:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -313,7 +316,7 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, end_only=False) -> OdeResult:
         if not end_only:
             _stages(f_of, t, y, h, K, N_STAGES + 1, 16)
             nfev += 3
-            F = np.empty((7, n))
+            F = np.empty((7, n), dtype)
             delta = F[0] = y_new - y
             F[1] = h * f - delta
             F[2] = 2 * delta - h * (f_new + f)

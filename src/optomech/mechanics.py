@@ -22,9 +22,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-# the (rtol, atol) profiles live in params, which the CLI reads without
-# numpy, and are re-exported here, beside the integrations that take them
-from .params import STRICT, TOLERANCES, Drive, ModelSpec
+from .params import Drive, ModelSpec
+
+# (rtol, atol) of every adaptive integration unless a caller passes its own
+STRICT = (1e-10, 1e-12)
 
 # arcosh arguments this far below 1 are treated as rounding noise
 ACOSH_CLAMP = 1e-12

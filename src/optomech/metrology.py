@@ -13,14 +13,17 @@ force sensitivities.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
 from dataclasses import astuple, dataclass, replace
+from types import SimpleNamespace
 
+from . import coefficients
 from .constants import HBAR
-from .coefficients import FSet, Trajectory, catalog_entry, f_closed_form
-from .mechanics import STRICT, JSet, unstable_squeezing
+from .coefficients import FSet, catalog_entry, entry_f
+from .mechanics import STRICT, JSet, check_squeezing
 from .params import (QFI_MODES, ModelSpec, PhysicalSetup, coupling_constant,
                      oscillator_mass)
 
@@ -86,17 +89,16 @@ def _assemble_coefficients(tau: float, f: FSet, df: FSet, j: JSet,
                            c_g=c_g, c_k=c_k)
 
 
-# the parameters qfi_coefficients estimates, each a field of a model drive,
-# and its two derivative modes
+# the parameters qfi_coefficients estimates, each a field of a model drive
 QFI_FIELDS = {"g0": ("coupling", "amplitude"), "epsilon": ("coupling", "offset"),
               "d1": ("displacement", "amplitude"), "d2": ("squeezing", "amplitude"),
               "omega_g": ("coupling", "frequency"),
               "omega_d1": ("displacement", "frequency"),
               "omega_d2": ("squeezing", "frequency")}
 QFI_PARAMS = tuple(QFI_FIELDS)
-# each catalog route's name and the parameter values of its model variants
-CATALOG_ROUTES = {"g0": ("g0-homogeneity", (1.0,)), "d1": ("d1-homogeneity", (1.0,)),
-                  "epsilon": ("epsilon-polynomial", (0.0, 1.0, -1.0))}
+# the complex step h: a power of two, so that dividing by it is exact, and
+# so small that h^2 vanishes beside every value
+STEP = 2.0 ** -100
 
 
 def _with_param(spec: ModelSpec, name: str, value: float) -> ModelSpec:
@@ -109,124 +111,99 @@ def _param_value(spec: ModelSpec, name: str) -> float:
     return getattr(getattr(spec, drive), field)
 
 
-def _fd_step(theta: float) -> float:
-    return 1e-6 * max(1.0, abs(theta))
+def _near(spec: ModelSpec, param: str) -> ModelSpec | None:
+    """The model with ``param`` moved off the values :func:`catalog_entry`
+    dispatches on, which has the catalog entry of every model near it: an
+    amplitude at 0 moves to 1. A frequency at 0 or 1 gives None: the general
+    closed forms divide by w and 1 - w^2, and the entries there take no w.
+    """
+    field, theta = QFI_FIELDS[param][1], _param_value(spec, param)
+    if field == "frequency" and theta in (0.0, 1.0):
+        return None
+    if field == "amplitude" and theta == 0.0:
+        return _with_param(spec, param, 1.0)
+    return spec
 
 
 def qfi_route(spec: ModelSpec, param: str, mode: str) -> str:
     """The derivative route of ``qfi_coefficients(spec, param, tau, mode)``,
     decided from the drives alone; raises the ValueError that call raises.
 
-    'finite-diff' differentiates the integrated paths and serves every
-    parameter id; the CATALOG_ROUTES routes (g0, d1 and epsilon, without
-    squeezing) differentiate catalog evaluations of the model and of each
-    of its variants.
+    It is the :func:`catalog_entry` of the model near theta (see
+    :func:`_near`) when that has no squeezing, else 'integrated', one
+    decoupled pass, which mode 'finite_diff' takes and 'analytic' refuses.
     """
     if param not in QFI_FIELDS:
         raise ValueError(f"unknown parameter id {param!r}; "
                          f"expected one of {QFI_PARAMS}")
-    d2 = spec.squeezing
-    if mode == "finite_diff":
-        theta = _param_value(spec, param)
-        low = theta - _fd_step(theta)
-        if QFI_FIELDS[param][1] == "frequency" and low < 0:
-            raise ValueError(f"the finite-difference stencil for {param!r} "
-                             f"reaches {low:.3g}, a negative drive frequency")
-        sq = _with_param(spec, param, low).squeezing if param == "d2" else d2
-        if unstable_squeezing(sq):
-            raise ValueError(f"finite differences integrate constant squeezing d2 = "
-                             f"{sq.amplitude:.7g}, unstable with 1 + 4 d2 <= 0")
-        return "finite-diff"
-    if mode != "analytic":
+    if mode not in QFI_MODES:
         raise ValueError(f"mode must be one of {QFI_MODES}, got {mode!r}")
-    if param not in CATALOG_ROUTES:
-        raise ValueError(f"no analytic derivative route for parameter "
-                         f"{param!r}; use mode finite_diff")
-    if not d2.is_zero:
-        raise ValueError("analytic derivatives do not cover a squeezing term; "
-                         "use mode finite_diff")
-    route, values = CATALOG_ROUTES[param]
-    if any(catalog_entry(_with_param(spec, param, v)) is None
-           for v in (_param_value(spec, param), *values)):
-        raise ValueError(f"no analytic derivative route for parameter "
-                         f"{param!r}: the closed-form F catalog misses the "
-                         f"model or its variant at {param} in {values}")
-    return route
+    near = _near(spec, param)
+    entry = near is not None and near.squeezing.is_zero and catalog_entry(near)
+    if entry:
+        return entry
+    if mode == "analytic":
+        why = ("the closed forms divide by w and 1 - w^2 there" if near is None
+               else "the catalog does not cover a squeezing term"
+               if not near.squeezing.is_zero
+               else "the closed-form F catalog misses the model near it")
+        raise ValueError(f"no analytic derivative route for parameter {param!r} "
+                         f"at {_param_value(spec, param)!r}: {why}; use mode "
+                         "finite_diff")
+    check_squeezing(spec.squeezing)
+    return "integrated"
 
 
-def _analytic_derivatives(spec: ModelSpec, param: str, route: str, tau: float):
-    """(F, dF/dtheta, J, dJ/dtheta) on a catalog :func:`qfi_route`: g0 and d1
-    enter the exact coefficients homogeneously and epsilon polynomially, so
-    catalog evaluations of the model's variants give the derivatives.
+def qfi_derivatives(spec: ModelSpec, param: str, tau_max: float, tol=STRICT):
+    """The reader tau -> (F, dF/dtheta, J, dJ/dtheta) on [0, tau_max] of the
+    :func:`qfi_route` in mode 'finite_diff', built once for a tau sweep.
+
+    F and J are read from the model's :class:`Trajectory` at ``tol``. The
+    derivatives are one complex step, d v / d theta = Im v(theta + ih) / h
+    with h = STEP, through the code that computes v: the closed form of the
+    route's catalog entry, with J = (tau, 0, 0), or one complex decoupled
+    pass. With no subtraction the step has no rounding floor. Nothing
+    integrates before the first read.
     """
-    g0 = spec.coupling.amplitude
-    j, zero = JSet(j_b=tau, j_plus=0.0, j_minus=0.0), JSet(0.0, 0.0, 0.0)
-    f = f_closed_form(spec, tau)
-    variants = [f_closed_form(_with_param(spec, param, v), tau)
-                for v in CATALOG_ROUTES[param][1]]
-    unit = variants[0]
-    if route == "g0-homogeneity":
-        df = FSet(f_na=unit.f_na, f_na2=2.0 * g0 * unit.f_na2,
-                  f_bp=0.0, f_bm=0.0,
-                  f_nabp=unit.f_nabp, f_nabm=unit.f_nabm)
-        return f, df, j, zero
-    if route == "d1-homogeneity":
-        df = FSet(f_na=unit.f_na, f_na2=0.0,
-                  f_bp=unit.f_bp, f_bm=unit.f_bm, f_nabp=0.0, f_nabm=0.0)
-        return f, df, j, zero
-    # epsilon-polynomial: F_NaB+- are linear and F_Na2 quadratic in epsilon,
-    # so the polynomial is differentiated through three catalog evaluations,
-    # on Python floats (the sums and products round as numpy's do)
-    slope = 2.0 * spec.coupling.offset
-    df = FSet(*(0.5 * (p - m) + slope * (0.5 * (p + m - 2.0 * z))
-                for z, p, m in zip(*map(astuple, variants))))
-    return f, df, j, zero
-
-
-def _finite_diff_derivatives(spec: ModelSpec, name: str, tau_max: float, tol):
-    """The reader tau -> (F, dF/dtheta, J, dJ/dtheta) on [0, tau_max]:
-    central differences with one Richardson refinement on the paths of five
-    :class:`Trajectory` objects, at theta, theta +- h and theta +- h/2, built
-    once and integrated on first read, so a tau sweep integrates five passes.
-    The differences are formed on Python floats, as numpy would round them.
-    """
-    theta = _param_value(spec, name)
-    h = _fd_step(theta)
-    models = [spec] + [_with_param(spec, name, theta + s)
-                       for s in (h, -h, h / 2.0, -h / 2.0)]
-    stencil = [Trajectory(model, tau_max, tol) for model in models]
+    route = qfi_route(spec, param, "finite_diff")
+    traj = coefficients.Trajectory(spec, tau_max, tol)
+    # theta + ih goes into an object with a Drive's fields, unchecked
+    name, field = QFI_FIELDS[param]
+    step = complex(_param_value(spec, param), STEP)
+    stepped = SimpleNamespace(**{**vars(getattr(spec, name)), field: step})
+    drives = [stepped if drive == name else getattr(spec, drive)
+              for drive in ("coupling", "displacement", "squeezing")]
+    states = functools.cache(
+        lambda: coefficients.decoupled_pass(spec, tau_max, tol, drives))
 
     def derivatives(tau: float):
-        center, *points = [astuple(t.f(tau)) + astuple(t.j(tau)) for t in stencil]
-        # Richardson's (4 D(h/2) - D(h)) / 3 of the central differences D
-        d = [(4.0 * ((p2 - m2) / h) - (p1 - m1) / (2.0 * h)) / 3.0
-             for p1, m1, p2, m2 in zip(*points)]
-        return FSet(*center[:6]), FSet(*d[:6]), JSet(*center[6:]), JSet(*d[6:])
+        if route == "integrated":
+            values = states()(tau)[6:]
+        else:
+            values = (*astuple(entry_f(route, *drives, tau)), 0.0, 0.0, 0.0)
+        d = [v.imag / STEP for v in values]
+        return traj.f(tau), FSet(*d[:6]), traj.j(tau), JSet(*d[6:])
     return derivatives
 
 
 def qfi_coefficients(spec: ModelSpec, theta_param: str, tau: float,
                      mode: str = "analytic", tol=STRICT,
-                     stencil=None) -> QfiCoefficients:
+                     derivatives=None) -> QfiCoefficients:
     """Generator coefficients for estimating ``theta_param`` at time tau.
 
-    ``mode='analytic'`` differentiates the closed-form F catalog (g0, d1
-    and epsilon, on a model without squeezing); ``mode='finite_diff'``
-    differentiates the generic paths numerically, integrating at ``tol`` =
-    (rtol, atol), for any parameter id, and is the one route for d2 and the
-    drive frequencies (a frequency needs its stencil to stay >= 0). It reads
-    ``stencil``, the :func:`_finite_diff_derivatives` of the same model and
+    The derivatives are the complex step of :func:`qfi_derivatives`, through
+    a catalog closed form or one decoupled pass integrated at ``tol`` =
+    (rtol, atol). ``mode='analytic'`` takes a catalog route only (no
+    squeezing, and the catalog covering the model near theta);
+    ``mode='finite_diff'`` takes every parameter id and model. It reads
+    ``derivatives``, the :func:`qfi_derivatives` of the same model and
     parameter on a range that holds tau, or builds one on [0, tau].
     :func:`qfi_route` names the route, or raises, before any arithmetic.
     """
-    route = qfi_route(spec, theta_param, mode)
+    qfi_route(spec, theta_param, mode)
     tau = float(tau)
-    if route == "finite-diff":
-        stencil = stencil or _finite_diff_derivatives(spec, theta_param, tau, tol)
-        f, df, j, dj = stencil(tau)
-    else:
-        f, df, j, dj = _analytic_derivatives(spec, theta_param, route, tau)
-    return _assemble_coefficients(tau, f, df, j, dj)
+    derivatives = derivatives or qfi_derivatives(spec, theta_param, tau, tol)
+    return _assemble_coefficients(tau, *derivatives(tau))
 
 
 # ---------------------------------------------------------------------------

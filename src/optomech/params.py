@@ -7,6 +7,7 @@ through the coupling-constant and thermal-parameter helpers.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -15,11 +16,6 @@ from .constants import EPSILON_0, HBAR, K_B
 # the derivative modes of metrology.qfi_coefficients; named here, so the
 # CLI's parser offers them without loading numpy
 QFI_MODES = ("analytic", "finite_diff")
-
-# (rtol, atol) of every adaptive integration, by profile name; named here,
-# so the CLI resolves --tolerance-profile without loading numpy
-TOLERANCES = {"strict": (1e-10, 1e-12), "fast": (1e-8, 1e-10)}
-STRICT = TOLERANCES["strict"]
 
 
 @dataclass(frozen=True)
@@ -85,13 +81,16 @@ def evaluate_drive(drive: Drive, tau):
     A float tau (``np.float64`` included) or an int takes ``math.sin`` and
     ``math.cos``, with the bits of the numpy path, and returns a float: the
     integrators call this per drive per stage, where building a 0-d array
-    costs more than the arithmetic.
+    costs more than the arithmetic. There ``drive`` may be any object with a
+    Drive's fields, which the Drive checks do not see: a complex frequency
+    (a complex-step derivative) takes ``cmath``.
     """
     if isinstance(tau, (float, int)):
+        m = cmath if isinstance(drive.frequency, complex) else math
         if drive.phase == "sin":
             return drive.amplitude * (1.0 + drive.offset
-                                      * math.sin(drive.frequency * tau))
-        return drive.amplitude * math.cos(drive.frequency * tau)
+                                      * m.sin(drive.frequency * tau))
+        return drive.amplitude * m.cos(drive.frequency * tau)
     import numpy as np
 
     tau = np.asarray(tau, dtype=float)

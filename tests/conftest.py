@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from optomech.coefficients import catalog_entry, decoupled_pass
-from optomech.mechanics import STRICT
-from optomech.metrology import _fd_step, _param_value, _with_param
+from optomech.coefficients import FSet, decoupled_pass
+from optomech.mechanics import STRICT, JSet
+from optomech.metrology import QFI_FIELDS, _param_value, _with_param, qfi_route
 from optomech.params import Drive, ModelSpec
 
 
@@ -54,20 +56,57 @@ CLOSED_FORM_ROUNDINGS = 64
 def finite_diff_qfi_budget(spec: ModelSpec, param: str, tau: float) -> float:
     """Relative error budget of ``qfi_coefficients(..., mode='finite_diff')``
     fed to a QFI, which is quadratic in the derivatives and so doubles their
-    relative error. Each derivative is Richardson's (4 D(h/2) - D(h)) / 3 of
-    central differences D with h = _fd_step(theta):
-    - integration: every stencil point is integrated to STRICT's rtol, and a
-      stencil this narrow keeps one step sequence, so the difference quotient
-      carries the integration error's own relative size, rtol;
-    - rounding: the weights turn an error e of the values into 3 e / h, and a
-      value is rounded once per operation of its closed form, or once per
-      step of the pass that integrates it (F off the catalog, J under
-      squeezing), n times, so e = n u.
+    relative error. Each derivative is a complex step Im v(theta + ih) / h,
+    which subtracts nothing, so h does not enter. On a catalog route v is a
+    closed form, rounded once per operation. On the 'integrated' route v is
+    read from a pass of n steps:
+    - integration: each step's local error is within STRICT's rtol of the
+      states, and F and J are integrals of bounded integrands, so nothing
+      amplifies those errors and the pass ends within n rtol. The complex
+      step is the exact derivative of that discrete solution and carries
+      the same relative error;
+    - rounding: a derivative is rounded as its value is, once per step: n u.
+    """
+    if qfi_route(spec, param, "finite_diff") != "integrated":
+        return 2.0 * CLOSED_FORM_ROUNDINGS * UNIT_ROUNDOFF
+    n = len(decoupled_pass(spec, tau)._h)
+    return 2.0 * n * (STRICT[0] + UNIT_ROUNDOFF)
+
+
+def _at(spec: ModelSpec, param: str, value: float) -> ModelSpec:
+    """``spec`` with ``param`` at ``value``. A frequency below 0 is taken as
+    its mirror image, which the drives allow: sin(-w tau) = -sin(w tau)
+    flips the offset of a 'sin' drive, and cos is even."""
+    drive, field = QFI_FIELDS[param]
+    if field == "frequency" and value < 0:
+        mirror = replace(getattr(spec, drive), offset=-getattr(spec, drive).offset)
+        spec, value = replace(spec, **{drive: mirror}), -value
+    return _with_param(spec, param, value)
+
+
+def richardson_derivatives(spec: ModelSpec, param: str, tau: float):
+    """(dF, dJ, bound): Richardson's (4 D(h/2) - D(h)) / 3 of central
+    differences D of F and J, h = 1e-6 max(1, |theta|), read from the
+    decoupled pass of each stencil model (a Trajectory's f and j on a
+    catalog miss), so no closed form near its singular points enters; and
+    the bound on its distance from the complex-step derivatives, over all
+    nine. The pass at theta takes n steps. With S = max(1, |dv|) and
+    V = max(1, |v|) over the nine derivatives and values:
+    - integration: each derivative, the complex step's and the difference's,
+      carries n rtol of S (see finite_diff_qfi_budget): 2 n rtol S;
+    - rounding: the values are rounded once per step, n u V, and the weights
+      turn that into 3 n u V / h; the complex step's own rounding is n u S;
+    - Richardson's remainder, h^4 v^(5) / 480, lies below u S at this h.
     """
     theta = _param_value(spec, param)
-    h = _fd_step(theta)
-    stencil = _with_param(spec, param, theta + h)
-    n = CLOSED_FORM_ROUNDINGS
-    if catalog_entry(stencil) is None or not stencil.squeezing.is_zero:
-        n = max(n, len(decoupled_pass(stencil, tau)._h))
-    return 2.0 * (STRICT[0] + 3.0 * n * UNIT_ROUNDOFF / h)
+    h = 1e-6 * max(1.0, abs(theta))
+    values = {s: decoupled_pass(_at(spec, param, theta + s), tau)(tau)[6:]
+              for s in (-h, -h / 2, 0.0, h / 2, h)}
+    d = (4.0 * (values[h / 2] - values[-h / 2]) / h
+         - (values[h] - values[-h]) / (2.0 * h)) / 3.0
+    n = len(decoupled_pass(spec, tau)._h)
+    scale = max(1.0, float(np.max(np.abs(d))))
+    size = max(1.0, float(np.max(np.abs(values[0.0]))))
+    bound = (2.0 * n * STRICT[0] * scale + 3.0 * n * UNIT_ROUNDOFF * size / h
+             + (n + 1) * UNIT_ROUNDOFF * scale)
+    return FSet(*d[:6]), JSet(*d[6:]), bound

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,14 +13,14 @@ import pytest
 from optomech import coefficients, mechanics, metrology, nongaussianity, oracle
 from optomech.cli import (ConfigError, _tau_grid, main, model_from_config,
                           resolve_config, validate_sweep_config)
-from optomech.coefficients import (CatalogMiss, Trajectory, derived_scalars,
-                                   f_closed_form, f_integrated)
-from optomech.mechanics import TOLERANCES, solve_subsystem
+from optomech.coefficients import (CatalogMiss, FSet, Trajectory,
+                                   derived_scalars, f_closed_form, f_integrated)
+from optomech.mechanics import JSet, solve_subsystem
 from optomech.metrology import qfi_coefficients, qfi_thermal
 from optomech.moments import evolve_moments
 from optomech.nongaussianity import report
 
-from conftest import finite_diff_qfi_budget
+from conftest import finite_diff_qfi_budget, richardson_derivatives
 
 GOLDEN = Path(__file__).parent / "golden"
 CONFIG = str(GOLDEN / "config.json")
@@ -256,72 +257,6 @@ MISS_CONFIG = {"g0": 0.3, "epsilon": 0.4, "omega_g": 0.7,
                "mu_c_re": 1.0, "mu_m_re": 0.5}
 
 
-def record_tolerances(monkeypatch, module):
-    """Record the (rtol, atol) of every ``module.solve_ivp`` call."""
-    tolerances = []
-    solve_ivp = module.solve_ivp
-
-    def recording(*args, **kwargs):
-        tolerances.append((kwargs["rtol"], kwargs["atol"]))
-        return solve_ivp(*args, **kwargs)
-
-    monkeypatch.setattr(module, "solve_ivp", recording)
-    return tolerances
-
-
-# the decoupled-solution pass scales both tolerances by sqrt(3/15), so
-# that its smallest block (J, 3 of 15 states) meets them on its own
-BLOCK_SCALE = math.sqrt(3 / 15)
-
-
-def test_fast_tolerance_profile(tmp_path, monkeypatch):
-    result = run_cli("--tolerance-profile", "fast", "nongauss",
-                     "--config", CONFIG, "--steps", "3",
-                     "--out", str(tmp_path / "x.csv"))
-    assert result.returncode == 0
-    # the profile must reach the integration on a catalog miss
-    cfg = tmp_path / "miss.json"
-    cfg.write_text(json.dumps(MISS_CONFIG))
-    tolerances = record_tolerances(monkeypatch, coefficients)
-    assert main(["--tolerance-profile", "fast", "coeffs", "--config", str(cfg),
-                 "--steps", "3", "--out", str(tmp_path / "c.csv")]) == 0
-    fast = (1e-8 * BLOCK_SCALE, 1e-10 * BLOCK_SCALE)
-    assert tolerances == [fast]
-    # and J of a trajectory built at that profile, from that one pass
-    spec = model_from_config(resolve_config(MISS_CONFIG))
-    tolerances.clear()
-    traj = Trajectory(spec, 2.0, TOLERANCES["fast"])
-    traj.j(2.0)
-    traj.f(2.0)
-    assert tolerances == [fast]
-
-
-def test_fast_profile_ends_with_its_command(tmp_path, monkeypatch):
-    cfg = tmp_path / "miss.json"
-    cfg.write_text(json.dumps(MISS_CONFIG))
-    assert main(["--tolerance-profile", "fast", "coeffs", "--config", str(cfg),
-                 "--steps", "3", "--out", str(tmp_path / "c.csv")]) == 0
-    # a later library call integrates at the strict default
-    spec = model_from_config(resolve_config(MISS_CONFIG))
-    tolerances = record_tolerances(monkeypatch, coefficients)
-    f_integrated(spec, solve_subsystem(spec, 1.0), 1.0)
-    assert tolerances == [(1e-10 * BLOCK_SCALE, 1e-12 * BLOCK_SCALE)]
-
-
-def test_fingerprint_covers_tolerance_profile(tmp_path):
-    cfg = tmp_path / "miss.json"
-    cfg.write_text(json.dumps(MISS_CONFIG))
-    headers = {}
-    for profile in ("strict", "fast"):
-        out = tmp_path / f"{profile}.csv"
-        assert main(["--tolerance-profile", profile, "moments", "--config",
-                     str(cfg), "--steps", "3", "--out", str(out)]) == 0
-        headers[profile] = out.read_text().splitlines()[1]
-    assert headers["strict"].startswith("# fingerprint: ")
-    assert headers["fast"].startswith("# fingerprint: ")
-    assert headers["strict"] != headers["fast"]
-
-
 def test_fingerprint_covers_cfi_n_max(tmp_path):
     headers = []
     for extra in ([], ["--n-max", "40"]):
@@ -433,8 +368,8 @@ def _nongauss_delta(spec, mu_c, mu_m, tau):
 
 
 def _fd_qfi(spec, mu_c, mu_m, tau):
-    """The finite-difference d2 QFI with its stencil integrated afresh on
-    [0, tau], and its relative budget as an absolute bound."""
+    """The finite_diff d2 QFI with its passes integrated afresh on [0, tau],
+    and its relative budget as an absolute bound."""
     qfi = qfi_thermal(qfi_coefficients(spec, "d2", tau, mode="finite_diff"), mu_c)
     return qfi, finite_diff_qfi_budget(spec, "d2", tau) * abs(qfi)
 
@@ -442,10 +377,10 @@ def _fd_qfi(spec, mu_c, mu_m, tau):
 @pytest.mark.parametrize("command, fixed, single, reference, n_passes", [
     pytest.param("nongauss", {}, ["--steps", "2", "--tau-max"],
                  _nongauss_delta, 1, id="nongauss"),
-    # the five trajectories of the finite-difference stencil
+    # the model's trajectory and the complex pass of its derivatives
     pytest.param("qfi", {"param": "d2", "mode": "finite_diff"},
                  ["--param", "d2", "--mode", "finite_diff", "--tau"], _fd_qfi,
-                 5, id="qfi-finite-diff"),
+                 2, id="qfi-finite-diff"),
 ])
 def test_tau_sweep_integrates_once_on_catalog_miss(command, fixed, single,
                                                    reference, n_passes,
@@ -720,7 +655,8 @@ CONSTANT_D2_MODEL = {"g0": 0.6, "d1": 0.3, "d2": 0.05,
     (["qfi", "--config", RESONANT_G_MODEL, "--sweep", "omega_g",
       "0.3:0.5:0.1"], {"optomech.metrology"}, {"numpy", "optomech.oracle"}),
     # the grid commands on a catalog hit without squeezing, and the epsilon
-    # QFI's three catalog evaluations, are scalar arithmetic on math and cmath
+    # QFI's complex step through its closed form, are scalar arithmetic on
+    # math and cmath
     (["mechanics", "--config", CONFIG, "--steps", "3"],
      {"optomech.mechanics"}, {"numpy", "optomech.oracle"}),
     (["coeffs", "--config", CONFIG, "--steps", "3"],
@@ -740,7 +676,7 @@ CONSTANT_D2_MODEL = {"g0": 0.6, "d1": 0.3, "d2": 0.05,
      {"optomech.moments"}, {"numpy", "optomech.oracle"}),
     (["coeffs", "--config", CONSTANT_D2_MODEL, "--steps", "3"],
      {"optomech.coefficients"}, {"numpy", "optomech.oracle"}),
-    # finite differences of catalog values, formed on Python floats
+    # so is that complex step in mode finite_diff
     (["qfi", "--config", RESONANT_G_MODEL, "--param", "epsilon",
       "--mode", "finite_diff"], {"optomech.metrology"},
      {"numpy", "optomech.oracle"}),
@@ -822,8 +758,8 @@ CFI_MODEL = {"g0": 1.0, "d1": 1.0, "mu_c_re": 1.0}
 
 
 TAU_SWEEP = {"name": "tau", "start": 1.0, "stop": 2.0, "step": 1.0}
-# in the catalog, with constant drives: no analytic omega_g derivative, and
-# a finite-difference stencil around omega_g = 0 reaches below 0
+# in the catalog, with constant drives: the omega_g derivative at
+# omega_g = 0 goes to the pass, which mode analytic refuses
 ROUTE_MODEL = {"g0": 1.0, "d1": 0.5, "mu_c_re": 1.0}
 # constant squeezing with 1 + 4 d2 <= 0: the subsystem has no bounded solution
 UNSTABLE_MODEL = {"g0": 1, "d2": -0.3, "mu_c_re": 1}
@@ -1062,42 +998,34 @@ REJECTED_INPUT = [
     pytest.param(["sweep"], {"command": "qfi",
                              "model": {"g0": 1.0, "d2": 0.1, "mu_c_re": 1.0},
                              "swept": TAU_SWEEP},
-                 "analytic derivatives do not cover a squeezing term; use "
-                 "mode finite_diff", id="sweep-qfi-g0-squeezed"),
-    # d2 has finite differences as its one route
+                 "no analytic derivative route for parameter 'g0' at 1.0: "
+                 "the catalog does not cover a squeezing term; use mode "
+                 "finite_diff", id="sweep-qfi-g0-squeezed"),
+    # d2 moves a squeezing term on: the pass is its one route
     pytest.param(["qfi", "--param", "d2"],
-                 {"g0": 1.0, "d2": 0.1, "mu_c_re": 1.0}, "no analytic derivative route for parameter 'd2'; use mode "
-                 "finite_diff", id="qfi-analytic-d2"),
+                 {"g0": 1.0, "d2": 0.1, "mu_c_re": 1.0},
+                 "no analytic derivative route for parameter 'd2' at 0.1: "
+                 "the catalog does not cover a squeezing term",
+                 id="qfi-analytic-d2"),
     pytest.param(["sweep"], {"command": "qfi",
                              "model": {"g0": 1.0, "d2": 0.1, "mu_c_re": 1.0},
                              "swept": TAU_SWEEP, "fixed": {"param": "d2"}},
-                 "no analytic derivative route for parameter 'd2'; use mode "
-                 "finite_diff", id="sweep-qfi-analytic-d2"),
+                 "no analytic derivative route for parameter 'd2' at 0.1: "
+                 "the catalog does not cover a squeezing term",
+                 id="sweep-qfi-analytic-d2"),
     pytest.param(["sweep"], {"command": "qfi",
                              "model": {"g0": 0.0, "epsilon": 0.3,
                                        "omega_g": 0.7, "d1": 0.5,
                                        "mu_c_re": 1.0},
                              "swept": TAU_SWEEP},
-                 "no analytic derivative route for parameter 'g0': the "
-                 "closed-form F catalog misses the model or its variant at "
-                 "g0 in (1.0,)", id="sweep-qfi-catalog-variant-miss"),
-    pytest.param(["sweep"], {"command": "qfi", "model": ROUTE_MODEL,
-                             "swept": TAU_SWEEP,
-                             "fixed": {"param": "omega_g",
-                                       "mode": "finite_diff"}},
-                 "the finite-difference stencil for 'omega_g' reaches -1e-06, "
-                 "a negative drive frequency", id="sweep-qfi-stencil-frequency"),
+                 "no analytic derivative route for parameter 'g0' at 0.0: "
+                 "the closed-form F catalog misses the model near it",
+                 id="sweep-qfi-catalog-variant-miss"),
     pytest.param(["qfi", "--param", "omega_g"], ROUTE_MODEL,
                  "no analytic derivative route for parameter 'omega_g'",
                  id="qfi-analytic-frequency"),
-    pytest.param(["qfi", "--param", "omega_g", "--mode", "finite_diff"],
-                 ROUTE_MODEL,
-                 "the finite-difference stencil for 'omega_g' reaches -1e-06, "
-                 "a negative drive frequency", id="qfi-stencil-frequency"),
     pytest.param(["qfi", "--param", "d2", "--mode", "finite_diff"],
-                 {"g0": 1.0, "d2": -0.3, "mu_c_re": 1.0},
-                 "finite differences integrate constant squeezing "
-                 "d2 = -0.300001, unstable", id="qfi-stencil-unstable"),
+                 UNSTABLE_MODEL, UNSTABLE, id="qfi-stencil-unstable"),
     # every command that solves the subsystem refuses an unstable squeezing
     # from the drives, before computing
     *(pytest.param([command], UNSTABLE_MODEL, UNSTABLE, id=f"{command}-unstable")
@@ -1217,9 +1145,39 @@ def test_unstable_squeezing_leaves_what_needs_no_subsystem(tmp_path, capsys):
     assert main(["qfi", "--config", str(cfg), "--param", "d2",
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "error: no analytic derivative route for parameter 'd2'; "
-        "use mode finite_diff\n")
+        "error: no analytic derivative route for parameter 'd2' at -0.3: "
+        "the catalog does not cover a squeezing term; use mode finite_diff\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model", [ROUTE_MODEL, {**ROUTE_MODEL, "epsilon": 0.4}],
+                         ids=["route-model", "offset"])
+def test_qfi_at_zero_frequency_matches_the_differences(model, tmp_path):
+    # omega_g = 0 goes to the complex pass; its finite_diff row is held to
+    # the QFI of the Richardson differences. The QFI is a positive
+    # semidefinite quadratic form of the nine derivatives d, so its square
+    # root is a seminorm, and the rows differ by at most
+    # sum_k bound sqrt(QFI(e_k)) in it
+    cfg, out = tmp_path / "model.json", tmp_path / "qfi.csv"
+    cfg.write_text(json.dumps(model))
+    assert main(["qfi", "--config", str(cfg), "--param", "omega_g", "--mode",
+                 "finite_diff", "--tau", "2.0", "--out", str(out)]) == 0
+    [(tau, qfi)] = _read_rows(out)
+    spec = model_from_config(resolve_config(model))
+    traj = Trajectory(spec, tau)
+    f, j = traj.f(tau), traj.j(tau)
+
+    def qfi_of(d):
+        coeffs = metrology._assemble_coefficients(tau, f, FSet(*d[:6]), j,
+                                                  JSet(*d[6:]))
+        return qfi_thermal(coeffs, model["mu_c_re"])
+
+    df, dj, bound = richardson_derivatives(spec, "omega_g", tau)
+    reference = qfi_of([*astuple(df), *astuple(dj)])
+    slack = sum(bound * math.sqrt(qfi_of(np.eye(9)[k])) for k in range(9))
+    assert abs(math.sqrt(qfi) - math.sqrt(reference)) <= slack
+    if "epsilon" in model:
+        assert qfi > 0.0
 
 
 @pytest.mark.parametrize("argv, config, message", [

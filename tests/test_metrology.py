@@ -1,8 +1,10 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from optomech.cli import model_from_config, resolve_config
 from optomech.coefficients import CatalogMiss, catalog_entry, f_closed_form
 from optomech.metrology import (QFI_MODES, QFI_PARAMS, QfiCoefficients,
                                 _hermite_functions, _trapezoid_nodes,
@@ -10,13 +12,14 @@ from optomech.metrology import (QFI_MODES, QFI_PARAMS, QfiCoefficients,
                                 gravimetry, gravimetry_qfi_closed,
                                 measurement_window, photon_tail,
                                 qfi_closed_form, qfi_coefficients,
-                                qfi_coherent, qfi_fock, qfi_route,
-                                qfi_thermal)
+                                qfi_coherent, qfi_derivatives, qfi_fock,
+                                qfi_route, qfi_thermal)
 from optomech.oracle import analytic_state_coefficients
 from optomech.params import (ColdAtoms, Drive, FabryPerot, Levitated,
                              ModelSpec, coupling_constant, coupling_constant_hz)
 
-from conftest import finite_diff_qfi_budget, random_spec
+from conftest import finite_diff_qfi_budget, random_spec, richardson_derivatives
+from test_cli import MISS_CONFIG
 
 TWO_PI = 2 * math.pi
 
@@ -260,33 +263,77 @@ def test_routes_are_decided_before_the_arithmetic(rng):
 def test_qfi_route_names():
     gravimetry_model = ModelSpec.gravimetry(1.0, 0.5)
     mod_g = ModelSpec(coupling=Drive.offset_sinusoid(1.0, 0.3, 0.7))
-    assert qfi_route(gravimetry_model, "g0", "analytic") == "g0-homogeneity"
-    assert qfi_route(gravimetry_model, "d1", "analytic") == "d1-homogeneity"
-    assert qfi_route(mod_g, "epsilon", "analytic") == "epsilon-polynomial"
-    assert qfi_route(mod_g, "omega_g", "finite_diff") == "finite-diff"
-    # d2 has no analytic route, squeezed or not; finite differences serve it
+    # a catalog route is the entry of the model near theta, in either mode
+    for mode in QFI_MODES:
+        assert qfi_route(gravimetry_model, "g0", mode) == "all-constant"
+        assert qfi_route(gravimetry_model, "d1", mode) == "all-constant"
+        assert qfi_route(mod_g, "epsilon", mode) == "modulated-g"
+        assert qfi_route(mod_g, "omega_g", mode) == "modulated-g"
+    # g0 = 0 makes the coupling constant, but not the model near it
+    zero_g0 = ModelSpec(coupling=Drive.offset_sinusoid(0.0, 0.3, 0.7))
+    assert catalog_entry(zero_g0) == "all-constant"
+    assert qfi_route(zero_g0, "g0", "analytic") == "modulated-g"
+    # d2 moves a squeezing term on, which the pass alone serves
     for squeezing in (Drive.constant(0.0), Drive.constant(0.1),
                       Drive.cosine(0.1, 2.0)):
         spec = ModelSpec(coupling=Drive.constant(1.0), squeezing=squeezing)
-        with pytest.raises(ValueError, match="no analytic derivative route "
-                           "for parameter 'd2'; use mode finite_diff"):
+        with pytest.raises(ValueError, match="the catalog does not cover a "
+                           "squeezing term; use mode finite_diff"):
             qfi_route(spec, "d2", "analytic")
-        assert qfi_route(spec, "d2", "finite_diff") == "finite-diff"
-    with pytest.raises(ValueError, match="do not cover a squeezing term"):
+        assert qfi_route(spec, "d2", "finite_diff") == "integrated"
+    with pytest.raises(ValueError, match="does not cover a squeezing term"):
         qfi_route(ModelSpec(coupling=Drive.constant(1.0),
                             squeezing=Drive.constant(0.1)), "g0", "analytic")
-    # the model is all-constant, but its g0 = 1 variant the route evaluates
-    # is a modulated coupling with a displacement, which the catalog misses
+    # the model is all-constant, but near g0 = 0 it is a modulated coupling
+    # with a displacement, which the catalog misses
     variant_miss = ModelSpec(coupling=Drive.offset_sinusoid(0.0, 0.3, 0.7),
                              displacement=Drive.constant(0.5))
     assert catalog_entry(variant_miss) == "all-constant"
-    with pytest.raises(ValueError, match="misses the model or its variant"):
+    with pytest.raises(ValueError, match="'g0' at 0.0: the closed-form F "
+                       "catalog misses the model near it"):
         qfi_route(variant_miss, "g0", "analytic")
-    # the -h stencil point of a zero frequency is no drive
-    with pytest.raises(ValueError, match="stencil for 'omega_g' reaches -1e-06"):
-        qfi_route(gravimetry_model, "omega_g", "finite_diff")
+    assert qfi_route(variant_miss, "g0", "finite_diff") == "integrated"
+    # a frequency at 0 or 1, where the general closed forms divide by w and
+    # 1 - w^2, goes to the pass; a frequency near them does not
+    resonant = ModelSpec(coupling=Drive.offset_sinusoid(1.0, 0.3, 1.0))
+    for spec in (gravimetry_model, resonant):
+        with pytest.raises(ValueError, match="no analytic derivative route "
+                           "for parameter 'omega_g' at"):
+            qfi_route(spec, "omega_g", "analytic")
+        assert qfi_route(spec, "omega_g", "finite_diff") == "integrated"
     assert qfi_route(ModelSpec(coupling=Drive.offset_sinusoid(1.0, 0.3, 1e-6)),
-                     "omega_g", "finite_diff") == "finite-diff"
+                     "omega_g", "finite_diff") == "modulated-g"
+
+
+# the derivative routes' edge cases: an amplitude at 0, whose route is the
+# model near it, and frequencies at 0 and 1, which go to the pass
+DERIVATIVE_CASES = {
+    "miss": model_from_config(resolve_config(MISS_CONFIG)),
+    "g0-zero-modulated": ModelSpec(coupling=Drive.offset_sinusoid(0.0, 0.4, 0.7)),
+    "d1-zero": ModelSpec(coupling=Drive.constant(0.5),
+                         displacement=Drive.cosine(0.0, 0.7)),
+    "d2-zero-constant": ModelSpec.gravimetry(0.5, 0.3),
+    "d2-zero-cos": ModelSpec(coupling=Drive.constant(0.5),
+                             squeezing=Drive.cosine(0.0, 2.0)),
+    "omega_g-zero": ModelSpec(coupling=Drive.offset_sinusoid(0.5, 0.4, 0.0),
+                              displacement=Drive.constant(0.3)),
+    "omega_g-one": ModelSpec(coupling=Drive.offset_sinusoid(0.5, 0.4, 1.0)),
+    "omega_d1-one": ModelSpec(coupling=Drive.constant(0.5),
+                              displacement=Drive.cosine(0.3, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", DERIVATIVE_CASES)
+def test_complex_step_matches_richardson_differences(case):
+    # every parameter id, against Richardson differences of the real pass,
+    # within the bound derived beside them
+    spec, tau = DERIVATIVE_CASES[case], 3.0
+    for param in QFI_PARAMS:
+        _, df, _, dj = qfi_derivatives(spec, param, tau)(tau)
+        ref_f, ref_j, bound = richardson_derivatives(spec, param, tau)
+        got = np.array([*astuple(df), *astuple(dj)])
+        want = np.array([*astuple(ref_f), *astuple(ref_j)])
+        assert np.max(np.abs(got - want)) <= bound, (case, param)
 
 
 def test_qfi_coherent_example():

@@ -13,7 +13,7 @@ EXPORTS = {
     "params": ["Drive", "ModelSpec", "InitialState", "FabryPerot", "Levitated",
                "ColdAtoms", "evaluate_drive", "coupling_constant",
                "coupling_constant_hz", "thermal_parameter"],
-    "mechanics": ["JSet", "TOLERANCES", "solve_subsystem",
+    "mechanics": ["JSet", "solve_subsystem",
                   "j_coefficients", "j_coefficients_ode", "compose_bogoliubov",
                   "mathieu_perturbative", "map_constant_squeezing"],
     "coefficients": ["FSet", "DerivedScalars", "Trajectory", "f_integrated",
