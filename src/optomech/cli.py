@@ -384,10 +384,9 @@ def _prepare_qfi(cfg: dict, fixed: dict, tau_max: float):
     spec, state = model_from_config(cfg), state_from_config(cfg)
     param, mode = fixed["param"], _one_of("mode", fixed["mode"], QFI_MODES)
     try:
-        metrology.qfi_route(spec, param, mode)
+        derivatives = metrology.qfi_derivatives(spec, param, tau_max, mode)
     except ValueError as exc:  # a parameter or model with no derivative route
         raise ConfigError(str(exc)) from None
-    derivatives = metrology.qfi_derivatives(spec, param, tau_max)
     r_T = state.r_T if state.mechanical == "thermal" else 0.0
     return lambda tau: (metrology.qfi_thermal(metrology.qfi_coefficients(
         spec, param, tau, mode=mode, derivatives=derivatives),
@@ -449,10 +448,10 @@ def _sweep_rows(command: str, cfg: dict, fixed: dict, name: str, values, out):
     """The rows (v, value, t) of the value command ``command`` over the swept
     values v of ``name``, prepared and refused, computing nothing; value(t)
     computes the row's value columns. A tau sweep prepares once at the
-    largest tau, so it integrates each pass it reads once: the model's, and
-    for a qfi off the catalog the complex pass of its derivatives. Any other
-    name overrides that field of ``cfg`` and prepares each point at
-    ``fixed["tau"]``. ``out`` is the output file the rows go to.
+    largest tau, so it integrates the one pass it reads once: the model's,
+    or for a qfi off the catalog the stepped pass of its values and
+    derivatives. Any other name overrides that field of ``cfg`` and prepares
+    each point at ``fixed["tau"]``. ``out`` is the output file the rows go to.
     """
     _check_output(out)
     if name not in SWEPT_NAMES:
@@ -606,7 +605,11 @@ def cmd_oracle_check(args):
                           f"{tail:.2e} off the input, above "
                           f"{oracle.INITIAL_TAIL_LIMIT:.0e}; increase dims")
     traj = coefficients.Trajectory(spec, tau)
-    f, alpha, beta, d, m = _moments_at(state, traj, tau)
+    try:
+        f, alpha, beta, d, m = _moments_at(state, traj, tau)
+    except OverflowError as exc:  # phases past their float spacing
+        raise ConfigError(f"oracle-check overflows at tau={tau!r}: "
+                          f"{exc}") from None
     st = oracle.propagate(spec, state, tau, dims)
     mo = oracle.oracle_moments(st)
     names = ("a", "b", "a2", "b2", "adag_a", "bdag_b", "ab", "abdag")

@@ -30,6 +30,9 @@ from .mechanics import (STRICT, IntegrationError, JSet, _constant_dense,
                         check_squeezing, solve_ivp, unstable_squeezing)
 from .params import ModelSpec, evaluate_drive
 
+# the complex step h: a power of two, so Im v / h is exact, and h^2 negligible
+STEP = 2.0 ** -100
+
 
 def sinc(x: float) -> float:
     """sin(x)/x with sinc(0) = 1, bit for bit ``np.sinc(x / np.pi)``: numpy
@@ -80,23 +83,21 @@ def decoupled_pass(spec: ModelSpec, tau_max: float, tol=STRICT, drives=None):
 
     Returns the callable tau -> states of one DOP853 pass: (P11, P11', I_P22,
     P22), I_G = int G Re(xi), I_D = int D1 Re(xi), F in FSet order at [6:12]
-    and (j_b, j_+, j_-) at [12:15]. Its RMS error norm spans all 15 states,
-    so both tolerances of ``tol`` are scaled by sqrt(3/15): each block, J
+    and (j_b, j_+, j_-) at [12:15]. Its RMS error norm spans all n states,
+    so both tolerances of ``tol`` are scaled by sqrt(3/n): each block, J
     (3 states) the smallest, then meets ``tol`` on its own.
 
     ``drives`` replaces the coupling, displacement and squeezing of ``spec``
-    by objects with a Drive's fields, which the Drive checks do not see. A
-    complex field makes the pass complex, on ``cmath``: the states' imaginary
-    parts then carry a complex-step derivative. ``spec`` is the model whose
-    squeezing is checked.
+    (whose squeezing is checked) by objects with a Drive's fields. A complex
+    field theta + ih, h = STEP, steps the pass: its right-hand side runs on
+    ``cmath``, and each state v becomes two, Re v at [0:15] and the
+    derivative dv/dtheta = Im v / h at [15:30], held to ``tol`` as well.
     """
     check_squeezing(spec.squeezing)
     g, d1, d2 = drives or (spec.coupling, spec.displacement, spec.squeezing)
-    y0 = [1.0, 0.0, 0.0, 1.0] + [0.0] * 11  # P11 = P22 = I_P22' = 1 at 0
-    m = math
-    if any(isinstance(x, complex) for drive in (g, d1, d2)
-           for x in (drive.amplitude, drive.offset, drive.frequency)):
-        m, y0 = cmath, [complex(x) for x in y0]
+    stepped = any(isinstance(x, complex) for drive in (g, d1, d2)
+                  for x in (drive.amplitude, drive.offset, drive.frequency))
+    m = cmath if stepped else math
 
     def rhs(tau, y):
         p11, dp11, i22, p22, i_g, i_d, *_, jb, jp, _ = y.tolist()
@@ -120,9 +121,17 @@ def decoupled_pass(spec: ModelSpec, tau_max: float, tol=STRICT, drives=None):
             sv * m.sin(2 * jb) / m.cosh(4 * jp),       # j_-
         ]
 
+    def stepped_rhs(tau, y):
+        # (Re v, Im v / h) -> (Re v', Im v' / h); both scalings by h are exact
+        rates = rhs(tau, y[:15] + 1j * STEP * y[15:])
+        return [x.real for x in rates] + [x.imag / STEP for x in rates]
+
+    # P11 = P22 = I_P22' = 1 at 0, and no derivative is nonzero there
+    y0 = [1.0, 0.0, 0.0, 1.0] + [0.0] * (26 if stepped else 11)
     scale = math.sqrt(3 / len(y0))
     rtol, atol = tol
-    ivp = solve_ivp(rhs, (0.0, tau_max), y0, rtol=rtol * scale, atol=atol * scale)
+    ivp = solve_ivp(stepped_rhs if stepped else rhs, (0.0, tau_max), y0,
+                    rtol=rtol * scale, atol=atol * scale)
     if not ivp.success:
         raise IntegrationError(f"decoupled-solution integration failed near "
                                f"tau={ivp.t[-1]:.6g}: {ivp.message}")

@@ -16,8 +16,8 @@ SciPy's, and it returns the attributes the library reads. With
 else (the truncated oracle): each step skips the three dense-output stages
 (3 of its 15 right-hand-side calls), no per-step state or interpolant is
 stored, and the result holds ``t = [t_end]``, ``y`` of shape (n, 1) and
-``sol = None``, the end state being the last accepted step's. The package
-imports this module on the first integration.
+``sol = None``, the end state being the last accepted step's. States are
+real. The package imports this module on the first integration.
 """
 
 from __future__ import annotations
@@ -259,19 +259,16 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, end_only=False) -> OdeResult:
     in the range. With ``end_only`` the result holds only the time and state
     where the integration stopped, and ``sol`` is None; the steps are the
     same. If the step falls below ten units in the last place of t the
-    integration stops with ``success`` False. A complex ``y0`` integrates a
-    complex state, its steps controlled by the moduli of the errors.
+    integration stops with ``success`` False.
     """
     t0, t_bound = map(float, t_span)
     if t_bound < t0:
         raise ValueError("only forward integration is implemented")
 
-    dtype = complex if np.iscomplexobj(y0) else float
-
     def f_of(t, y):
-        return np.asarray(fun(t, y), dtype=dtype)
+        return np.asarray(fun(t, y), dtype=float)
 
-    t, y = t0, np.array(y0, dtype=dtype)
+    t, y = t0, np.array(y0, dtype=float)
     f = f_of(t, y)
     nfev, n = 1, y.size
     ts, ys, steps = [t], [y], []  # steps: (h, F) of each accepted step
@@ -280,11 +277,11 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, end_only=False) -> OdeResult:
         # one zero-length step whose interpolant is the constant y0
         ts.append(t)
         ys.append(y)
-        steps.append((1.0, np.zeros((7, n), dtype)))
+        steps.append((1.0, np.zeros((7, n))))
     else:
         h_abs = _initial_step(f_of, t0, y, f, t_bound - t0, rtol, atol)
         nfev += 1
-    K = np.empty((16, n), dtype)
+    K = np.empty((16, n))
     while t < t_bound:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -316,7 +313,7 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, end_only=False) -> OdeResult:
         if not end_only:
             _stages(f_of, t, y, h, K, N_STAGES + 1, 16)
             nfev += 3
-            F = np.empty((7, n), dtype)
+            F = np.empty((7, n))
             delta = F[0] = y_new - y
             F[1] = h * f - delta
             F[2] = 2 * delta - h * (f_new + f)

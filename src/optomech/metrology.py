@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 from . import coefficients
 from .constants import HBAR
-from .coefficients import FSet, catalog_entry, entry_f
+from .coefficients import STEP, FSet, catalog_entry, entry_f
 from .mechanics import STRICT, JSet, check_squeezing
 from .params import (QFI_MODES, ModelSpec, PhysicalSetup, coupling_constant,
                      oscillator_mass)
@@ -96,9 +96,6 @@ QFI_FIELDS = {"g0": ("coupling", "amplitude"), "epsilon": ("coupling", "offset")
               "omega_d1": ("displacement", "frequency"),
               "omega_d2": ("squeezing", "frequency")}
 QFI_PARAMS = tuple(QFI_FIELDS)
-# the complex step h: a power of two, so that dividing by it is exact, and
-# so small that h^2 vanishes beside every value
-STEP = 2.0 ** -100
 
 
 def _with_param(spec: ModelSpec, name: str, value: float) -> ModelSpec:
@@ -154,19 +151,17 @@ def qfi_route(spec: ModelSpec, param: str, mode: str) -> str:
     return "integrated"
 
 
-def qfi_derivatives(spec: ModelSpec, param: str, tau_max: float, tol=STRICT):
+def qfi_derivatives(spec: ModelSpec, param: str, tau_max: float,
+                    mode: str = "finite_diff", tol=STRICT):
     """The reader tau -> (F, dF/dtheta, J, dJ/dtheta) on [0, tau_max] of the
-    :func:`qfi_route` in mode 'finite_diff', built once for a tau sweep.
-
-    F and J are read from the model's :class:`Trajectory` at ``tol``. The
-    derivatives are one complex step, d v / d theta = Im v(theta + ih) / h
-    with h = STEP, through the code that computes v: the closed form of the
-    route's catalog entry, with J = (tau, 0, 0), or one complex decoupled
-    pass. With no subtraction the step has no rounding floor. Nothing
-    integrates before the first read.
+    :func:`qfi_route` in ``mode``, decided once (raising its refusal); it
+    computes nothing before the first read. A derivative is one complex step,
+    Im v(theta + ih) / h with h = STEP, through the code that computes v. On
+    a catalog route F is the model's :func:`f_closed_form`, J = (tau, 0, 0)
+    and dF the entry's closed form on complex arguments; on 'integrated' all
+    four come from one stepped :func:`decoupled_pass` at ``tol``.
     """
-    route = qfi_route(spec, param, "finite_diff")
-    traj = coefficients.Trajectory(spec, tau_max, tol)
+    route = qfi_route(spec, param, mode)
     # theta + ih goes into an object with a Drive's fields, unchecked
     name, field = QFI_FIELDS[param]
     step = complex(_param_value(spec, param), STEP)
@@ -177,12 +172,15 @@ def qfi_derivatives(spec: ModelSpec, param: str, tau_max: float, tol=STRICT):
         lambda: coefficients.decoupled_pass(spec, tau_max, tol, drives))
 
     def derivatives(tau: float):
-        if route == "integrated":
-            values = states()(tau)[6:]
-        else:
-            values = (*astuple(entry_f(route, *drives, tau)), 0.0, 0.0, 0.0)
-        d = [v.imag / STEP for v in values]
-        return traj.f(tau), FSet(*d[:6]), traj.j(tau), JSet(*d[6:])
+        if route != "integrated":
+            df = [v.imag / STEP for v in astuple(entry_f(route, *drives, tau))]
+            return (coefficients.f_closed_form(spec, tau), FSet(*df),
+                    JSet(float(tau), 0.0, 0.0), JSet(0.0, 0.0, 0.0))
+        if not 0.0 <= tau <= tau_max:  # the dense output would extrapolate
+            raise ValueError(f"tau={tau} is outside the solved range "
+                             f"[0, {tau_max}]")
+        v = states()(tau)
+        return FSet(*v[6:12]), FSet(*v[21:27]), JSet(*v[12:15]), JSet(*v[27:])
     return derivatives
 
 
@@ -191,19 +189,16 @@ def qfi_coefficients(spec: ModelSpec, theta_param: str, tau: float,
                      derivatives=None) -> QfiCoefficients:
     """Generator coefficients for estimating ``theta_param`` at time tau.
 
-    The derivatives are the complex step of :func:`qfi_derivatives`, through
-    a catalog closed form or one decoupled pass integrated at ``tol`` =
-    (rtol, atol). ``mode='analytic'`` takes a catalog route only (no
-    squeezing, and the catalog covering the model near theta);
-    ``mode='finite_diff'`` takes every parameter id and model. It reads
-    ``derivatives``, the :func:`qfi_derivatives` of the same model and
-    parameter on a range that holds tau, or builds one on [0, tau].
-    :func:`qfi_route` names the route, or raises, before any arithmetic.
+    ``mode='analytic'`` takes a catalog route only (no squeezing, and the
+    catalog covering the model near theta); ``mode='finite_diff'`` takes
+    every parameter id and model. Values and derivatives are read from
+    ``derivatives``, the :func:`qfi_derivatives` of the same model,
+    parameter and mode on a range that holds tau, or from one built on
+    [0, tau] at ``tol`` = (rtol, atol), which decides the route or raises.
     """
-    qfi_route(spec, theta_param, mode)
     tau = float(tau)
-    derivatives = derivatives or qfi_derivatives(spec, theta_param, tau, tol)
-    return _assemble_coefficients(tau, *derivatives(tau))
+    read = derivatives or qfi_derivatives(spec, theta_param, tau, mode, tol)
+    return _assemble_coefficients(tau, *read(tau))
 
 
 # ---------------------------------------------------------------------------

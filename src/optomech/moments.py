@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .coefficients import DerivedScalars
+from .mechanics import STRICT
 
 HERMITICITY_TOL = 1e-10
 
@@ -41,7 +42,9 @@ def evolve_moments(f, alpha: complex, beta: complex,
 
     ``f`` is the FSet at the evaluation time and (alpha, beta) the matching
     Bogoliubov pair; ``derived`` may be passed to reuse precomputed scalars
-    (it must have been built with the same mu_m).
+    (it must have been built with the same mu_m). Phases theta and varphi
+    whose float spacing alone moves a moment by more than STRICT's rtol
+    raise OverflowError.
     """
     from .coefficients import derived_scalars
 
@@ -53,6 +56,15 @@ def evolve_moments(f, alpha: complex, beta: complex,
     if not (math.isfinite(2.0 * theta) and math.isfinite(2.0 * varphi)):
         raise OverflowError(f"the phases 2 theta = {2.0 * theta} and 2 varphi = "
                             f"{2.0 * varphi} have overflowed")
+    # a moment carries theta in e^{-i theta} exp(n_c e^{-2i theta}) and
+    # varphi in e^{-2i varphi}, so one unit in the last place of either moves
+    # it by up to (1 + 2 n_c) ulp(theta) or 2 ulp(varphi) of its size; at
+    # n_c = 0 no moment depends on them
+    if nc and max((1.0 + 2.0 * nc) * math.ulp(theta),
+                  2.0 * math.ulp(varphi)) > STRICT[0]:
+        raise OverflowError(f"the phases theta = {theta} and varphi = {varphi} "
+                            f"have a float spacing past what rtol {STRICT[0]} "
+                            f"allows at |mu_c|^2 = {nc}")
     k, gam, dlt, e1 = d.k_na, d.gamma, d.delta, d.e_bpbm
 
     phase1 = cmath.exp(-1j * varphi) * cmath.exp(nc * (cmath.exp(-1j * theta) - 1.0))

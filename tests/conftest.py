@@ -58,14 +58,19 @@ def finite_diff_qfi_budget(spec: ModelSpec, param: str, tau: float) -> float:
     fed to a QFI, which is quadratic in the derivatives and so doubles their
     relative error. Each derivative is a complex step Im v(theta + ih) / h,
     which subtracts nothing, so h does not enter. On a catalog route v is a
-    closed form, rounded once per operation. On the 'integrated' route v is
-    read from a pass of n steps:
+    closed form, rounded once per operation. On the 'integrated' route the
+    values and the derivatives are read from one stepped pass of n steps,
+    whose error norm spans both:
     - integration: each step's local error is within STRICT's rtol of the
-      states, and F and J are integrals of bounded integrands, so nothing
-      amplifies those errors and the pass ends within n rtol. The complex
-      step is the exact derivative of that discrete solution and carries
-      the same relative error;
+      values and of the derivatives, and F, J and their derivatives are
+      integrals of bounded integrands, so nothing amplifies those errors and
+      the pass ends within n rtol;
     - rounding: a derivative is rounded as its value is, once per step: n u.
+    Here n counts the steps of the model's unstepped pass. The stepped pass,
+    whose error norm also holds the derivatives, mostly takes as many or
+    more: between 0.93 n and 2.3 n on the random models tried, fewer in 15
+    of 392 cases. So the budget is mostly stricter than the derivation
+    needs, and at most about 7 % looser.
     """
     if qfi_route(spec, param, "finite_diff") != "integrated":
         return 2.0 * CLOSED_FORM_ROUNDINGS * UNIT_ROUNDOFF

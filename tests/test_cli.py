@@ -377,10 +377,10 @@ def _fd_qfi(spec, mu_c, mu_m, tau):
 @pytest.mark.parametrize("command, fixed, single, reference, n_passes", [
     pytest.param("nongauss", {}, ["--steps", "2", "--tau-max"],
                  _nongauss_delta, 1, id="nongauss"),
-    # the model's trajectory and the complex pass of its derivatives
+    # one stepped pass carries the values and their derivatives
     pytest.param("qfi", {"param": "d2", "mode": "finite_diff"},
                  ["--param", "d2", "--mode", "finite_diff", "--tau"], _fd_qfi,
-                 2, id="qfi-finite-diff"),
+                 1, id="qfi-finite-diff"),
 ])
 def test_tau_sweep_integrates_once_on_catalog_miss(command, fixed, single,
                                                    reference, n_passes,
@@ -407,14 +407,44 @@ def test_tau_sweep_integrates_once_on_catalog_miss(command, fixed, single,
     for row, (value, bound) in zip(rows, expected):
         assert abs(row[1] - value) <= bound, row
     assert rows[-1][1] == expected[-1][0]  # read at the end of the range
-    # the last row is the value the command computes at that tau alone; a
-    # sweep writes its first value column
+    # the last row is the value the command computes at that tau alone, on
+    # as many passes; a sweep writes its first value column
     miss = tmp_path / "miss.json"
     miss.write_text(json.dumps(MISS_CONFIG))
     out = tmp_path / "single.csv"
+    passes.clear()
     assert main([command, "--config", str(miss), *single, repr(taus[-1]),
                  "--out", str(out)]) == 0
+    assert len(passes) == n_passes
     assert _read_rows(out)[-1][:2] == rows[-1]
+
+
+@pytest.mark.parametrize("config, fixed", [
+    pytest.param(MISS_CONFIG, {"param": "d2", "mode": "finite_diff"},
+                 id="integrated"),
+    pytest.param({"g0": 1.0, "mu_c_re": 1.0}, {"param": "g0"}, id="catalog"),
+])
+def test_qfi_route_is_decided_once_per_prepare(config, fixed, tmp_path,
+                                               monkeypatch):
+    # a tau sweep prepares once, and its rows reuse the route decided there
+    routes = []
+    qfi_route = metrology.qfi_route
+
+    def counted(*args):
+        routes.append(args)
+        return qfi_route(*args)
+
+    monkeypatch.setattr(metrology, "qfi_route", counted)
+    data = {"command": "qfi", "model": config,
+            "swept": {"name": "tau", "start": 0.0, "stop": 4 * math.pi,
+                      "step": math.pi / 4},
+            "fixed": fixed, "output": str(tmp_path / "sweep.csv"),
+            "format": "csv"}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert len(_read_rows(tmp_path / "sweep.csv")) == 17
+    assert len(routes) == 1
 
 
 # Run in a fresh interpreter: prints the scipy modules loaded after importing
@@ -791,6 +821,17 @@ OVERFLOW_INPUT = [
     pytest.param(["nongauss", "--tau-max", "8e307", "--steps", "2"],
                  GOLDEN_MODEL, "nongauss overflows at tau=8e+307: the phases",
                  id="overflow-nongauss-tau"),
+    # finite phases whose float spacing alone moves a moment by more than
+    # STRICT's rtol: past 2^55 it exceeds 2 pi, an arbitrary phase
+    pytest.param(["moments", "--tau-max", "1e17", "--steps", "2"],
+                 GOLDEN_MODEL, "moments overflows at tau=1e+17: the phases",
+                 id="overflow-moments-phase-spacing"),
+    pytest.param(["nongauss", "--tau-max", "1e17", "--steps", "2"],
+                 GOLDEN_MODEL, "nongauss overflows at tau=1e+17: the phases",
+                 id="overflow-nongauss-phase-spacing"),
+    pytest.param(["oracle-check", "--tau", "1e17"], GOLDEN_MODEL,
+                 "oracle-check overflows at tau=1e+17: the phases",
+                 id="overflow-oracle-check-phase-spacing"),
     pytest.param(["coeffs", "--tau-max", "1e308", "--steps", "2"],
                  GOLDEN_MODEL, "coeffs overflows at tau=1e+308: sinc of inf",
                  id="overflow-coeffs-tau"),

@@ -12,6 +12,7 @@ from optomech import coefficients, dop853, mechanics
 from optomech.cli import model_from_config, resolve_config
 from optomech.coefficients import FSet, Trajectory
 from optomech.mechanics import STRICT
+from optomech.metrology import qfi_derivatives
 
 # modulated coupling, displacement and squeezing: no closed form for any part
 MISS_CONFIG = {"g0": 0.3, "epsilon": 0.4, "omega_g": 0.7,
@@ -30,10 +31,31 @@ def _assert_same_integration(ours, ref, taus):
     assert all(np.array_equal(ours.sol(t), ref.sol(t)) for t in taus[::10])
 
 
-# the default and the tighter tolerance the tests' references integrate at
-@pytest.mark.parametrize("tol", [STRICT, (1e-13, 1e-15)],
-                         ids=["strict", "tight"])
-def test_decoupled_systems_match_scipy(tol, monkeypatch):
+def _read_trajectory(spec, tol):
+    traj = Trajectory(spec, TAU_MAX, tol)
+    traj.f(1.0)
+    traj.j(1.0)
+    traj.bogoliubov(1.0)
+    return 15  # one pass: subsystem, F and J
+
+
+def _read_stepped(spec, tol):
+    qfi_derivatives(spec, "d2", TAU_MAX, "finite_diff", tol)(1.0)
+    return 30  # one stepped pass: the 15 values and their d2-derivatives
+
+
+# the default and the tighter tolerance the tests' references integrate at,
+# for the model's pass and the stepped pass of an 'integrated' QFI
+TIGHT = (1e-13, 1e-15)
+
+
+@pytest.mark.parametrize("tol, read", [
+    pytest.param(STRICT, _read_trajectory, id="strict"),
+    pytest.param(TIGHT, _read_trajectory, id="tight"),
+    pytest.param(STRICT, _read_stepped, id="stepped-strict"),
+    pytest.param(TIGHT, _read_stepped, id="stepped-tight"),
+])
+def test_decoupled_systems_match_scipy(tol, read, monkeypatch):
     calls = []
 
     def both(fun, t_span, y0, **options):
@@ -45,15 +67,10 @@ def test_decoupled_systems_match_scipy(tol, monkeypatch):
 
     monkeypatch.setattr(mechanics, "solve_ivp", both)
     monkeypatch.setattr(coefficients, "solve_ivp", both)
-    traj = Trajectory(model_from_config(resolve_config(MISS_CONFIG)), TAU_MAX,
-                      tol)
-    traj.f(1.0)
-    traj.j(1.0)
-    traj.bogoliubov(1.0)
-    assert len(calls) == 1  # one pass: subsystem, F and J
-    taus = np.linspace(0.0, TAU_MAX, 201)
-    for ours, ref in calls:
-        _assert_same_integration(ours, ref, taus)
+    n_states = read(model_from_config(resolve_config(MISS_CONFIG)), tol)
+    [(ours, ref)] = calls  # one pass
+    assert ours.y.shape[0] == n_states
+    _assert_same_integration(ours, ref, np.linspace(0.0, TAU_MAX, 201))
 
 
 # modulated coupling and displacement without squeezing: F still misses

@@ -336,6 +336,15 @@ def test_complex_step_matches_richardson_differences(case):
         assert np.max(np.abs(got - want)) <= bound, (case, param)
 
 
+def test_stepped_pass_refuses_tau_outside_its_range():
+    # its dense output would extrapolate the last step
+    read = qfi_derivatives(DERIVATIVE_CASES["miss"], "d2", 1.0)
+    for tau in (-0.5, 1.5):
+        with pytest.raises(ValueError, match="outside the solved range"):
+            read(tau)
+    read(1.0)  # the end of the range is in it
+
+
 def test_qfi_coherent_example():
     # constant d1, g0 = 1, mu_c = 1, tau = 2 pi: I = 64 pi^2
     c = qfi_coefficients(ModelSpec.gravimetry(1.0, 1.0), "d1", TWO_PI)

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from optomech.coefficients import derived_scalars, f_closed_form
-from optomech.mechanics import solve_subsystem
+from optomech.coefficients import FSet, derived_scalars, f_closed_form
+from optomech.mechanics import STRICT, solve_subsystem
 from optomech.moments import (CovarianceMatrix, covariance,
                               covariance_from_moments, damped_coherent,
                               evolve_moments, quadratures,
@@ -76,6 +76,31 @@ def test_driven_mechanics_returns_home():
     _, _, xm, pm = quadratures(m)
     assert abs(xm) < 1e-10 and abs(pm) < 1e-10
     assert m.b == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("nc", [1.0, 100.0])
+@pytest.mark.parametrize("phase", ["theta", "varphi"])
+def test_phases_past_their_float_spacing_are_refused(phase, nc):
+    # one unit in the last place of theta moves a moment by up to
+    # (1 + 2 n_c) ulp(theta) of its size, of varphi by 2 ulp(varphi); the
+    # first power of two whose spacing passes STRICT's rtol is refused, the
+    # float below it is not, and without photons no moment reads the phases
+    weight = 1.0 + 2.0 * nc if phase == "theta" else 2.0
+    edge = 1.0
+    while weight * math.ulp(edge) <= STRICT[0]:
+        edge *= 2.0
+
+    def moments_with(x, mu_c):
+        # theta = 2 F_Na2 and varphi = F_Na + F_Na2, one of them x, the other 0
+        f = (FSet(-x / 2, x / 2, 0.0, 0.0, 0.0, 0.0) if phase == "theta"
+             else FSet(x, 0.0, 0.0, 0.0, 0.0, 0.0))
+        return evolve_moments(f, 1.0, 0.0, mu_c)
+
+    with pytest.raises(OverflowError, match="^the phases"):
+        moments_with(edge, math.sqrt(nc))
+    assert math.isfinite(moments_with(math.nextafter(edge, 0.0),
+                                      math.sqrt(nc)).a.real)
+    assert moments_with(edge, 0.0).a == 0.0
 
 
 def test_covariance_trivial_identity():
