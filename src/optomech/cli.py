@@ -597,13 +597,14 @@ def cmd_oracle_check(args):
     try:
         dims = _parse_dims(args.dims) if args.dims else \
             oracle.recommended_dims(spec, state, tau)
-    except oracle.TruncationError as exc:  # more levels than the oracle's caps
+        tail = oracle.initial_tail(state, dims)
+        if tail > oracle.INITIAL_TAIL_LIMIT:
+            raise ConfigError(f"dims {dims[0]},{dims[1]} cut an initial tail "
+                              f"mass {tail:.2e} off the input, above "
+                              f"{oracle.INITIAL_TAIL_LIMIT:.0e}; increase dims")
+        oracle.check_terms(spec, state, tau, dims)
+    except oracle.TruncationError as exc:  # more levels or terms than the caps
         raise ConfigError(str(exc)) from None
-    tail = oracle.initial_tail(state, dims)
-    if tail > oracle.INITIAL_TAIL_LIMIT:
-        raise ConfigError(f"dims {dims[0]},{dims[1]} cut an initial tail mass "
-                          f"{tail:.2e} off the input, above "
-                          f"{oracle.INITIAL_TAIL_LIMIT:.0e}; increase dims")
     traj = coefficients.Trajectory(spec, tau)
     try:
         f, alpha, beta, d, m = _moments_at(state, traj, tau)

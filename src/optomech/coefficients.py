@@ -81,9 +81,10 @@ class CatalogMiss(ValueError):
 def decoupled_pass(spec: ModelSpec, tau_max: float, tol=STRICT, drives=None):
     """The 15 states of the decoupled solution, dense on [0, tau_max].
 
-    Returns the callable tau -> states of one DOP853 pass: (P11, P11', I_P22,
-    P22), I_G = int G Re(xi), I_D = int D1 Re(xi), F in FSet order at [6:12]
-    and (j_b, j_+, j_-) at [12:15]. Its RMS error norm spans all n states,
+    Returns the dense output tau -> states of one DOP853 pass, which
+    refuses a tau outside [0, tau_max]: (P11, P11', I_P22, P22),
+    I_G = int G Re(xi), I_D = int D1 Re(xi), F in FSet order at [6:12] and
+    (j_b, j_+, j_-) at [12:15]. Its RMS error norm spans all n states,
     so both tolerances of ``tol`` are scaled by sqrt(3/n): each block, J
     (3 states) the smallest, then meets ``tol`` on its own.
 
@@ -310,8 +311,8 @@ class Trajectory:
     construction: the :func:`catalog_entry` of the drives, read by one
     :func:`f_closed_form` call per point. The rest (F on the 'integrated'
     route, J at D2 != 0, a modulated subsystem) is read from one
-    :func:`decoupled_pass` over the range, run on first use, which refuses
-    a tau outside the range; so ``traj.f(tau)`` equals
+    :func:`decoupled_pass` over the range, run on first use, whose dense
+    output refuses a tau outside the range; so ``traj.f(tau)`` equals
     ``f_integrated(spec, traj, tau)`` on a miss.
     """
 
@@ -323,20 +324,11 @@ class Trajectory:
         self.spec, self.tau_max, self.tol = spec, float(tau_max), tol
         self.route = catalog_entry(spec) or "integrated"
         self._subsystem = (_constant_dense(d2.amplitude) if d2.is_constant
-                           else lambda tau: self._states(tau)[:4])
+                           else lambda tau: self._pass(tau)[:4])
 
     @cached_property
     def _pass(self):
         return decoupled_pass(self.spec, self.tau_max, self.tol)
-
-    def _states(self, tau):
-        # the dense output would extrapolate its last step outside the range
-        import numpy as np
-        t = np.asarray(tau)
-        if not ((t >= 0.0) & (t <= self.tau_max)).all():
-            raise ValueError(f"tau={tau} is outside the solved range "
-                             f"[0, {self.tau_max}]")
-        return self._pass(tau)
 
     def state_at(self, tau):
         """(P11, P11', I_P22, P22) at tau."""
@@ -361,12 +353,12 @@ class Trajectory:
     def f(self, tau) -> FSet:
         if self.route != "integrated":
             return f_closed_form(self.spec, tau)
-        return FSet(*self._states(float(tau))[6:12])
+        return FSet(*self._pass(float(tau))[6:12])
 
     def j(self, tau) -> JSet:
         if self.spec.squeezing.is_zero:
             return JSet(j_b=float(tau), j_plus=0.0, j_minus=0.0)
-        return JSet(*self._states(float(tau))[12:])
+        return JSet(*self._pass(float(tau))[12:])
 
 
 # ---------------------------------------------------------------------------

@@ -188,19 +188,24 @@ class DenseOutput:
     """The 7th-degree interpolants of all accepted steps, as one callable.
 
     ``sol(t)`` is (n,) at a scalar t and (n, m) at m times. The step that
-    ends at t serves t; times outside the range extrapolate from the first
-    or last step.
+    ends at t serves t. A time outside [t0, t_end], where an interpolant
+    would extrapolate its step, raises ValueError.
     """
 
     def __init__(self, ts, y_old, h, F):
         self._t_old = ts[:-1]  # (steps,) step starts
         self._inner = ts[1:-1]  # step boundaries inside the range
+        self._span = float(ts[0]), float(ts[-1])
         self._y_old = y_old    # (steps, n) state at each step start
         self._h = h            # (steps,) step lengths
         self._F = F            # (7, steps, n) interpolant terms
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
+        t0, t_end = self._span
+        if not ((t >= t0) & (t <= t_end)).all():  # nan is outside too
+            raise ValueError(f"t={t} is outside the solved range "
+                             f"[{t0}, {t_end}]")
         # the count of inner boundaries below t is its step, in range
         seg = np.searchsorted(self._inner, t)
         x = (t - self._t_old[seg]) / self._h[seg]
@@ -256,9 +261,9 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, end_only=False) -> OdeResult:
 
     ``rtol`` and ``atol`` bound each step's error relative to
     atol + rtol |y|. The result's ``sol`` evaluates the solution anywhere
-    in the range. With ``end_only`` the result holds only the time and state
-    where the integration stopped, and ``sol`` is None; the steps are the
-    same. If the step falls below ten units in the last place of t the
+    in the range and refuses a time outside it. With ``end_only`` the
+    result holds only the time and state where the integration stopped,
+    and ``sol`` is None; the steps are the same. If the step falls below ten units in the last place of t the
     integration stops with ``success`` False.
     """
     t0, t_bound = map(float, t_span)

@@ -157,9 +157,11 @@ def qfi_derivatives(spec: ModelSpec, param: str, tau_max: float,
     :func:`qfi_route` in ``mode``, decided once (raising its refusal); it
     computes nothing before the first read. A derivative is one complex step,
     Im v(theta + ih) / h with h = STEP, through the code that computes v. On
-    a catalog route F is the model's :func:`f_closed_form`, J = (tau, 0, 0)
-    and dF the entry's closed form on complex arguments; on 'integrated' all
-    four come from one stepped :func:`decoupled_pass` at ``tol``.
+    a catalog route one call of the entry's closed form on complex arguments
+    gives F as its real part and dF as its imaginary part over h, and
+    J = (tau, 0, 0); on 'integrated' all four come from one stepped
+    :func:`decoupled_pass` at ``tol``, whose dense output refuses a tau
+    outside [0, tau_max].
     """
     route = qfi_route(spec, param, mode)
     # theta + ih goes into an object with a Drive's fields, unchecked
@@ -173,12 +175,10 @@ def qfi_derivatives(spec: ModelSpec, param: str, tau_max: float,
 
     def derivatives(tau: float):
         if route != "integrated":
-            df = [v.imag / STEP for v in astuple(entry_f(route, *drives, tau))]
-            return (coefficients.f_closed_form(spec, tau), FSet(*df),
+            f = astuple(entry_f(route, *drives, tau))
+            return (FSet(*(v.real for v in f)),
+                    FSet(*(v.imag / STEP for v in f)),
                     JSet(float(tau), 0.0, 0.0), JSet(0.0, 0.0, 0.0))
-        if not 0.0 <= tau <= tau_max:  # the dense output would extrapolate
-            raise ValueError(f"tau={tau} is outside the solved range "
-                             f"[0, {tau_max}]")
         v = states()(tau)
         return FSet(*v[6:12]), FSet(*v[21:27]), JSet(*v[12:15]), JSet(*v[27:])
     return derivatives
@@ -516,9 +516,10 @@ def gravimetry(setup: PhysicalSetup, mu_c: complex,
     elif state_family == "fock":
         if fock_n is None:
             raise ValueError("state_family='fock' needs fock_n")
-        s = math.sin(tau)
-        qfi = 4.0 * (g0 ** 2 * fock_n ** 2 * (tau - s) ** 2
-                     + math.sin(tau / 2.0) ** 2)
+        # qfi_fock of the d1 coefficients: c_b^2 = 4 g0^2 (tau - sin tau)^2
+        # and c_cp^2 + c_cm^2 = 4 sin^2(tau / 2)
+        qfi = (4.0 * g0 ** 2 * fock_n ** 2 * (tau - math.sin(tau)) ** 2
+               + 16.0 * math.sin(tau / 2.0) ** 2)
     else:
         raise ValueError(f"unknown state family {state_family!r}")
     mass = oscillator_mass(setup)

@@ -56,6 +56,11 @@ INITIAL_TAIL_LIMIT = 1e-12
 # refuses the parameters
 NA_CAP = 401
 NB_CAP = 4000
+# the most terms a constant-drive Chebyshev series may take: its recurrence
+# rounds by about eps ||psi|| per term (the bound tests/test_oracle.py holds
+# the pass to), so past STRICT's rtol / eps terms its rounding alone could
+# exceed the tolerance the oracle checks the decoupled solution to
+TERM_CAP = int(STRICT[0] / np.finfo(float).eps)  # 450359
 
 
 class TruncationError(RuntimeError):
@@ -189,32 +194,24 @@ def propagate(spec: ModelSpec, state0: InitialState, tau: float,
     Chebyshev pass (``_chebyshev_branches``): exact to rounding, with
     banded matvecs only, and no SciPy. Its cost is linear in tau, about
     h tau matvecs for a branch whose Gershgorin half-width is h, on one
-    real row for a real input and two rows otherwise. Modulated
+    real row for a real input and two rows otherwise; a series longer than
+    TERM_CAP raises TruncationError (see :func:`check_terms`). Modulated
     drives integrate all live branches in one adaptive eighth-order
     Runge-Kutta pass (the library's DOP853 in its end-state mode, SciPy's
     arithmetic in SciPy's order) in the frame rotating with N_b, at STRICT
     tolerances scaled so that each branch alone meets them.
     """
-    na, nb = dims
-    psi0 = _initial_tensor(state0, dims)
+    psi0, live = _live_branches(spec, state0, tau, dims)
     tail = _tail(psi0)
     if tail > INITIAL_TAIL_LIMIT:
         warnings.warn(f"initial truncation tail mass {tail:.2e} exceeds "
                       f"{INITIAL_TAIL_LIMIT:.0e}; increase dims", stacklevel=2)
 
-    constant = (spec.coupling.is_constant and spec.displacement.is_constant
-                and spec.squeezing.is_constant)
-    psi = np.zeros_like(psi0)
-    live = {}
-    for n in range(na):
-        if float(np.linalg.norm(psi0[n, :])) < 1e-16:
-            psi[n, :] = psi0[n, :]
-        else:
-            live[n] = psi0[n, :min(nb, _branch_box(spec, state0, n, tau))]
-
+    psi = psi0.copy()
     if live:
-        step = _chebyshev_branches if constant else _step_branches
+        step = _chebyshev_branches if _constant(spec) else _step_branches
         for n, branch in zip(live, step(spec, live, tau)):
+            psi[n] = 0.0
             psi[n, :branch.size] = branch
 
     norm_sq = float(np.sum(np.abs(psi) ** 2))
@@ -224,6 +221,28 @@ def propagate(spec: ModelSpec, state0: InitialState, tau: float,
             f"norm drifted by {defect:.2e} (> {NORM_DEFECT_LIMIT:.0e}); "
             "integration failed for these dims")
     return TruncatedState(amplitudes=psi, norm_defect=defect)
+
+
+def _constant(spec: ModelSpec) -> bool:
+    return (spec.coupling.is_constant and spec.displacement.is_constant
+            and spec.squeezing.is_constant)
+
+
+def _live_branches(spec: ModelSpec, state0: InitialState, tau: float, dims):
+    """The input tensor, and {n: input amplitudes in branch n's box} for
+    every photon branch n whose input norm is at least 1e-16."""
+    psi0 = _initial_tensor(state0, dims)
+    return psi0, {n: psi0[n, :min(dims[1], _branch_box(spec, state0, n, tau))]
+                  for n in range(dims[0])
+                  if float(np.linalg.norm(psi0[n, :])) >= 1e-16}
+
+
+def check_terms(spec: ModelSpec, state0: InitialState, tau: float, dims):
+    """Raise the TruncationError of ``propagate(spec, state0, tau, dims)``
+    for a Chebyshev series longer than TERM_CAP, building no table."""
+    _, live = _live_branches(spec, state0, tau, dims)
+    if live and _constant(spec):
+        _miller_start(_spectra(spec, live)[2] * tau)
 
 
 def _step_branches(spec: ModelSpec, live: dict, tau: float) -> list:
@@ -303,6 +322,28 @@ def _gershgorin(band: np.ndarray):
     return 0.5 * (hi + lo), 0.5 * (hi - lo)
 
 
+def _spectra(spec: ModelSpec, live: dict):
+    """The band of each live branch's H_n, and the centres and half-widths
+    of their Gershgorin intervals."""
+    g, d1, d2 = (spec.coupling.amplitude, spec.displacement.amplitude,
+                 spec.squeezing.amplitude)
+    bands = [_branch_band(n, g, d1, d2, branch.size)
+             for n, branch in live.items()]
+    centre, half = np.array([_gershgorin(band) for band in bands]).T
+    return bands, centre, half
+
+
+def _miller_start(x: np.ndarray) -> int:
+    """The order Miller's recurrence for J_k(x) starts from, which bounds
+    the series' term count; refused past TERM_CAP before anything is built."""
+    top = int(np.max(x + 20.0 * np.cbrt(x))) + 30
+    if top > TERM_CAP:
+        raise TruncationError(
+            f"the Chebyshev series needs up to {top} terms > cap {TERM_CAP}; "
+            "outside the validity envelope of the truncated oracle")
+    return top
+
+
 def _bessel_j(x: np.ndarray):
     """Bessel J_k(x_b) for k = 0..K - 1 and the number of terms each x_b needs.
 
@@ -322,7 +363,7 @@ def _bessel_j(x: np.ndarray):
     # skipping these also keeps 2k / x finite
     moving = x > roundoff
     xs = np.where(moving, x, 1.0)
-    top = int(np.max(x + 20.0 * np.cbrt(x))) + 30
+    top = _miller_start(x)
     j = np.zeros((top + 2, x.size))
     j[top] = 1.0
     for k in range(top, 0, -1):
@@ -355,11 +396,7 @@ def _chebyshev_branches(spec: ModelSpec, live: dict, tau: float) -> list:
     working slice once its series has ended. Returns the final amplitudes,
     in the order of live.
     """
-    g, d1, d2 = (spec.coupling.amplitude, spec.displacement.amplitude,
-                 spec.squeezing.amplitude)
-    bands = [_branch_band(n, g, d1, d2, branch.size)
-             for n, branch in live.items()]
-    centre, half = np.array([_gershgorin(band) for band in bands]).T
+    bands, centre, half = _spectra(spec, live)
     # a one-level box has h = 0: its series is the J_0 term alone and
     # (H - c) / h is never applied to it
     inv_half = np.divide(1.0, half, out=np.zeros_like(half), where=half > 0.0)
@@ -371,7 +408,7 @@ def _chebyshev_branches(spec: ModelSpec, live: dict, tau: float) -> list:
     scale = np.repeat(inv_half[order], sizes)
     diag = (band[0] - np.repeat(centre[order], sizes)) * scale
     off1 = band[1, :-1] * scale[:-1]
-    off2 = band[2, :-2] * scale[:-2] if d2 != 0.0 else None
+    off2 = band[2, :-2] * scale[:-2] if not spec.squeezing.is_zero else None
     # (2 - delta_k0) (-i)^k J_k = w_k for even k and -i w_k for odd k, with
     # the real w_k = (2 - delta_k0) (-1)^(k // 2) J_k
     k = np.arange(weights.shape[0])[:, None]

@@ -19,6 +19,7 @@ from optomech.mechanics import JSet, solve_subsystem
 from optomech.metrology import qfi_coefficients, qfi_thermal
 from optomech.moments import evolve_moments
 from optomech.nongaussianity import report
+from optomech.params import FabryPerot, coupling_constant
 
 from conftest import finite_diff_qfi_budget, richardson_derivatives
 
@@ -144,6 +145,21 @@ def test_golden_cfi(tmp_path):
 
 def test_golden_gravimetry(tmp_path):
     check_golden(tmp_path, "gravimetry.csv", "gravimetry", "--table")
+
+
+def test_gravimetry_setup_writes_its_platform(tmp_path):
+    setup, out = tmp_path / "setup.json", tmp_path / "gravimetry.csv"
+    setup.write_text(json.dumps(FABRY_PEROT))
+    assert main(["gravimetry", "--setup", str(setup), "--photons", "1e4",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[2] == \
+        "g0_dimensionless,qfi_dimensionless,qfi_si,delta_g"
+    platform = FabryPerot(**{k: v for k, v in FABRY_PEROT.items()
+                             if k != "kind"})
+    rep = metrology.gravimetry(platform, math.sqrt(1e4))
+    assert _read_rows(out) == [[coupling_constant(platform),
+                                rep.qfi_dimensionless, rep.qfi_dimensionful,
+                                rep.std_dev]]
 
 
 def test_golden_oracle_check(tmp_path):
@@ -445,6 +461,44 @@ def test_qfi_route_is_decided_once_per_prepare(config, fixed, tmp_path,
     assert main(["sweep", "--config", str(cfg)]) == 0
     assert len(_read_rows(tmp_path / "sweep.csv")) == 17
     assert len(routes) == 1
+
+
+def test_catalog_qfi_row_evaluates_its_closed_form_once(tmp_path,
+                                                        monkeypatch):
+    # F is the real part of the complex call that gives dF: after the
+    # prepare has decided the route, each row of a 17-point tau sweep calls
+    # the entry once, and neither f_closed_form nor catalog_entry
+    calls = {}
+
+    def count(module, name):
+        function = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return function(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (coefficients, metrology):
+        for name in ("entry_f", "f_closed_form", "catalog_entry"):
+            if hasattr(module, name):
+                count(module, name)
+    prepare = metrology.qfi_derivatives
+
+    def prepared(*args, **kwargs):
+        read = prepare(*args, **kwargs)
+        calls.clear()  # the rows' calls alone from here on
+        return read
+
+    monkeypatch.setattr(metrology, "qfi_derivatives", prepared)
+    data = {"command": "qfi", "model": {"g0": 1.0, "d1": 0.5, "mu_c_re": 1.0},
+            "swept": {"name": "tau", "start": 0.0, "stop": 4 * math.pi,
+                      "step": math.pi / 4},
+            "output": str(tmp_path / "sweep.csv")}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert len(_read_rows(tmp_path / "sweep.csv")) == 17
+    assert calls == {"entry_f": 17}
 
 
 # Run in a fresh interpreter: prints the scipy modules loaded after importing
@@ -829,7 +883,10 @@ OVERFLOW_INPUT = [
     pytest.param(["nongauss", "--tau-max", "1e17", "--steps", "2"],
                  GOLDEN_MODEL, "nongauss overflows at tau=1e+17: the phases",
                  id="overflow-nongauss-phase-spacing"),
-    pytest.param(["oracle-check", "--tau", "1e17"], GOLDEN_MODEL,
+    # a modulated coupling in the catalog: oracle-check reaches the phases,
+    # which no Chebyshev term count refuses first
+    pytest.param(["oracle-check", "--tau", "1e17"],
+                 {**GOLDEN_MODEL, "epsilon": 0.5, "omega_g": 0.7},
                  "oracle-check overflows at tau=1e+17: the phases",
                  id="overflow-oracle-check-phase-spacing"),
     pytest.param(["coeffs", "--tau-max", "1e308", "--steps", "2"],
@@ -854,7 +911,8 @@ OVERFLOW_INPUT = [
 
 # (argv, config, message): argv[0] is the command, the config file holds
 # json.dumps(config), or config itself when it is a str, and is missing when
-# config is None; a sweep config without an "output" field gets one. {path}
+# config is None (gravimetry then names no --setup); a sweep config without
+# an "output" field gets one. {path}
 # in the message stands for the config file's path, and {tmp} in argv, the
 # config or the message for the test's temporary directory.
 REJECTED_INPUT = [
@@ -955,6 +1013,17 @@ REJECTED_INPUT = [
     pytest.param(["sweep"], {"command": "qfi", "model": CFI_MODEL,
                              "swept": TAU_SWEEP, "formt": "csv"},
                  "unknown config field 'formt'", id="sweep-unknown-field"),
+    pytest.param(["sweep"], {"command": "qfi", "model": [CFI_MODEL],
+                             "swept": TAU_SWEEP},
+                 "model must be a JSON object", id="sweep-model-list"),
+    pytest.param(["sweep"], {"command": "qfi", "model": CFI_MODEL},
+                 "missing config field 'swept'", id="sweep-missing-swept"),
+    pytest.param(["qfi", "--sweep", "foo", "0:1:0.5"], CFI_MODEL,
+                 "unknown swept name 'foo'", id="qfi-sweep-unknown-name"),
+    pytest.param(["qfi", "--sweep", "g0", "0:1:0"], CFI_MODEL,
+                 "sweep step must be > 0", id="qfi-sweep-zero-step"),
+    pytest.param(["gravimetry"], None, "provide --setup JSON or --table",
+                 id="gravimetry-no-setup"),
     pytest.param(["sweep"], {"command": "qfi", "model": CFI_MODEL,
                              "swept": {**TAU_SWEEP, "stpe": 1.0}},
                  "unknown config field 'swept.stpe'",
@@ -1119,6 +1188,20 @@ REJECTED_INPUT = [
     pytest.param(["oracle-check", "--dims", "10,4001"], CFI_MODEL,
                  "dims '10,4001' exceed the oracle's caps NA <= 401, NB <= 4000",
                  id="oracle-dims-nb-cap"),
+    # a constant-drive Chebyshev series longer than the oracle's term cap,
+    # refused before its Bessel table of 1.1e8 rows of 17 branches is built,
+    # from recommended and explicit dims alike
+    pytest.param(["oracle-check", "--tau", "1e5"], GOLDEN_MODEL,
+                 "the Chebyshev series needs up to 110345871 terms > cap "
+                 "450359; outside the validity envelope of the truncated "
+                 "oracle", id="oracle-terms-cap"),
+    pytest.param(["oracle-check", "--tau", "1e5", "--dims", "17,961"],
+                 GOLDEN_MODEL, "the Chebyshev series needs up to 110345871 "
+                 "terms > cap 450359", id="oracle-dims-terms-cap"),
+    # no photons, so no phase is refused first
+    pytest.param(["oracle-check", "--tau", "1e17"], {"g0": 1.0},
+                 "the Chebyshev series needs up to ",
+                 id="oracle-terms-cap-vacuum"),
     # explicit dims that cut off more of the input than the oracle allows,
     # refused before propagating: a deviation that the cut input causes is
     # the truncation's, and exit 1 would blame the library for it
@@ -1141,8 +1224,9 @@ def write_config(tmp_path, argv, config):
         text = config if isinstance(config, str) else json.dumps(config)
         cfg.write_text(text.replace("{tmp}", str(tmp_path)))
     flag = "--setup" if argv[0] == "gravimetry" else "--config"
+    named = [] if flag == "--setup" and config is None else [flag, str(cfg)]
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-    return [*argv[:1], flag, str(cfg), *argv[1:]], out, cfg
+    return [*argv[:1], *named, *argv[1:]], out, cfg
 
 
 def refuse_computing(monkeypatch):

@@ -142,6 +142,27 @@ def test_zero_length_span():
     assert np.array_equal(end.y, np.array(y0)[:, None])
 
 
+@pytest.mark.parametrize("span", [(0.0, 3.0), (2.0, 2.0)],
+                         ids=["interval", "zero-length"])
+def test_dense_output_refuses_times_outside_its_range(span):
+    # an interpolant would extrapolate its step there; both ends and the
+    # times between them read as SciPy's dense output does
+    ours = dop853.solve_ivp(_oscillator, span, [1.0, 0.0], rtol=1e-10,
+                            atol=1e-12)
+    ref = scipy_solve_ivp(_oscillator, span, [1.0, 0.0], method="DOP853",
+                          rtol=1e-10, atol=1e-12, dense_output=True)
+    t0, t_end = span
+    inside = np.linspace(t0, t_end, 7)
+    for t in (t0, t_end, inside):
+        assert np.array_equal(ours.sol(t), ref.sol(t))
+    for t in (np.nextafter(t0, -np.inf), np.nextafter(t_end, np.inf),
+              t_end + 1.0, math.nan):
+        with pytest.raises(ValueError, match="outside the solved range"):
+            ours.sol(t)
+        with pytest.raises(ValueError, match="outside the solved range"):
+            ours.sol(np.append(inside, t))
+
+
 def test_zero_length_trajectory_on_a_catalog_miss():
     traj = Trajectory(model_from_config(resolve_config(MISS_CONFIG)), 0.0)
     assert traj.f(0.0) == FSet.zero()

@@ -540,6 +540,23 @@ def test_gravimetry_thermal_equals_coherent_at_two_pi():
     assert a.qfi_dimensionful == pytest.approx(b.qfi_dimensionful, rel=1e-12)
 
 
+@pytest.mark.parametrize("tau", [3.3, TWO_PI])
+@pytest.mark.parametrize("n", [1, 3])
+def test_gravimetry_fock_is_the_fock_qfi_of_the_d1_coefficients(tau, n):
+    # the (|0> + |n>)/sqrt2 input away from tau = 2 pi k too, where the
+    # displacement term 4 (c_cp^2 + c_cm^2) does not vanish
+    c = qfi_coefficients(ModelSpec.gravimetry(coupling_constant(FP), 1.0),
+                         "d1", tau)
+    rep = gravimetry(FP, mu_c=0.0, state_family="fock", fock_n=n, tau=tau)
+    assert rep.qfi_dimensionless == pytest.approx(
+        qfi_fock(c.c_b, c.c_cp, c.c_cm, n), rel=1e-12)
+
+
+def test_gravimetry_fock_needs_its_photon_number():
+    with pytest.raises(ValueError, match="state_family='fock' needs fock_n"):
+        gravimetry(FP, mu_c=0.0, state_family="fock")
+
+
 def test_gravimetry_cramer_rao_with_repetitions():
     one = gravimetry(FP, mu_c=1e3, n_measurements=1)
     many = gravimetry(FP, mu_c=1e3, n_measurements=100)

@@ -444,6 +444,24 @@ def test_bessel_helper_matches_scipy():
         assert tail[1:].sum() <= 0.5 * EPS < tail.sum()
 
 
+def test_chebyshev_series_past_the_term_cap_is_refused():
+    # the recurrence's rounding, EPS ||psi|| per term, may not pass STRICT's
+    # rtol. On the golden config the widest branch's half-width is 1103, so
+    # the cap falls near tau = 408; at tau = 410 the table would hold
+    # 4.5e5 x 17 floats, and its start order is refused before it is built
+    assert oracle.TERM_CAP == int(STRICT[0] / EPS)
+    spec, state = ModelSpec.standard(1.0), InitialState.coherent(1.0)
+    tau = 410.0
+    dims = recommended_dims(spec, state, tau)
+    for refused in (oracle.check_terms, propagate):
+        with pytest.raises(TruncationError, match="terms > cap 450359"):
+            refused(spec, state, tau, dims)
+    # a modulated drive takes no Chebyshev series, and a shorter one passes
+    modulated = ModelSpec(coupling=Drive.offset_sinusoid(1.0, 0.5, 0.7))
+    oracle.check_terms(modulated, state, tau, dims)
+    oracle.check_terms(spec, state, 400.0, dims)
+
+
 def test_recommended_dims_rejects_out_of_envelope():
     spec = ModelSpec.standard(8.0)
     with pytest.raises(TruncationError):
