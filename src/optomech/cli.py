@@ -17,9 +17,10 @@ refuses an output it cannot write and an input state the entry does not
 accept, prepares (every other refusal, no arithmetic) and writes one row per
 value; sweep runs the qfi, cfi and nongauss prepares of the same table.
 Every refusal of an input exits 2 before any arithmetic, among them a Fock
-input to qfi, a thermal or Fock input to oracle-check, a --steps above
-MAX_SWEEP_POINTS and oracle-check --dims above the oracle's caps or cutting
-more of the input than oracle.INITIAL_TAIL_LIMIT. A value that passes the
+input to qfi, a thermal or Fock input to oracle-check, a fock_n that is not
+an integer, a --steps above MAX_SWEEP_POINTS, a cfi cut-off above
+metrology.N_MAX_CAP and oracle-check dims that oracle.check_dims refuses,
+recommended or given. A value that passes the
 float range (the library raises OverflowError, or returns inf or nan) is
 refused as well, with exit 2 and one error line naming the command and tau,
 after the arithmetic that overflowed and before any output is written; no
@@ -141,6 +142,9 @@ def resolve_config(raw: dict) -> dict:
     for key, default in CONFIG_KEYS.items():
         if not isinstance(default, str):
             _number(key, cfg[key])
+    fock_n = cfg["fock_n"]
+    if isinstance(fock_n, float) and not fock_n.is_integer():  # inf, nan too
+        raise ConfigError(f"field 'fock_n' must be an integer, got {fock_n!r}")
     _one_of("optical", cfg["optical"], ("coherent", "fock"))
     _one_of("mechanical", cfg["mechanical"], ("coherent", "thermal"))
     # every result is computed in the frame rotating at the cavity frequency,
@@ -319,12 +323,12 @@ def _prepare_drives(cfg: dict, fixed: dict, tau_max: float):
 
 
 def _prepare_mechanics(cfg: dict, fixed: dict, tau_max: float):
-    from . import mechanics
-    sol = mechanics.solve_subsystem(subsystem_model(cfg), tau_max)
+    from . import coefficients
+    traj = coefficients.Trajectory(subsystem_model(cfg), tau_max)
 
     def value(tau):
-        p11, _, i_p22, _ = sol.state_at(tau)
-        alpha, beta = sol.bogoliubov(tau)
+        p11, _, i_p22, _ = traj.state_at(tau)
+        alpha, beta = traj.bogoliubov(tau)
         return p11, i_p22, alpha.real, alpha.imag, beta.real, beta.imag
     return value
 
@@ -343,22 +347,14 @@ def _prepare_coeffs(cfg: dict, fixed: dict, tau_max: float):
     return value
 
 
-def _moments_at(state, traj, t):
-    from . import coefficients, moments
-    f = traj.f(t)
-    alpha, beta = traj.bogoliubov(t)
-    d = coefficients.derived_scalars(f, alpha, beta, state.mu_m)
-    m = moments.evolve_moments(f, alpha, beta, state.mu_c, state.mu_m, derived=d)
-    return f, alpha, beta, d, m
-
-
 def _prepare_moments(cfg: dict, fixed: dict, tau_max: float):
     from . import coefficients, moments
     spec, state = subsystem_model(cfg), state_from_config(cfg)
     traj = coefficients.Trajectory(spec, tau_max)
 
     def value(tau):
-        *_, m = _moments_at(state, traj, tau)
+        m = moments.evolve_moments(traj.f(tau), *traj.bogoliubov(tau),
+                                   state.mu_c, state.mu_m)
         if fixed["quadratures"]:
             return moments.quadratures(m)
         return (m.a.real, m.a.imag, m.b.real, m.b.imag, m.a2.real, m.a2.imag,
@@ -403,6 +399,11 @@ def _prepare_cfi(cfg: dict, fixed: dict, tau_max: float):
     if n_max is not None and n_max < 1:
         raise ConfigError(f"--n-max must be >= 1, got {n_max}")
     from . import metrology
+    cut = metrology.default_n_max(state.mu_c) if n_max is None else n_max
+    if cut > metrology.N_MAX_CAP:
+        which = "the default --n-max" if n_max is None else "--n-max"
+        raise ConfigError(f"{which} {cut} exceeds the cap {metrology.N_MAX_CAP}, "
+                          "above which cfi's dense state passes 128 MiB")
     tail = 0.0 if n_max is None else metrology.photon_tail(state.mu_c, n_max)
     if tail > metrology.PHOTON_TAIL_LIMIT:
         raise ConfigError(f"--n-max {n_max} cuts a photon tail mass {tail:.2e} "
@@ -568,7 +569,6 @@ def cmd_gravimetry(args):
 
 
 def _parse_dims(text: str):
-    from . import oracle
     try:
         dims = tuple(int(x) for x in text.split(","))
     except ValueError:  # a field is not an integer
@@ -576,9 +576,6 @@ def _parse_dims(text: str):
     if len(dims) != 2 or min(dims) < 1:
         raise ConfigError(f"dims '{text}' is not NA,NB with two positive "
                           "integers")
-    if dims[0] > oracle.NA_CAP or dims[1] > oracle.NB_CAP:
-        raise ConfigError(f"dims '{text}' exceed the oracle's caps "
-                          f"NA <= {oracle.NA_CAP}, NB <= {oracle.NB_CAP}")
     return dims
 
 
@@ -597,17 +594,14 @@ def cmd_oracle_check(args):
     try:
         dims = _parse_dims(args.dims) if args.dims else \
             oracle.recommended_dims(spec, state, tau)
-        tail = oracle.initial_tail(state, dims)
-        if tail > oracle.INITIAL_TAIL_LIMIT:
-            raise ConfigError(f"dims {dims[0]},{dims[1]} cut an initial tail "
-                              f"mass {tail:.2e} off the input, above "
-                              f"{oracle.INITIAL_TAIL_LIMIT:.0e}; increase dims")
-        oracle.check_terms(spec, state, tau, dims)
-    except oracle.TruncationError as exc:  # more levels or terms than the caps
+        oracle.check_dims(spec, state, tau, dims)
+    except oracle.TruncationError as exc:  # the dims the oracle cannot take
         raise ConfigError(str(exc)) from None
     traj = coefficients.Trajectory(spec, tau)
     try:
-        f, alpha, beta, d, m = _moments_at(state, traj, tau)
+        f = traj.f(tau)
+        alpha, beta = traj.bogoliubov(tau)
+        m = moments.evolve_moments(f, alpha, beta, state.mu_c, state.mu_m)
     except OverflowError as exc:  # phases past their float spacing
         raise ConfigError(f"oracle-check overflows at tau={tau!r}: "
                           f"{exc}") from None
@@ -615,7 +609,8 @@ def cmd_oracle_check(args):
     mo = oracle.oracle_moments(st)
     names = ("a", "b", "a2", "b2", "adag_a", "bdag_b", "ab", "abdag")
     rows = [(k, abs(getattr(m, k) - getattr(mo, k))) for k in names]
-    cov_dev = abs(moments.covariance(m, d, alpha, beta, state.mu_c).matrix
+    d = coefficients.derived_scalars(f, alpha, beta, state.mu_m)
+    cov_dev = abs(moments.covariance(d, alpha, beta, state.mu_c).matrix
                   - moments.covariance_from_moments(mo).matrix).max()
     rows.append(("covariance", float(cov_dev)))
     rows.append(("norm_defect", st.norm_defect))

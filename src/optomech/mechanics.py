@@ -153,13 +153,6 @@ def j_coefficients_ode(spec: ModelSpec, tau, tol=STRICT) -> JSet:
     return Trajectory(spec, tau, tol).j(tau)
 
 
-def unwrap_j_b(values, period: float = math.pi) -> np.ndarray:
-    """Continuously unwrap principal-branch j_b samples along a grid."""
-    import numpy as np
-    values = np.asarray(values, dtype=float)
-    return np.unwrap(values, period=period)
-
-
 def mathieu_perturbative(d2: float, tau):
     """Closed-form resonant (Omega = 2) approximants for small d2.
 

@@ -31,6 +31,10 @@ TWO_PI = 2.0 * math.pi
 _UNIT_ROUNDOFF = 2.0 ** -53  # half the float64 machine epsilon
 # the most photon-number mass of the input cfi_homodyne cuts off silently
 PHOTON_TAIL_LIMIT = 1e-10
+# the largest photon cut-off the cfi command takes: cfi_homodyne's state
+# rho and its eigenvectors are dense complex matrices of up to n_max x n_max
+# 16-byte entries, and the cap keeps each within 128 MiB
+N_MAX_CAP = math.isqrt(2 ** 27 // 16)  # 2896
 # _hermite_functions: the start e^{-x^2/2} is kept unscaled down to
 # 2^-_START_BITS, and no mantissa grows past 2^_GROWTH_BITS
 _LN2 = math.log(2.0)

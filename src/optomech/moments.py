@@ -3,7 +3,10 @@
 All expressions hold for coherent x coherent inputs evolving under the
 decoupled operator, written in the frame rotating at the optical frequency.
 The covariance matrix lives in the (a, b, a^dag, b^dag) basis, where it is
-Hermitian and the symplectic form is diag(-i, -i, i, i).
+Hermitian and the symplectic form is diag(-i, -i, i, i). Both
+:func:`evolve_moments` and :func:`covariance` read the phases theta and
+varphi, and both refuse, with OverflowError, phases whose float spacing
+alone moves a result by more than STRICT's rtol.
 """
 
 from __future__ import annotations
@@ -35,23 +38,10 @@ class MomentSet:
     abdag: complex
 
 
-def evolve_moments(f, alpha: complex, beta: complex,
-                   mu_c: complex, mu_m: complex = 0j,
-                   derived: DerivedScalars | None = None) -> MomentSet:
-    """All eight moments of the evolved state.
-
-    ``f`` is the FSet at the evaluation time and (alpha, beta) the matching
-    Bogoliubov pair; ``derived`` may be passed to reuse precomputed scalars
-    (it must have been built with the same mu_m). Phases theta and varphi
-    whose float spacing alone moves a moment by more than STRICT's rtol
-    raise OverflowError.
-    """
-    from .coefficients import derived_scalars
-
-    mu_c, mu_m = complex(mu_c), complex(mu_m)
-    d = derived if derived is not None else derived_scalars(f, alpha, beta, mu_m)
-    nc = abs(mu_c) ** 2
-    mu_m_c = mu_m.conjugate()
+def _check_phases(d: DerivedScalars, nc: float):
+    """Refuse, with OverflowError, phases theta and varphi that have
+    overflowed or whose float spacing alone moves a moment or a covariance
+    at |mu_c|^2 = nc by more than STRICT's rtol."""
     theta, varphi = d.theta, d.varphi
     if not (math.isfinite(2.0 * theta) and math.isfinite(2.0 * varphi)):
         raise OverflowError(f"the phases 2 theta = {2.0 * theta} and 2 varphi = "
@@ -65,6 +55,24 @@ def evolve_moments(f, alpha: complex, beta: complex,
         raise OverflowError(f"the phases theta = {theta} and varphi = {varphi} "
                             f"have a float spacing past what rtol {STRICT[0]} "
                             f"allows at |mu_c|^2 = {nc}")
+
+
+def evolve_moments(f, alpha: complex, beta: complex,
+                   mu_c: complex, mu_m: complex = 0j) -> MomentSet:
+    """All eight moments of the evolved state.
+
+    ``f`` is the FSet at the evaluation time and (alpha, beta) the matching
+    Bogoliubov pair. Phases theta and varphi whose float spacing alone moves
+    a moment by more than STRICT's rtol raise OverflowError.
+    """
+    from .coefficients import derived_scalars
+
+    mu_c, mu_m = complex(mu_c), complex(mu_m)
+    d = derived_scalars(f, alpha, beta, mu_m)
+    nc = abs(mu_c) ** 2
+    _check_phases(d, nc)
+    mu_m_c = mu_m.conjugate()
+    theta, varphi = d.theta, d.varphi
     k, gam, dlt, e1 = d.k_na, d.gamma, d.delta, d.e_bpbm
 
     phase1 = cmath.exp(-1j * varphi) * cmath.exp(nc * (cmath.exp(-1j * theta) - 1.0))
@@ -157,16 +165,19 @@ def covariance_from_moments(m: MomentSet) -> CovarianceMatrix:
     return _assemble(s11, s22, s31, s42, s21, s41)
 
 
-def covariance(m: MomentSet, derived: DerivedScalars, alpha: complex,
-               beta: complex, mu_c: complex) -> CovarianceMatrix:
+def covariance(derived: DerivedScalars, alpha: complex, beta: complex,
+               mu_c: complex) -> CovarianceMatrix:
     """Covariance matrix from the analytically simplified element forms.
 
     Agrees with :func:`covariance_from_moments` to rounding; kept separate
     because the simplified forms are numerically stabler at large |mu_c|.
+    It reads theta and varphi as the moments do, and refuses the same
+    phases with OverflowError.
     """
     import numpy as np
     mu_c = complex(mu_c)
     nc = abs(mu_c) ** 2
+    _check_phases(derived, nc)
     theta, varphi = derived.theta, derived.varphi
     k, dlt, e1 = derived.k_na, derived.delta, derived.e_bpbm
     ek2 = math.exp(-abs(k) ** 2)

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .coefficients import Trajectory, derived_scalars
-from .moments import (CovarianceMatrix, covariance, evolve_moments,
-                      subsystem_eigenvalues, symplectic_eigenvalues)
+from .moments import (CovarianceMatrix, covariance, subsystem_eigenvalues,
+                      symplectic_eigenvalues)
 from .params import ModelSpec
 
 NU_FLOOR = 1e-6
@@ -99,9 +99,7 @@ def report(spec: ModelSpec, mu_c: complex, mu_m: complex, tau: float,
         traj = Trajectory(spec, tau)
     f = traj.f(tau)
     alpha, beta = traj.bogoliubov(tau)
-    d = derived_scalars(f, alpha, beta, mu_m)
-    m = evolve_moments(f, alpha, beta, mu_c, mu_m, derived=d)
-    sigma = covariance(m, d, alpha, beta, mu_c)
+    sigma = covariance(derived_scalars(f, alpha, beta, mu_m), alpha, beta, mu_c)
     nus = symplectic_eigenvalues(sigma)
     nu_op, nu_me = subsystem_eigenvalues(sigma)
     dmin, dmax = delta_bounds(nu_op, nu_me)

@@ -31,6 +31,9 @@ imports SciPy.
 Truncation shows up as loss of recurrence, not loss of norm: the truncated
 Hamiltonian is Hermitian, so norm drift measures integrator quality, while
 a tau = 2 pi trajectory failing to close signals insufficient dims.
+:func:`check_dims` owns every refusal of a truncation before anything is
+propagated: dims above NA_CAP or NB_CAP, an input tail above
+INITIAL_TAIL_LIMIT and a Chebyshev series past TERM_CAP.
 """
 
 from __future__ import annotations
@@ -90,10 +93,6 @@ class TruncatedState:
     amplitudes: np.ndarray  # shape (N_a, N_b)
     norm_defect: float
 
-    @property
-    def dims(self):
-        return self.amplitudes.shape
-
 
 def coherent_amplitudes(mu: complex, dim: int) -> np.ndarray:
     """Fock amplitudes of |mu> up to dim (tail simply cut)."""
@@ -119,11 +118,6 @@ def _initial_tensor(state0: InitialState, dims) -> np.ndarray:
     if state0.mechanical != "coherent":
         raise ValueError("the propagator takes coherent x coherent inputs")
     return np.outer(ca, coherent_amplitudes(state0.mu_m, nb))
-
-
-def initial_tail(state0: InitialState, dims) -> float:
-    """The probability mass of the input that the dims (N_a, N_b) cut off."""
-    return _tail(_initial_tensor(state0, dims))
 
 
 def _tail(psi0: np.ndarray) -> float:
@@ -195,7 +189,7 @@ def propagate(spec: ModelSpec, state0: InitialState, tau: float,
     banded matvecs only, and no SciPy. Its cost is linear in tau, about
     h tau matvecs for a branch whose Gershgorin half-width is h, on one
     real row for a real input and two rows otherwise; a series longer than
-    TERM_CAP raises TruncationError (see :func:`check_terms`). Modulated
+    TERM_CAP raises TruncationError (see :func:`check_dims`). Modulated
     drives integrate all live branches in one adaptive eighth-order
     Runge-Kutta pass (the library's DOP853 in its end-state mode, SciPy's
     arithmetic in SciPy's order) in the frame rotating with N_b, at STRICT
@@ -237,10 +231,22 @@ def _live_branches(spec: ModelSpec, state0: InitialState, tau: float, dims):
                   if float(np.linalg.norm(psi0[n, :])) >= 1e-16}
 
 
-def check_terms(spec: ModelSpec, state0: InitialState, tau: float, dims):
-    """Raise the TruncationError of ``propagate(spec, state0, tau, dims)``
-    for a Chebyshev series longer than TERM_CAP, building no table."""
-    _, live = _live_branches(spec, state0, tau, dims)
+def check_dims(spec: ModelSpec, state0: InitialState, tau: float, dims):
+    """Refuse, with TruncationError, dims (N_a, N_b) that :func:`propagate`
+    cannot be trusted with at tau: above NA_CAP or NB_CAP (checked before
+    anything is built), cutting more than INITIAL_TAIL_LIMIT off the input,
+    or asking for a Chebyshev series longer than TERM_CAP (checked before
+    its Bessel table is built)."""
+    na, nb = dims
+    if na > NA_CAP or nb > NB_CAP:
+        raise TruncationError(f"dims '{na},{nb}' exceed the oracle's caps "
+                              f"NA <= {NA_CAP}, NB <= {NB_CAP}")
+    psi0, live = _live_branches(spec, state0, tau, dims)
+    tail = _tail(psi0)
+    if tail > INITIAL_TAIL_LIMIT:
+        raise TruncationError(f"dims {na},{nb} cut an initial tail mass "
+                              f"{tail:.2e} off the input, above "
+                              f"{INITIAL_TAIL_LIMIT:.0e}; increase dims")
     if live and _constant(spec):
         _miller_start(_spectra(spec, live)[2] * tau)
 
@@ -374,8 +380,10 @@ def _bessel_j(x: np.ndarray):
     j /= j[0] + 2.0 * np.sum(j[2::2], axis=0)
     j[:, ~moving] = 0.0
     j[0, ~moving] = 1.0
-    tail = 2.0 * np.cumsum(np.abs(j[::-1]), axis=0)[::-1]
-    terms = np.sum(tail > roundoff, axis=0)
+    # each column's tail is summed from the top down on its own, so no copy
+    # of the whole table is made
+    terms = np.array([np.sum(2.0 * np.cumsum(np.abs(j[::-1, b])) > roundoff)
+                      for b in range(x.size)])
     return j[:np.max(terms)], terms
 
 
@@ -410,10 +418,12 @@ def _chebyshev_branches(spec: ModelSpec, live: dict, tau: float) -> list:
     off1 = band[1, :-1] * scale[:-1]
     off2 = band[2, :-2] * scale[:-2] if not spec.squeezing.is_zero else None
     # (2 - delta_k0) (-i)^k J_k = w_k for even k and -i w_k for odd k, with
-    # the real w_k = (2 - delta_k0) (-1)^(k // 2) J_k
-    k = np.arange(weights.shape[0])[:, None]
-    weights = (np.where(k == 0, 1.0, 2.0) * np.where(k // 2 % 2, -1.0, 1.0)
-               * weights[:, order])
+    # the real w_k = (2 - delta_k0) (-1)^(k // 2) J_k; the scalings are exact
+    # and made in place on the one reordered table
+    weights = weights[:, order]
+    weights[1:] *= 2.0
+    weights[2::4] *= -1.0
+    weights[3::4] *= -1.0
 
     def apply(y):
         """(H - c) / h on the first y.shape[1] levels; y holds Re and Im,
@@ -498,11 +508,6 @@ def analytic_state_tensor(g0: float, d1: float, mu_c: complex, mu_m: complex,
     for n in range(na):
         psi[n, :] = weights[n] * coherent_amplitudes(labels[n], nb)
     return psi
-
-
-def overlap(psi1: np.ndarray, psi2: np.ndarray) -> float:
-    """|<psi1|psi2>| for two amplitude tensors."""
-    return abs(np.vdot(psi1, psi2))
 
 
 def oracle_moments(state: TruncatedState) -> MomentSet:

@@ -71,9 +71,6 @@ class Drive:
     def is_zero(self) -> bool:
         return self.amplitude == 0.0
 
-    def __call__(self, tau):
-        return evaluate_drive(self, tau)
-
 
 def evaluate_drive(drive: Drive, tau):
     """Evaluate a drive at dimensionless time tau (scalar or array).

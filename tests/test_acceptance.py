@@ -259,13 +259,13 @@ def test_oracle_equivalence_random_specs():
             f = f_closed_form(spec, tau)
         alpha, beta = sol.bogoliubov(tau)
         d = derived_scalars(f, alpha, beta, mu_m)
-        m = evolve_moments(f, alpha, beta, mu_c, mu_m, derived=d)
+        m = evolve_moments(f, alpha, beta, mu_c, mu_m)
         st = propagate(spec, state, tau, dims)
         mo = oracle_moments(st)
         worst_moment = max(worst_moment,
                            max(abs(getattr(m, k) - getattr(mo, k))
                                for k in MOMENT_NAMES))
-        sig_a = covariance(m, d, alpha, beta, mu_c).matrix
+        sig_a = covariance(d, alpha, beta, mu_c).matrix
         sig_o = covariance_from_moments(mo).matrix
         worst_cov = max(worst_cov, float(np.max(np.abs(sig_a - sig_o))))
         done += 1
@@ -288,8 +288,8 @@ def test_oracle_disentangling_at_two_pi():
         f = f_closed_form(spec, TWO_PI)
         alpha, beta = sol.bogoliubov(TWO_PI)
         d = derived_scalars(f, alpha, beta, mu_m)
-        m = evolve_moments(f, alpha, beta, mu_c, mu_m, derived=d)
-        sigma = covariance(m, d, alpha, beta, mu_c)
+        m = evolve_moments(f, alpha, beta, mu_c, mu_m)
+        sigma = covariance(d, alpha, beta, mu_c)
         worst_cross = max(worst_cross, float(np.max(np.abs(sigma.cross_block()))))
         worst_return = max(worst_return, abs(m.b - mu_m))
     _criterion("disentangling at tau = 2 pi",

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from optomech import coefficients, mechanics, metrology, nongaussianity, oracle
-from optomech.cli import (ConfigError, _tau_grid, main, model_from_config,
-                          resolve_config, validate_sweep_config)
+from optomech.cli import (FORMATS, ConfigError, _tau_grid, main,
+                          model_from_config, resolve_config,
+                          validate_sweep_config)
 from optomech.coefficients import (CatalogMiss, FSet, Trajectory,
-                                   derived_scalars, f_closed_form, f_integrated)
+                                   f_closed_form, f_integrated)
 from optomech.mechanics import JSet, solve_subsystem
 from optomech.metrology import qfi_coefficients, qfi_thermal
 from optomech.moments import evolve_moments
@@ -266,6 +267,19 @@ def test_validate_only_flag(tmp_path):
     assert "ok" in result.stdout
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_stdout_gets_the_bytes_of_the_output_file(fmt, tmp_path):
+    # "--out -" and no --out both write to stdout what --out FILE writes
+    out = tmp_path / f"drives.{fmt}"
+    argv = [sys.executable, "-m", "optomech.cli", "drive-eval", "--config",
+            CONFIG, "--steps", "5", "--format", fmt]
+    written = [subprocess.run([*argv, *extra], capture_output=True,
+                              env=child_env(), check=True).stdout
+               for extra in (["--out", str(out)], ["--out", "-"], [])]
+    assert written[0] == b""
+    assert written[1] == written[2] == out.read_bytes()
+
+
 # modulated coupling, cosine displacement and squeezing modulated at
 # Omega = 2: no closed-form F catalog entry covers it
 MISS_CONFIG = {"g0": 0.3, "epsilon": 0.4, "omega_g": 0.7,
@@ -353,8 +367,7 @@ def test_grid_commands_integrate_once_on_catalog_miss(tmp_path, monkeypatch):
     for t in taus:
         f = f_integrated(spec, sol, t)
         alpha, beta = sol.bogoliubov(t)
-        d = derived_scalars(f, alpha, beta, mu_m)
-        m = evolve_moments(f, alpha, beta, mu_c, mu_m, derived=d)
+        m = evolve_moments(f, alpha, beta, mu_c, mu_m)
         moments_ref.append((t, m.a.real, m.a.imag, m.b.real, m.b.imag,
                             m.a2.real, m.a2.imag, m.b2.real, m.b2.imag,
                             m.adag_a, m.bdag_b, m.ab.real, m.ab.imag,
@@ -941,6 +954,19 @@ REJECTED_INPUT = [
     pytest.param(["cfi", "--n-max", "1000"], {**CFI_MODEL, "mu_c_re": 30.0},
                  "--n-max 1000 cuts a photon tail mass 5.50e-04 off the input",
                  id="n-max-tail-large-amplitude"),
+    # a cut-off whose dense state would pass the cap's memory bound, given or
+    # the default at a large amplitude, refused before anything is built
+    pytest.param(["cfi", "--n-max", "1000000000"], CFI_MODEL,
+                 "--n-max 1000000000 exceeds the cap 2896, above which cfi's "
+                 "dense state passes 128 MiB", id="n-max-cap"),
+    pytest.param(["cfi"], {**CFI_MODEL, "mu_c_re": 1000.0},
+                 "the default --n-max 1010020 exceeds the cap 2896",
+                 id="n-max-default-cap"),
+    pytest.param(["sweep", "--validate-only"],
+                 {"command": "cfi", "model": {**CFI_MODEL, "mu_c_re": 1000.0},
+                  "swept": TAU_SWEEP},
+                 "the default --n-max 1010020 exceeds the cap 2896",
+                 id="validate-n-max-default-cap"),
     # a sweep document sets no cut-off
     pytest.param(["sweep"], {"command": "cfi", "model": CFI_MODEL,
                              "swept": TAU_SWEEP, "fixed": {"n_max": 2}},
@@ -959,6 +985,13 @@ REJECTED_INPUT = [
                  "drive frequency must be >= 0", id="negative-frequency"),
     pytest.param(["moments"], {**CFI_MODEL, "optical": "fock", "fock_n": 0},
                  "Fock superposition requires n >= 1", id="fock-zero"),
+    # a Fock level is a finite integer, whichever optical input is chosen
+    pytest.param(["qfi"], {**CFI_MODEL, "fock_n": math.inf},
+                 "field 'fock_n' must be an integer, got inf",
+                 id="fock-n-infinite"),
+    pytest.param(["moments"], {**CFI_MODEL, "optical": "fock", "fock_n": 2.5},
+                 "field 'fock_n' must be an integer, got 2.5",
+                 id="fock-n-fraction"),
     pytest.param(["sweep", "--validate-only"],
                  {"command": "qfi", "model": CFI_MODEL,
                   "swept": {"name": "g0", "start": 1.0, "stop": 0.0,

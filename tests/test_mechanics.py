@@ -9,7 +9,7 @@ from optomech.mechanics import (JSet, _constant_dense, compose_bogoliubov,
                                 j_coefficients, j_coefficients_ode,
                                 map_constant_squeezing,
                                 mathieu_perturbative, rwa_bogoliubov,
-                                solve_subsystem, unwrap_j_b)
+                                solve_subsystem)
 from optomech.moments import evolve_moments, quadratures
 from optomech.params import Drive, ModelSpec
 
@@ -208,13 +208,6 @@ def test_j_ode_matches_bogoliubov_route():
         assert branch < 1e-6
         assert alg.j_plus == pytest.approx(ode.j_plus, abs=1e-6)
         assert alg.j_minus == pytest.approx(ode.j_minus, abs=1e-6)
-
-
-def test_unwrap_j_b():
-    taus = np.linspace(0, 10, 400)
-    wrapped = np.array([-0.5 * cmath.phase(cmath.exp(-2j * t)) for t in taus])
-    unwrapped = unwrap_j_b(wrapped)
-    assert np.allclose(unwrapped, taus, atol=1e-9)
 
 
 def test_mathieu_perturbative_d2_zero():

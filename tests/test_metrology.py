@@ -6,8 +6,9 @@ import pytest
 
 from optomech.cli import model_from_config, resolve_config
 from optomech.coefficients import CatalogMiss, catalog_entry, f_closed_form
-from optomech.metrology import (QFI_MODES, QFI_PARAMS, QfiCoefficients,
-                                _hermite_functions, _trapezoid_nodes,
+from optomech.metrology import (N_MAX_CAP, QFI_MODES, QFI_PARAMS,
+                                QfiCoefficients, _hermite_functions,
+                                _trapezoid_nodes,
                                 acceleration_qfi, cfi_homodyne, default_n_max,
                                 gravimetry, gravimetry_qfi_closed,
                                 measurement_window, photon_tail,
@@ -408,6 +409,13 @@ def test_cfi_strictly_below_qfi_when_entangled():
 def test_cfi_truncation_warning():
     with pytest.warns(UserWarning, match="tail mass"):
         cfi_homodyne(1.0, 1.0, 1.5, 0.0, math.pi / 2, 2.0, n_max=6)
+
+
+def test_n_max_cap_bounds_the_dense_state_and_admits_mu_c_30():
+    # rho and its eigenvectors are dense n_max x n_max complex matrices; the
+    # cap is the largest n_max that keeps one within 2^27 bytes
+    assert 16 * N_MAX_CAP ** 2 <= 2 ** 27 < 16 * (N_MAX_CAP + 1) ** 2
+    assert default_n_max(30.0) == 1220 <= N_MAX_CAP
 
 
 @pytest.mark.parametrize("mu_c, n_max", [

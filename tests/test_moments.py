@@ -28,7 +28,7 @@ def moments_at(spec, mu_c, mu_m, tau, sol=None):
         f = f_closed_form(spec, tau)
     alpha, beta = sol.bogoliubov(tau)
     d = derived_scalars(f, alpha, beta, mu_m)
-    m = evolve_moments(f, alpha, beta, mu_c, mu_m, derived=d)
+    m = evolve_moments(f, alpha, beta, mu_c, mu_m)
     return m, d, alpha, beta
 
 
@@ -65,7 +65,7 @@ def test_disentangling_at_two_pi():
     mu_c, mu_m = 1.0, 0.4 + 0.2j
     m, d, alpha, beta = moments_at(spec, mu_c, mu_m, 2 * math.pi)
     assert m.b == pytest.approx(mu_m, abs=1e-10)
-    sigma = covariance(m, d, alpha, beta, mu_c)
+    sigma = covariance(d, alpha, beta, mu_c)
     assert np.max(np.abs(sigma.cross_block())) < 1e-8
 
 
@@ -105,7 +105,7 @@ def test_phases_past_their_float_spacing_are_refused(phase, nc):
 
 def test_covariance_trivial_identity():
     m, d, alpha, beta = moments_at(ModelSpec(), 1.0, 0.0, 0.7)
-    sigma = covariance(m, d, alpha, beta, 1.0)
+    sigma = covariance(d, alpha, beta, 1.0)
     assert np.allclose(sigma.matrix, np.eye(4), atol=1e-12)
 
 
@@ -113,7 +113,7 @@ def test_covariance_pure_squeezing_block():
     # g = 0, constant d2: sigma_22 = 1 + 2 |beta|^2, sigma_42 = 2 alpha beta
     spec = ModelSpec(squeezing=Drive.constant(0.4))
     m, d, alpha, beta = moments_at(spec, 0.7, 0.0, 1.3)
-    sigma = covariance(m, d, alpha, beta, 0.7)
+    sigma = covariance(d, alpha, beta, 0.7)
     assert sigma.matrix[1, 1] == pytest.approx(1 + 2 * abs(beta) ** 2, rel=1e-12)
     assert sigma.matrix[3, 1] == pytest.approx(2 * alpha * beta, rel=1e-12)
 
@@ -125,7 +125,7 @@ def test_covariance_closed_matches_generic(rng):
         mu_m = complex(rng.normal(), rng.normal()) * 0.5
         m, d, alpha, beta = moments_at(spec, mu_c, mu_m,
                                        float(rng.uniform(0.1, 6)))
-        closed = covariance(m, d, alpha, beta, mu_c).matrix
+        closed = covariance(d, alpha, beta, mu_c).matrix
         generic = covariance_from_moments(m).matrix
         assert np.max(np.abs(closed - generic)) < 1e-10
 
@@ -155,14 +155,14 @@ def test_purity_for_gaussian_preserving_evolution(rng):
                          squeezing=Drive.constant(float(rng.uniform(-0.1, 0.4))))
         mu_c = complex(rng.normal(), rng.normal()) * 0.5
         m, d, alpha, beta = moments_at(spec, mu_c, 0.3, float(rng.uniform(0.1, 5)))
-        nus = symplectic_eigenvalues(covariance(m, d, alpha, beta, mu_c))
+        nus = symplectic_eigenvalues(covariance(d, alpha, beta, mu_c))
         assert np.allclose(nus, 1.0, atol=1e-6)
 
 
 def test_purity_at_recurrence():
     spec = ModelSpec.standard(1.0)
     m, d, alpha, beta = moments_at(spec, 1.0, 0.5, 2 * math.pi)
-    nus = symplectic_eigenvalues(covariance(m, d, alpha, beta, 1.0))
+    nus = symplectic_eigenvalues(covariance(d, alpha, beta, 1.0))
     assert np.allclose(nus, 1.0, atol=1e-6)
 
 
@@ -173,7 +173,7 @@ def test_subsystem_closed_form_nu_me():
     m, d, alpha, beta = moments_at(spec, 1.0, 0.0, math.pi)
     nu_op_c, nu_me_c = subsystem_eigenvalues_closed(d, 1.0)
     assert nu_me_c == pytest.approx(math.sqrt(17.0), rel=1e-12)
-    sigma = covariance(m, d, alpha, beta, 1.0)
+    sigma = covariance(d, alpha, beta, 1.0)
     nu_op_n, nu_me_n = subsystem_eigenvalues(sigma)
     assert nu_me_c == pytest.approx(nu_me_n, rel=1e-10)
     assert nu_op_c == pytest.approx(nu_op_n, rel=1e-8)
@@ -188,7 +188,7 @@ def test_subsystem_closed_vs_blocks(rng):
         m, d, alpha, beta = moments_at(spec, mu_c, mu_m, tau)
         if abs(math.sin(d.theta / 2.0)) < 1e-6:
             continue  # closed nu_op is cancellation-limited there
-        sigma = covariance(m, d, alpha, beta, mu_c)
+        sigma = covariance(d, alpha, beta, mu_c)
         nu_op_n, nu_me_n = subsystem_eigenvalues(sigma)
         nu_op_c, nu_me_c = subsystem_eigenvalues_closed(d, mu_c)
         assert nu_me_c == pytest.approx(nu_me_n, abs=1e-8)
