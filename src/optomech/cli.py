@@ -24,20 +24,22 @@ recommended or given. A value that passes the
 float range (the library raises OverflowError, or returns inf or nan) is
 refused as well, with exit 2 and one error line naming the command and tau,
 after the arithmetic that overflowed and before any output is written; no
-prepare can foresee it, so ``sweep --validate-only`` does not see it.
+prepare can foresee it, so ``sweep --validate-only`` does not see it. So is
+a decoupled pass whose step underflows (``mechanics.IntegrationError``).
 
 Importing this module loads the standard library and ``params`` only. Each
 function imports the layer modules it calls where it calls them, so parsing
 and ``--help`` load no numpy, and each command loads what it calls:
 ``drive-eval`` loads no layer module, and only ``cfi`` and ``oracle-check``
 load the oracle. The layer modules import numpy inside the functions that
-build arrays, and the closed forms run on ``math`` and ``cmath`` alone, so
-``drive-eval``, ``gravimetry`` and a ``qfi`` on a catalog route (in either
-mode; a single tau or a sweep) run no numpy either, nor do ``mechanics``,
-``coeffs`` and ``moments`` on a catalog hit without squeezing, whose
-subsystem, J and moments are scalars. Every library function is
-looked up on its module when it is called, so a function rebound on its
-module is the one that runs.
+build arrays, the closed forms run on ``math`` and ``cmath`` alone, and the
+integrated route's DOP853 pass on lists of floats, so ``drive-eval``,
+``gravimetry``, ``qfi`` (on any route, in either mode; a single tau or a
+sweep), ``mechanics``, ``coeffs`` and ``moments`` run no numpy, whose
+subsystem, F, J and moments are scalars; ``nongauss`` loads it for the
+symplectic spectrum. Only a command that reads a decoupled pass loads
+``dop853``. Every library function is looked up on its module when it is
+called, so a function rebound on its module is the one that runs.
 
 ``launch``, the entry point of the ``optomech`` console script and of
 ``python -m optomech.cli``, pins OpenBLAS to one thread unless
@@ -473,20 +475,32 @@ def _sweep_rows(command: str, cfg: dict, fixed: dict, name: str, values, out):
     return [(v, prepare({**cfg, name: v}, tau), tau) for v in values]
 
 
+def _integration_error():
+    """mechanics.IntegrationError. An except clause evaluates this only once
+    an exception is raised, so a command that integrates nothing does not
+    load the module."""
+    from .mechanics import IntegrationError
+    return IntegrationError
+
+
 def _computed(command: str, name: str, rows):
     """The records (v, *value(t)) of the rows of ``_sweep_rows``. A value past
-    the float range, raised as OverflowError or computed as inf or nan, is
-    refused, naming the command, v and tau."""
+    the float range, raised as OverflowError or computed as inf or nan, and a
+    decoupled pass whose step underflows are refused, naming the command, v
+    and tau."""
     records = []
     for v, value, t in rows:
+        at = "" if name == "tau" else f"{name}={v!r}, "
         try:
             record = (v, *value(t))
             for x in record[1:]:
                 if not math.isfinite(x):
                     raise OverflowError(f"a value is {x}")
         except OverflowError as exc:
-            at = "" if name == "tau" else f"{name}={v!r}, "
             raise ConfigError(f"{command} overflows at {at}tau={t!r}: "
+                              f"{exc}") from None
+        except _integration_error() as exc:
+            raise ConfigError(f"{command} cannot integrate at {at}tau={t!r}: "
                               f"{exc}") from None
         records.append(record)
     return records

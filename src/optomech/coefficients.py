@@ -13,7 +13,9 @@ sinusoidally modulated drives that ``catalog_entry`` names; the two must
 agree to fine tolerance and are tested against each other. Everything else
 comes from :func:`decoupled_pass`, one adaptive DOP853 pass with dense output
 over the subsystem, F and J, which carries the inner cumulative integrals as
-states (exactly equivalent to the nested quadrature). :class:`Trajectory` is
+states (exactly equivalent to the nested quadrature). The pass steps lists of
+floats, so the integrated route, like the catalog, runs on the standard
+library alone. :class:`Trajectory` is
 the one object for a model solved on a whole range; ``f_path``,
 ``f_integrated``, ``solve_subsystem`` and ``j_coefficients_ode`` read the
 same pass.
@@ -81,8 +83,9 @@ class CatalogMiss(ValueError):
 def decoupled_pass(spec: ModelSpec, tau_max: float, tol=STRICT, drives=None):
     """The 15 states of the decoupled solution, dense on [0, tau_max].
 
-    Returns the dense output tau -> states of one DOP853 pass, which
-    refuses a tau outside [0, tau_max]: (P11, P11', I_P22, P22),
+    Returns the dense output of one DOP853 pass on lists, tau -> the list
+    of states as floats, which refuses a tau outside [0, tau_max] and counts
+    its ``steps``: (P11, P11', I_P22, P22),
     I_G = int G Re(xi), I_D = int D1 Re(xi), F in FSet order at [6:12] and
     (j_b, j_+, j_-) at [12:15]. Its RMS error norm spans all n states,
     so both tolerances of ``tol`` are scaled by sqrt(3/n): each block, J
@@ -101,7 +104,7 @@ def decoupled_pass(spec: ModelSpec, tau_max: float, tol=STRICT, drives=None):
     m = cmath if stepped else math
 
     def rhs(tau, y):
-        p11, dp11, i22, p22, i_g, i_d, *_, jb, jp, _ = y.tolist()
+        p11, dp11, i22, p22, i_g, i_d, *_, jb, jp, _ = y
         gv = evaluate_drive(g, tau)
         dv = evaluate_drive(d1, tau)
         sv = evaluate_drive(d2, tau)
@@ -124,7 +127,7 @@ def decoupled_pass(spec: ModelSpec, tau_max: float, tol=STRICT, drives=None):
 
     def stepped_rhs(tau, y):
         # (Re v, Im v / h) -> (Re v', Im v' / h); both scalings by h are exact
-        rates = rhs(tau, y[:15] + 1j * STEP * y[15:])
+        rates = rhs(tau, [complex(v, STEP * dv) for v, dv in zip(y, y[15:])])
         return [x.real for x in rates] + [x.imag / STEP for x in rates]
 
     # P11 = P22 = I_P22' = 1 at 0, and no derivative is nonzero there

@@ -9,22 +9,35 @@ stages for a 7th-degree interpolant on every step. Step control is that of
 10, error exponent -1/8 and the initial step of HNW Sec. II.4.
 
 :func:`solve_ivp` stands for ``scipy.integrate.solve_ivp(..., method=
-"DOP853", dense_output=True)`` with the arguments the library passes: it
-does SciPy's arithmetic in SciPy's order, so its steps and dense values are
-SciPy's, and it returns the attributes the library reads. With
-``end_only=True`` it keeps only the end state, for callers that read nothing
-else (the truncated oracle): each step skips the three dense-output stages
-(3 of its 15 right-hand-side calls), no per-step state or interpolant is
-stored, and the result holds ``t = [t_end]``, ``y`` of shape (n, 1) and
-``sol = None``, the end state being the last accepted step's. States are
-real. The package imports this module on the first integration.
+"DOP853", dense_output=True)`` with the arguments the library passes, and
+returns the attributes the library reads. One control flow runs on either
+of two sets of vector kernels (the stage combination, the error norm and
+the interpolant's terms), chosen by the type of the state:
+- a list of floats runs plain-Python kernels over the nonzero entries of
+  the tableau, so the decoupled pass of 15 or 30 states needs no numpy.
+  They sum in column order, not in BLAS's, so the steps are SciPy's up to
+  rounding, which moves the last bits;
+- an ndarray runs numpy kernels that do SciPy's arithmetic in SciPy's
+  order, so the steps and the dense values are SciPy's to the last bit.
+  They use the numpy that the caller has loaded; this module imports none.
+
+With ``end_only=True`` only the end state is kept, for callers that read
+nothing else (the truncated oracle): each step skips the three
+dense-output stages (3 of its 15 right-hand-side calls), no per-step state
+or interpolant is stored, and the result holds ``t = [t_end]``, ``y`` of
+shape (n, 1) and ``sol = None``, the end state being the last accepted
+step's. States are real. The package imports this module on the first
+integration.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cache
+from operator import truediv
 
 N_STAGES = 12  # the 13th row of A gives the solution weights B
 SAFETY = 0.9
@@ -35,13 +48,13 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 REACHED_END = "The solver successfully reached the end of the integration interval."
 
 # nodes: stages 0-11, the step end (stage 12) and the dense-output stages
-C = np.array([
+C = (
     0.0, 0.526001519587677318785587544488e-01,
     0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
     0.281649658092772603273242802490, 0.333333333333333333333333333333,
     0.25, 0.307692307692307692307692307692, 0.651282051282051282051282051282,
     0.6, 0.857142857142857142857142857142, 1.0, 1.0, 0.1, 0.2,
-    0.777777777777777777777777777778])
+    0.777777777777777777777777777778)
 
 # nonzero entries {column: a_ij} of each row i of the Runge-Kutta matrix
 _A_ROWS = {
@@ -125,29 +138,24 @@ _A_ROWS = {
          13: 2.9475147891527723389556272149,
          14: -9.15095847217987001081870187138},
 }
-A = np.zeros((16, 16))
-for _i, _row in _A_ROWS.items():
-    for _j, _a in _row.items():
-        A[_i, _j] = _a
-B = A[N_STAGES, :N_STAGES]
+# the solution weights B are row 12 of the Runge-Kutta matrix
+B = _A_ROWS[N_STAGES]
 
-# error weights on stages 0-12: E5 gives the 5th-order estimate; E3 is B
+# error weights on stages 0-11: E5 gives the 5th-order estimate; E3 is B
 # less the 3rd-order weights bhh at stages 0, 8 and 11
-E5 = np.zeros(N_STAGES + 1)
-E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+E5 = dict(zip((0, 5, 6, 7, 8, 9, 10, 11), (
     0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
     -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
     -0.3503288487499736816886487290, 0.3341791187130174790297318841,
-    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1]
-E3 = np.zeros(N_STAGES + 1)
-E3[:-1] = B
-E3[0] -= 0.244094488188976377952755905512
-E3[8] -= 0.733846688281611857341361741547
-E3[11] -= 0.220588235294117647058823529412e-1
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1)))
+_BHH = {0: 0.244094488188976377952755905512,
+        8: 0.733846688281611857341361741547,
+        11: 0.220588235294117647058823529412e-1}
+E3 = {j: b - _BHH.get(j, 0.0) for j, b in B.items()}
 
 # coefficients of the four highest interpolant terms on stages 0 and 5-15
-D = np.zeros((4, 16))
-D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
+_D_STAGES = (0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
+D = tuple(dict(zip(_D_STAGES, row)) for row in (
     [-0.84289382761090128651353491142e+1, 0.56671495351937776962531783590,
      -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1,
      0.21170345824450282767155149946e+1, -0.87139158377797299206789907490,
@@ -171,13 +179,15 @@ D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
      0.93405324183624310003907691704e+2, -0.37458323136451633156875139351e+2,
      0.10409964950896230045147246184e+3, 0.29840293426660503123344363579e+2,
      -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
-     -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3]]
+     -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3]))
 
 
 @dataclass(frozen=True)
 class OdeResult:
-    t: np.ndarray          # t0 and the end of every accepted step
-    y: np.ndarray          # (n, len(t)) states at those times
+    """t and y are lists for a list state, ndarrays for an ndarray state."""
+
+    t: list                # t0 and the end of every accepted step
+    y: list                # (n, len(t)) states at those times
     sol: "DenseOutput | None"  # None if end_only or no step was accepted
     nfev: int              # right-hand-side evaluations
     success: bool
@@ -187,53 +197,183 @@ class OdeResult:
 class DenseOutput:
     """The 7th-degree interpolants of all accepted steps, as one callable.
 
-    ``sol(t)`` is (n,) at a scalar t and (n, m) at m times. The step that
-    ends at t serves t. A time outside [t0, t_end], where an interpolant
-    would extrapolate its step, raises ValueError.
+    ``sol(t)`` is the list of the n states at a scalar t. The step that ends
+    at t serves t. A time outside [t0, t_end], where an interpolant would
+    extrapolate its step, raises ValueError. ``steps`` counts the steps.
     """
 
-    def __init__(self, ts, y_old, h, F):
-        self._t_old = ts[:-1]  # (steps,) step starts
-        self._inner = ts[1:-1]  # step boundaries inside the range
-        self._span = float(ts[0]), float(ts[-1])
-        self._y_old = y_old    # (steps, n) state at each step start
-        self._h = h            # (steps,) step lengths
-        self._F = F            # (7, steps, n) interpolant terms
+    def __init__(self, ts, h, terms, n):
+        self._ts = ts        # t0 and the end of every step
+        self._h = h          # step lengths
+        self._terms = terms  # per step and state: y_old and F0..F6, flat
+        self._n = n
+        self.steps = len(h)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        t0, t_end = self._span
-        if not ((t >= t0) & (t <= t_end)).all():  # nan is outside too
+        t = float(t)
+        ts = self._ts
+        if not ts[0] <= t <= ts[-1]:  # nan is outside too
             raise ValueError(f"t={t} is outside the solved range "
-                             f"[{t0}, {t_end}]")
-        # the count of inner boundaries below t is its step, in range
-        seg = np.searchsorted(self._inner, t)
-        x = (t - self._t_old[seg]) / self._h[seg]
-        if t.ndim:
-            x = x[:, None]
-        # y_old + F0 x + F1 x(1-x) + F2 x^2(1-x) + ... + F6 x^4(1-x)^3
-        F = self._F[:, seg]
-        y = F[6] * x
-        for k in range(5, -1, -1):
-            y += F[k]
-            y *= x if k % 2 == 0 else 1 - x
-        y += self._y_old[seg]
-        return y.T
+                             f"[{ts[0]}, {ts[-1]}]")
+        # the count of inner step boundaries below t is its step
+        seg = bisect_left(ts, t, 1, len(ts) - 1) - 1
+        x = (t - ts[seg]) / self._h[seg]
+        u = 1 - x
+        size = 8 * self._n
+        terms = self._terms[seg * size:(seg + 1) * size]
+        # y_old + F0 x + F1 x(1-x) + F2 x^2(1-x) + ... + F6 x^4(1-x)^3, in
+        # the order SciPy's dense output rounds it
+        return [((((((f6 * x + f5) * u + f4) * x + f3) * u + f2) * x + f1) * u
+                 + f0) * x + y_old
+                for y_old, f0, f1, f2, f3, f4, f5, f6
+                in zip(*[iter(terms)] * 8)]
 
 
-def _rms(x) -> float:
-    return np.linalg.norm(x) / x.size ** 0.5
+def _sums(K, row):
+    """sum_j a_j K[j] over the entries {j: a_j} of ``row``, state by state."""
+    entries = iter(row.items())
+    j, a = next(entries)
+    total = [a * k for k in K[j]]
+    for j, a in entries:
+        total = [s + a * k for s, k in zip(total, K[j])]
+    return total
 
 
-def _initial_step(fun, t0, y0, f0, interval, rtol, atol) -> float:
+def _sum_sq(x, scale):
+    return sum(v * v for v in map(truediv, x, scale))
+
+
+class _ListKernels:
+    """The vector algebra on lists of floats, over the tableau's nonzero
+    entries. It gives inf or nan where numpy would and raises nowhere: no
+    ``**`` or ``math`` function that raises on overflow takes a state."""
+
+    def state(self, y0):
+        return [float(v) for v in y0]
+
+    def rhs(self, fun):
+        return fun
+
+    def stages(self, n):
+        return [None] * 16
+
+    def scale(self, y, y_new, rtol, atol):
+        return [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
+
+    def rms(self, x, scale):
+        return math.sqrt(_sum_sq(x, scale)) / len(scale) ** 0.5
+
+    def axpy(self, y, a, x):
+        return [v + a * w for v, w in zip(y, x)]
+
+    def stage(self, y, K, s, h):
+        """y + (sum_j A[s, j] K[j]) h: stage s's argument, or at s = 12 the
+        step's solution."""
+        return [v + d * h for v, d in zip(y, _sums(K, _A_ROWS[s]))]
+
+    def error_norm(self, K, h, scale):
+        """RMS error of a step, the 5th-order estimate damped by the 3rd."""
+        err5_sq = _sum_sq(_sums(K, E5), scale)
+        err3_sq = _sum_sq(_sums(K, E3), scale)
+        if err5_sq == 0 and err3_sq == 0:
+            return 0.0
+        return abs(h) * err5_sq / math.sqrt((err5_sq + 0.01 * err3_sq)
+                                            * len(scale))
+
+    def store(self, terms, y, y_new, f, f_new, K, h):
+        """Append y and the interpolant terms F0..F6 of each state."""
+        high = (_sums(K, row) for row in D)
+        for v, v_new, g, g_new, d3, d4, d5, d6 in zip(y, y_new, f, f_new,
+                                                      *high):
+            delta = v_new - v
+            terms.extend((v, delta, h * g - delta, 2 * delta - h * (g_new + g),
+                          h * d3, h * d4, h * d5, h * d6))
+
+    def result(self, ts, ys):
+        return ts, [list(row) for row in zip(*ys)]
+
+
+class _ArrayKernels:
+    """The vector algebra on float ndarrays, over the dense tableau: SciPy's
+    operations in SciPy's order, bit for bit."""
+
+    def __init__(self):
+        import numpy as np  # loaded already: the caller's state is an ndarray
+
+        def dense(rows, shape):
+            table = np.zeros(shape)
+            for i, row in rows.items():
+                for j, a in row.items():
+                    table[i, j] = a
+            return table
+
+        self.np = np
+        self.A = dense(_A_ROWS, (16, 16))
+        self.E5, self.E3 = dense({0: E5, 1: E3}, (2, N_STAGES + 1))
+        self.D = dense(dict(enumerate(D)), (4, 16))
+
+    def state(self, y0):
+        return self.np.array(y0, dtype=float)
+
+    def rhs(self, fun):
+        np = self.np
+        return lambda t, y: np.asarray(fun(t, y), dtype=float)
+
+    def stages(self, n):
+        return self.np.empty((16, n))
+
+    def scale(self, y, y_new, rtol, atol):
+        np = self.np
+        return atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+
+    def rms(self, x, scale):
+        return self.np.linalg.norm(x / scale) / x.size ** 0.5
+
+    def axpy(self, y, a, x):
+        return y + a * x
+
+    def stage(self, y, K, s, h):
+        return y + self.np.dot(K[:s].T, self.A[s, :s]) * h
+
+    def error_norm(self, K, h, scale):
+        np = self.np
+        K = K[:N_STAGES + 1]
+        err5_sq = np.linalg.norm(np.dot(K.T, self.E5) / scale) ** 2
+        err3_sq = np.linalg.norm(np.dot(K.T, self.E3) / scale) ** 2
+        if err5_sq == 0 and err3_sq == 0:
+            return 0.0
+        return np.abs(h) * err5_sq / np.sqrt((err5_sq + 0.01 * err3_sq)
+                                             * len(scale))
+
+    def store(self, terms, y, y_new, f, f_new, K, h):
+        F = self.np.empty((8, y.size))
+        F[0] = y
+        delta = F[1] = y_new - y
+        F[2] = h * f - delta
+        F[3] = 2 * delta - h * (f_new + f)
+        F[4:] = h * self.np.dot(self.D, K)
+        terms.frombytes(F.T.tobytes())  # state by state
+
+    def result(self, ts, ys):
+        return self.np.array(ts), self.np.array(ys).T
+
+
+_LIST_KERNELS = _ListKernels()
+_array_kernels = cache(_ArrayKernels)
+
+
+def _initial_step(k, fun, t0, y0, f0, interval, rtol, atol) -> float:
     """HNW Sec. II.4 starting step; costs one right-hand-side evaluation."""
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    scale = k.scale(y0, y0, rtol, atol)
+    d0 = k.rms(y0, scale)
+    d1 = k.rms(f0, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    f1 = fun(t0 + h0, y0 + h0 * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
+    f1 = fun(t0 + h0, k.axpy(y0, h0, f0))
+    # f1 + (-1) f0 is f1 - f0 to the bit. h0 is 0 only where 0.01 d0 / d1
+    # underflows; then so is the step, and d2, which numpy would make inf or
+    # nan, decides nothing
+    d2 = k.rms(k.axpy(f1, -1.0, f0), scale) / h0 if h0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -241,54 +381,42 @@ def _initial_step(fun, t0, y0, f0, interval, rtol, atol) -> float:
     return min(100 * h0, h1, interval)
 
 
-def _error_norm(K, h, scale) -> float:
-    """RMS error of a step, the 5th-order estimate damped by the 3rd."""
-    err5_sq = np.linalg.norm(np.dot(K.T, E5) / scale) ** 2
-    err3_sq = np.linalg.norm(np.dot(K.T, E3) / scale) ** 2
-    if err5_sq == 0 and err3_sq == 0:
-        return 0.0
-    return np.abs(h) * err5_sq / np.sqrt((err5_sq + 0.01 * err3_sq) * len(scale))
-
-
-def _stages(fun, t, y, h, K, first, last):
-    """Fill K[first:last] with the stage derivatives of a step of size h."""
-    for s in range(first, last):
-        K[s] = fun(t + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
-
-
 def solve_ivp(fun, t_span, y0, *, rtol, atol, end_only=False) -> OdeResult:
     """Integrate y' = fun(t, y) from t_span[0] to t_span[1] >= t_span[0].
 
-    ``rtol`` and ``atol`` bound each step's error relative to
-    atol + rtol |y|. The result's ``sol`` evaluates the solution anywhere
-    in the range and refuses a time outside it. With ``end_only`` the
-    result holds only the time and state where the integration stopped,
-    and ``sol`` is None; the steps are the same. If the step falls below ten units in the last place of t the
-    integration stops with ``success`` False.
+    A list ``y0`` runs the list kernels, and ``fun`` then takes and returns
+    lists of floats; any other ``y0`` is taken as a float ndarray. ``rtol``
+    and ``atol`` bound each step's error relative to atol + rtol |y|. The
+    result's ``sol`` evaluates the solution anywhere in the range and
+    refuses a time outside it. With ``end_only`` the result holds only the
+    time and state where the integration stopped, and ``sol`` is None; the
+    steps are the same. If the step falls below ten units in the last place
+    of t the integration stops with ``success`` False.
     """
     t0, t_bound = map(float, t_span)
     if t_bound < t0:
         raise ValueError("only forward integration is implemented")
-
-    def f_of(t, y):
-        return np.asarray(fun(t, y), dtype=float)
-
-    t, y = t0, np.array(y0, dtype=float)
-    f = f_of(t, y)
-    nfev, n = 1, y.size
-    ts, ys, steps = [t], [y], []  # steps: (h, F) of each accepted step
+    k = _LIST_KERNELS if isinstance(y0, list) else _array_kernels()
+    fun = k.rhs(fun)
+    t, y = t0, k.state(y0)
+    f = fun(t, y)
+    nfev, n = 1, len(y)
+    ts, ys = [t], [y]
+    hs, terms = array("d"), array("d")  # the interpolant of each step
     message, success = REACHED_END, True
     if t_bound == t0:
         # one zero-length step whose interpolant is the constant y0
         ts.append(t)
         ys.append(y)
-        steps.append((1.0, np.zeros((7, n))))
+        hs.append(1.0)
+        for v in y:
+            terms.extend((v, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
     else:
-        h_abs = _initial_step(f_of, t0, y, f, t_bound - t0, rtol, atol)
+        h_abs = _initial_step(k, fun, t0, y, f, t_bound - t0, rtol, atol)
         nfev += 1
-    K = np.empty((16, n))
+    K = k.stages(n)
     while t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -297,15 +425,16 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, end_only=False) -> OdeResult:
                 break
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K[0] = f
-            _stages(f_of, t, y, h, K, 1, N_STAGES)
-            y_new = y + h * np.dot(K[:N_STAGES].T, B)
+            for s in range(1, N_STAGES):
+                K[s] = fun(t + C[s] * h, k.stage(y, K, s, h))
+            y_new = k.stage(y, K, N_STAGES, h)
             # at t + h, as SciPy does: it need not round back to t_new
-            f_new = K[N_STAGES] = f_of(t + h, y_new)
+            f_new = K[N_STAGES] = fun(t + h, y_new)
             nfev += N_STAGES
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(K[:N_STAGES + 1], h, scale)
+            scale = k.scale(y, y_new, rtol, atol)
+            error_norm = k.error_norm(K, h, scale)
             if error_norm < 1:
                 factor = (MAX_FACTOR if error_norm == 0 else
                           min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT))
@@ -316,26 +445,20 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, end_only=False) -> OdeResult:
         if not success:
             break
         if not end_only:
-            _stages(f_of, t, y, h, K, N_STAGES + 1, 16)
+            for s in range(N_STAGES + 1, 16):
+                K[s] = fun(t + C[s] * h, k.stage(y, K, s, h))
             nfev += 3
-            F = np.empty((7, n))
-            delta = F[0] = y_new - y
-            F[1] = h * f - delta
-            F[2] = 2 * delta - h * (f_new + f)
-            F[3:] = h * np.dot(D, K)
-            steps.append((h, F))
+            k.store(terms, y, y_new, f, f_new, K, h)
+            hs.append(h)
             ts.append(t_new)
             ys.append(y_new)
         t, y, f = t_new, y_new, f_new
 
     if end_only:
-        return OdeResult(t=np.array([t]), y=y[:, None], sol=None, nfev=nfev,
-                         success=success, message=message)
-    ts = np.array(ts)
-    sol = None
-    if steps:
-        h, F = zip(*steps)
-        sol = DenseOutput(ts, np.array(ys[:len(steps)]), np.array(h),
-                          np.stack(F, axis=1))
-    return OdeResult(t=ts, y=np.array(ys).T, sol=sol, nfev=nfev,
-                     success=success, message=message)
+        ts, ys = k.result([t], [y])
+        return OdeResult(t=ts, y=ys, sol=None, nfev=nfev, success=success,
+                         message=message)
+    sol = DenseOutput(ts, hs, terms, n) if hs else None
+    ts, ys = k.result(ts, ys)
+    return OdeResult(t=ts, y=ys, sol=sol, nfev=nfev, success=success,
+                     message=message)

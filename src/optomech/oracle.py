@@ -400,16 +400,23 @@ def _chebyshev_branches(spec: ModelSpec, live: dict, tau: float) -> list:
     end to end (their boxes do not couple: the off-diagonals vanish at each
     box edge). ||T_k|| <= 1 on the scaled spectrum, so cutting the series
     where the Bessel tail falls to unit roundoff is a bound, not a fit. The
-    branches are ordered by the terms they need, and a branch leaves the
-    working slice once its series has ended. Returns the final amplitudes,
-    in the order of live.
+    branches are ordered by the terms they need, widest first, and a branch
+    leaves the working slice once its series has ended. Returns the final
+    amplitudes, in the order of live.
     """
     bands, centre, half = _spectra(spec, live)
     # a one-level box has h = 0: its series is the J_0 term alone and
     # (H - c) / h is never applied to it
     inv_half = np.divide(1.0, half, out=np.zeros_like(half), where=half > 0.0)
-    weights, terms = _bessel_j(half * tau)
-    order = np.argsort(-terms, kind="stable")
+    # the branches in order of h tau, widest first, so that the Bessel
+    # table's columns come in the order of the terms they need and it is
+    # never reordered. J_k(x) grows with x for the k past the turning point
+    # k = x where the series is cut, so a narrower branch needs no more
+    # terms; should rounding give it one more, the wider branches before it
+    # take as many, whose extra weights are below unit roundoff
+    order = np.argsort(-half, kind="stable")
+    weights, terms = _bessel_j(half[order] * tau)
+    terms = np.maximum.accumulate(terms[::-1])[::-1]
     sizes = np.array([bands[b].shape[1] for b in order])
     ends = np.cumsum(sizes)
     band = np.concatenate([bands[b] for b in order], axis=1)
@@ -419,8 +426,7 @@ def _chebyshev_branches(spec: ModelSpec, live: dict, tau: float) -> list:
     off2 = band[2, :-2] * scale[:-2] if not spec.squeezing.is_zero else None
     # (2 - delta_k0) (-i)^k J_k = w_k for even k and -i w_k for odd k, with
     # the real w_k = (2 - delta_k0) (-1)^(k // 2) J_k; the scalings are exact
-    # and made in place on the one reordered table
-    weights = weights[:, order]
+    # and made in place on the one table
     weights[1:] *= 2.0
     weights[2::4] *= -1.0
     weights[3::4] *= -1.0
@@ -445,7 +451,7 @@ def _chebyshev_branches(spec: ModelSpec, live: dict, tau: float) -> list:
     prev = np.stack([v.real, v.imag] if v.imag.any() else [v.real])
     sums = [np.repeat(weights[0], sizes) * prev, np.zeros_like(prev)]
     # counts[k]: the branches whose series reaches term k, a prefix of order
-    counts = np.searchsorted(-terms[order], -np.arange(weights.shape[0]))
+    counts = np.searchsorted(-terms, -np.arange(weights.shape[0]))
     cur = None
     for k in range(1, weights.shape[0]):
         count = counts[k]

@@ -74,7 +74,7 @@ def finite_diff_qfi_budget(spec: ModelSpec, param: str, tau: float) -> float:
     """
     if qfi_route(spec, param, "finite_diff") != "integrated":
         return 2.0 * CLOSED_FORM_ROUNDINGS * UNIT_ROUNDOFF
-    n = len(decoupled_pass(spec, tau)._h)
+    n = decoupled_pass(spec, tau).steps
     return 2.0 * n * (STRICT[0] + UNIT_ROUNDOFF)
 
 
@@ -105,11 +105,12 @@ def richardson_derivatives(spec: ModelSpec, param: str, tau: float):
     """
     theta = _param_value(spec, param)
     h = 1e-6 * max(1.0, abs(theta))
-    values = {s: decoupled_pass(_at(spec, param, theta + s), tau)(tau)[6:]
+    values = {s: np.array(decoupled_pass(_at(spec, param, theta + s),
+                                         tau)(tau)[6:])
               for s in (-h, -h / 2, 0.0, h / 2, h)}
     d = (4.0 * (values[h / 2] - values[-h / 2]) / h
          - (values[h] - values[-h]) / (2.0 * h)) / 3.0
-    n = len(decoupled_pass(spec, tau)._h)
+    n = decoupled_pass(spec, tau).steps
     scale = max(1.0, float(np.max(np.abs(d))))
     size = max(1.0, float(np.max(np.abs(values[0.0]))))
     bound = (2.0 * n * STRICT[0] * scale + 3.0 * n * UNIT_ROUNDOFF * size / h

@@ -738,50 +738,65 @@ CONSTANT_D2_MODEL = {"g0": 0.6, "d1": 0.3, "d2": 0.05,
                      "mu_c_re": 1.0, "mu_m_re": 0.5}
 
 
+# a catalog hit computes on closed forms and loads no stepper
+HIT = {"numpy", "optomech.oracle", "optomech.dop853"}
+
+
 @pytest.mark.parametrize("argv, ran, not_ran", [
     (["drive-eval", "--config", CONFIG, "--steps", "3"], set(),
      {"numpy", *LAYERS}),
-    (["gravimetry", "--table"], {"optomech.metrology"},
-     {"numpy", "optomech.oracle"}),
-    (["qfi", "--config", CONFIG], {"optomech.metrology"},
-     {"numpy", "optomech.oracle"}),
+    (["gravimetry", "--table"], {"optomech.metrology"}, HIT),
+    (["qfi", "--config", CONFIG], {"optomech.metrology"}, HIT),
     (["cfi", "--config", CONFIG_DISPLACED], {"numpy", "optomech.oracle"},
-     set()),
+     {"optomech.dop853"}),
     (["qfi", "--config", RESONANT_G_MODEL, "--tau", repr(10 * math.pi)],
-     {"optomech.metrology"}, {"numpy", "optomech.oracle"}),
+     {"optomech.metrology"}, HIT),
     (["qfi", "--config", RESONANT_G_MODEL, "--sweep", "omega_g",
-      "0.3:0.5:0.1"], {"optomech.metrology"}, {"numpy", "optomech.oracle"}),
+      "0.3:0.5:0.1"], {"optomech.metrology"}, HIT),
     # the grid commands on a catalog hit without squeezing, and the epsilon
     # QFI's complex step through its closed form, are scalar arithmetic on
     # math and cmath
     (["mechanics", "--config", CONFIG, "--steps", "3"],
-     {"optomech.mechanics"}, {"numpy", "optomech.oracle"}),
+     {"optomech.mechanics"}, HIT),
     (["coeffs", "--config", CONFIG, "--steps", "3"],
-     {"optomech.coefficients"}, {"numpy", "optomech.oracle"}),
+     {"optomech.coefficients"}, HIT),
     (["moments", "--config", CONFIG, "--steps", "3"],
-     {"optomech.moments"}, {"numpy", "optomech.oracle"}),
+     {"optomech.moments"}, HIT),
     (["qfi", "--config", RESONANT_G_MODEL, "--param", "epsilon"],
-     {"optomech.metrology"}, {"numpy", "optomech.oracle"}),
+     {"optomech.metrology"}, HIT),
+    # a catalog miss integrates its pass on lists, without numpy
     (["moments", "--config", MISS_CONFIG, "--steps", "3"],
-     {"numpy", "optomech.moments"}, {"optomech.oracle"}),
+     {"optomech.moments", "optomech.dop853"}, {"numpy", "optomech.oracle"}),
     (["mechanics", "--config", MISS_CONFIG, "--steps", "3"],
-     {"numpy", "optomech.mechanics"}, {"optomech.oracle"}),
+     {"optomech.mechanics", "optomech.dop853"}, {"numpy", "optomech.oracle"}),
     # so do they with a constant squeezing: one closed form, at zeta != 1
     (["mechanics", "--config", CONSTANT_D2_MODEL, "--steps", "3"],
-     {"optomech.mechanics"}, {"numpy", "optomech.oracle"}),
+     {"optomech.mechanics"}, HIT),
     (["moments", "--config", CONSTANT_D2_MODEL, "--steps", "3"],
-     {"optomech.moments"}, {"numpy", "optomech.oracle"}),
+     {"optomech.moments"}, HIT),
     (["coeffs", "--config", CONSTANT_D2_MODEL, "--steps", "3"],
-     {"optomech.coefficients"}, {"numpy", "optomech.oracle"}),
+     {"optomech.coefficients"}, HIT),
     # so is that complex step in mode finite_diff
     (["qfi", "--config", RESONANT_G_MODEL, "--param", "epsilon",
-      "--mode", "finite_diff"], {"optomech.metrology"},
+      "--mode", "finite_diff"], {"optomech.metrology"}, HIT),
+    (["coeffs", "--config", MISS_CONFIG, "--steps", "3"],
+     {"optomech.coefficients", "optomech.dop853"},
      {"numpy", "optomech.oracle"}),
+    # the stepped pass too
+    (["qfi", "--config", MISS_CONFIG, "--param", "g0", "--mode",
+      "finite_diff"], {"optomech.metrology", "optomech.dop853"},
+     {"numpy", "optomech.oracle"}),
+    # numpy serves nongauss's symplectic spectrum and oracle-check's
+    # truncated state
+    (["nongauss", "--config", MISS_CONFIG, "--steps", "3"],
+     {"numpy", "optomech.nongaussianity", "optomech.dop853"},
+     {"optomech.oracle"}),
+    (["oracle-check", "--config", CONFIG, "--tau", "1.0"],
+     {"numpy", "optomech.oracle"}, set()),
 ])
 def test_command_runs_only_the_layers_it_uses(tmp_path, argv, ran, not_ran):
-    # cfi and the catalog-miss moments and mechanics are the controls: they
-    # do run numpy and the probe sees it. A dict in argv is a config, written
-    # to a file.
+    # cfi, nongauss and oracle-check are the controls: they do run numpy and
+    # the probe sees it. A dict in argv is a config, written to a file.
     config = tmp_path / "config.json"
     for arg in argv:
         if isinstance(arg, dict):
@@ -913,6 +928,19 @@ OVERFLOW_INPUT = [
     pytest.param(["qfi", "--sweep", "g0", "1e150:1e160:1e159"], GOLDEN_MODEL,
                  "qfi overflows at g0=1.000000001e+159, tau=6.283185307179586",
                  id="overflow-qfi-g0-sweep"),
+    # a squeezing whose rates overflow: the decoupled pass's step underflows
+    # at its start, and IntegrationError names it
+    pytest.param(["coeffs"], {**GOLDEN_MODEL, "d2": -1e300, "omega_d2": 1e6},
+                 "coeffs cannot integrate at tau=0.0: decoupled-solution "
+                 "integration failed near tau=0: Required step size is less "
+                 "than spacing between numbers.",
+                 id="overflow-coeffs-integration"),
+    pytest.param(["qfi", "--param", "omega_g", "--mode", "finite_diff"],
+                 {**GOLDEN_MODEL, "d2": 1e300},
+                 "qfi cannot integrate at tau=6.283185307179586: "
+                 "decoupled-solution integration failed near tau=0: Required "
+                 "step size is less than spacing between numbers.",
+                 id="overflow-qfi-fd-integration"),
     # a dimensionful QFI of inf would write a delta_g of 0
     pytest.param(["gravimetry", "--table", "--photons", "1e300"], FABRY_PEROT,
                  "gravimetry overflows at tau=6.283185307179586: the "

@@ -129,12 +129,11 @@ def test_trajectory_refuses_reads_outside_the_pass():
             with pytest.raises(ValueError, match="outside the solved range"):
                 read(tau)
     with pytest.raises(ValueError, match="outside the solved range"):
-        traj.state_at(np.array([0.5, 1.5]))
-    with pytest.raises(ValueError, match="outside the solved range"):
         nongauss_report(miss, 1.0, 0.0, 5.0, traj=traj)
     # the end points read, and the closed forms stay exact past tau_max
     traj.f(0.0)
-    traj.state_at(np.array([0.0, 1.0]))
+    traj.state_at(0.0)
+    traj.state_at(1.0)
     hit = ModelSpec(coupling=Drive.constant(0.5), squeezing=Drive.constant(0.05))
     assert Trajectory(hit, 1.0).f(5.0) == Trajectory(hit, 5.0).f(5.0)
     assert Trajectory(hit, 1.0).bogoliubov(5.0) == Trajectory(hit, 5.0).bogoliubov(5.0)

@@ -1,6 +1,8 @@
 """The library's DOP853 stepper against scipy.integrate's, which only this
-test imports: the same right-hand-side calls, the same accepted steps and
-the same dense solution."""
+test imports. On an ndarray state: the same right-hand-side calls, the same
+accepted steps and the same dense solution, bit for bit. On a list state,
+the decoupled pass's: the same calls, and dense values within a bound on
+the rounding that the list kernels' order of summation moves."""
 
 import math
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
+from conftest import UNIT_ROUNDOFF
 from optomech import coefficients, dop853, mechanics
 from optomech.cli import model_from_config, resolve_config
 from optomech.coefficients import FSet, Trajectory
@@ -20,15 +23,19 @@ MISS_CONFIG = {"g0": 0.3, "epsilon": 0.4, "omega_g": 0.7,
 TAU_MAX = 4 * math.pi
 
 
+def _dense(sol, taus):
+    """(n, len(taus)) states of a dense output, read at each tau."""
+    return np.array([sol(t) for t in taus]).T
+
+
 def _assert_same_integration(ours, ref, taus):
-    # the stepper does SciPy's arithmetic in SciPy's order, so the accepted
-    # steps and the dense values agree to the last bit
+    # on an ndarray the stepper does SciPy's arithmetic in SciPy's order, so
+    # the accepted steps and the dense values agree to the last bit
     assert ours.success and ref.success
     assert ours.nfev == ref.nfev
     assert np.array_equal(ours.t, ref.t)
     assert np.array_equal(ours.y, ref.y)
-    assert np.array_equal(ours.sol(taus), ref.sol(taus))
-    assert all(np.array_equal(ours.sol(t), ref.sol(t)) for t in taus[::10])
+    assert np.array_equal(_dense(ours.sol, taus), ref.sol(taus))
 
 
 def _read_trajectory(spec, tol):
@@ -58,19 +65,35 @@ TIGHT = (1e-13, 1e-15)
 def test_decoupled_systems_match_scipy(tol, read, monkeypatch):
     calls = []
 
-    def both(fun, t_span, y0, **options):
+    def each(fun, t_span, y0, **options):
         ours = dop853.solve_ivp(fun, t_span, y0, **options)
+        on_array = dop853.solve_ivp(fun, t_span, np.array(y0), **options)
         ref = scipy_solve_ivp(fun, t_span, y0, method="DOP853",
                               dense_output=True, **options)
-        calls.append((ours, ref))
+        calls.append((ours, on_array, ref))
         return ours
 
-    monkeypatch.setattr(mechanics, "solve_ivp", both)
-    monkeypatch.setattr(coefficients, "solve_ivp", both)
+    monkeypatch.setattr(mechanics, "solve_ivp", each)
+    monkeypatch.setattr(coefficients, "solve_ivp", each)
     n_states = read(model_from_config(resolve_config(MISS_CONFIG)), tol)
-    [(ours, ref)] = calls  # one pass
-    assert ours.y.shape[0] == n_states
-    _assert_same_integration(ours, ref, np.linspace(0.0, TAU_MAX, 201))
+    [(ours, on_array, ref)] = calls  # one pass, on lists
+    taus = np.linspace(0.0, TAU_MAX, 201)
+    _assert_same_integration(on_array, ref, taus)
+    assert isinstance(ours.y, list) and len(ours.y) == n_states
+    assert ours.success and ours.nfev == ref.nfev
+    n = ours.sol.steps
+    assert n == len(ref.t) - 1
+    # The list kernels sum each step's products in column order, BLAS in
+    # its own. A sum of at most N_STAGES terms rounds by at most
+    # (N_STAGES - 1) u of their magnitudes in either order, and a step's
+    # terms h b_j k_j are within the state's magnitude; so the two passes
+    # part by at most 2 N_STAGES u of it per step, which the flow carries
+    # without growing it: 2 N_STAGES n u after n steps. The dense values
+    # interpolate states that close.
+    dense = ref.sol(taus)
+    magnitude = max(1.0, np.max(np.abs(dense)))
+    bound = 2 * dop853.N_STAGES * n * UNIT_ROUNDOFF * magnitude
+    assert np.max(np.abs(_dense(ours.sol, taus) - dense)) <= bound
 
 
 # modulated coupling and displacement without squeezing: F still misses
@@ -97,7 +120,7 @@ def test_pass_meets_strict_on_each_block(config, monkeypatch):
     spec = model_from_config(resolve_config(config))
     states = coefficients.decoupled_pass(spec, TAU_MAX, STRICT)
     taus = np.linspace(0.0, TAU_MAX, 201)
-    ours, ref = states(taus), references[0].sol(taus)
+    ours, ref = _dense(states, taus), references[0].sol(taus)
     for block in (slice(0, 4), slice(4, 6), slice(6, 12), slice(12, 15)):
         magnitude = max(1.0, np.max(np.abs(ref[block])))
         assert np.max(np.abs(ours[block] - ref[block])) <= STRICT[0] * magnitude
@@ -110,12 +133,15 @@ def test_step_end_derivative_is_taken_at_t_plus_h():
         return [math.sin(t) + t]
 
     span = (0.014222002489539209, 3.6035826150574928)
-    ours = dop853.solve_ivp(fun, span, [0.0], rtol=1e-3, atol=1e-3)
+    ours = dop853.solve_ivp(fun, span, np.array([0.0]), rtol=1e-3, atol=1e-3)
     ref = scipy_solve_ivp(fun, span, [0.0], method="DOP853", rtol=1e-3,
                           atol=1e-3, dense_output=True)
     assert any(t + (t_new - t) != t_new
                for t, t_new in zip(ours.t[:-1], ours.t[1:]))
     _assert_same_integration(ours, ref, np.linspace(*span, 201))
+    # the list kernels run the same control flow: here, the same steps
+    on_list = dop853.solve_ivp(fun, span, [0.0], rtol=1e-3, atol=1e-3)
+    assert on_list.t == ours.t.tolist()
 
 
 def _oscillator(t, y):
@@ -125,21 +151,21 @@ def _oscillator(t, y):
 
 def test_zero_length_span():
     y0 = [1.0, 0.5]
-    ours = dop853.solve_ivp(_oscillator, (2.0, 2.0), y0, rtol=1e-10,
-                            atol=1e-12)
     ref = scipy_solve_ivp(_oscillator, (2.0, 2.0), y0, method="DOP853",
                           rtol=1e-10, atol=1e-12, dense_output=True)
-    assert ours.success
-    assert ours.nfev == ref.nfev
-    assert np.array_equal(ours.t, ref.t)
-    assert np.array_equal(ours.y, ref.y)
-    assert np.array_equal(ours.sol(2.0), y0)
-    assert np.array_equal(ours.sol([2.0, 2.0]), [[1.0, 1.0], [0.5, 0.5]])
-    end = dop853.solve_ivp(_oscillator, (2.0, 2.0), y0, rtol=1e-10,
-                           atol=1e-12, end_only=True)
-    assert end.success and end.sol is None
-    assert np.array_equal(end.t, [2.0])
-    assert np.array_equal(end.y, np.array(y0)[:, None])
+    for state in (np.array(y0), y0):
+        ours = dop853.solve_ivp(_oscillator, (2.0, 2.0), state, rtol=1e-10,
+                                atol=1e-12)
+        assert ours.success
+        assert ours.nfev == ref.nfev
+        assert np.array_equal(ours.t, ref.t)
+        assert np.array_equal(ours.y, ref.y)
+        assert ours.sol(2.0) == y0
+        end = dop853.solve_ivp(_oscillator, (2.0, 2.0), state, rtol=1e-10,
+                               atol=1e-12, end_only=True)
+        assert end.success and end.sol is None
+        assert np.array_equal(end.t, [2.0])
+        assert np.array_equal(end.y, np.array(y0)[:, None])
 
 
 @pytest.mark.parametrize("span", [(0.0, 3.0), (2.0, 2.0)],
@@ -147,20 +173,19 @@ def test_zero_length_span():
 def test_dense_output_refuses_times_outside_its_range(span):
     # an interpolant would extrapolate its step there; both ends and the
     # times between them read as SciPy's dense output does
-    ours = dop853.solve_ivp(_oscillator, span, [1.0, 0.0], rtol=1e-10,
-                            atol=1e-12)
     ref = scipy_solve_ivp(_oscillator, span, [1.0, 0.0], method="DOP853",
                           rtol=1e-10, atol=1e-12, dense_output=True)
     t0, t_end = span
     inside = np.linspace(t0, t_end, 7)
-    for t in (t0, t_end, inside):
-        assert np.array_equal(ours.sol(t), ref.sol(t))
-    for t in (np.nextafter(t0, -np.inf), np.nextafter(t_end, np.inf),
-              t_end + 1.0, math.nan):
-        with pytest.raises(ValueError, match="outside the solved range"):
-            ours.sol(t)
-        with pytest.raises(ValueError, match="outside the solved range"):
-            ours.sol(np.append(inside, t))
+    for state in (np.array([1.0, 0.0]), [1.0, 0.0]):
+        sol = dop853.solve_ivp(_oscillator, span, state, rtol=1e-10,
+                               atol=1e-12).sol
+        if isinstance(state, np.ndarray):
+            assert np.array_equal(_dense(sol, inside), ref.sol(inside))
+        for t in (np.nextafter(t0, -np.inf), np.nextafter(t_end, np.inf),
+                  t_end + 1.0, math.nan):
+            with pytest.raises(ValueError, match="outside the solved range"):
+                sol(t)
 
 
 def test_zero_length_trajectory_on_a_catalog_miss():
@@ -171,38 +196,43 @@ def test_zero_length_trajectory_on_a_catalog_miss():
 
 
 def test_dense_output_is_exact_at_both_ends():
-    ours = dop853.solve_ivp(_oscillator, (0.0, 3.0), [1.0, 0.0], rtol=1e-10,
-                            atol=1e-12)
-    assert np.array_equal(ours.sol(0.0), [1.0, 0.0])
-    # the last step's interpolant at its end is y_old + (y_new - y_old)
-    assert np.allclose(ours.sol(3.0), ours.y[:, -1], rtol=1e-15, atol=0.0)
-    assert np.array_equal(ours.sol(np.array([0.0, 3.0])),
-                          np.column_stack([ours.sol(0.0), ours.sol(3.0)]))
-    # the end-state mode takes the same steps without the three
-    # dense-output stages of each, and keeps the last state alone
-    end = dop853.solve_ivp(_oscillator, (0.0, 3.0), [1.0, 0.0], rtol=1e-10,
-                           atol=1e-12, end_only=True)
-    assert end.success and end.sol is None
-    assert np.array_equal(end.t, ours.t[-1:])
-    assert np.array_equal(end.y, ours.y[:, -1:])
-    assert end.nfev == ours.nfev - 3 * (len(ours.t) - 1)
+    for state in (np.array([1.0, 0.0]), [1.0, 0.0]):
+        ours = dop853.solve_ivp(_oscillator, (0.0, 3.0), state, rtol=1e-10,
+                                atol=1e-12)
+        assert ours.sol(0.0) == [1.0, 0.0]
+        # the last step's interpolant at its end is y_old + (y_new - y_old)
+        assert np.allclose(ours.sol(3.0), np.asarray(ours.y)[:, -1],
+                           rtol=1e-15, atol=0.0)
+        # the end-state mode takes the same steps without the three
+        # dense-output stages of each, and keeps the last state alone
+        end = dop853.solve_ivp(_oscillator, (0.0, 3.0), state, rtol=1e-10,
+                               atol=1e-12, end_only=True)
+        assert end.success and end.sol is None
+        assert np.array_equal(end.t, ours.t[-1:])
+        assert np.array_equal(end.y, np.asarray(ours.y)[:, -1:])
+        assert end.nfev == ours.nfev - 3 * (len(ours.t) - 1)
 
 
 def test_step_underflow_fails_instead_of_looping():
     # y' = y^2, y(0) = 1 blows up at t = 1
     def blow_up(t, y):
-        return y * y
+        return [v * v for v in y]
 
-    ours = dop853.solve_ivp(blow_up, (0.0, 2.0), [1.0], rtol=1e-10, atol=1e-12)
     ref = scipy_solve_ivp(blow_up, (0.0, 2.0), [1.0], method="DOP853",
                           rtol=1e-10, atol=1e-12, dense_output=True)
-    assert not ours.success and not ref.success
-    assert ours.message == ref.message
-    assert ours.nfev == ref.nfev
-    assert 1.0 <= ours.t[-1] < 1.0 + 1e-8
+    assert not ref.success
+    for state in (np.array([1.0]), [1.0]):
+        ours = dop853.solve_ivp(blow_up, (0.0, 2.0), state, rtol=1e-10,
+                                atol=1e-12)
+        assert not ours.success
+        assert ours.message == ref.message
+        assert 1.0 <= ours.t[-1] < 1.0 + 1e-8
+        if isinstance(state, np.ndarray):
+            assert ours.nfev == ref.nfev
 
 
 def test_backward_span_is_rejected():
-    with pytest.raises(ValueError):
-        dop853.solve_ivp(_oscillator, (1.0, 0.0), [1.0, 0.0], rtol=1e-8,
-                         atol=1e-10)
+    for state in (np.array([1.0, 0.0]), [1.0, 0.0]):
+        with pytest.raises(ValueError):
+            dop853.solve_ivp(_oscillator, (1.0, 0.0), state, rtol=1e-8,
+                             atol=1e-10)

@@ -148,8 +148,8 @@ def test_j_round_trip(rng):
 def test_scalar_paths_round_as_numpy_bit_for_bit(rng):
     # a catalog hit with a constant squeezing solves the subsystem and J on
     # Python scalars; they must give the bits numpy gives. _constant_dense
-    # takes math for a float tau and numpy for an array; j_coefficients sees
-    # Python complex on a catalog hit and np.complex128 on an integrated route
+    # takes math for a float tau and numpy for an array; j_coefficients,
+    # which sees Python complex, gives the bits it gives on np.complex128
     tau = np.concatenate([[0.0, 5e-324, 1e-300, math.pi, 2 * math.pi],
                           rng.uniform(0.0, 200.0, 20000)])
     for d2 in (0.0, 0.05, -0.2, 1.3):

@@ -443,6 +443,16 @@ def test_bessel_helper_matches_scipy():
         assert tail[1:].sum() <= 0.5 * EPS < tail.sum()
 
 
+def test_bessel_terms_fall_with_the_argument():
+    # _chebyshev_branches orders the branches by h tau, widest first, and
+    # reads the Bessel table's columns in that order as the order of their
+    # term counts; neighbours one ulp apart included
+    x = np.geomspace(1e-3, 3000.0, 400)
+    x = np.sort(np.concatenate([x, np.nextafter(x, np.inf), x * (1 + 1e-9)]))
+    _, terms = _bessel_j(x[::-1])
+    assert np.all(np.diff(terms) <= 0)
+
+
 def test_chebyshev_series_past_the_term_cap_is_refused():
     # the recurrence's rounding, EPS ||psi|| per term, may not pass STRICT's
     # rtol. On the golden config the widest branch's half-width is 1103, so
