@@ -25,7 +25,9 @@ float range (the library raises OverflowError, or returns inf or nan) is
 refused as well, with exit 2 and one error line naming the command and tau,
 after the arithmetic that overflowed and before any output is written; no
 prepare can foresee it, so ``sweep --validate-only`` does not see it. So is
-a decoupled pass whose step underflows (``mechanics.IntegrationError``).
+a decoupled pass whose step underflows (``mechanics.IntegrationError``), and
+a result the library refuses as a domain error (``ValueError``), such as a
+Bogoliubov pair that overflowed.
 
 Importing this module loads the standard library and ``params`` only. Each
 function imports the layer modules it calls where it calls them, so parsing
@@ -485,9 +487,10 @@ def _integration_error():
 
 def _computed(command: str, name: str, rows):
     """The records (v, *value(t)) of the rows of ``_sweep_rows``. A value past
-    the float range, raised as OverflowError or computed as inf or nan, and a
-    decoupled pass whose step underflows are refused, naming the command, v
-    and tau."""
+    the float range, raised as OverflowError or computed as inf or nan, a
+    decoupled pass whose step underflows and a result the library refuses
+    as a domain error (ValueError) are refused, naming the command, v and
+    tau."""
     records = []
     for v, value, t in rows:
         at = "" if name == "tau" else f"{name}={v!r}, "
@@ -502,6 +505,9 @@ def _computed(command: str, name: str, rows):
         except _integration_error() as exc:
             raise ConfigError(f"{command} cannot integrate at {at}tau={t!r}: "
                               f"{exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"{command} has no valid value at "
+                              f"{at}tau={t!r}: {exc}") from None
         records.append(record)
     return records
 
@@ -608,6 +614,7 @@ def cmd_oracle_check(args):
     try:
         dims = _parse_dims(args.dims) if args.dims else \
             oracle.recommended_dims(spec, state, tau)
+        # kept out of propagate, whose pass must wait for the phase refusal
         oracle.check_dims(spec, state, tau, dims)
     except oracle.TruncationError as exc:  # the dims the oracle cannot take
         raise ConfigError(str(exc)) from None

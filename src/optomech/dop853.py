@@ -9,25 +9,24 @@ stages for a 7th-degree interpolant on every step. Step control is that of
 10, error exponent -1/8 and the initial step of HNW Sec. II.4.
 
 :func:`solve_ivp` stands for ``scipy.integrate.solve_ivp(..., method=
-"DOP853", dense_output=True)`` with the arguments the library passes, and
-returns the attributes the library reads. One control flow runs on either
-of two sets of vector kernels (the stage combination, the error norm and
-the interpolant's terms), chosen by the type of the state:
-- a list of floats runs plain-Python kernels over the nonzero entries of
-  the tableau, so the decoupled pass of 15 or 30 states needs no numpy.
-  They sum in column order, not in BLAS's, so the steps are SciPy's up to
+"DOP853")`` with the arguments the library passes, and returns the
+attributes the library reads. One control flow runs on either of two sets
+of vector kernels (the stage combination and the error norm), chosen by the
+type of the state, and the kernel set also decides what the pass keeps:
+- a list of floats is the decoupled pass of 15 or 30 states, which the
+  library reads anywhere in its range. Its kernels run in plain Python over
+  the nonzero entries of the tableau, so it needs no numpy, and each step
+  also runs the three dense-output stages and stores its interpolant. They
+  sum in column order, not in BLAS's, so the steps are SciPy's up to
   rounding, which moves the last bits;
-- an ndarray runs numpy kernels that do SciPy's arithmetic in SciPy's
-  order, so the steps and the dense values are SciPy's to the last bit.
-  They use the numpy that the caller has loaded; this module imports none.
+- an ndarray is the truncated oracle's pass, which reads only its end
+  state. Its kernels do SciPy's arithmetic in SciPy's order, so the steps
+  and the end state are SciPy's to the last bit; each step skips the
+  dense-output stages (3 of its 15 right-hand-side calls) and stores
+  nothing but its end time. They use the numpy that the caller has loaded;
+  this module imports none.
 
-With ``end_only=True`` only the end state is kept, for callers that read
-nothing else (the truncated oracle): each step skips the three
-dense-output stages (3 of its 15 right-hand-side calls), no per-step state
-or interpolant is stored, and the result holds ``t = [t_end]``, ``y`` of
-shape (n, 1) and ``sol = None``, the end state being the last accepted
-step's. States are real. The package imports this module on the first
-integration.
+States are real. The package imports this module on the first integration.
 """
 
 from __future__ import annotations
@@ -184,11 +183,9 @@ D = tuple(dict(zip(_D_STAGES, row)) for row in (
 
 @dataclass(frozen=True)
 class OdeResult:
-    """t and y are lists for a list state, ndarrays for an ndarray state."""
-
     t: list                # t0 and the end of every accepted step
-    y: list                # (n, len(t)) states at those times
-    sol: "DenseOutput | None"  # None if end_only or no step was accepted
+    y: list                # the state at t[-1], of y0's type
+    sol: "DenseOutput | None"  # a list pass's, once a step is accepted
     nfev: int              # right-hand-side evaluations
     success: bool
     message: str
@@ -246,7 +243,10 @@ def _sum_sq(x, scale):
 class _ListKernels:
     """The vector algebra on lists of floats, over the tableau's nonzero
     entries. It gives inf or nan where numpy would and raises nowhere: no
-    ``**`` or ``math`` function that raises on overflow takes a state."""
+    ``**`` or ``math`` function that raises on overflow takes a state. A
+    list pass keeps the interpolant of every step."""
+
+    dense_output = True
 
     def state(self, y0):
         return [float(v) for v in y0]
@@ -289,13 +289,13 @@ class _ListKernels:
             terms.extend((v, delta, h * g - delta, 2 * delta - h * (g_new + g),
                           h * d3, h * d4, h * d5, h * d6))
 
-    def result(self, ts, ys):
-        return ts, [list(row) for row in zip(*ys)]
-
 
 class _ArrayKernels:
     """The vector algebra on float ndarrays, over the dense tableau: SciPy's
-    operations in SciPy's order, bit for bit."""
+    operations in SciPy's order, bit for bit. An ndarray pass keeps its end
+    state alone."""
+
+    dense_output = False
 
     def __init__(self):
         import numpy as np  # loaded already: the caller's state is an ndarray
@@ -310,17 +310,20 @@ class _ArrayKernels:
         self.np = np
         self.A = dense(_A_ROWS, (16, 16))
         self.E5, self.E3 = dense({0: E5, 1: E3}, (2, N_STAGES + 1))
-        self.D = dense(dict(enumerate(D)), (4, 16))
 
     def state(self, y0):
-        return self.np.array(y0, dtype=float)
+        # a float y0 is taken as it is, as SciPy takes it: no state is
+        # written in place. A copy freed after the first step would let
+        # glibc trim and regrow its heap on each right-hand side of the
+        # oracle's pass, about 30 page faults a call
+        return self.np.asarray(y0, dtype=float)
 
     def rhs(self, fun):
         np = self.np
         return lambda t, y: np.asarray(fun(t, y), dtype=float)
 
     def stages(self, n):
-        return self.np.empty((16, n))
+        return self.np.empty((N_STAGES + 1, n))
 
     def scale(self, y, y_new, rtol, atol):
         np = self.np
@@ -337,25 +340,12 @@ class _ArrayKernels:
 
     def error_norm(self, K, h, scale):
         np = self.np
-        K = K[:N_STAGES + 1]
         err5_sq = np.linalg.norm(np.dot(K.T, self.E5) / scale) ** 2
         err3_sq = np.linalg.norm(np.dot(K.T, self.E3) / scale) ** 2
         if err5_sq == 0 and err3_sq == 0:
             return 0.0
         return np.abs(h) * err5_sq / np.sqrt((err5_sq + 0.01 * err3_sq)
                                              * len(scale))
-
-    def store(self, terms, y, y_new, f, f_new, K, h):
-        F = self.np.empty((8, y.size))
-        F[0] = y
-        delta = F[1] = y_new - y
-        F[2] = h * f - delta
-        F[3] = 2 * delta - h * (f_new + f)
-        F[4:] = h * self.np.dot(self.D, K)
-        terms.frombytes(F.T.tobytes())  # state by state
-
-    def result(self, ts, ys):
-        return self.np.array(ts), self.np.array(ys).T
 
 
 _LIST_KERNELS = _ListKernels()
@@ -381,17 +371,16 @@ def _initial_step(k, fun, t0, y0, f0, interval, rtol, atol) -> float:
     return min(100 * h0, h1, interval)
 
 
-def solve_ivp(fun, t_span, y0, *, rtol, atol, end_only=False) -> OdeResult:
+def solve_ivp(fun, t_span, y0, *, rtol, atol) -> OdeResult:
     """Integrate y' = fun(t, y) from t_span[0] to t_span[1] >= t_span[0].
 
     A list ``y0`` runs the list kernels, and ``fun`` then takes and returns
-    lists of floats; any other ``y0`` is taken as a float ndarray. ``rtol``
-    and ``atol`` bound each step's error relative to atol + rtol |y|. The
-    result's ``sol`` evaluates the solution anywhere in the range and
-    refuses a time outside it. With ``end_only`` the result holds only the
-    time and state where the integration stopped, and ``sol`` is None; the
-    steps are the same. If the step falls below ten units in the last place
-    of t the integration stops with ``success`` False.
+    lists of floats; any other ``y0`` is taken as a float ndarray, without
+    a copy. ``rtol`` and ``atol`` bound each step's error relative to
+    atol + rtol |y|. The result holds the step ends and the state at the
+    last; a list pass's ``sol`` evaluates the solution anywhere in the
+    range and refuses a time outside it. If the step falls below ten units
+    in the last place of t the integration stops with ``success`` False.
     """
     t0, t_bound = map(float, t_span)
     if t_bound < t0:
@@ -401,16 +390,16 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, end_only=False) -> OdeResult:
     t, y = t0, k.state(y0)
     f = fun(t, y)
     nfev, n = 1, len(y)
-    ts, ys = [t], [y]
-    hs, terms = array("d"), array("d")  # the interpolant of each step
+    ts = [t]
+    hs, terms = array("d"), array("d")  # a list pass's interpolant per step
     message, success = REACHED_END, True
     if t_bound == t0:
-        # one zero-length step whose interpolant is the constant y0
+        # one zero-length step, whose interpolant is the constant y0
         ts.append(t)
-        ys.append(y)
-        hs.append(1.0)
-        for v in y:
-            terms.extend((v, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+        if k.dense_output:
+            hs.append(1.0)
+            for v in y:
+                terms.extend((v, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
     else:
         h_abs = _initial_step(k, fun, t0, y, f, t_bound - t0, rtol, atol)
         nfev += 1
@@ -444,21 +433,15 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, end_only=False) -> OdeResult:
             rejected = True
         if not success:
             break
-        if not end_only:
+        if k.dense_output:
             for s in range(N_STAGES + 1, 16):
                 K[s] = fun(t + C[s] * h, k.stage(y, K, s, h))
             nfev += 3
             k.store(terms, y, y_new, f, f_new, K, h)
             hs.append(h)
-            ts.append(t_new)
-            ys.append(y_new)
+        ts.append(t_new)
         t, y, f = t_new, y_new, f_new
 
-    if end_only:
-        ts, ys = k.result([t], [y])
-        return OdeResult(t=ts, y=ys, sol=None, nfev=nfev, success=success,
-                         message=message)
     sol = DenseOutput(ts, hs, terms, n) if hs else None
-    ts, ys = k.result(ts, ys)
-    return OdeResult(t=ts, y=ys, sol=sol, nfev=nfev, success=success,
+    return OdeResult(t=ts, y=y, sol=sol, nfev=nfev, success=success,
                      message=message)

@@ -26,8 +26,8 @@ carried as one real row rather than a real and an imaginary one, at half
 the cost and with the same bits. Time-dependent drives integrate in one
 adaptive eighth-order Runge-Kutta pass on the library's DOP853 stepper
 (:mod:`optomech.dop853`), in the frame rotating with N_b, where the drive
-terms alone set the step; it keeps only the end state. Neither route
-imports SciPy.
+terms alone set the step; the pass runs on an ndarray, so the stepper keeps
+the end state and no interpolant. Neither route imports SciPy.
 Truncation shows up as loss of recurrence, not loss of norm: the truncated
 Hamiltonian is Hermitian, so norm drift measures integrator quality, while
 a tau = 2 pi trajectory failing to close signals insufficient dims.
@@ -191,9 +191,10 @@ def propagate(spec: ModelSpec, state0: InitialState, tau: float,
     real row for a real input and two rows otherwise; a series longer than
     TERM_CAP raises TruncationError (see :func:`check_dims`). Modulated
     drives integrate all live branches in one adaptive eighth-order
-    Runge-Kutta pass (the library's DOP853 in its end-state mode, SciPy's
-    arithmetic in SciPy's order) in the frame rotating with N_b, at STRICT
-    tolerances scaled so that each branch alone meets them.
+    Runge-Kutta pass (the library's DOP853 on an ndarray, which keeps the
+    end state alone and does SciPy's arithmetic in SciPy's order) in the
+    frame rotating with N_b, at STRICT tolerances scaled so that each
+    branch alone meets them.
     """
     psi0, live = _live_branches(spec, state0, tau, dims)
     tail = _tail(psi0)
@@ -311,11 +312,10 @@ def _step_branches(spec: ModelSpec, live: dict, tau: float) -> list:
     scale = math.sqrt(min(sizes) / k.size)
     rtol, atol = STRICT
     y0 = np.concatenate(list(live.values())).astype(complex).view(float)
-    sol = solve_ivp(rhs, (0.0, tau), y0, rtol=rtol * scale, atol=atol * scale,
-                    end_only=True)
+    sol = solve_ivp(rhs, (0.0, tau), y0, rtol=rtol * scale, atol=atol * scale)
     if not sol.success:
         raise TruncationError(f"branch integration failed: {sol.message}")
-    psi = sol.y[:, 0].view(complex) * np.exp(-1j * tau * k)
+    psi = sol.y.view(complex) * np.exp(-1j * tau * k)
     return np.split(psi, np.cumsum(sizes)[:-1])
 
 

@@ -3,14 +3,15 @@ mpmath's Taylor-series ODE solver at 20 significant digits.
 
     PYTHONPATH=src python tests/decoupled_reference.py
 
-rewrites ``tests/reference/decoupled_states.csv``: for each model of
-``MODELS`` and each tau of ``TAUS``, the states of
+rewrites ``tests/reference/decoupled_states.csv`` (``main`` takes another
+path): for each model of ``MODELS`` and each tau of ``TAUS``, the states of
 :func:`optomech.coefficients.decoupled_pass` in its order, (P11, P11',
 I_P22, P22), I_G, I_D, the six F in FSet order and (j_b, j_+, j_-), each to
 17 significant digits. The equations are the defining ones, written out here
 on mpmath numbers; nothing of the library runs but the drives' parameters.
 It takes about 10 s per model and tau range of 2 pi, so tier-1 reads the
-table (``tests/test_reference.py``) and does not regenerate it.
+table (``tests/test_reference.py``); a test marked slow regenerates it
+and compares the bytes.
 """
 
 from __future__ import annotations
@@ -87,10 +88,10 @@ def reference_states(spec: ModelSpec, taus):
     return [solution(mp.mpf(tau)) for tau in taus]
 
 
-def main():
+def main(table=TABLE):
     import mpmath
-    TABLE.parent.mkdir(exist_ok=True)
-    with open(TABLE, "w", newline="", encoding="utf-8") as fh:
+    table.parent.mkdir(exist_ok=True)
+    with open(table, "w", newline="", encoding="utf-8") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(["model", "tau", *STATES])
         for name, spec in MODELS.items():

@@ -941,6 +941,14 @@ OVERFLOW_INPUT = [
                  "decoupled-solution integration failed near tau=0: Required "
                  "step size is less than spacing between numbers.",
                  id="overflow-qfi-fd-integration"),
+    # a constant squeezing whose closed form overflows: the Bogoliubov pair
+    # it gives is refused as a domain error (ValueError)
+    *(pytest.param(["coeffs", "--steps", "3"], config,
+                   "coeffs has no valid value at tau=3.141592653589793: "
+                   "|alpha|^2 - |beta|^2 = 0.0, not a Bogoliubov pair",
+                   id=f"overflow-coeffs-bogoliubov-{name}")
+      for name, config in (("d2", {"d2": 1e300}),
+                           ("d1-d2", {"d1": -1e300, "d2": 1e300}))),
     # a dimensionful QFI of inf would write a delta_g of 0
     pytest.param(["gravimetry", "--table", "--photons", "1e300"], FABRY_PEROT,
                  "gravimetry overflows at tau=6.283185307179586: the "

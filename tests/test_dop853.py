@@ -1,10 +1,12 @@
 """The library's DOP853 stepper against scipy.integrate's, which only this
-test imports. On an ndarray state: the same right-hand-side calls, the same
-accepted steps and the same dense solution, bit for bit. On a list state,
-the decoupled pass's: the same calls, and dense values within a bound on
-the rounding that the list kernels' order of summation moves."""
+test imports. On an ndarray state, the oracle's pass: the same
+right-hand-side calls, the same accepted steps and the same end state, bit
+for bit, against SciPy without dense output. On a list state, the decoupled
+pass's: the same calls as SciPy with dense output, and dense values within a
+bound on the rounding that the list kernels' order of summation moves."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,14 +30,31 @@ def _dense(sol, taus):
     return np.array([sol(t) for t in taus]).T
 
 
-def _assert_same_integration(ours, ref, taus):
-    # on an ndarray the stepper does SciPy's arithmetic in SciPy's order, so
-    # the accepted steps and the dense values agree to the last bit
-    assert ours.success and ref.success
+def _scipy_dop853(fun, t_span, y0, **options):
+    return scipy_solve_ivp(fun, t_span, y0, method="DOP853", **options)
+
+
+def _assert_same_end_state(ours, ref):
+    # on an ndarray the stepper does SciPy's arithmetic in SciPy's order,
+    # without the dense-output stages: the same calls, the same accepted
+    # steps and the same end state to the last bit
+    assert ours.success == ref.success
+    assert ours.sol is None
     assert ours.nfev == ref.nfev
-    assert np.array_equal(ours.t, ref.t)
-    assert np.array_equal(ours.y, ref.y)
-    assert np.array_equal(_dense(ours.sol, taus), ref.sol(taus))
+    assert ours.t == ref.t.tolist()
+    assert np.array_equal(ours.y, ref.y[:, -1])
+
+
+def _rounding_bound(steps, dense):
+    # The list kernels sum each step's products in column order, BLAS in
+    # its own. A sum of at most N_STAGES terms rounds by at most
+    # (N_STAGES - 1) u of their magnitudes in either order, and a step's
+    # terms h b_j k_j are within the state's magnitude; so the two passes
+    # part by at most 2 N_STAGES u of it per step, which the flow carries
+    # without growing it: 2 N_STAGES n u after n steps. The dense values
+    # interpolate states that close.
+    magnitude = max(1.0, np.max(np.abs(dense)))
+    return 2 * dop853.N_STAGES * steps * UNIT_ROUNDOFF * magnitude
 
 
 def _read_trajectory(spec, tol):
@@ -67,33 +86,25 @@ def test_decoupled_systems_match_scipy(tol, read, monkeypatch):
 
     def each(fun, t_span, y0, **options):
         ours = dop853.solve_ivp(fun, t_span, y0, **options)
-        on_array = dop853.solve_ivp(fun, t_span, np.array(y0), **options)
-        ref = scipy_solve_ivp(fun, t_span, y0, method="DOP853",
-                              dense_output=True, **options)
-        calls.append((ours, on_array, ref))
+        calls.append((
+            ours, dop853.solve_ivp(fun, t_span, np.array(y0), **options),
+            _scipy_dop853(fun, t_span, y0, dense_output=True, **options),
+            _scipy_dop853(fun, t_span, y0, **options)))
         return ours
 
     monkeypatch.setattr(mechanics, "solve_ivp", each)
     monkeypatch.setattr(coefficients, "solve_ivp", each)
     n_states = read(model_from_config(resolve_config(MISS_CONFIG)), tol)
-    [(ours, on_array, ref)] = calls  # one pass, on lists
-    taus = np.linspace(0.0, TAU_MAX, 201)
-    _assert_same_integration(on_array, ref, taus)
+    [(ours, on_array, ref, ref_end)] = calls  # one pass, on lists
+    _assert_same_end_state(on_array, ref_end)
     assert isinstance(ours.y, list) and len(ours.y) == n_states
     assert ours.success and ours.nfev == ref.nfev
     n = ours.sol.steps
-    assert n == len(ref.t) - 1
-    # The list kernels sum each step's products in column order, BLAS in
-    # its own. A sum of at most N_STAGES terms rounds by at most
-    # (N_STAGES - 1) u of their magnitudes in either order, and a step's
-    # terms h b_j k_j are within the state's magnitude; so the two passes
-    # part by at most 2 N_STAGES u of it per step, which the flow carries
-    # without growing it: 2 N_STAGES n u after n steps. The dense values
-    # interpolate states that close.
+    assert n == len(ref.t) - 1 == len(ours.t) - 1
+    taus = np.linspace(0.0, TAU_MAX, 201)
     dense = ref.sol(taus)
-    magnitude = max(1.0, np.max(np.abs(dense)))
-    bound = 2 * dop853.N_STAGES * n * UNIT_ROUNDOFF * magnitude
-    assert np.max(np.abs(_dense(ours.sol, taus) - dense)) <= bound
+    assert np.max(np.abs(_dense(ours.sol, taus) - dense)) <= \
+        _rounding_bound(n, dense)
 
 
 # modulated coupling and displacement without squeezing: F still misses
@@ -128,20 +139,31 @@ def test_pass_meets_strict_on_each_block(config, monkeypatch):
 
 def test_step_end_derivative_is_taken_at_t_plus_h():
     # on this span an accepted step has t + (t_new - t) != t_new; SciPy
-    # evaluates the derivative there at t + h, and the dense output shows it
+    # evaluates the derivative there at t + h, and so does each pass
     def fun(t, y):
         return [math.sin(t) + t]
 
+    def times_called(integrate, state, **options):
+        times = []
+
+        def recorded(t, y):
+            times.append(t)
+            return fun(t, y)
+        return integrate(recorded, span, state, rtol=1e-3, atol=1e-3,
+                         **options), times
+
     span = (0.014222002489539209, 3.6035826150574928)
-    ours = dop853.solve_ivp(fun, span, np.array([0.0]), rtol=1e-3, atol=1e-3)
-    ref = scipy_solve_ivp(fun, span, [0.0], method="DOP853", rtol=1e-3,
-                          atol=1e-3, dense_output=True)
+    ours, times = times_called(dop853.solve_ivp, np.array([0.0]))
     assert any(t + (t_new - t) != t_new
                for t, t_new in zip(ours.t[:-1], ours.t[1:]))
-    _assert_same_integration(ours, ref, np.linspace(*span, 201))
-    # the list kernels run the same control flow: here, the same steps
-    on_list = dop853.solve_ivp(fun, span, [0.0], rtol=1e-3, atol=1e-3)
-    assert on_list.t == ours.t.tolist()
+    ref, ref_times = times_called(_scipy_dop853, [0.0])
+    _assert_same_end_state(ours, ref)
+    assert times == ref_times
+    # the list kernels run the same control flow: here, the same steps, and
+    # SciPy's calls with dense output
+    on_list, times = times_called(dop853.solve_ivp, [0.0])
+    assert on_list.t == ours.t
+    assert times == times_called(_scipy_dop853, [0.0], dense_output=True)[1]
 
 
 def _oscillator(t, y):
@@ -150,42 +172,38 @@ def _oscillator(t, y):
 
 
 def test_zero_length_span():
+    # one zero-length step, as SciPy takes: its end state is y0, and a list
+    # pass's interpolant of it is the constant y0
     y0 = [1.0, 0.5]
-    ref = scipy_solve_ivp(_oscillator, (2.0, 2.0), y0, method="DOP853",
-                          rtol=1e-10, atol=1e-12, dense_output=True)
-    for state in (np.array(y0), y0):
-        ours = dop853.solve_ivp(_oscillator, (2.0, 2.0), state, rtol=1e-10,
-                                atol=1e-12)
-        assert ours.success
-        assert ours.nfev == ref.nfev
-        assert np.array_equal(ours.t, ref.t)
-        assert np.array_equal(ours.y, ref.y)
-        assert ours.sol(2.0) == y0
-        end = dop853.solve_ivp(_oscillator, (2.0, 2.0), state, rtol=1e-10,
-                               atol=1e-12, end_only=True)
-        assert end.success and end.sol is None
-        assert np.array_equal(end.t, [2.0])
-        assert np.array_equal(end.y, np.array(y0)[:, None])
+    options = dict(rtol=1e-10, atol=1e-12)
+    _assert_same_end_state(
+        dop853.solve_ivp(_oscillator, (2.0, 2.0), np.array(y0), **options),
+        _scipy_dop853(_oscillator, (2.0, 2.0), y0, **options))
+    ours = dop853.solve_ivp(_oscillator, (2.0, 2.0), y0, **options)
+    assert ours.success and ours.nfev == 1
+    assert ours.t == [2.0, 2.0]
+    assert ours.y == y0
+    assert ours.sol(2.0) == y0
 
 
 @pytest.mark.parametrize("span", [(0.0, 3.0), (2.0, 2.0)],
                          ids=["interval", "zero-length"])
 def test_dense_output_refuses_times_outside_its_range(span):
     # an interpolant would extrapolate its step there; both ends and the
-    # times between them read as SciPy's dense output does
-    ref = scipy_solve_ivp(_oscillator, span, [1.0, 0.0], method="DOP853",
-                          rtol=1e-10, atol=1e-12, dense_output=True)
+    # times between them read as SciPy's dense output does, up to rounding
+    ref = _scipy_dop853(_oscillator, span, [1.0, 0.0], rtol=1e-10,
+                        atol=1e-12, dense_output=True)
     t0, t_end = span
     inside = np.linspace(t0, t_end, 7)
-    for state in (np.array([1.0, 0.0]), [1.0, 0.0]):
-        sol = dop853.solve_ivp(_oscillator, span, state, rtol=1e-10,
-                               atol=1e-12).sol
-        if isinstance(state, np.ndarray):
-            assert np.array_equal(_dense(sol, inside), ref.sol(inside))
-        for t in (np.nextafter(t0, -np.inf), np.nextafter(t_end, np.inf),
-                  t_end + 1.0, math.nan):
-            with pytest.raises(ValueError, match="outside the solved range"):
-                sol(t)
+    sol = dop853.solve_ivp(_oscillator, span, [1.0, 0.0], rtol=1e-10,
+                           atol=1e-12).sol
+    dense = ref.sol(inside)
+    assert np.max(np.abs(_dense(sol, inside) - dense)) <= \
+        _rounding_bound(sol.steps, dense)
+    for t in (np.nextafter(t0, -np.inf), np.nextafter(t_end, np.inf),
+              t_end + 1.0, math.nan):
+        with pytest.raises(ValueError, match="outside the solved range"):
+            sol(t)
 
 
 def test_zero_length_trajectory_on_a_catalog_miss():
@@ -196,21 +214,17 @@ def test_zero_length_trajectory_on_a_catalog_miss():
 
 
 def test_dense_output_is_exact_at_both_ends():
-    for state in (np.array([1.0, 0.0]), [1.0, 0.0]):
-        ours = dop853.solve_ivp(_oscillator, (0.0, 3.0), state, rtol=1e-10,
-                                atol=1e-12)
-        assert ours.sol(0.0) == [1.0, 0.0]
-        # the last step's interpolant at its end is y_old + (y_new - y_old)
-        assert np.allclose(ours.sol(3.0), np.asarray(ours.y)[:, -1],
-                           rtol=1e-15, atol=0.0)
-        # the end-state mode takes the same steps without the three
-        # dense-output stages of each, and keeps the last state alone
-        end = dop853.solve_ivp(_oscillator, (0.0, 3.0), state, rtol=1e-10,
-                               atol=1e-12, end_only=True)
-        assert end.success and end.sol is None
-        assert np.array_equal(end.t, ours.t[-1:])
-        assert np.array_equal(end.y, np.asarray(ours.y)[:, -1:])
-        assert end.nfev == ours.nfev - 3 * (len(ours.t) - 1)
+    ours = dop853.solve_ivp(_oscillator, (0.0, 3.0), [1.0, 0.0], rtol=1e-10,
+                            atol=1e-12)
+    assert ours.sol(0.0) == [1.0, 0.0]
+    # the last step's interpolant at its end is y_old + (y_new - y_old)
+    assert np.allclose(ours.sol(3.0), ours.y, rtol=1e-15, atol=0.0)
+    # the ndarray pass takes as many steps without the three dense-output
+    # stages of each
+    on_array = dop853.solve_ivp(_oscillator, (0.0, 3.0), np.array([1.0, 0.0]),
+                                rtol=1e-10, atol=1e-12)
+    assert len(on_array.t) == len(ours.t)
+    assert on_array.nfev == ours.nfev - 3 * ours.sol.steps
 
 
 def test_step_underflow_fails_instead_of_looping():
@@ -218,8 +232,7 @@ def test_step_underflow_fails_instead_of_looping():
     def blow_up(t, y):
         return [v * v for v in y]
 
-    ref = scipy_solve_ivp(blow_up, (0.0, 2.0), [1.0], method="DOP853",
-                          rtol=1e-10, atol=1e-12, dense_output=True)
+    ref = _scipy_dop853(blow_up, (0.0, 2.0), [1.0], rtol=1e-10, atol=1e-12)
     assert not ref.success
     for state in (np.array([1.0]), [1.0]):
         ours = dop853.solve_ivp(blow_up, (0.0, 2.0), state, rtol=1e-10,
@@ -228,7 +241,7 @@ def test_step_underflow_fails_instead_of_looping():
         assert ours.message == ref.message
         assert 1.0 <= ours.t[-1] < 1.0 + 1e-8
         if isinstance(state, np.ndarray):
-            assert ours.nfev == ref.nfev
+            _assert_same_end_state(ours, ref)
 
 
 def test_backward_span_is_rejected():
@@ -236,3 +249,24 @@ def test_backward_span_is_rejected():
         with pytest.raises(ValueError):
             dop853.solve_ivp(_oscillator, (1.0, 0.0), state, rtol=1e-8,
                              atol=1e-10)
+
+
+def test_list_pass_stores_its_interpolants_alone():
+    # a step of the list pass stores 8 doubles per state (y_old and F0..F6),
+    # its end t in the list of step ends (an 8-byte pointer and a 24-byte
+    # float) and its length (a double); the per-step states are not kept.
+    # The containers over-allocate by at most 1/8 of what they hold, and
+    # the pass's set-up and one step's working lists stay within 64 KiB.
+    spec = model_from_config(resolve_config(MISS_CONFIG))
+    coefficients.decoupled_pass(spec, 1.0, STRICT)  # imports the stepper
+    n = 15
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        states = coefficients.decoupled_pass(spec, 200.0, STRICT)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    per_step = 8 * 8 * n + (8 + 24) + 8
+    assert peak <= states.steps * per_step * 9 / 8 + 64 * 1024

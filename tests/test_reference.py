@@ -1,14 +1,15 @@
 """The decoupled pass, plain and stepped, against an independent reference:
 the table that ``tests/decoupled_reference.py`` writes from mpmath's
 Taylor-series solver at 20 digits, a method that shares nothing with the
-pass's Runge-Kutta steps but the equations."""
+pass's Runge-Kutta steps but the equations. The slow test re-derives that
+table (``pytest -m slow``)."""
 
 from types import SimpleNamespace
 
 import pytest
 
 from conftest import UNIT_ROUNDOFF
-from decoupled_reference import MODELS, TAUS, read_table
+from decoupled_reference import MODELS, TABLE, TAUS, main, read_table
 from optomech.coefficients import STEP, decoupled_pass
 from optomech.mechanics import STRICT
 
@@ -45,3 +46,11 @@ def test_pass_matches_the_taylor_reference(name, stepped):
             bound = n * (STRICT[0] + UNIT_ROUNDOFF) * magnitude
             worst = max(abs(a - b) for a, b in zip(ours[block], ref[block]))
             assert worst <= bound, (tau, block, worst, bound)
+
+
+@pytest.mark.slow
+def test_taylor_reference_rederives_to_the_checked_in_bytes(tmp_path):
+    # the table tier-1 reads is what the reference script writes today
+    table = tmp_path / TABLE.name
+    main(table)
+    assert table.read_bytes() == TABLE.read_bytes()
