@@ -25,9 +25,10 @@ float range (the library raises OverflowError, or returns inf or nan) is
 refused as well, with exit 2 and one error line naming the command and tau,
 after the arithmetic that overflowed and before any output is written; no
 prepare can foresee it, so ``sweep --validate-only`` does not see it. So is
-a decoupled pass whose step underflows (``mechanics.IntegrationError``), and
-a result the library refuses as a domain error (``ValueError``), such as a
-Bogoliubov pair that overflowed.
+a pass whose step underflows or that needs more than ``dop853.MAX_STEPS``
+steps (``mechanics.IntegrationError``, or ``oracle.TruncationError`` from
+``propagate``), and a result the library refuses as a domain error
+(``ValueError``), such as a Bogoliubov pair that overflowed.
 
 Importing this module loads the standard library and ``params`` only. Each
 function imports the layer modules it calls where it calls them, so parsing
@@ -63,6 +64,7 @@ import math
 import os
 import sys
 from collections import namedtuple
+from contextlib import contextmanager
 
 from . import __version__
 from .params import (QFI_MODES, ColdAtoms, Drive, FabryPerot, InitialState,
@@ -485,29 +487,37 @@ def _integration_error():
     return IntegrationError
 
 
+@contextmanager
+def _refusing(command: str, at: str, *failures):
+    """Refuse, as one ConfigError naming ``command`` and ``at``, a value past
+    the float range (OverflowError), a pass that fails (IntegrationError or
+    ``failures``) and a domain error (ValueError)."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise ConfigError(f"{command} overflows at {at}: {exc}") from None
+    except (_integration_error(), *failures) as exc:
+        raise ConfigError(f"{command} cannot integrate at {at}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{command} has no valid value at {at}: "
+                          f"{exc}") from None
+
+
+def _overflowed(values):
+    for x in values:  # a value computed as inf or nan is past the float range
+        if not math.isfinite(x):
+            raise OverflowError(f"a value is {x}")
+
+
 def _computed(command: str, name: str, rows):
-    """The records (v, *value(t)) of the rows of ``_sweep_rows``. A value past
-    the float range, raised as OverflowError or computed as inf or nan, a
-    decoupled pass whose step underflows and a result the library refuses
-    as a domain error (ValueError) are refused, naming the command, v and
-    tau."""
+    """The records (v, *value(t)) of the rows of ``_sweep_rows``; a value
+    past the float range or a failed pass is refused, naming v and tau."""
     records = []
     for v, value, t in rows:
-        at = "" if name == "tau" else f"{name}={v!r}, "
-        try:
+        at = f"tau={t!r}" if name == "tau" else f"{name}={v!r}, tau={t!r}"
+        with _refusing(command, at):
             record = (v, *value(t))
-            for x in record[1:]:
-                if not math.isfinite(x):
-                    raise OverflowError(f"a value is {x}")
-        except OverflowError as exc:
-            raise ConfigError(f"{command} overflows at {at}tau={t!r}: "
-                              f"{exc}") from None
-        except _integration_error() as exc:
-            raise ConfigError(f"{command} cannot integrate at {at}tau={t!r}: "
-                              f"{exc}") from None
-        except ValueError as exc:
-            raise ConfigError(f"{command} has no valid value at "
-                              f"{at}tau={t!r}: {exc}") from None
+            _overflowed(record[1:])
         records.append(record)
     return records
 
@@ -619,22 +629,22 @@ def cmd_oracle_check(args):
     except oracle.TruncationError as exc:  # the dims the oracle cannot take
         raise ConfigError(str(exc)) from None
     traj = coefficients.Trajectory(spec, tau)
-    try:
+    # phases past their float spacing overflow, either pass may fail, and a
+    # deviation of inf or nan is refused rather than compared
+    with _refusing("oracle-check", f"tau={tau!r}", oracle.TruncationError):
         f = traj.f(tau)
         alpha, beta = traj.bogoliubov(tau)
         m = moments.evolve_moments(f, alpha, beta, state.mu_c, state.mu_m)
-    except OverflowError as exc:  # phases past their float spacing
-        raise ConfigError(f"oracle-check overflows at tau={tau!r}: "
-                          f"{exc}") from None
-    st = oracle.propagate(spec, state, tau, dims)
-    mo = oracle.oracle_moments(st)
-    names = ("a", "b", "a2", "b2", "adag_a", "bdag_b", "ab", "abdag")
-    rows = [(k, abs(getattr(m, k) - getattr(mo, k))) for k in names]
-    d = coefficients.derived_scalars(f, alpha, beta, state.mu_m)
-    cov_dev = abs(moments.covariance(d, alpha, beta, state.mu_c).matrix
-                  - moments.covariance_from_moments(mo).matrix).max()
-    rows.append(("covariance", float(cov_dev)))
-    rows.append(("norm_defect", st.norm_defect))
+        st = oracle.propagate(spec, state, tau, dims)
+        mo = oracle.oracle_moments(st)
+        names = ("a", "b", "a2", "b2", "adag_a", "bdag_b", "ab", "abdag")
+        rows = [(k, abs(getattr(m, k) - getattr(mo, k))) for k in names]
+        d = coefficients.derived_scalars(f, alpha, beta, state.mu_m)
+        cov_dev = abs(moments.covariance(d, alpha, beta, state.mu_c).matrix
+                      - moments.covariance_from_moments(mo).matrix).max()
+        rows.append(("covariance", float(cov_dev)))
+        rows.append(("norm_defect", st.norm_defect))
+        _overflowed(row[1] for row in rows)
     write_records(args.out, args.format,
                   _meta(args, config=cfg, tau=tau, dims=list(dims)),
                   ("quantity", "max_deviation"), rows)

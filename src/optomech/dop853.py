@@ -12,21 +12,23 @@ stages for a 7th-degree interpolant on every step. Step control is that of
 "DOP853")`` with the arguments the library passes, and returns the
 attributes the library reads. One control flow runs on either of two sets
 of vector kernels (the stage combination and the error norm), chosen by the
-type of the state, and the kernel set also decides what the pass keeps:
+type of the state, which also decides what the pass keeps. The state and
+the right-hand side's values are taken as given, in that one type:
 - a list of floats is the decoupled pass of 15 or 30 states, which the
   library reads anywhere in its range. Its kernels run in plain Python over
   the nonzero entries of the tableau, so it needs no numpy, and each step
   also runs the three dense-output stages and stores its interpolant. They
   sum in column order, not in BLAS's, so the steps are SciPy's up to
   rounding, which moves the last bits;
-- an ndarray is the truncated oracle's pass, which reads only its end
+- a float ndarray is the truncated oracle's pass, which reads only its end
   state. Its kernels do SciPy's arithmetic in SciPy's order, so the steps
   and the end state are SciPy's to the last bit; each step skips the
   dense-output stages (3 of its 15 right-hand-side calls) and stores
   nothing but its end time. They use the numpy that the caller has loaded;
   this module imports none.
 
-States are real. The package imports this module on the first integration.
+States are real, and a pass takes at most MAX_STEPS steps. The package
+imports this module on the first integration.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1.0 / 8.0  # the error estimate is of order 7
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 REACHED_END = "The solver successfully reached the end of the integration interval."
+# the most steps a pass takes: a list pass stores 64 n + 32 B a step (8
+# doubles per state, and its end), so a stepped pass of 30 states stores
+# at most 32 MiB; at 15 right-hand-side calls a step it bounds the time too
+MAX_STEPS = 2 ** 25 // (64 * 30 + 32)  # 17189
 
 # nodes: stages 0-11, the step end (stage 12) and the dense-output stages
 C = (
@@ -196,15 +202,15 @@ class DenseOutput:
 
     ``sol(t)`` is the list of the n states at a scalar t. The step that ends
     at t serves t. A time outside [t0, t_end], where an interpolant would
-    extrapolate its step, raises ValueError. ``steps`` counts the steps.
+    extrapolate its step, raises ValueError. A step's length is the
+    difference of its ends, read at its start if 0. ``steps`` counts them.
     """
 
-    def __init__(self, ts, h, terms, n):
+    def __init__(self, ts, terms, n):
         self._ts = ts        # t0 and the end of every step
-        self._h = h          # step lengths
         self._terms = terms  # per step and state: y_old and F0..F6, flat
         self._n = n
-        self.steps = len(h)
+        self.steps = len(ts) - 1
 
     def __call__(self, t):
         t = float(t)
@@ -214,7 +220,8 @@ class DenseOutput:
                              f"[{ts[0]}, {ts[-1]}]")
         # the count of inner step boundaries below t is its step
         seg = bisect_left(ts, t, 1, len(ts) - 1) - 1
-        x = (t - ts[seg]) / self._h[seg]
+        h = ts[seg + 1] - ts[seg]
+        x = (t - ts[seg]) / h if h else 0.0
         u = 1 - x
         size = 8 * self._n
         terms = self._terms[seg * size:(seg + 1) * size]
@@ -245,14 +252,6 @@ class _ListKernels:
     entries. It gives inf or nan where numpy would and raises nowhere: no
     ``**`` or ``math`` function that raises on overflow takes a state. A
     list pass keeps the interpolant of every step."""
-
-    dense_output = True
-
-    def state(self, y0):
-        return [float(v) for v in y0]
-
-    def rhs(self, fun):
-        return fun
 
     def stages(self, n):
         return [None] * 16
@@ -295,8 +294,6 @@ class _ArrayKernels:
     operations in SciPy's order, bit for bit. An ndarray pass keeps its end
     state alone."""
 
-    dense_output = False
-
     def __init__(self):
         import numpy as np  # loaded already: the caller's state is an ndarray
 
@@ -310,17 +307,6 @@ class _ArrayKernels:
         self.np = np
         self.A = dense(_A_ROWS, (16, 16))
         self.E5, self.E3 = dense({0: E5, 1: E3}, (2, N_STAGES + 1))
-
-    def state(self, y0):
-        # a float y0 is taken as it is, as SciPy takes it: no state is
-        # written in place. A copy freed after the first step would let
-        # glibc trim and regrow its heap on each right-hand side of the
-        # oracle's pass, about 30 page faults a call
-        return self.np.asarray(y0, dtype=float)
-
-    def rhs(self, fun):
-        np = self.np
-        return lambda t, y: np.asarray(fun(t, y), dtype=float)
 
     def stages(self, n):
         return self.np.empty((N_STAGES + 1, n))
@@ -374,30 +360,33 @@ def _initial_step(k, fun, t0, y0, f0, interval, rtol, atol) -> float:
 def solve_ivp(fun, t_span, y0, *, rtol, atol) -> OdeResult:
     """Integrate y' = fun(t, y) from t_span[0] to t_span[1] >= t_span[0].
 
-    A list ``y0`` runs the list kernels, and ``fun`` then takes and returns
-    lists of floats; any other ``y0`` is taken as a float ndarray, without
-    a copy. ``rtol`` and ``atol`` bound each step's error relative to
-    atol + rtol |y|. The result holds the step ends and the state at the
-    last; a list pass's ``sol`` evaluates the solution anywhere in the
-    range and refuses a time outside it. If the step falls below ten units
-    in the last place of t the integration stops with ``success`` False.
+    A list ``y0`` of floats runs the list kernels, a float ndarray the
+    ndarray kernels, and ``fun`` returns the type of ``y0``; neither is
+    copied or converted. ``rtol`` and ``atol`` bound each step's error
+    relative to atol + rtol |y|. The result holds the step ends and the
+    state at the last; a list pass's ``sol`` evaluates the solution anywhere
+    in the range and refuses a time outside it. If the step falls below ten
+    units in the last place of t, or more than MAX_STEPS steps are needed,
+    the integration stops with ``success`` False.
     """
     t0, t_bound = map(float, t_span)
     if t_bound < t0:
         raise ValueError("only forward integration is implemented")
-    k = _LIST_KERNELS if isinstance(y0, list) else _array_kernels()
-    fun = k.rhs(fun)
-    t, y = t0, k.state(y0)
+    dense = isinstance(y0, list)  # a list pass keeps every interpolant
+    k = _LIST_KERNELS if dense else _array_kernels()
+    # no state is written in place, so y0 needs no copy; a copy of the
+    # oracle's state freed after the first step would let glibc trim and
+    # regrow its heap on each right-hand side, about 30 page faults a call
+    t, y = t0, y0
     f = fun(t, y)
     nfev, n = 1, len(y)
     ts = [t]
-    hs, terms = array("d"), array("d")  # a list pass's interpolant per step
+    terms = array("d")  # a list pass's interpolant per step
     message, success = REACHED_END, True
     if t_bound == t0:
         # one zero-length step, whose interpolant is the constant y0
         ts.append(t)
-        if k.dense_output:
-            hs.append(1.0)
+        if dense:
             for v in y:
                 terms.extend((v, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
     else:
@@ -405,6 +394,9 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol) -> OdeResult:
         nfev += 1
     K = k.stages(n)
     while t < t_bound:
+        if len(ts) > MAX_STEPS:
+            message, success = f"Required number of steps exceeds {MAX_STEPS}.", False
+            break
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -433,15 +425,14 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol) -> OdeResult:
             rejected = True
         if not success:
             break
-        if k.dense_output:
+        if dense:
             for s in range(N_STAGES + 1, 16):
                 K[s] = fun(t + C[s] * h, k.stage(y, K, s, h))
             nfev += 3
             k.store(terms, y, y_new, f, f_new, K, h)
-            hs.append(h)
         ts.append(t_new)
         t, y, f = t_new, y_new, f_new
 
-    sol = DenseOutput(ts, hs, terms, n) if hs else None
+    sol = DenseOutput(ts, terms, n) if terms else None
     return OdeResult(t=ts, y=y, sol=sol, nfev=nfev, success=success,
                      message=message)

@@ -329,16 +329,17 @@ def qfi_closed_form(case: str, tau: float, g0: float = 0.0, epsilon: float = 0.0
 # ---------------------------------------------------------------------------
 
 
-def default_n_max(mu_c: complex) -> int:
-    nc = abs(complex(mu_c)) ** 2
-    return int(math.ceil(nc + 10.0 * math.sqrt(nc) + 20.0))
+def default_n_max(mu_c: complex):
+    """The photon cut-off of |mu_c>; inf past the float range."""
+    nc = min(abs(complex(mu_c)), 1e154) ** 2  # 1e308 stands for past it
+    return math.ceil(nc + 10.0 * math.sqrt(nc) + 20.0) if nc < 1e308 else math.inf
 
 
 def photon_tail(mu_c: complex, n_max: int) -> float:
     """The photon-number mass of |mu_c> on n >= n_max, which cfi_homodyne cuts
     off: Poisson terms formed in log space, where none underflows, summed from
     the cut away from the mean until one is below the sum's unit roundoff."""
-    nc = abs(complex(mu_c)) ** 2
+    nc = min(abs(complex(mu_c)), 1e154) ** 2  # 1e308: all of it past the cut
     if nc == 0.0:
         return float(n_max < 1)
     above, total = n_max > nc, 0.0
@@ -376,6 +377,8 @@ def cfi_homodyne(g0: float, d1: float, mu_c: complex, mu_m: complex,
         warnings.warn(f"photon tail mass {tail:.2e} beyond n_max={n_max} "
                       "exceeds 1e-10; increase n_max", stacklevel=2)
     weights, labels = analytic_state_coefficients(g0, d1, mu_c, mu_m, tau, n_max)
+    if not np.all(np.isfinite(weights)):
+        raise OverflowError("a photon weight passes the float range")
 
     # |rho_nm| <= |w_n| |w_m| <= max |rho| |w_n| / max |w|, so a photon row
     # with |w_n| <= u max |w| (u the unit roundoff) lies below the rounding
@@ -390,6 +393,8 @@ def cfi_homodyne(g0: float, d1: float, mu_c: complex, mu_m: complex,
     rho = np.outer(weights, np.conj(weights)) * np.exp(
         np.conj(labels)[None, :] * labels[:, None]
         - half_sq[:, None] - half_sq[None, :])
+    if not np.all(np.isfinite(rho)):  # eigh would make it a finite CFI
+        raise OverflowError("the optical state passes the float range")
     evals, evecs = np.linalg.eigh(rho)
     keep = evals > 1e-15 * evals[-1]
     n = np.arange(first, last)

@@ -22,8 +22,8 @@ onto [-1, 1] by its Gershgorin interval, the series is cut where the Bessel
 tail bounds the rest below unit roundoff, and it costs about h tau banded
 matvecs per branch, h the interval's half-width, so it grows linearly with
 tau. The scaled H_n is real, so a real input (real mu_c and mu_m) is
-carried as one real row rather than a real and an imaginary one, at half
-the cost and with the same bits. Time-dependent drives integrate in one
+carried as a real vector rather than a complex one, at half the cost and
+with the same bits. Time-dependent drives integrate in one
 adaptive eighth-order Runge-Kutta pass on the library's DOP853 stepper
 (:mod:`optomech.dop853`), in the frame rotating with N_b, where the drive
 terms alone set the step; the pass runs on an ndarray, so the stepper keeps
@@ -102,8 +102,11 @@ def coherent_amplitudes(mu: complex, dim: int) -> np.ndarray:
         out[0] = 1.0
         return out
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
-    logmod = n * math.log(abs(mu)) - 0.5 * log_fact - 0.5 * abs(mu) ** 2
-    return np.exp(logmod) * np.exp(1j * n * cmath.phase(mu))
+    # |mu|^2 saturates at 1e308, which leaves no amplitude below any cap;
+    # atan2 is cmath.phase, but underflows to 0 where cmath.phase raises
+    logmod = (n * math.log(abs(mu)) - 0.5 * log_fact
+              - 0.5 * min(abs(mu), 1e154) ** 2)
+    return np.exp(logmod) * np.exp(1j * n * math.atan2(mu.imag, mu.real))
 
 
 def _initial_tensor(state0: InitialState, dims) -> np.ndarray:
@@ -156,7 +159,8 @@ def _squeezing_factors(spec: ModelSpec, tau: float):
         zeta2 = max(1e-9, 1.0 + 4.0 * spec.squeezing.amplitude)
         zeta = math.sqrt(zeta2)
         return max(1.0, 1.0 / zeta2), max(math.sqrt(zeta), 1.0 / math.sqrt(zeta))
-    boost = math.exp(abs(_drive_bound(spec.squeezing)) * tau)
+    # the exponent is held below exp's overflow; such a boost passes any cap
+    boost = math.exp(min(abs(_drive_bound(spec.squeezing)) * tau, 709.0))
     return boost, boost
 
 
@@ -170,10 +174,12 @@ def _branch_amplitude(spec: ModelSpec, state0: InitialState, n_photon: int,
 
 
 def _branch_box(spec: ModelSpec, state0: InitialState, n_photon: int,
-                tau: float) -> int:
-    """Mechanical Fock levels needed to hold branch n without edge effects."""
+                tau: float):
+    """Mechanical Fock levels needed to hold branch n without edge effects:
+    an int, or inf where the bound passes the float range."""
     amp = _branch_amplitude(spec, state0, n_photon, tau)
-    return int(math.ceil(amp * amp + 10.0 * amp + 25.0))
+    levels = amp * amp + 10.0 * amp + 25.0
+    return math.ceil(levels) if levels < math.inf else math.inf  # nan too
 
 
 def propagate(spec: ModelSpec, state0: InitialState, tau: float,
@@ -187,8 +193,8 @@ def propagate(spec: ModelSpec, state0: InitialState, tau: float,
     Constant drives apply exp(-i H_n tau) to all live branches in one
     Chebyshev pass (``_chebyshev_branches``): exact to rounding, with
     banded matvecs only, and no SciPy. Its cost is linear in tau, about
-    h tau matvecs for a branch whose Gershgorin half-width is h, on one
-    real row for a real input and two rows otherwise; a series longer than
+    h tau matvecs for a branch whose Gershgorin half-width is h, on a real
+    vector for a real input and a complex one otherwise; a series longer than
     TERM_CAP raises TruncationError (see :func:`check_dims`). Modulated
     drives integrate all live branches in one adaptive eighth-order
     Runge-Kutta pass (the library's DOP853 on an ndarray, which keeps the
@@ -211,7 +217,7 @@ def propagate(spec: ModelSpec, state0: InitialState, tau: float,
 
     norm_sq = float(np.sum(np.abs(psi) ** 2))
     defect = abs(norm_sq - (1.0 - tail))
-    if defect > NORM_DEFECT_LIMIT:
+    if not defect <= NORM_DEFECT_LIMIT:  # nan too
         raise TruncationError(
             f"norm drifted by {defect:.2e} (> {NORM_DEFECT_LIMIT:.0e}); "
             "integration failed for these dims")
@@ -341,8 +347,10 @@ def _spectra(spec: ModelSpec, live: dict):
 
 def _miller_start(x: np.ndarray) -> int:
     """The order Miller's recurrence for J_k(x) starts from, which bounds
-    the series' term count; refused past TERM_CAP before anything is built."""
-    top = int(np.max(x + 20.0 * np.cbrt(x))) + 30
+    the series' term count; refused past TERM_CAP before anything is built,
+    and as inf where x passes the float range."""
+    top = np.max(x + 20.0 * np.cbrt(x))
+    top = int(top) + 30 if top < math.inf else math.inf  # nan too
     if top > TERM_CAP:
         raise TruncationError(
             f"the Chebyshev series needs up to {top} terms > cap {TERM_CAP}; "
@@ -432,23 +440,22 @@ def _chebyshev_branches(spec: ModelSpec, live: dict, tau: float) -> list:
     weights[3::4] *= -1.0
 
     def apply(y):
-        """(H - c) / h on the first y.shape[1] levels; y holds Re and Im,
-        or Re alone for a real input."""
-        end = y.shape[1]
+        """(H - c) / h on the first y.size levels."""
+        end = y.size
         out = diag[:end] * y
-        out[:, :-1] += off1[:end - 1] * y[:, 1:]
-        out[:, 1:] += off1[:end - 1] * y[:, :-1]
+        out[:-1] += off1[:end - 1] * y[1:]
+        out[1:] += off1[:end - 1] * y[:-1]
         if off2 is not None:
-            out[:, :-2] += off2[:end - 2] * y[:, 2:]
-            out[:, 2:] += off2[:end - 2] * y[:, :-2]
+            out[:-2] += off2[:end - 2] * y[2:]
+            out[2:] += off2[:end - 2] * y[:-2]
         return out
 
     branches = list(live.values())
     v = np.concatenate([branches[b] for b in order])
     # the scaled H_n is real, so a real input stays real under every T_k and
-    # is carried as one row; zeros add exactly, so this is the two-row pass
-    # to the bit
-    prev = np.stack([v.real, v.imag] if v.imag.any() else [v.real])
+    # is carried as floats: a real factor times a complex entry is the two
+    # real products, so this is the complex pass to the bit
+    prev = v if v.imag.any() else v.real
     sums = [np.repeat(weights[0], sizes) * prev, np.zeros_like(prev)]
     # counts[k]: the branches whose series reaches term k, a prefix of order
     counts = np.searchsorted(-terms, -np.arange(weights.shape[0]))
@@ -456,22 +463,18 @@ def _chebyshev_branches(spec: ModelSpec, live: dict, tau: float) -> list:
     for k in range(1, weights.shape[0]):
         count = counts[k]
         end = ends[count - 1]
-        prev = prev[:, :end]
+        prev = prev[:end]
         if cur is None:
             cur = apply(prev)
         else:
-            cur = cur[:, :end]
+            cur = cur[:end]
             nxt = apply(cur)
             nxt *= 2.0
             nxt -= prev
             prev, cur = cur, nxt
-        sums[k % 2][:, :end] += np.repeat(weights[k, :count],
-                                          sizes[:count]) * cur
+        sums[k % 2][:end] += np.repeat(weights[k, :count], sizes[:count]) * cur
     even, odd = sums
-    if len(even) == 2:
-        out = (even[0] + odd[1]) + 1j * (even[1] - odd[0])
-    else:
-        out = even[0] - 1j * odd[0]
+    out = even - 1j * odd
     out *= np.repeat(np.exp(-1j * centre[order] * tau), sizes)
     pieces = np.split(out, ends[:-1])
     return [pieces[i] for i in np.argsort(order)]
@@ -565,7 +568,7 @@ def recommended_dims(spec: ModelSpec, state0: InitialState, tau: float,
     contribution p_n (|phi_n| + sqrt(N_b)) exceeds the error budget.
     """
     if state0.optical == "coherent":
-        nc = abs(state0.mu_c) ** 2
+        nc = min(abs(state0.mu_c), 1e154) ** 2  # as coherent_amplitudes
         probs = [math.exp(-nc)]
         # one level is left for the tail appended below
         while sum(probs) < 1.0 - 1e-13 and len(probs) < NA_CAP - 1:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import astuple
@@ -10,7 +11,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from optomech import coefficients, mechanics, metrology, nongaussianity, oracle
+from optomech import (coefficients, dop853, mechanics, metrology,
+                      nongaussianity, oracle)
 from optomech.cli import (FORMATS, ConfigError, _tau_grid, main,
                           model_from_config, resolve_config,
                           validate_sweep_config)
@@ -917,6 +919,18 @@ OVERFLOW_INPUT = [
                  {**GOLDEN_MODEL, "epsilon": 0.5, "omega_g": 0.7},
                  "oracle-check overflows at tau=1e+17: the phases",
                  id="overflow-oracle-check-phase-spacing"),
+    # a deviation of nan is refused, not written as one within --tolerance
+    pytest.param(["oracle-check", "--tau", "1", "--dims", "4,12"],
+                 {"g0": -1e154}, "oracle-check overflows at tau=1.0: a value "
+                 "is nan", id="overflow-oracle-check-nan-deviation"),
+    # photon weights and reduced states past the float range: eigh would
+    # turn the latter into a finite CFI
+    pytest.param(["cfi", "--n-max", "24", "--tau", "100"], {"g0": -1e154},
+                 "cfi overflows at tau=100.0: a photon weight passes the "
+                 "float range", id="overflow-cfi-weights"),
+    pytest.param(["cfi", "--n-max", "24"], {"mu_m_im": 1e300},
+                 "cfi overflows at tau=6.283185307179586: the optical state "
+                 "passes the float range", id="overflow-cfi-state"),
     pytest.param(["coeffs", "--tau-max", "1e308", "--steps", "2"],
                  GOLDEN_MODEL, "coeffs overflows at tau=1e+308: sinc of inf",
                  id="overflow-coeffs-tau"),
@@ -1271,6 +1285,43 @@ REJECTED_INPUT = [
     pytest.param(["oracle-check", "--tau", "1e17"], {"g0": 1.0},
                  "the Chebyshev series needs up to ",
                  id="oracle-terms-cap-vacuum"),
+    # a branch box past the float range is inf, refused as past the cap
+    pytest.param(["oracle-check", "--tau", "1"],
+                 {"g0": 0.5, "d2": -1e300, "omega_d2": 1e6, "mu_c_re": 1},
+                 "parameters need N_b ~ inf > cap 4000",
+                 id="oracle-cap-squeezing-boost-inf"),
+    pytest.param(["oracle-check", "--tau", "1"], {"g0": 1e300, "mu_c_re": 1},
+                 "parameters need N_b ~ inf > cap 4000",
+                 id="oracle-cap-coupling-inf"),
+    pytest.param(["oracle-check", "--tau", "1"],
+                 {"g0": 0.5, "d1": 1e300, "omega_d1": 2, "mu_c_re": 1},
+                 "parameters need N_b ~ inf > cap 4000",
+                 id="oracle-cap-displacement-inf"),
+    pytest.param(["oracle-check", "--tau", "1", "--dims", "3,3"],
+                 {"g0": 1e300, "mu_c_re": 1},
+                 "dims 3,3 cut an initial tail mass 8.03e-02 off the input",
+                 id="oracle-dims-box-inf"),
+    # labels past the float range, whose |mu|^2 saturates, and a phase that
+    # underflows: no amplitude within the dims
+    pytest.param(["oracle-check", "--tau", "1", "--dims", "4,12"],
+                 {"mu_m_im": 1e300},
+                 "dims 4,12 cut an initial tail mass 1.00e+00 off the input",
+                 id="oracle-dims-label-inf"),
+    pytest.param(["oracle-check", "--tau", "1", "--dims", "4,12"],
+                 {"g0": 0.5, "mu_m_re": 1e6, "mu_m_im": 1e-320},
+                 "dims 4,12 cut an initial tail mass 1.00e+00 off the input",
+                 id="oracle-dims-phase-underflow"),
+    # a branch band past the float range needs inf Chebyshev terms
+    pytest.param(["oracle-check", "--tau", "1", "--dims", "20,3"],
+                 {"g0": 1e308, "mu_c_re": 1},
+                 "the Chebyshev series needs up to inf terms > cap 450359",
+                 id="oracle-dims-terms-inf"),
+    pytest.param(["cfi", "--n-max", "24"], {"mu_c_re": 1e300},
+                 "--n-max 24 cuts a photon tail mass 1.00e+00 off the input",
+                 id="cfi-tail-label-inf"),
+    pytest.param(["cfi"], {"mu_c_re": 1e300},
+                 "the default --n-max inf exceeds the cap 2896",
+                 id="cfi-default-cut-inf"),
     # explicit dims that cut off more of the input than the oracle allows,
     # refused before propagating: a deviation that the cut input causes is
     # the truncation's, and exit 1 would blame the library for it
@@ -1324,6 +1375,105 @@ def test_rejected_input_is_a_config_error(argv, config, message, tmp_path,
     assert err.startswith(f"error: {message.format(path=cfg, tmp=tmp_path)}")
     assert "\n" not in err[:-1]  # a single error line
     assert not out.exists()
+
+
+# the config of a pass past the step cap: the squeezing's frequency sets
+# about 0.4 omega_d2 tau steps, so both passes need more than MAX_STEPS
+STEP_CAP_MODEL = {"g0": 0.5, "d2": 0.01, "omega_d2": 1e6, "mu_c_re": 1}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["coeffs", "--tau-max", "1", "--steps", "3"],
+     "coeffs cannot integrate at tau=0.0: decoupled-solution integration "
+     "failed near tau=0.000114242: Required number of steps exceeds "
+     "50."),
+    (["oracle-check", "--tau", "1"],
+     "oracle-check cannot integrate at tau=1.0: decoupled-solution "
+     "integration failed near tau=0.000114242: Required number of steps "
+     "exceeds 50."),
+    # a modulated coupling alone is a catalog hit, so only the oracle's
+    # pass integrates
+    (["oracle-check", "--tau", "1", "--config",
+      {"g0": 0.5, "epsilon": 0.4, "omega_g": 1e3, "mu_c_re": 1}],
+     "oracle-check cannot integrate at tau=1.0: branch integration failed: "
+     "Required number of steps exceeds 50."),
+], ids=["coeffs", "oracle-check", "oracle-check-truncated-pass"])
+def test_a_pass_past_the_step_cap_is_refused(argv, message, tmp_path, capsys,
+                                             monkeypatch):
+    monkeypatch.setattr(dop853, "MAX_STEPS", 50)
+    config = argv.pop() if isinstance(argv[-1], dict) else STEP_CAP_MODEL
+    argv = [arg for arg in argv if arg != "--config"]
+    argv, out, _ = write_config(tmp_path, argv, config)
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# The no-traceback sweep: config values at and past the float range's
+# edges, near the model's resonances and at the squeezing's stability edge,
+# each command form that computes, and tau from 1e-300 to 100
+SWEEP_KEYS = ("g0", "epsilon", "omega_g", "d1", "omega_d1", "d2", "omega_d2",
+              "mu_c_re", "mu_c_im", "mu_m_re", "mu_m_im")
+SWEEP_VALUES = (0.0, 1e300, -1e300, 1e154, -1e154, 1e-320, 1.0 + 1e-12,
+                -0.2499999, 1e6, 0.5, 3.0)
+SWEEP_TAUS = ("1e-300", "1", repr(2 * math.pi), "100")
+SWEEP_FORMS = (
+    ("drive-eval", "--steps", "3", "--tau-max"),
+    ("mechanics", "--steps", "3", "--tau-max"),
+    ("coeffs", "--steps", "3", "--tau-max"),
+    ("moments", "--steps", "3", "--tau-max"),
+    ("nongauss", "--steps", "3", "--tau-max"),
+    ("qfi", "--tau"),
+    ("qfi", "--mode", "finite_diff", "--tau"),
+    ("qfi", "--param", "omega_g", "--mode", "finite_diff", "--tau"),
+    ("cfi", "--n-max", "24", "--tau"),
+    ("oracle-check", "--dims", "4,12", "--tau"),
+)
+
+
+def _finite_fields(path):
+    """Whether every number the output file holds is finite."""
+    lines = [line for line in Path(path).read_text().splitlines()
+             if not line.startswith("#")][1:]  # the header names the columns
+    for field in (x for line in lines for x in line.split(",")):
+        try:
+            value = float(field)
+        except ValueError:  # a name: oracle-check's quantity
+            continue
+        if not math.isfinite(value):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_extreme_configs_exit_cleanly(seed, tmp_path, capsys, monkeypatch):
+    # every case exits 0 with finite rows, 2 with one error line and no
+    # output, or, for oracle-check alone, 1 with finite rows (a deviation
+    # past --tolerance, which dims this small allow). The lowered cap keeps
+    # each pass within a fraction of a second
+    monkeypatch.setattr(dop853, "MAX_STEPS", 300)
+    rng = random.Random(seed)
+    cfg, out = tmp_path / "config.json", tmp_path / "out.csv"
+    codes = []
+    for _ in range(150):
+        config = {key: rng.choice(SWEEP_VALUES)
+                  for key in rng.sample(SWEEP_KEYS, rng.randint(1, 4))}
+        form = rng.choice(SWEEP_FORMS)
+        argv = [form[0], "--config", str(cfg), *form[1:],
+                rng.choice(SWEEP_TAUS), "--out", str(out)]
+        cfg.write_text(json.dumps(config))
+        code = main(argv)
+        err = capsys.readouterr().err
+        case = (argv, config, code, err)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, case
+            assert not out.exists(), case
+        else:
+            assert code == 0 or (code == 1 and form[0] == "oracle-check"), case
+            assert err == "" and _finite_fields(out), case
+            out.unlink()
+        codes.append(code)
+    assert 0 in codes and 2 in codes
 
 
 def test_unstable_squeezing_leaves_what_needs_no_subsystem(tmp_path, capsys):

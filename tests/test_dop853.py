@@ -34,6 +34,12 @@ def _scipy_dop853(fun, t_span, y0, **options):
     return scipy_solve_ivp(fun, t_span, y0, method="DOP853", **options)
 
 
+def _on_array(fun):
+    """A list right-hand side as an ndarray pass takes it: returning a float
+    ndarray, as SciPy wraps every right-hand side."""
+    return lambda t, y: np.asarray(fun(t, y), dtype=float)
+
+
 def _assert_same_end_state(ours, ref):
     # on an ndarray the stepper does SciPy's arithmetic in SciPy's order,
     # without the dense-output stages: the same calls, the same accepted
@@ -87,7 +93,8 @@ def test_decoupled_systems_match_scipy(tol, read, monkeypatch):
     def each(fun, t_span, y0, **options):
         ours = dop853.solve_ivp(fun, t_span, y0, **options)
         calls.append((
-            ours, dop853.solve_ivp(fun, t_span, np.array(y0), **options),
+            ours, dop853.solve_ivp(_on_array(fun), t_span, np.array(y0),
+                                   **options),
             _scipy_dop853(fun, t_span, y0, dense_output=True, **options),
             _scipy_dop853(fun, t_span, y0, **options)))
         return ours
@@ -153,7 +160,10 @@ def test_step_end_derivative_is_taken_at_t_plus_h():
                          **options), times
 
     span = (0.014222002489539209, 3.6035826150574928)
-    ours, times = times_called(dop853.solve_ivp, np.array([0.0]))
+    ours, times = times_called(
+        lambda f, *args, **options: dop853.solve_ivp(_on_array(f), *args,
+                                                     **options),
+        np.array([0.0]))
     assert any(t + (t_new - t) != t_new
                for t, t_new in zip(ours.t[:-1], ours.t[1:]))
     ref, ref_times = times_called(_scipy_dop853, [0.0])
@@ -177,7 +187,8 @@ def test_zero_length_span():
     y0 = [1.0, 0.5]
     options = dict(rtol=1e-10, atol=1e-12)
     _assert_same_end_state(
-        dop853.solve_ivp(_oscillator, (2.0, 2.0), np.array(y0), **options),
+        dop853.solve_ivp(_on_array(_oscillator), (2.0, 2.0), np.array(y0),
+                         **options),
         _scipy_dop853(_oscillator, (2.0, 2.0), y0, **options))
     ours = dop853.solve_ivp(_oscillator, (2.0, 2.0), y0, **options)
     assert ours.success and ours.nfev == 1
@@ -221,8 +232,8 @@ def test_dense_output_is_exact_at_both_ends():
     assert np.allclose(ours.sol(3.0), ours.y, rtol=1e-15, atol=0.0)
     # the ndarray pass takes as many steps without the three dense-output
     # stages of each
-    on_array = dop853.solve_ivp(_oscillator, (0.0, 3.0), np.array([1.0, 0.0]),
-                                rtol=1e-10, atol=1e-12)
+    on_array = dop853.solve_ivp(_on_array(_oscillator), (0.0, 3.0),
+                                np.array([1.0, 0.0]), rtol=1e-10, atol=1e-12)
     assert len(on_array.t) == len(ours.t)
     assert on_array.nfev == ours.nfev - 3 * ours.sol.steps
 
@@ -234,8 +245,9 @@ def test_step_underflow_fails_instead_of_looping():
 
     ref = _scipy_dop853(blow_up, (0.0, 2.0), [1.0], rtol=1e-10, atol=1e-12)
     assert not ref.success
-    for state in (np.array([1.0]), [1.0]):
-        ours = dop853.solve_ivp(blow_up, (0.0, 2.0), state, rtol=1e-10,
+    for fun, state in ((_on_array(blow_up), np.array([1.0])),
+                       (blow_up, [1.0])):
+        ours = dop853.solve_ivp(fun, (0.0, 2.0), state, rtol=1e-10,
                                 atol=1e-12)
         assert not ours.success
         assert ours.message == ref.message
@@ -252,9 +264,10 @@ def test_backward_span_is_rejected():
 
 
 def test_list_pass_stores_its_interpolants_alone():
-    # a step of the list pass stores 8 doubles per state (y_old and F0..F6),
-    # its end t in the list of step ends (an 8-byte pointer and a 24-byte
-    # float) and its length (a double); the per-step states are not kept.
+    # a step of the list pass stores 8 doubles per state (y_old and F0..F6)
+    # and its end t in the list of step ends (an 8-byte pointer and a
+    # 24-byte float); neither the per-step states nor the step lengths,
+    # which are differences of the step ends, are kept.
     # The containers over-allocate by at most 1/8 of what they hold, and
     # the pass's set-up and one step's working lists stay within 64 KiB.
     spec = model_from_config(resolve_config(MISS_CONFIG))
@@ -268,5 +281,5 @@ def test_list_pass_stores_its_interpolants_alone():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    per_step = 8 * 8 * n + (8 + 24) + 8
+    per_step = 8 * 8 * n + (8 + 24)
     assert peak <= states.steps * per_step * 9 / 8 + 64 * 1024

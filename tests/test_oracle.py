@@ -356,13 +356,15 @@ def test_chebyshev_pass_matches_diagonalisation(tau, d2):
     spec = ModelSpec(coupling=Drive.constant(1.0),
                      displacement=Drive.constant(0.5),
                      squeezing=Drive.constant(d2))
-    state = InitialState.coherent(0.6, 0.3)
-    dims = recommended_dims(spec, state, tau)
-    st = propagate(spec, state, tau, dims)
-    ref, k_max = diagonalised_reference(spec, state, tau, dims)
-    # the recurrence's rounding: eps * ||psi|| per step, over k_max steps
-    bound = k_max * EPS * np.linalg.norm(_initial_tensor(state, dims))
-    assert np.max(np.abs(st.amplitudes - ref)) <= bound
+    # real labels give the pass a real vector, complex ones a complex one
+    for state in (InitialState.coherent(0.6, 0.3),
+                  InitialState.coherent(0.6j, 0.3 - 0.2j)):
+        dims = recommended_dims(spec, state, tau)
+        st = propagate(spec, state, tau, dims)
+        ref, k_max = diagonalised_reference(spec, state, tau, dims)
+        # the recurrence's rounding: eps * ||psi|| per step, over k_max steps
+        bound = k_max * EPS * np.linalg.norm(_initial_tensor(state, dims))
+        assert np.max(np.abs(st.amplitudes - ref)) <= bound
 
 
 @pytest.mark.parametrize("d2", [0.0, 0.05])
@@ -376,9 +378,9 @@ def test_chebyshev_pass_at_tau_zero_returns_psi0(d2):
     assert np.array_equal(st.amplitudes, _initial_tensor(state, dims))
 
 
-def test_real_input_runs_as_one_row():
+def test_real_input_runs_as_a_real_vector():
     # real mu_c and mu_m give real branch vectors, which the Chebyshev pass
-    # carries as one row; a unit phase makes them complex, and so two rows
+    # carries as floats; a unit phase makes them complex, and so the vector
     spec = ModelSpec(coupling=Drive.constant(1.0),
                      displacement=Drive.constant(0.5),
                      squeezing=Drive.constant(0.05))
@@ -388,16 +390,17 @@ def test_real_input_runs_as_one_row():
     live = {n: psi0[n, :min(dims[1], _branch_box(spec, state, n, tau))]
             for n in range(dims[0])}
     assert not any(v.imag.any() for v in live.values())
-    one = _chebyshev_branches(spec, live, tau)
-    # the phase rounds both rows; to the recurrence's rounding bound
+    real = _chebyshev_branches(spec, live, tau)
+    # the phase rounds both parts; to the recurrence's rounding bound
     phase = cmath.exp(0.7j)
-    two = _chebyshev_branches(spec, {n: phase * v for n, v in live.items()},
-                              tau)
+    rotated = _chebyshev_branches(
+        spec, {n: phase * v for n, v in live.items()}, tau)
     halves = [_gershgorin(_branch_band(n, 1.0, 0.5, 0.05, v.size))[1]
               for n, v in live.items()]
     k_max = _bessel_j(np.array(halves) * tau)[0].shape[0]
     bound = k_max * EPS * np.linalg.norm(psi0)
-    assert max(np.max(np.abs(a - b / phase)) for a, b in zip(one, two)) <= bound
+    assert max(np.max(np.abs(a - b / phase))
+               for a, b in zip(real, rotated)) <= bound
 
 
 @pytest.mark.parametrize("g0, d1", [(1.0, 1.0), (0.5, 5.0)])
