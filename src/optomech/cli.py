@@ -10,25 +10,32 @@ BLAS thread counts the last digits of LAPACK- and quadrature-derived values
 method promises.
 
 The seven value commands, drive-eval through cfi, are one table,
-VALUE_COMMANDS: each entry is a prepare, its value columns, the args its
-fingerprint records and the input states it computes. One runner,
-cmd_values, reads the swept values (the tau grid, --tau or qfi's --sweep),
-refuses an output it cannot write and an input state the entry does not
-accept, prepares (every other refusal, no arithmetic) and writes one row per
-value; sweep runs the qfi, cfi and nongauss prepares of the same table.
-Every refusal of an input exits 2 before any arithmetic, among them a Fock
-input to qfi, a thermal or Fock input to oracle-check, a fock_n that is not
-an integer, a --steps above MAX_SWEEP_POINTS, a cfi cut-off above
+VALUE_COMMANDS: each entry is a prepare, its value columns and the args its
+fingerprint records. One runner, cmd_values, reads the swept values (the tau
+grid, --tau or qfi's --sweep), refuses an output it cannot write, prepares
+(every other refusal, the input state's first; no arithmetic) and writes one
+row per value; sweep runs the qfi, cfi and nongauss prepares of the same
+table.
+
+Every refusal reaches ``main`` as a ConfigError and exits 2 with one error
+line; the library's own refusals become one at one boundary per phase.
+``_refused`` wraps each prepare and oracle-check's set-up, and passes on the
+message of a ValueError (and of ``oracle.TruncationError`` for
+oracle-check's dims). These refusals come before any arithmetic, among them
+a Fock input to qfi, a thermal or Fock input to oracle-check, a fock_n that
+is not an integer, a --steps above MAX_SWEEP_POINTS, a cfi cut-off above
 metrology.N_MAX_CAP and oracle-check dims that oracle.check_dims refuses,
-recommended or given. A value that passes the
-float range (the library raises OverflowError, or returns inf or nan) is
-refused as well, with exit 2 and one error line naming the command and tau,
-after the arithmetic that overflowed and before any output is written; no
-prepare can foresee it, so ``sweep --validate-only`` does not see it. So is
-a pass whose step underflows or that needs more than ``dop853.MAX_STEPS``
-steps (``mechanics.IntegrationError``, or ``oracle.TruncationError`` from
-``propagate``), and a result the library refuses as a domain error
-(``ValueError``), such as a Bogoliubov pair that overflowed.
+recommended or given. ``_refusing`` wraps the computing, and its line names
+the command and tau (or the swept point). It refuses a value that passes the
+float range (the library raises OverflowError, or returns inf or nan), after
+the arithmetic that overflowed and before any output is written, so no
+prepare and no ``sweep --validate-only`` sees it; a pass whose step
+underflows or that needs more than ``dop853.MAX_STEPS`` steps
+(``IntegrationError``, or ``oracle.TruncationError`` from ``propagate``),
+named by the range [0, tau] it integrates, or in a sweep over a model key
+by its point; and a result the library refuses as a domain error
+(``ValueError``), such as a Bogoliubov pair that overflowed. ``main`` holds the warnings a command raises and shows
+them once it returns: a refused command prints its error line alone.
 
 Importing this module loads the standard library and ``params`` only. Each
 function imports the layer modules it calls where it calls them, so parsing
@@ -63,12 +70,14 @@ import json
 import math
 import os
 import sys
+import warnings
 from collections import namedtuple
 from contextlib import contextmanager
 
 from . import __version__
 from .params import (QFI_MODES, ColdAtoms, Drive, FabryPerot, InitialState,
-                     Levitated, ModelSpec, coupling_constant, evaluate_drive)
+                     IntegrationError, Levitated, ModelSpec, coupling_constant,
+                     evaluate_drive)
 
 
 CONFIG_KEYS = {
@@ -163,40 +172,30 @@ def resolve_config(raw: dict) -> dict:
 
 
 def model_from_config(cfg: dict) -> ModelSpec:
-    try:
-        return ModelSpec(
-            coupling=Drive.offset_sinusoid(cfg["g0"], cfg["epsilon"],
-                                           cfg["omega_g"]),
-            displacement=Drive.cosine(cfg["d1"], cfg["omega_d1"]),
-            squeezing=Drive.cosine(cfg["d2"], cfg["omega_d2"]),
-        )
-    except ValueError as exc:  # a drive the library refuses
-        raise ConfigError(str(exc)) from None
+    return ModelSpec(
+        coupling=Drive.offset_sinusoid(cfg["g0"], cfg["epsilon"], cfg["omega_g"]),
+        displacement=Drive.cosine(cfg["d1"], cfg["omega_d1"]),
+        squeezing=Drive.cosine(cfg["d2"], cfg["omega_d2"]),
+    )
 
 
 def subsystem_model(cfg: dict) -> ModelSpec:
     """The model of a command that solves its mechanical subsystem."""
     from . import mechanics
     spec = model_from_config(cfg)
-    try:
-        mechanics.check_squeezing(spec.squeezing)
-    except ValueError as exc:  # an unstable constant squeezing
-        raise ConfigError(str(exc)) from None
+    mechanics.check_squeezing(spec.squeezing)
     return spec
 
 
 def state_from_config(cfg: dict) -> InitialState:
-    try:
-        return InitialState(
-            optical=cfg["optical"],
-            mu_c=complex(cfg["mu_c_re"], cfg["mu_c_im"]),
-            fock_n=int(cfg["fock_n"]),
-            mechanical=cfg["mechanical"],
-            mu_m=complex(cfg["mu_m_re"], cfg["mu_m_im"]),
-            r_T=cfg["r_T"],
-        )
-    except ValueError as exc:  # an input state the library refuses
-        raise ConfigError(str(exc)) from None
+    return InitialState(
+        optical=cfg["optical"],
+        mu_c=complex(cfg["mu_c_re"], cfg["mu_c_im"]),
+        fock_n=int(cfg["fock_n"]),
+        mechanical=cfg["mechanical"],
+        mu_m=complex(cfg["mu_m_re"], cfg["mu_m_im"]),
+        r_T=cfg["r_T"],
+    )
 
 
 def fingerprint(payload: dict) -> str:
@@ -301,20 +300,29 @@ def _parse_sweep(text: str):
     return [start + i * step for i in range(math.floor(last) + 1)]
 
 
-def _input_state(cfg: dict, requires) -> InitialState:
-    """The input state of ``cfg``, refused unless ``requires``, a triple (who
-    requires it, optical states, mechanical states), accepts it."""
+def _input_state(cfg: dict, who: str, mechanical=("coherent",)) -> InitialState:
+    """The input state of ``cfg``, refused unless it is a coherent optical
+    state and one of the ``mechanical`` states, which ``who`` requires."""
     state = state_from_config(cfg)
-    who, optical, mechanical = requires
-    if state.optical not in optical or state.mechanical not in mechanical:
-        raise ConfigError(f"{who} {' or '.join(optical)} x "
-                          f"{' or '.join(mechanical)} input")
+    if state.optical != "coherent" or state.mechanical not in mechanical:
+        raise ConfigError(f"{who} coherent x {' or '.join(mechanical)} input")
     return state
+
+
+@contextmanager
+def _refused(*failures):
+    """Refuse, as a ConfigError with its message, an input the library
+    refuses while a command is set up (a ValueError, or one of ``failures``);
+    a set-up computes nothing."""
+    try:
+        yield
+    except (ValueError, *failures) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
 # value commands: prepare(cfg, fixed, tau_max) -> value applies every
-# refusal of the command besides its input state and builds the model it
+# refusal of the command, its input state's first, and builds the model it
 # reads on [0, tau_max], computing nothing; value(tau) computes one row's
 # value columns, integrating on the first read. ``fixed`` holds the
 # command's settings.
@@ -355,7 +363,8 @@ def _prepare_coeffs(cfg: dict, fixed: dict, tau_max: float):
 
 def _prepare_moments(cfg: dict, fixed: dict, tau_max: float):
     from . import coefficients, moments
-    spec, state = subsystem_model(cfg), state_from_config(cfg)
+    state = _input_state(cfg, "moments require")
+    spec = subsystem_model(cfg)
     traj = coefficients.Trajectory(spec, tau_max)
 
     def value(tau):
@@ -371,7 +380,8 @@ def _prepare_moments(cfg: dict, fixed: dict, tau_max: float):
 
 def _prepare_nongauss(cfg: dict, fixed: dict, tau_max: float):
     from . import coefficients
-    spec, state = subsystem_model(cfg), state_from_config(cfg)
+    state = _input_state(cfg, "the non-Gaussianity measure requires pure")
+    spec = subsystem_model(cfg)
     traj = coefficients.Trajectory(spec, tau_max)  # integrates on first use
 
     def value(tau):
@@ -383,12 +393,10 @@ def _prepare_nongauss(cfg: dict, fixed: dict, tau_max: float):
 
 def _prepare_qfi(cfg: dict, fixed: dict, tau_max: float):
     from . import metrology
-    spec, state = model_from_config(cfg), state_from_config(cfg)
+    state = _input_state(cfg, "qfi requires", ("coherent", "thermal"))
+    spec = model_from_config(cfg)
     param, mode = fixed["param"], _one_of("mode", fixed["mode"], QFI_MODES)
-    try:
-        derivatives = metrology.qfi_derivatives(spec, param, tau_max, mode)
-    except ValueError as exc:  # a parameter or model with no derivative route
-        raise ConfigError(str(exc)) from None
+    derivatives = metrology.qfi_derivatives(spec, param, tau_max, mode)
     r_T = state.r_T if state.mechanical == "thermal" else 0.0
     return lambda tau: (metrology.qfi_thermal(metrology.qfi_coefficients(
         spec, param, tau, mode=mode, derivatives=derivatives),
@@ -396,7 +404,8 @@ def _prepare_qfi(cfg: dict, fixed: dict, tau_max: float):
 
 
 def _prepare_cfi(cfg: dict, fixed: dict, tau_max: float):
-    spec, state = model_from_config(cfg), state_from_config(cfg)
+    state = _input_state(cfg, "cfi requires")
+    spec = model_from_config(cfg)
     if not (spec.coupling.is_constant and spec.displacement.is_constant):
         raise ConfigError("cfi needs a constant coupling and displacement")
     if not spec.squeezing.is_zero:
@@ -419,35 +428,30 @@ def _prepare_cfi(cfg: dict, fixed: dict, tau_max: float):
         state.mu_m, lam, tau, n_max=n_max),)
 
 
-# a value command: its prepare, its value columns, the args its fingerprint
-# records, and the input states it computes, as _input_state takes them
-# (None: it reads no input state)
-ValueCommand = namedtuple("ValueCommand", "prepare columns records requires")
+# a value command: its prepare, its value columns and the args its
+# fingerprint records
+ValueCommand = namedtuple("ValueCommand", "prepare columns records")
 GRID = ("tau_max", "steps")
-COHERENT = ("coherent",)
 QUADRATURE_COLUMNS = ("x_c", "p_c", "x_m", "p_m")  # moments --quadratures
 VALUE_COMMANDS = {
-    "drive-eval": ValueCommand(_prepare_drives, ("G", "D1", "D2"), GRID, None),
+    "drive-eval": ValueCommand(_prepare_drives, ("G", "D1", "D2"), GRID),
     "mechanics": ValueCommand(
         _prepare_mechanics, ("P11", "I_P22", "re_alpha", "im_alpha",
-                             "re_beta", "im_beta"), GRID, None),
+                             "re_beta", "im_beta"), GRID),
     "coeffs": ValueCommand(
         _prepare_coeffs, ("F_Na", "F_Na2", "F_B+", "F_B-", "F_NaB+", "F_NaB-",
                           "J_b", "J_+", "J_-", "theta", "re_K_Na", "im_K_Na"),
-        GRID, None),
+        GRID),
     "moments": ValueCommand(
         _prepare_moments, ("re_a", "im_a", "re_b", "im_b", "re_a2", "im_a2",
                            "re_b2", "im_b2", "adag_a", "bdag_b", "re_ab",
                            "im_ab", "re_abdag", "im_abdag"),
-        (*GRID, "quadratures"), ("moments require", COHERENT, COHERENT)),
+        (*GRID, "quadratures")),
     "nongauss": ValueCommand(
         _prepare_nongauss, ("delta", "delta_min", "delta_max", "nu_op", "nu_me"),
-        GRID, ("the non-Gaussianity measure requires pure", COHERENT,
-               COHERENT)),
-    "qfi": ValueCommand(_prepare_qfi, ("qfi",), ("sweep", "param", "mode", "tau"),
-                        ("qfi requires", COHERENT, ("coherent", "thermal"))),
-    "cfi": ValueCommand(_prepare_cfi, ("cfi",), ("lambda", "n_max", "tau"),
-                        ("cfi requires", COHERENT, COHERENT)),
+        GRID),
+    "qfi": ValueCommand(_prepare_qfi, ("qfi",), ("sweep", "param", "mode", "tau")),
+    "cfi": ValueCommand(_prepare_cfi, ("cfi",), ("lambda", "n_max", "tau")),
 }
 
 
@@ -466,9 +470,8 @@ def _sweep_rows(command: str, cfg: dict, fixed: dict, name: str, values, out):
     entry = VALUE_COMMANDS[command]
 
     def prepare(point, tau_max):
-        if entry.requires is not None:
-            _input_state(point, entry.requires)
-        return entry.prepare(point, fixed, tau_max)
+        with _refused():
+            return entry.prepare(point, fixed, tau_max)
 
     if name == "tau":
         _check_tau(min(values))
@@ -479,25 +482,19 @@ def _sweep_rows(command: str, cfg: dict, fixed: dict, name: str, values, out):
     return [(v, prepare({**cfg, name: v}, tau), tau) for v in values]
 
 
-def _integration_error():
-    """mechanics.IntegrationError. An except clause evaluates this only once
-    an exception is raised, so a command that integrates nothing does not
-    load the module."""
-    from .mechanics import IntegrationError
-    return IntegrationError
-
-
 @contextmanager
-def _refusing(command: str, at: str, *failures):
+def _refusing(command: str, at: str, *failures, over=None):
     """Refuse, as one ConfigError naming ``command`` and ``at``, a value past
     the float range (OverflowError), a pass that fails (IntegrationError or
-    ``failures``) and a domain error (ValueError)."""
+    ``failures``; named by the range ``over`` it integrates, if given) and a
+    domain error (ValueError)."""
     try:
         yield
     except OverflowError as exc:
         raise ConfigError(f"{command} overflows at {at}: {exc}") from None
-    except (_integration_error(), *failures) as exc:
-        raise ConfigError(f"{command} cannot integrate at {at}: {exc}") from None
+    except (IntegrationError, *failures) as exc:
+        where = f"over {over}" if over else f"at {at}"
+        raise ConfigError(f"{command} cannot integrate {where}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"{command} has no valid value at {at}: "
                           f"{exc}") from None
@@ -511,11 +508,13 @@ def _overflowed(values):
 
 def _computed(command: str, name: str, rows):
     """The records (v, *value(t)) of the rows of ``_sweep_rows``; a value
-    past the float range or a failed pass is refused, naming v and tau."""
+    past the float range is refused naming v and tau, and a failed pass
+    naming its point, or for a tau sweep the range [0, tau_max] it reads."""
     records = []
+    over = f"[0, {max(t for *_, t in rows)!r}]" if name == "tau" else None
     for v, value, t in rows:
         at = f"tau={t!r}" if name == "tau" else f"{name}={v!r}, tau={t!r}"
-        with _refusing(command, at):
+        with _refusing(command, at, over=over):
             record = (v, *value(t))
             _overflowed(record[1:])
         records.append(record)
@@ -564,11 +563,8 @@ def _sensitivity(setup, photons: float):
     """The gravimetric sensitivity of ``setup`` at tau = 2 pi; one past the
     float range is refused."""
     from . import metrology
-    try:
+    with _refusing("gravimetry", f"tau={metrology.TWO_PI!r}"):
         return metrology.gravimetry(setup, mu_c=math.sqrt(photons))
-    except OverflowError as exc:
-        raise ConfigError(f"gravimetry overflows at tau={metrology.TWO_PI!r}: "
-                          f"{exc}") from None
 
 
 def cmd_gravimetry(args):
@@ -612,26 +608,26 @@ def _parse_dims(text: str):
 def cmd_oracle_check(args):
     cfg = load_config(args.config)
     _check_output(args.out)
-    spec = subsystem_model(cfg)
-    # the oracle propagates coherent x coherent inputs only
-    state = _input_state(cfg, ("oracle-check requires", COHERENT, COHERENT))
-    tau = args.tau
-    _check_tau(tau)
-    if not 0 < args.tolerance < math.inf:
-        raise ConfigError(f"--tolerance must be finite and > 0, got "
-                          f"{args.tolerance}")
     from . import coefficients, moments, oracle
-    try:
+    # the set-up computes nothing; the dims the oracle cannot take are refused
+    with _refused(oracle.TruncationError):
+        spec = subsystem_model(cfg)
+        # the oracle propagates coherent x coherent inputs only
+        state = _input_state(cfg, "oracle-check requires")
+        tau = args.tau
+        _check_tau(tau)
+        if not 0 < args.tolerance < math.inf:
+            raise ConfigError(f"--tolerance must be finite and > 0, got "
+                              f"{args.tolerance}")
         dims = _parse_dims(args.dims) if args.dims else \
             oracle.recommended_dims(spec, state, tau)
         # kept out of propagate, whose pass must wait for the phase refusal
         oracle.check_dims(spec, state, tau, dims)
-    except oracle.TruncationError as exc:  # the dims the oracle cannot take
-        raise ConfigError(str(exc)) from None
     traj = coefficients.Trajectory(spec, tau)
     # phases past their float spacing overflow, either pass may fail, and a
     # deviation of inf or nan is refused rather than compared
-    with _refusing("oracle-check", f"tau={tau!r}", oracle.TruncationError):
+    with _refusing("oracle-check", f"tau={tau!r}", oracle.TruncationError,
+                   over=f"[0, {tau!r}]"):
         f = traj.f(tau)
         alpha, beta = traj.bogoliubov(tau)
         m = moments.evolve_moments(f, alpha, beta, state.mu_c, state.mu_m)
@@ -754,11 +750,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the command's warnings are held, so a refused command prints its error
+    # line alone: the warnings of what it refuses go with it
     try:
-        return args.func(args)
+        with warnings.catch_warnings(record=True) as held:
+            warnings.simplefilter("default")  # once per place; never raised
+            return args.func(args)
     except ConfigError as exc:
+        held = []
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:  # shown as the filters outside the command have them
+        for w in held:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
 
 def launch():

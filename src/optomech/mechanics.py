@@ -22,7 +22,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .params import Drive, ModelSpec
+# IntegrationError, the error of a pass that fails, is importable here too
+from .params import Drive, IntegrationError, ModelSpec  # noqa: F401
 
 # (rtol, atol) of every adaptive integration unless a caller passes its own
 STRICT = (1e-10, 1e-12)
@@ -31,10 +32,6 @@ STRICT = (1e-10, 1e-12)
 ACOSH_CLAMP = 1e-12
 # below this they signal an invalid Bogoliubov pair
 ACOSH_REJECT = 1e-9
-
-
-class IntegrationError(RuntimeError):
-    pass
 
 
 def solve_ivp(fun, t_span, y0, **options):

@@ -13,6 +13,7 @@ force sensitivities.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -31,6 +32,8 @@ TWO_PI = 2.0 * math.pi
 _UNIT_ROUNDOFF = 2.0 ** -53  # half the float64 machine epsilon
 # the most photon-number mass of the input cfi_homodyne cuts off silently
 PHOTON_TAIL_LIMIT = 1e-10
+# the relative accuracy cfi_homodyne holds its value to
+CFI_RTOL = 1e-10
 # the largest photon cut-off the cfi command takes: cfi_homodyne's state
 # rho and its eigenvectors are dense complex matrices of up to n_max x n_max
 # 16-byte entries, and the cap keeps each within 128 MiB
@@ -364,19 +367,35 @@ def cfi_homodyne(g0: float, d1: float, mu_c: complex, mu_m: complex,
     construction and its parameter derivative is a product of the same
     rank-sized rows. Equals the coherent-input QFI at tau = 2 pi for
     integer g0, d1 and a matched quadrature angle.
+
+    mu_m enters the state only as a phase e^{i phi n} on photon row n, with
+    phi = 2 g0 Im(eta mu_m), eta = 1 - e^{-i tau} (half from the weights'
+    drift, half from the overlaps), so the state is built at mu_m = 0 and
+    measured at the angle lam - phi; an angle whose float spacing alone
+    moves the value past CFI_RTOL raises OverflowError.
     """
     import numpy as np
     # imported here, so the QFI and gravimetry paths never load the oracle
     from .oracle import analytic_state_coefficients
 
     mu_c, mu_m = complex(mu_c), complex(mu_m)
+    angle = lam - 2.0 * g0 * ((1.0 - cmath.exp(-1j * tau)) * mu_m).imag
+    # the angle is formed from terms up to |lam| and 2 |g0 mu_m| (eta, of
+    # size 1, rounds to its ulp), and row n carries it as e^{-i angle n}; so,
+    # as moments._check_phases derives, one ulp of the largest term moves the
+    # value by up to (1 + 2 n_c) ulp of its size
+    nc, size = abs(mu_c) ** 2, max(abs(lam), 2.0 * abs(g0 * mu_m))
+    if not (1.0 + 2.0 * nc) * math.ulp(size) <= CFI_RTOL:
+        raise OverflowError(f"the quadrature angle {angle}, formed from terms "
+                            f"up to {size}, has a float spacing past what rtol "
+                            f"{CFI_RTOL} allows at |mu_c|^2 = {nc}")
     if n_max is None:
         n_max = default_n_max(mu_c)
     tail = photon_tail(mu_c, n_max)
     if tail > PHOTON_TAIL_LIMIT:
         warnings.warn(f"photon tail mass {tail:.2e} beyond n_max={n_max} "
                       "exceeds 1e-10; increase n_max", stacklevel=2)
-    weights, labels = analytic_state_coefficients(g0, d1, mu_c, mu_m, tau, n_max)
+    weights, labels = analytic_state_coefficients(g0, d1, mu_c, 0.0, tau, n_max)
     if not np.all(np.isfinite(weights)):
         raise OverflowError("a photon weight passes the float range")
 
@@ -387,19 +406,18 @@ def cfi_homodyne(g0: float, d1: float, mu_c: complex, mu_m: complex,
     big = np.flatnonzero(np.abs(weights) >= _UNIT_ROUNDOFF * np.max(np.abs(weights)))
     first, last = int(big[0]), int(big[-1]) + 1
     weights, labels = weights[first:last], labels[first:last]
-    # the mechanical overlaps <phi_m|phi_n> are exponentiated in one go:
-    # only the combined exponent has a non-positive real part
-    half_sq = 0.5 * np.abs(labels) ** 2
+    # at mu_m = 0 every label phi_n = (g0 n - d1) eta is a real multiple of
+    # eta, so the overlap <phi_m|phi_n> has no phase and is formed from the
+    # labels' differences, not from a difference of their squares
     rho = np.outer(weights, np.conj(weights)) * np.exp(
-        np.conj(labels)[None, :] * labels[:, None]
-        - half_sq[:, None] - half_sq[None, :])
+        -0.5 * np.abs(np.subtract.outer(labels, labels)) ** 2)
     if not np.all(np.isfinite(rho)):  # eigh would make it a finite CFI
         raise OverflowError("the optical state passes the float range")
     evals, evecs = np.linalg.eigh(rho)
     keep = evals > 1e-15 * evals[-1]
     n = np.arange(first, last)
-    # rho = L L^H with the quadrature phase e^{-i lam n} folded into L
-    factor = (np.exp(-1j * lam * n)[:, None] * evecs[:, keep]
+    # rho = L L^H with the quadrature phase e^{-i angle n} folded into L
+    factor = (np.exp(-1j * angle * n)[:, None] * evecs[:, keep]
               * np.sqrt(evals[keep]))
     # the real and imaginary parts of L and of N L as the rows of one real
     # matrix, so the products with the real psi need no complex copy of it
@@ -422,7 +440,7 @@ def cfi_homodyne(g0: float, d1: float, mu_c: complex, mu_m: complex,
 
     coarse = integral(1200)
     fine = integral(2400)
-    if abs(fine - coarse) > 1e-10 * max(1.0, abs(fine)):
+    if abs(fine - coarse) > CFI_RTOL * max(1.0, abs(fine)):
         fine = integral(4800)
     return 4.0 * g0 ** 2 * (tau - math.sin(tau)) ** 2 * fine
 

@@ -13,9 +13,13 @@ from dataclasses import dataclass, field
 
 from .constants import EPSILON_0, HBAR, K_B
 
-# the derivative modes of metrology.qfi_coefficients; named here, so the
-# CLI's parser offers them without loading numpy
+# the derivative modes of metrology.qfi_coefficients, and the error of a
+# pass that fails; named here, so the CLI names them without loading a layer
 QFI_MODES = ("analytic", "finite_diff")
+
+
+class IntegrationError(RuntimeError):
+    pass
 
 
 @dataclass(frozen=True)

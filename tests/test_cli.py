@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from dataclasses import astuple
 from pathlib import Path
 from types import SimpleNamespace
@@ -928,9 +929,18 @@ OVERFLOW_INPUT = [
     pytest.param(["cfi", "--n-max", "24", "--tau", "100"], {"g0": -1e154},
                  "cfi overflows at tau=100.0: a photon weight passes the "
                  "float range", id="overflow-cfi-weights"),
-    pytest.param(["cfi", "--n-max", "24"], {"mu_m_im": 1e300},
-                 "cfi overflows at tau=6.283185307179586: the optical state "
-                 "passes the float range", id="overflow-cfi-state"),
+    # a quadrature angle lambda - 2 g0 Im(eta mu_m) formed from terms whose
+    # float spacing alone moves the CFI past its rtol (at g0 = 0 mu_m turns
+    # nothing: test_cfi_zero_coupling)
+    pytest.param(["cfi", "--n-max", "24"], {"g0": 1.0, "mu_m_im": 1e300},
+                 "cfi overflows at tau=6.283185307179586: the quadrature angle "
+                 "1.5707963267948966, formed from terms up to 2e+300, has a "
+                 "float spacing past what rtol 1e-10 allows at |mu_c|^2 = 0.0",
+                 id="overflow-cfi-state"),
+    pytest.param(["cfi", "--tau", "1"], {"mu_m_im": 1e7, "mu_c_re": 1, "g0": 1},
+                 "cfi overflows at tau=1.0: the quadrature angle "
+                 "-9193952.311840877, formed from terms up to 20000000.0",
+                 id="overflow-cfi-angle"),
     pytest.param(["coeffs", "--tau-max", "1e308", "--steps", "2"],
                  GOLDEN_MODEL, "coeffs overflows at tau=1e+308: sinc of inf",
                  id="overflow-coeffs-tau"),
@@ -943,15 +953,16 @@ OVERFLOW_INPUT = [
                  "qfi overflows at g0=1.000000001e+159, tau=6.283185307179586",
                  id="overflow-qfi-g0-sweep"),
     # a squeezing whose rates overflow: the decoupled pass's step underflows
-    # at its start, and IntegrationError names it
+    # at its start, and IntegrationError names it; the command names the
+    # range the pass integrates
     pytest.param(["coeffs"], {**GOLDEN_MODEL, "d2": -1e300, "omega_d2": 1e6},
-                 "coeffs cannot integrate at tau=0.0: decoupled-solution "
-                 "integration failed near tau=0: Required step size is less "
-                 "than spacing between numbers.",
+                 "coeffs cannot integrate over [0, 6.283185307179586]: "
+                 "decoupled-solution integration failed near tau=0: Required "
+                 "step size is less than spacing between numbers.",
                  id="overflow-coeffs-integration"),
     pytest.param(["qfi", "--param", "omega_g", "--mode", "finite_diff"],
                  {**GOLDEN_MODEL, "d2": 1e300},
-                 "qfi cannot integrate at tau=6.283185307179586: "
+                 "qfi cannot integrate over [0, 6.283185307179586]: "
                  "decoupled-solution integration failed near tau=0: Required "
                  "step size is less than spacing between numbers.",
                  id="overflow-qfi-fd-integration"),
@@ -1384,18 +1395,18 @@ STEP_CAP_MODEL = {"g0": 0.5, "d2": 0.01, "omega_d2": 1e6, "mu_c_re": 1}
 
 @pytest.mark.parametrize("argv, message", [
     (["coeffs", "--tau-max", "1", "--steps", "3"],
-     "coeffs cannot integrate at tau=0.0: decoupled-solution integration "
+     "coeffs cannot integrate over [0, 1.0]: decoupled-solution integration "
      "failed near tau=0.000114242: Required number of steps exceeds "
      "50."),
     (["oracle-check", "--tau", "1"],
-     "oracle-check cannot integrate at tau=1.0: decoupled-solution "
+     "oracle-check cannot integrate over [0, 1.0]: decoupled-solution "
      "integration failed near tau=0.000114242: Required number of steps "
      "exceeds 50."),
     # a modulated coupling alone is a catalog hit, so only the oracle's
     # pass integrates
     (["oracle-check", "--tau", "1", "--config",
       {"g0": 0.5, "epsilon": 0.4, "omega_g": 1e3, "mu_c_re": 1}],
-     "oracle-check cannot integrate at tau=1.0: branch integration failed: "
+     "oracle-check cannot integrate over [0, 1.0]: branch integration failed: "
      "Required number of steps exceeds 50."),
 ], ids=["coeffs", "oracle-check", "oracle-check-truncated-pass"])
 def test_a_pass_past_the_step_cap_is_refused(argv, message, tmp_path, capsys,
@@ -1474,6 +1485,37 @@ def test_extreme_configs_exit_cleanly(seed, tmp_path, capsys, monkeypatch):
             out.unlink()
         codes.append(code)
     assert 0 in codes and 2 in codes
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["cfi", "--n-max", "24", "--tau", "100"], {"g0": -1e154}),
+    (["oracle-check", "--tau", "1", "--dims", "20,3"],
+     {"g0": 1e308, "mu_c_re": 1}),
+], ids=["cfi", "oracle-check"])
+def test_a_refused_command_prints_its_error_line_alone(argv, config, tmp_path):
+    # the arithmetic a refused command ran raised numpy warnings; they go
+    # with the refusal (in-process, pytest would capture them)
+    argv, out, _ = write_config(tmp_path, argv, config)
+    result = run_cli(*argv, "--out", str(out))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1, result.stderr
+
+
+def test_a_command_that_is_not_refused_shows_its_warnings(tmp_path,
+                                                            monkeypatch):
+    # held while the command runs, then shown as the filters outside have them
+    qfi_thermal = metrology.qfi_thermal
+
+    def warning(*args):
+        warnings.warn("a floating-point warning", RuntimeWarning)
+        return qfi_thermal(*args)
+
+    monkeypatch.setattr(metrology, "qfi_thermal", warning)
+    argv, out, _ = write_config(tmp_path, ["qfi"], GOLDEN_MODEL)
+    with pytest.warns(RuntimeWarning, match="a floating-point warning"):
+        assert main([*argv, "--out", str(out)]) == 0
+    assert out.exists()
 
 
 def test_unstable_squeezing_leaves_what_needs_no_subsystem(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import astuple
 
@@ -372,6 +373,9 @@ def test_qfi_fock_vs_coherent_relation():
 
 def test_cfi_zero_coupling():
     assert cfi_homodyne(0.0, 1.0, 1.0, 0.0, math.pi / 2, 2.0) == 0.0
+    # mu_m turns the cavity state by 2 g0 Im(eta mu_m), so at g0 = 0 it
+    # turns nothing, however large
+    assert cfi_homodyne(0.0, 1.0, 1.0, 1e300j, math.pi / 2, TWO_PI) == 0.0
 
 
 @pytest.mark.parametrize("amplitude", [1, 3, 10, 30])
@@ -397,6 +401,33 @@ def test_cfi_phase_covariance():
     base = cfi_homodyne(1.0, 0.5, 0.8, 0.2, 0.3, 2.0)
     rotated = cfi_homodyne(1.0, 0.5, 0.8 * np.exp(0.9j), 0.2, 0.3 + 0.9, 2.0)
     assert base == pytest.approx(rotated, rel=1e-10)
+    # mu_m turns the cavity state by 2 g0 Im(eta mu_m), eta = 1 - e^{-i tau}
+    # (test_mu_m_turns_the_reduced_cavity_state), and the angle follows it
+    for mu_m in (0.3, 5.0, 1e3):
+        turn = 2.0 * ((1.0 - cmath.exp(-2j)) * mu_m).imag
+        assert cfi_homodyne(1.0, 0.5, 0.8, mu_m, 0.3, 2.0) == pytest.approx(
+            cfi_homodyne(1.0, 0.5, 0.8, 0.0, 0.3 - turn, 2.0), rel=1e-10), mu_m
+
+
+@pytest.mark.parametrize("mu_m", [0.3, 2.0 - 1.0j, 5.0j])
+@pytest.mark.parametrize("d1, mu_c", [(0.4, 0.8 + 0.3j), (1.0, 1.0)])
+def test_mu_m_turns_the_reduced_cavity_state(mu_m, d1, mu_c):
+    # rho_nm = w_n w_m* <phi_m|phi_n> at mu_m is D rho(0) D*, with
+    # D = diag(e^{i phi n}) and phi = 2 g0 Im(eta mu_m): the weights' drift
+    # and the overlaps' phase each give half of phi
+    g0, tau, n_max = 1.0, 2.0, 24
+
+    def rho(mu):
+        weights, labels = analytic_state_coefficients(g0, d1, mu_c, mu, tau,
+                                                      n_max)
+        half_sq = 0.5 * np.abs(labels) ** 2
+        return np.outer(weights, weights.conj()) * np.exp(
+            np.outer(labels, labels.conj()) - half_sq[:, None] - half_sq[None, :])
+
+    phi = 2.0 * g0 * ((1.0 - cmath.exp(-1j * tau)) * mu_m).imag
+    turn = np.exp(1j * phi * np.arange(n_max))
+    turned = turn[:, None] * rho(0.0) * turn.conj()[None, :]
+    assert np.max(np.abs(rho(mu_m) - turned)) <= 1e-13
 
 
 def test_cfi_strictly_below_qfi_when_entangled():
